@@ -11,65 +11,26 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, backward, finite_diff_grad
+from .config import Config, DataSpec, HyperParams  # Config and DataSpec are re-exported here
 from .data import AugmentationSpec
 from .errors import DivergenceError, ParseError, UsageError
-from .federation import HyperParams, MetricsTable, build_domains, run_da, run_dg
+from .federation import MetricsTable, build_domains, run_da, run_dg
 from .model import HeadSnapshot, flatten, init_params, save_checkpoint, stage_params, unflatten
 from .objective import cross_entropy, head_grad, local_loss
 
-HP_DEFAULTS = {
-    "lambda": 0.5,
-    "rounds": 30,
-    "local_epochs": 1,
-    "batch": 16,
-    "lr0": 1e-3,
-    "lr1": 1e-4,
-    "momentum": 0.9,
-    "weight_decay": 5e-4,
-    "inter_normalize": False,
-    "tau": 0.9,
-    "min_votes": None,  # resolved from the source count: 2 when >= 3 sources, else 1
-    "gm_enabled": True,
-}
-
-
-@dataclass
-class DataSpec:
-    """Generator choice plus its parameters."""
-
-    kind: str
-    angles: list[float] = field(default_factory=list)
-    n_domains: int = 0
-    side: int = 0
-    n_per_domain: int = 0
-    noise_sigma: float = 0.0
-    classes: int = 2
-
-
-@dataclass
-class Config:
-    experiment: str
-    mode: str
-    data: DataSpec
-    held_out: int
-    arch: list[int]
-    augmentation: AugmentationSpec
-    hp: HyperParams
-    out_dir: str
-    seeds: list[int]
-    gradient_matching: bool = True
-    parallel_clients: bool = False
-
-    @property
-    def n_domains(self) -> int:
-        return len(self.data.angles) if self.data.kind == "rotated_moons" else self.data.n_domains
+# config keys of the hp object; "lambda" sets HyperParams.lam, and each
+# key's default and type come from HyperParams
+HP_KEYS = (
+    "lambda", "rounds", "local_epochs", "batch", "lr0", "lr1", "momentum",
+    "weight_decay", "inter_normalize", "tau", "min_votes", "gm_enabled",
+)
 
 
 def _expect(obj, path, keys_required, keys_optional):
@@ -144,36 +105,16 @@ def _parse_augmentation(raw) -> AugmentationSpec:
 
 
 def _parse_hp(raw, n_sources: int) -> HyperParams:
-    _expect(raw, "hp", (), tuple(HP_DEFAULTS))
-    merged = dict(HP_DEFAULTS)
-    merged.update(raw)
-    lam = merged["lambda"]
-    if isinstance(lam, bool) or not isinstance(lam, (int, float)):
-        raise ParseError("hp.lambda: expected a number")
-    if not 0.0 <= lam <= 1.0:
-        raise ParseError(f"hp.lambda: {lam} outside [0, 1]")
-    min_votes = merged["min_votes"]
-    if min_votes is None:
-        min_votes = 2 if n_sources >= 3 else 1
-    hp = HyperParams(
-        lam=float(lam),
-        rounds=_typed(merged, "hp", "rounds", int),
-        local_epochs=_typed(merged, "hp", "local_epochs", int),
-        batch=_typed(merged, "hp", "batch", int),
-        lr0=float(_typed(merged, "hp", "lr0", (int, float))),
-        lr1=float(_typed(merged, "hp", "lr1", (int, float))),
-        momentum=float(_typed(merged, "hp", "momentum", (int, float))),
-        weight_decay=float(_typed(merged, "hp", "weight_decay", (int, float))),
-        inter_normalize=_typed(merged, "hp", "inter_normalize", bool),
-        tau=float(_typed(merged, "hp", "tau", (int, float))),
-        min_votes=int(min_votes),
-        gm_enabled=_typed(merged, "hp", "gm_enabled", bool),
-    )
-    try:
-        hp.validate()
-    except UsageError as e:
-        raise ParseError(str(e)) from None
-    return hp
+    _expect(raw, "hp", (), HP_KEYS)
+    # one vote suffices when only two sources can vote
+    defaults = HyperParams(min_votes=2 if n_sources >= 3 else 1)
+    values = {}
+    for key in HP_KEYS:
+        name = "lam" if key == "lambda" else key
+        default = getattr(defaults, name)
+        kind = type(default)
+        values[name] = kind(_typed(raw, "hp", key, (int, float) if kind is float else kind, default=default))
+    return HyperParams(**values)
 
 
 def parse_config_dict(raw: dict) -> Config:
@@ -181,55 +122,52 @@ def parse_config_dict(raw: dict) -> Config:
         raw,
         "config",
         ("experiment", "mode", "data", "held_out", "arch", "seeds"),
-        ("augmentation", "hp", "out_dir", "gradient_matching", "parallel_clients"),
+        ("augmentation", "hp", "out_dir", "parallel_clients"),
     )
     mode = _typed(raw, "config", "mode", str, required=True)
     if mode not in ("dg", "da"):
         raise ParseError(f"mode: expected 'dg' or 'da', got '{mode}'")
     data = _parse_data(_typed(raw, "config", "data", dict, required=True))
-    n_domains = len(data.angles) if data.kind == "rotated_moons" else data.n_domains
-    held_out = _typed(raw, "config", "held_out", int, required=True)
-    if not 0 <= held_out < n_domains:
-        raise ParseError(f"held_out: index {held_out} outside the {n_domains} configured domains")
     arch = _typed(raw, "config", "arch", list, required=True)
     if not arch or not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in arch):
         raise ParseError("arch: expected a non-empty list of positive integers")
-    d_in = 2 if data.kind == "rotated_moons" else data.side * data.side
-    if arch[0] != d_in:
-        raise ParseError(f"arch: input width {arch[0]} does not match the data width {d_in}")
     seeds = _typed(raw, "config", "seeds", list, required=True)
     if not seeds or not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in seeds):
         raise ParseError("seeds: expected a non-empty list of non-negative integers")
     aug_raw = raw.get("augmentation", {"kind": "identity"})
-    hp = _parse_hp(raw.get("hp", {}), n_sources=n_domains - 1)
     experiment = _typed(raw, "config", "experiment", str, required=True)
-    gradient_matching = _typed(raw, "config", "gradient_matching", bool, default=True)
-    hp.gm_enabled = hp.gm_enabled and gradient_matching
-    return Config(
+    config = Config(
         experiment=experiment,
         mode=mode,
         data=data,
-        held_out=held_out,
+        held_out=_typed(raw, "config", "held_out", int, required=True),
         arch=[int(d) for d in arch],
         augmentation=_parse_augmentation(aug_raw),
-        hp=hp,
+        hp=_parse_hp(raw.get("hp", {}), n_sources=data.domain_count - 1),
         out_dir=_typed(raw, "config", "out_dir", str, default=f"runs/{experiment}"),
         seeds=[int(s) for s in seeds],
-        gradient_matching=gradient_matching,
         parallel_clients=_typed(raw, "config", "parallel_clients", bool, default=False),
     )
+    try:
+        config.validate()
+    except UsageError as e:
+        raise ParseError(str(e)) from None
+    return config
 
 
-def parse_config(path) -> Config:
+def _read_json(path) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise ParseError(f"cannot read config {path}: {e}") from None
     try:
-        raw = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"config parse error at line {e.lineno} column {e.colno}: {e.msg}") from None
-    return parse_config_dict(raw)
+
+
+def parse_config(path) -> Config:
+    return parse_config_dict(_read_json(path))
 
 
 def apply_overrides(raw: dict, overrides: list[str]) -> dict:
@@ -254,9 +192,10 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
 
 
 def config_hash(config: Config) -> str:
-    """Stable digest of the resolved experiment (execution flags excluded)."""
+    """Stable digest of the resolved experiment (execution flags and output directory excluded)."""
     payload = asdict(config)
-    payload.pop("parallel_clients", None)
+    payload.pop("parallel_clients")
+    payload.pop("out_dir")
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
 
@@ -470,15 +409,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_run_config(args) -> Config:
-    raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    raw = _read_json(args.config)
     if args.override:
         raw = apply_overrides(raw, args.override)
     config = parse_config_dict(raw)
     if args.out is not None:
         config = replace(config, out_dir=args.out)
-    if getattr(args, "seed", None):
+    if args.seed:
         config = replace(config, seeds=config.seeds + [s for s in args.seed if s not in config.seeds])
-    if getattr(args, "parallel_clients", None) is not None:
+    if args.parallel_clients is not None:
         config = replace(config, parallel_clients=args.parallel_clients == "true")
     return config
 
@@ -499,9 +438,6 @@ def main(argv=None) -> int:
             return cmd_gen_data(parse_config(args.config), args.out)
     except (ParseError, UsageError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as e:
-        print(f"error: config parse error at line {e.lineno} column {e.colno}: {e.msg}", file=sys.stderr)
         return 1
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -1,0 +1,83 @@
+"""Experiment configuration: the data, model and optimizer settings of a run.
+
+``Config.validate`` checks the held-out index, the input width and the
+hyperparameters; the JSON parser and the round protocol both call it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+from .data import AugmentationSpec
+from .errors import UsageError
+
+
+@dataclass
+class HyperParams:
+    """Optimizer and protocol knobs, one bundle per experiment."""
+
+    lam: float = 0.5
+    rounds: int = 30
+    local_epochs: int = 1
+    batch: int = 16
+    lr0: float = 1e-3
+    lr1: float = 1e-4
+    momentum: float = 0.9
+    weight_decay: float = 5e-4
+    seed: int = 0
+    inter_normalize: bool = False
+    tau: float = 0.9
+    min_votes: int = 2
+    gm_enabled: bool = True
+
+    def validate(self) -> None:
+        if not 0.0 <= self.lam <= 1.0:
+            raise UsageError(f"hp.lambda must lie in [0, 1], got {self.lam}")
+        if not self.lr0 >= self.lr1 > 0.0:
+            raise UsageError(f"learning rates must satisfy lr0 >= lr1 > 0, got {self.lr0}, {self.lr1}")
+        if not 0.0 < self.tau <= 1.0:
+            raise UsageError(f"hp.tau must lie in (0, 1], got {self.tau}")
+        if self.rounds < 1 or self.local_epochs < 1 or self.batch < 1 or self.min_votes < 1:
+            raise UsageError("rounds, local_epochs, batch and min_votes must all be >= 1")
+
+
+@dataclass
+class DataSpec:
+    """Generator choice plus its parameters."""
+
+    kind: str
+    angles: list[float] = field(default_factory=list)
+    n_domains: int = 0
+    side: int = 0
+    n_per_domain: int = 0
+    noise_sigma: float = 0.0
+    classes: int = 2
+
+    @property
+    def domain_count(self) -> int:
+        return len(self.angles) if self.kind == "rotated_moons" else self.n_domains
+
+
+@dataclass
+class Config:
+    experiment: str
+    mode: str
+    data: DataSpec
+    held_out: int
+    arch: list[int]
+    augmentation: AugmentationSpec
+    hp: HyperParams
+    out_dir: str
+    seeds: list[int]
+    parallel_clients: bool = False
+
+    def validate(self) -> None:
+        """Raise UsageError unless the held-out index, input width and hp fit."""
+        n_domains = self.data.domain_count
+        if not 0 <= self.held_out < n_domains:
+            raise UsageError(f"held_out: index {self.held_out} outside the {n_domains} configured domains")
+        d_in = self.arch[0] if self.arch else 0
+        width = 2 if self.data.kind == "rotated_moons" else self.data.side * self.data.side
+        if d_in != width:
+            raise UsageError(f"arch: input width {d_in} does not match the data width {width}")
+        self.hp.validate()

@@ -8,9 +8,8 @@ committed numbers (regenerate with scripts/derive_directional_results.py).
 
 from __future__ import annotations
 
-from .cli import Config, DataSpec
+from .config import Config, DataSpec, HyperParams
 from .data import AugmentationSpec
-from .federation import HyperParams
 
 MOON_ANGLES = [0.0, 25.0, 50.0, 75.0]
 SEEDS = [0, 1, 2, 3, 4]

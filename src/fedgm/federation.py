@@ -6,11 +6,11 @@ updated local models travel to the server, the server takes the
 sample-count-weighted parameter mean, and the new global model plus the
 fresh local heads are broadcast for the next round.
 
-The adaptation variant adds an unlabeled target client: each round it
-pseudo-labels its pool by a confidence-thresholded vote of the current
-source models, fine-tunes the broadcast global model on the accepted subset
-with plain cross-entropy, and joins aggregation weighted by the number of
-accepted samples.
+The adaptation variant is the same round with one more client: an unlabeled
+target that pseudo-labels its pool by a confidence-thresholded vote of the
+current source models, fine-tunes the broadcast global model on the accepted
+subset with plain cross-entropy, and joins aggregation weighted by the
+number of accepted samples.
 """
 
 from __future__ import annotations
@@ -19,11 +19,13 @@ import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import rng as streams
 from .autodiff import Tape, backward
+from .config import Config, HyperParams
 from .data import (
     AugmentationSpec,
     DomainDataset,
@@ -37,6 +39,7 @@ from .errors import ContractError, DivergenceError, UsageError
 from .model import (
     HeadSnapshot,
     ModelParams,
+    ParamNodes,
     flatten,
     forward,
     init_params,
@@ -51,34 +54,8 @@ log = logging.getLogger(__name__)
 
 TRAIN_METRICS = ("ce_orig", "ce_aug", "intra", "inter", "total")
 
-
-@dataclass
-class HyperParams:
-    """Optimizer and protocol knobs, one bundle per experiment."""
-
-    lam: float = 0.5
-    rounds: int = 30
-    local_epochs: int = 1
-    batch: int = 16
-    lr0: float = 1e-3
-    lr1: float = 1e-4
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
-    seed: int = 0
-    inter_normalize: bool = False
-    tau: float = 0.9
-    min_votes: int = 2
-    gm_enabled: bool = True
-
-    def validate(self) -> None:
-        if not 0.0 <= self.lam <= 1.0:
-            raise UsageError(f"hp.lambda must lie in [0, 1], got {self.lam}")
-        if not self.lr0 >= self.lr1 > 0.0:
-            raise UsageError(f"learning rates must satisfy lr0 >= lr1 > 0, got {self.lr0}, {self.lr1}")
-        if not 0.0 < self.tau <= 1.0:
-            raise UsageError(f"hp.tau must lie in (0, 1], got {self.tau}")
-        if self.rounds < 1 or self.local_epochs < 1 or self.batch < 1 or self.min_votes < 1:
-            raise UsageError("rounds, local_epochs, batch and min_votes must all be >= 1")
+# (tape, staged params, batch X, labels y) -> (loss node, scalar stats with a "total")
+StepLoss = Callable[[Tape, ParamNodes, np.ndarray, np.ndarray], tuple[int, dict[str, float]]]
 
 
 @dataclass
@@ -177,58 +154,78 @@ def local_train(
     hp: HyperParams,
     round_t: int,
     aug: AugmentationSpec,
+    step_loss: StepLoss | None = None,
 ) -> ClientUpdate:
-    """Mini-batch SGD with momentum and decoupled L2 decay on the local loss.
+    """Mini-batch SGD with momentum and decoupled L2 decay.
 
-    Momentum buffers start at zero every round because the client restarts
-    from the broadcast global model. Round 1 has no previous heads, so the
-    inter term is skipped there regardless of what was passed.
+    Every batch records ``step_loss``; its stats are averaged over the
+    steps. The default step loss is the gradient-matched source objective
+    on the batch and its ``aug`` view against ``heads``, which only it
+    reads. Round 1 has no previous heads, so the inter term is skipped
+    there regardless of what was passed. Momentum buffers start at zero
+    every round because the client restarts from the broadcast global
+    model.
     """
-    if hp.local_epochs < 1:
-        raise UsageError(f"local_epochs must be >= 1, got {hp.local_epochs}")
     if round_t < 1:
         raise UsageError(f"round must be >= 1, got {round_t}")
+    if step_loss is None:
+        aug_rng = streams.substream(hp.seed, streams.AUG, dataset.domain_id, round_t)
+        step_loss = _matching_loss([] if round_t == 1 else list(heads), hp, aug, aug_rng)
     params = initial.copy()
-    snapshots = [] if round_t == 1 else list(heads)
     lr = cosine_lr(round_t, hp)
-    aug_rng = streams.substream(hp.seed, streams.AUG, dataset.domain_id, round_t)
     batch_seed = streams.subseed(hp.seed, streams.CLIENT)
     velocity: dict[int, np.ndarray] = {}
-    sums = dict.fromkeys(TRAIN_METRICS, 0.0)
+    sums: dict[str, float] = {}
     steps = 0
     epoch_base = (round_t - 1) * hp.local_epochs
     for e in range(hp.local_epochs):
         for X, y in batch_iter(dataset, hp.batch, batch_seed, epoch_base + e):
-            X_aug = augment(X, aug, aug_rng)
             tape = Tape()
             staged = stage_params(tape, params)
             if not velocity:
                 velocity = {nid: np.zeros_like(tape.value(nid)) for nid in staged.all_ids()}
-            loss, bd = local_loss(
-                tape,
-                staged,
-                snapshots,
-                X,
-                X_aug,
-                y,
-                hp.lam,
-                inter_normalize=hp.inter_normalize,
-                gm_enabled=hp.gm_enabled,
-            )
-            if not math.isfinite(bd.total):
+            loss, stats = step_loss(tape, staged, X, y)
+            if not math.isfinite(stats["total"]):
                 raise DivergenceError(
-                    f"non-finite loss {bd.total} at round {round_t}, step {steps}"
+                    f"non-finite loss {stats['total']} at round {round_t}, step {steps}"
                 )
             grads = backward(tape, loss)
             _sgd_step(params, staged, grads, velocity, lr, hp)
-            sums["ce_orig"] += bd.ce_orig
-            sums["ce_aug"] += bd.ce_aug
-            sums["intra"] += bd.intra
-            sums["inter"] += bd.inter
-            sums["total"] += bd.total
+            for k, v in stats.items():
+                sums[k] = sums.get(k, 0.0) + v
             steps += 1
+    if steps == 0:
+        raise UsageError(f"no training steps: {hp.local_epochs} epochs over {dataset.N} rows")
     stats = {k: v / steps for k, v in sums.items()}
     return ClientUpdate(dataset.domain_id, params, dataset.N, stats)
+
+
+def _matching_loss(snapshots, hp: HyperParams, aug: AugmentationSpec, aug_rng) -> StepLoss:
+    """A source client's step loss: local_loss on a batch and its augmented view."""
+
+    def step(tape, staged, X, y):
+        loss, bd = local_loss(
+            tape,
+            staged,
+            snapshots,
+            X,
+            augment(X, aug, aug_rng),
+            y,
+            hp.lam,
+            inter_normalize=hp.inter_normalize,
+            gm_enabled=hp.gm_enabled,
+        )
+        return loss, {m: getattr(bd, m) for m in TRAIN_METRICS}
+
+    return step
+
+
+def plain_ce_loss(tape: Tape, staged: ParamNodes, X, y) -> tuple[int, dict[str, float]]:
+    """The target client's step loss: cross-entropy on the un-augmented batch."""
+    _, z = forward(tape, staged, X)
+    loss = cross_entropy(tape, z, y)
+    ce = float(tape.value(loss))
+    return loss, {"ce_orig": ce, "total": ce}
 
 
 def aggregate(updates: list[ClientUpdate]) -> ModelParams:
@@ -302,40 +299,7 @@ def knowledge_vote(
     )
 
 
-def _train_plain_ce(
-    initial: ModelParams,
-    dataset: DomainDataset,
-    hp: HyperParams,
-    round_t: int,
-) -> ClientUpdate:
-    """Target-client fine-tuning: cross-entropy only, same optimizer."""
-    params = initial.copy()
-    lr = cosine_lr(round_t, hp)
-    batch_seed = streams.subseed(hp.seed, streams.CLIENT)
-    velocity: dict[int, np.ndarray] = {}
-    ce_sum = 0.0
-    steps = 0
-    epoch_base = (round_t - 1) * hp.local_epochs
-    for e in range(hp.local_epochs):
-        for X, y in batch_iter(dataset, hp.batch, batch_seed, epoch_base + e):
-            tape = Tape()
-            staged = stage_params(tape, params)
-            if not velocity:
-                velocity = {nid: np.zeros_like(tape.value(nid)) for nid in staged.all_ids()}
-            _, z = forward(tape, staged, X)
-            loss = cross_entropy(tape, z, y)
-            value = float(tape.value(loss))
-            if not math.isfinite(value):
-                raise DivergenceError(f"non-finite target loss at round {round_t}, step {steps}")
-            grads = backward(tape, loss)
-            _sgd_step(params, staged, grads, velocity, lr, hp)
-            ce_sum += value
-            steps += 1
-    stats = {"ce_orig": ce_sum / steps, "ce_aug": ce_sum / steps, "intra": 0.0, "inter": 0.0, "total": ce_sum / steps}
-    return ClientUpdate(dataset.domain_id, params, dataset.N, stats)
-
-
-def build_domains(config) -> list[DomainDataset]:
+def build_domains(config: Config) -> list[DomainDataset]:
     """Instantiate the configured generator with the run's data substream."""
     data_seed = streams.subseed(config.hp.seed, streams.DATA)
     spec = config.data
@@ -346,11 +310,6 @@ def build_domains(config) -> list[DomainDataset]:
     if spec.kind == "textured":
         return gen_textured_domains(spec.n_domains, spec.side, spec.n_per_domain, data_seed, spec.classes)
     raise UsageError(f"unknown data kind '{spec.kind}'")
-
-
-def _split_all(domains, seed):
-    split_seed = streams.subseed(seed, streams.SPLIT)
-    return {d.domain_id: train_test_split(d, split_seed) for d in domains}
 
 
 def _train_round(msg, train_sets, source_ids, hp, aug, parallel):
@@ -366,15 +325,39 @@ def _train_round(msg, train_sets, source_ids, hp, aug, parallel):
     return [results[did] for did in sorted(results)]
 
 
-def _record_round(table, round_t, updates, splits, source_ids, global_params):
-    for u in updates:
-        for metric in TRAIN_METRICS:
-            table.add(round_t, "train", u.domain_id, metric, u.train_stats[metric])
-    for did in source_ids:
-        table.add(round_t, "eval_source", did, "accuracy", evaluate(global_params, splits[did][1]))
+def _check_batches(train_sets: dict[int, DomainDataset], batch: int, aug: AugmentationSpec) -> None:
+    """amplitude_mix pairs rows within a batch, so no source batch may hold one row."""
+    if aug.kind != "amplitude_mix":
+        return
+    for did, ds in train_sets.items():
+        if batch == 1 or ds.N % batch == 1:
+            raise UsageError(
+                f"amplitude_mix needs batches of at least 2 rows, but batch {batch} leaves a "
+                f"1-row batch in the {ds.N} training rows of domain {did}"
+            )
 
 
-def run_dg(config) -> MetricsTable:
+def _adapt_target(msg: RoundMessage, updates: list[ClientUpdate], pool: DomainDataset, hp: HyperParams):
+    """Vote pseudo-labels on the target pool and fine-tune on the accepted rows.
+
+    Returns the target's update (None when the vote accepts nothing), the
+    vote's coverage and its precision; the pool's ground truth is used only
+    to score that precision.
+    """
+    voted = knowledge_vote([u.params for u in updates], pool.X, hp.tau, hp.min_votes)
+    coverage = voted.n_accepted / pool.N
+    if voted.n_accepted == 0:
+        log.info("round %d: no pseudo-labels above tau=%.2f, target client skipped", msg.round, hp.tau)
+        return None, coverage, float("nan")
+    precision = float(np.mean(pool.y[voted.indices] == voted.labels))
+    pseudo = DomainDataset(pool.domain_id, pool.X[voted.indices].copy(), voted.labels.copy(), {"kind": "pseudo"})
+    update = local_train(
+        msg.global_params, pseudo, [], hp, msg.round, AugmentationSpec.identity(), plain_ce_loss
+    )
+    return update, coverage, precision
+
+
+def run_dg(config: Config) -> MetricsTable:
     """Leave-one-domain-out federated training; returns per-round metrics.
 
     Per round: sources train from the broadcast global model with last
@@ -382,35 +365,10 @@ def run_dg(config) -> MetricsTable:
     scored on every source test split and on the held-out domain's test
     split.
     """
-    hp = config.hp
-    hp.validate()
-    domains = build_domains(config)
-    if not 0 <= config.held_out < len(domains):
-        raise UsageError(f"held_out index {config.held_out} outside the {len(domains)} domains")
-    source_ids = [d.domain_id for d in domains if d.domain_id != config.held_out]
-    if not source_ids:
-        raise UsageError("no source domains left after holding one out")
-    splits = _split_all(domains, hp.seed)
-    train_sets = {did: splits[did][0] for did in source_ids}
-    global_params = init_params(config.arch, config.data.classes, streams.subseed(hp.seed, streams.INIT))
-    heads: list[HeadSnapshot] = []
-    table = MetricsTable()
-    parallel = getattr(config, "parallel_clients", False)
-    for t in range(1, hp.rounds + 1):
-        msg = RoundMessage(round=t, global_params=global_params, heads=heads)
-        updates = _train_round(msg, train_sets, source_ids, hp, config.augmentation, parallel)
-        global_params = aggregate(updates)
-        heads = [
-            HeadSnapshot(u.domain_id, u.params.head_w.copy(), u.params.head_b.copy(), t)
-            for u in updates
-        ]
-        _record_round(table, t, updates, splits, source_ids, global_params)
-        table.add(t, "eval_unseen", config.held_out, "accuracy", evaluate(global_params, splits[config.held_out][1]))
-    table.final_model = global_params
-    return table
+    return _run_rounds(config, adapt=False)
 
 
-def run_da(config) -> MetricsTable:
+def run_da(config: Config) -> MetricsTable:
     """Adaptation variant: the held-out index names an unlabeled target.
 
     Sources train exactly as in run_dg. The target client re-votes pseudo-
@@ -419,56 +377,50 @@ def run_da(config) -> MetricsTable:
     weighted by the accepted count. Target ground truth is used only to
     score pseudo-label precision and accuracies.
     """
+    return _run_rounds(config, adapt=True)
+
+
+def _run_rounds(config: Config, adapt: bool) -> MetricsTable:
+    """The round loop of run_dg, plus the target client when ``adapt``."""
+    config.validate()
     hp = config.hp
-    hp.validate()
+    held_out = config.held_out
     domains = build_domains(config)
-    if not 0 <= config.held_out < len(domains):
-        raise UsageError(f"target index {config.held_out} outside the {len(domains)} domains")
-    target = config.held_out
-    source_ids = [d.domain_id for d in domains if d.domain_id != target]
+    source_ids = [d.domain_id for d in domains if d.domain_id != held_out]
     if not source_ids:
-        raise UsageError("no source domains left after reserving the target")
-    splits = _split_all(domains, hp.seed)
+        raise UsageError("no source domains left after holding one out")
+    split_seed = streams.subseed(hp.seed, streams.SPLIT)
+    splits = {d.domain_id: train_test_split(d, split_seed) for d in domains}
     train_sets = {did: splits[did][0] for did in source_ids}
-    target_pool, target_test = splits[target]
+    _check_batches(train_sets, hp.batch, config.augmentation)
+    target_pool, test = splits[held_out]
     global_params = init_params(config.arch, config.data.classes, streams.subseed(hp.seed, streams.INIT))
     heads: list[HeadSnapshot] = []
     table = MetricsTable()
-    parallel = getattr(config, "parallel_clients", False)
-    target_model: ModelParams | None = None
     for t in range(1, hp.rounds + 1):
         msg = RoundMessage(round=t, global_params=global_params, heads=heads)
-        updates = _train_round(msg, train_sets, source_ids, hp, config.augmentation, parallel)
-        voted = knowledge_vote(
-            [u.params for u in updates], target_pool.X, hp.tau, hp.min_votes
-        )
-        coverage = voted.n_accepted / target_pool.N
-        precision = float("nan")
-        trained_this_round = False
-        if voted.n_accepted > 0:
-            precision = float(np.mean(target_pool.y[voted.indices] == voted.labels))
-            pseudo_set = DomainDataset(
-                target, target_pool.X[voted.indices].copy(), voted.labels.copy(), {"kind": "pseudo"}
-            )
-            target_update = _train_plain_ce(global_params, pseudo_set, hp, t)
-            target_update.n_samples = voted.n_accepted
-            target_model = target_update.params
-            trained_this_round = True
-            all_updates = updates + [target_update]
-        else:
-            log.info("round %d: no pseudo-labels above tau=%.2f, target client skipped", t, hp.tau)
-            all_updates = updates
-        global_params = aggregate(all_updates)
+        updates = _train_round(msg, train_sets, source_ids, hp, config.augmentation, config.parallel_clients)
+        target = None
+        if adapt:
+            target, coverage, precision = _adapt_target(msg, updates, target_pool, hp)
+        global_params = aggregate(updates if target is None else updates + [target])
         heads = [
             HeadSnapshot(u.domain_id, u.params.head_w.copy(), u.params.head_b.copy(), t)
             for u in updates
         ]
-        _record_round(table, t, updates, splits, source_ids, global_params)
-        table.add(t, "pseudo", target, "pl_coverage", coverage)
-        table.add(t, "pseudo", target, "pl_precision", precision)
-        table.add(t, "eval_unseen", target, "accuracy", evaluate(global_params, target_test))
-        deployed = target_model if trained_this_round else global_params
-        table.add(t, "eval_target", target, "accuracy", evaluate(deployed, target_test))
+        for u in updates:
+            for metric in TRAIN_METRICS:
+                table.add(t, "train", u.domain_id, metric, u.train_stats[metric])
+        for did in source_ids:
+            table.add(t, "eval_source", did, "accuracy", evaluate(global_params, splits[did][1]))
+        if adapt:
+            table.add(t, "pseudo", held_out, "pl_coverage", coverage)
+            table.add(t, "pseudo", held_out, "pl_precision", precision)
+        table.add(t, "eval_unseen", held_out, "accuracy", evaluate(global_params, test))
+        if adapt:
+            if target is not None:
+                table.final_target_model = target.params
+            deployed = global_params if target is None else target.params
+            table.add(t, "eval_target", held_out, "accuracy", evaluate(deployed, test))
     table.final_model = global_params
-    table.final_target_model = target_model
     return table

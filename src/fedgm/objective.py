@@ -112,40 +112,37 @@ def head_grad(tape: Tape, h: int, y, head_w, head_b) -> int:
     return _head_grad_from_probs(tape, h, y_mat, p, batch, ones)
 
 
-def _cosine_from_parts(tape: Tape, u: int, v: int, u_norm: int, eps: int) -> int:
+def cosine_sim(tape: Tape, u: int, v: int, *, u_norm: int | None = None, eps: int | None = None) -> int:
+    """(u . v) / (|u| |v| + 1e-12), kept differentiable near zero vectors.
+
+    ``u_norm`` and ``eps`` take nodes the caller has already recorded.
+    """
+    if tape.value(u).size != tape.value(v).size:
+        raise ShapeError(
+            f"cosine_sim: dims {tape.value(u).shape} and {tape.value(v).shape} have different sizes"
+        )
+    u_norm = ad.l2_norm(tape, u) if u_norm is None else u_norm
+    eps = tape.constant(COSINE_EPS) if eps is None else eps
     num = ad.dot(tape, u, v)
     den = ad.add(tape, ad.mul(tape, u_norm, ad.l2_norm(tape, v)), eps)
     return ad.div(tape, num, den)
 
 
-def cosine_sim(tape: Tape, u: int, v: int) -> int:
-    """(u . v) / (|u| |v| + 1e-12), kept differentiable near zero vectors."""
-    if tape.value(u).size != tape.value(v).size:
-        raise ShapeError(
-            f"cosine_sim: dims {tape.value(u).shape} and {tape.value(v).shape} have different sizes"
-        )
-    return _cosine_from_parts(tape, u, v, ad.l2_norm(tape, u), tape.constant(COSINE_EPS))
+def intra_gm_loss(
+    tape: Tape,
+    g: int,
+    g_aug: int,
+    *,
+    g_aug_norm: int | None = None,
+    eps: int | None = None,
+    one: int | None = None,
+) -> int:
+    """1 - cosine(g, g_aug); zero when augmentation leaves gradients alone.
 
-
-def intra_gm_loss(tape: Tape, g: int, g_aug: int) -> int:
-    """1 - cosine(g, g_aug); zero when augmentation leaves gradients alone."""
-    return ad.sub(tape, tape.constant(1.0), cosine_sim(tape, g, g_aug))
-
-
-def _inter_terms(tape, g_aug, snapshots, h_orig, y_mat, *, normalize, g_aug_norm, eps, one, ones_col):
-    batch = tape.value(h_orig).shape[0]
-    total = None
-    for snap in snapshots:
-        # snapshot heads are constants: staged pre-transposed, no adjoints
-        z_j = ad.add(tape, ad.matmul(tape, h_orig, tape.constant(snap.weight.T)), tape.constant(snap.bias))
-        p_j = ad.exp(tape, ad.log_softmax_rows(tape, z_j))
-        g_j = _head_grad_from_probs(tape, h_orig, y_mat, p_j, batch, ones_col)
-        cos = _cosine_from_parts(tape, g_aug, g_j, g_aug_norm, eps)
-        term = ad.sub(tape, one, cos)
-        total = term if total is None else ad.add(tape, total, term)
-    if normalize:
-        total = ad.scale(tape, total, 1.0 / len(snapshots))
-    return total
+    The keyword nodes let local_loss share what the inter term also uses.
+    """
+    one = tape.constant(1.0) if one is None else one
+    return ad.sub(tape, one, cosine_sim(tape, g_aug, g, u_norm=g_aug_norm, eps=eps))
 
 
 def inter_gm_loss(
@@ -156,29 +153,40 @@ def inter_gm_loss(
     y,
     *,
     normalize: bool = False,
+    y_mat: int | None = None,
+    ones_col: int | None = None,
+    g_aug_norm: int | None = None,
+    eps: int | None = None,
+    one: int | None = None,
 ) -> int:
     """Sum over snapshots of 1 - cosine(g_aug, snapshot-head gradient).
 
     Snapshot gradients are taken on the original batch under each frozen
     head, so adjoints reach the features and g_aug but never the snapshots.
-    ``normalize`` divides the sum by the snapshot count.
+    ``normalize`` divides the sum by the snapshot count. The remaining
+    keyword nodes let local_loss share what it has already recorded for
+    the batch; a standalone call records its own.
     """
     if not snapshots:
         raise ContractError("inter_gm_loss: empty snapshot list (skip the term instead)")
-    hval = tape.value(h_orig)
-    classes = snapshots[0].weight.shape[0]
-    return _inter_terms(
-        tape,
-        g_aug,
-        snapshots,
-        h_orig,
-        tape.constant(one_hot(y, classes)),
-        normalize=normalize,
-        g_aug_norm=ad.l2_norm(tape, g_aug),
-        eps=tape.constant(COSINE_EPS),
-        one=tape.constant(1.0),
-        ones_col=tape.constant(np.ones((hval.shape[0], 1))),
-    )
+    batch = tape.value(h_orig).shape[0]
+    if y_mat is None:
+        y_mat = tape.constant(one_hot(y, snapshots[0].weight.shape[0]))
+    g_aug_norm = ad.l2_norm(tape, g_aug) if g_aug_norm is None else g_aug_norm
+    eps = tape.constant(COSINE_EPS) if eps is None else eps
+    one = tape.constant(1.0) if one is None else one
+    ones_col = tape.constant(np.ones((batch, 1))) if ones_col is None else ones_col
+    total = None
+    for snap in snapshots:
+        # snapshot heads are constants: staged pre-transposed, no adjoints
+        z_j = ad.add(tape, ad.matmul(tape, h_orig, tape.constant(snap.weight.T)), tape.constant(snap.bias))
+        p_j = ad.exp(tape, ad.log_softmax_rows(tape, z_j))
+        g_j = _head_grad_from_probs(tape, h_orig, y_mat, p_j, batch, ones_col)
+        term = ad.sub(tape, one, cosine_sim(tape, g_aug, g_j, u_norm=g_aug_norm, eps=eps))
+        total = term if total is None else ad.add(tape, total, term)
+    if normalize:
+        total = ad.scale(tape, total, 1.0 / len(snapshots))
+    return total
 
 
 def local_loss(
@@ -224,24 +232,19 @@ def local_loss(
         ones_col = tape.constant(np.ones((batch, 1)))
         g = _head_grad_from_probs(tape, h_orig, y_mat, ad.exp(tape, logp_o), batch, ones_col)
         g_aug = _head_grad_from_probs(tape, h_aug, y_mat, ad.exp(tape, logp_a), batch, ones_col)
-        eps = tape.constant(COSINE_EPS)
-        one = tape.constant(1.0)
-        g_aug_norm = ad.l2_norm(tape, g_aug)
-        intra = ad.sub(tape, one, _cosine_from_parts(tape, g_aug, g, g_aug_norm, eps))
+        # recorded once, used by both matching terms
+        shared = {
+            "eps": tape.constant(COSINE_EPS),
+            "one": tape.constant(1.0),
+            "g_aug_norm": ad.l2_norm(tape, g_aug),
+        }
+        intra = intra_gm_loss(tape, g, g_aug, **shared)
         total = ad.add(tape, total, ad.scale(tape, intra, lam))
         intra_val = float(tape.value(intra))
         if snapshots:
-            inter = _inter_terms(
-                tape,
-                g_aug,
-                snapshots,
-                h_orig,
-                y_mat,
-                normalize=inter_normalize,
-                g_aug_norm=g_aug_norm,
-                eps=eps,
-                one=one,
-                ones_col=ones_col,
+            inter = inter_gm_loss(
+                tape, g_aug, snapshots, h_orig, y,
+                normalize=inter_normalize, y_mat=y_mat, ones_col=ones_col, **shared,
             )
             total = ad.add(tape, total, ad.scale(tape, inter, 1.0 - lam))
             inter_val = float(tape.value(inter))

@@ -1,0 +1,82 @@
+"""Byte-level regression guard for the round protocol.
+
+Each case runs a short protocol and hashes its metrics file exactly as
+``MetricsTable.write_csv`` writes it. The digests were recorded from the
+reference implementation; a refactor that moves any recorded value by one
+bit changes a digest. This is a fast companion to
+``scripts/derive_directional_results.py``, not a replacement for it.
+"""
+
+import hashlib
+
+import pytest
+
+from fedgm.config import Config, DataSpec
+from fedgm.data import AugmentationSpec
+from fedgm.federation import HyperParams, run_da, run_dg
+
+
+def _moons(mode, gm, n, tau=0.9, min_votes=2):
+    return Config(
+        experiment="bitexact",
+        mode=mode,
+        data=DataSpec(kind="rotated_moons", angles=[0.0, 30.0, 60.0], n_per_domain=n, noise_sigma=0.1, classes=2),
+        held_out=2,
+        arch=[2, 8],
+        augmentation=AugmentationSpec.gaussian_noise(0.1),
+        hp=HyperParams(
+            lam=0.5, rounds=3, batch=16, lr0=0.05, lr1=0.01, seed=1,
+            tau=tau, min_votes=min_votes, gm_enabled=gm,
+        ),
+        out_dir="unused",
+        seeds=[1],
+    )
+
+
+def _textured_amix():
+    return Config(
+        experiment="bitexact",
+        mode="dg",
+        data=DataSpec(kind="textured", n_domains=3, side=8, n_per_domain=60, classes=3),
+        held_out=0,
+        arch=[64, 16],
+        augmentation=AugmentationSpec.amplitude_mix(0.6),
+        hp=HyperParams(lam=0.5, rounds=2, batch=16, lr0=0.05, lr1=0.01, seed=2),
+        out_dir="unused",
+        seeds=[2],
+    )
+
+
+CASES = {
+    "dg-gm": (
+        lambda: run_dg(_moons("dg", True, 120)),
+        39,
+        "92c36f26515a8603c6152ca5743be8fb3cc72e5818c851e267ecb2b0302e04dc",
+    ),
+    "dg-fedavg": (
+        lambda: run_dg(_moons("dg", False, 120)),
+        39,
+        "b7ccdd9831356924ad6cfa08caffaf263a4ca3e244fd8f45792cd637546c2eef",
+    ),
+    # tau and min_votes are low enough that the target trains every round
+    "da": (
+        lambda: run_da(_moons("da", True, 200, tau=0.7, min_votes=1)),
+        48,
+        "ba756efc09e1e23242e2f47b87ede91531c32eaa528ac460f4cdb798673fc630",
+    ),
+    "dg-textured-amix": (
+        lambda: run_dg(_textured_amix()),
+        26,
+        "e4a3e585b5be6f6bad351ff655623aae93f992e16fd0bde434e59c94dd2bd8ae",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_metrics_file_digest_pinned(case, tmp_path):
+    run, n_rows, expected = CASES[case]
+    table = run()
+    path = tmp_path / "metrics.csv"
+    table.write_csv(path)
+    assert len(table.rows) == n_rows
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == expected

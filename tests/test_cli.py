@@ -67,6 +67,10 @@ def test_parse_unknown_key_named(tmp_path):
     payload = dict(BASE, lamda=0.3)
     with pytest.raises(ParseError, match="config.lamda"):
         parse_config(_write(tmp_path, payload))
+    # hp.gm_enabled is the only switch for the matching terms
+    payload = dict(BASE, gradient_matching=False)
+    with pytest.raises(ParseError, match="config.gradient_matching"):
+        parse_config(_write(tmp_path, payload))
 
 
 def test_parse_missing_required_key(tmp_path):
@@ -101,6 +105,10 @@ def test_config_hash_stable_and_sensitive():
     assert config_hash(a) == config_hash(b)
     c = parse_config_dict(apply_overrides(BASE, ["hp.lambda=0.25"]))
     assert config_hash(c) != config_hash(a)
+    # the output directory is where a run goes, not what it computes
+    d = parse_config_dict(dict(BASE, out_dir="runs/a"))
+    e = parse_config_dict(dict(BASE, out_dir="runs/b"))
+    assert config_hash(d) == config_hash(e) == config_hash(a)
 
 
 def test_run_dg_writes_expected_files(tmp_path):

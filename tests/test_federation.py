@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from fedgm.federation import (
     evaluate,
     knowledge_vote,
     local_train,
+    plain_ce_loss,
     run_da,
     run_dg,
 )
@@ -42,6 +45,9 @@ def test_local_train_zero_epochs_forbidden():
     hp = HyperParams(local_epochs=0)
     with pytest.raises(UsageError):
         local_train(init_params([2, 4], 2, 0), _tiny_dataset(), [], hp, 1, AugmentationSpec.identity())
+    empty = DomainDataset(0, np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
+    with pytest.raises(UsageError, match="no training steps"):
+        local_train(init_params([2, 4], 2, 0), empty, [], HyperParams(), 1, AugmentationSpec.identity())
 
 
 def test_local_train_zero_lr_is_identity():
@@ -65,6 +71,24 @@ def test_local_train_round_one_skips_inter():
     hp = HyperParams(lam=0.5, local_epochs=1, batch=4, lr0=0.01, lr1=0.01, rounds=1, seed=5)
     update = local_train(init_params([2, 4], 2, 0), _tiny_dataset(), heads, hp, 1, AugmentationSpec.identity())
     assert update.train_stats["inter"] == 0.0
+
+
+def test_local_train_target_style_matches_recorded_bytes():
+    # the target client's fine-tuning: cross-entropy step loss, no snapshots,
+    # no augmentation; params and stats were recorded from the dedicated
+    # target trainer this call replaced
+    rng = np.random.default_rng(0)
+    X = rng.normal(0, 0.5, (10, 2))
+    y = (np.arange(10) % 2).astype(np.int64)
+    X[:, 0] += np.where(y == 0, -1.0, 1.0)
+    hp = HyperParams(rounds=3, local_epochs=2, batch=4, lr0=0.05, lr1=0.01, seed=7)
+    update = local_train(
+        init_params([2, 6], 2, seed=3), DomainDataset(2, X, y), [], hp, 2, AugmentationSpec.identity(), plain_ce_loss
+    )
+    digest = hashlib.sha256(flatten(update.params).tobytes()).hexdigest()
+    assert digest == "4853d1037e107bbefeba5fd8f74a2ff7432bed4bc8fb942556fd58a7217c453b"
+    assert update.train_stats == {"ce_orig": 1.3161356648080431, "total": 1.3161356648080431}
+    assert update.n_samples == 10
 
 
 def _params_from_flat(flat):
@@ -286,3 +310,25 @@ def test_run_da_deterministic():
     cfg2.hp.min_votes = 1
     t1, t2 = run_da(cfg1), run_da(cfg2)
     assert t1.rows == t2.rows
+
+
+def _textured_amix_config(n_per_domain, batch):
+    return Config(
+        experiment="unit",
+        mode="dg",
+        data=DataSpec(kind="textured", n_domains=3, side=8, n_per_domain=n_per_domain, classes=3),
+        held_out=0,
+        arch=[64, 8],
+        augmentation=AugmentationSpec.amplitude_mix(0.6),
+        hp=HyperParams(rounds=1, batch=batch, lr0=0.05, lr1=0.01),
+        out_dir="unused",
+        seeds=[0],
+    )
+
+
+def test_run_dg_amplitude_mix_one_row_batch_rejected_up_front():
+    # 241 samples leave 193 training rows, and 193 = 12 * 16 + 1
+    with pytest.raises(UsageError, match=r"batch 16 .* 193 training rows of domain 1"):
+        run_dg(_textured_amix_config(241, 16))
+    with pytest.raises(UsageError, match=r"batch 1 .* domain 1"):
+        run_dg(_textured_amix_config(60, 1))
