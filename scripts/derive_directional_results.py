@@ -9,8 +9,12 @@ asserts against. Deterministic: rerunning must reproduce the file exactly.
 from __future__ import annotations
 
 import json
+import sys
 import time
 from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO / "src"))  # run from a checkout without installing
 
 from fedgm.experiments import (
     DA_TARGET,
@@ -23,8 +27,6 @@ from fedgm.experiments import (
     swap_config,
 )
 from fedgm.federation import run_da, run_dg
-
-REPO = Path(__file__).resolve().parents[1]
 
 
 def derive_dg_directional() -> dict:

@@ -122,7 +122,7 @@ def parse_config_dict(raw: dict) -> Config:
         raw,
         "config",
         ("experiment", "mode", "data", "held_out", "arch", "seeds"),
-        ("augmentation", "hp", "out_dir", "parallel_clients"),
+        ("augmentation", "hp", "out_dir"),
     )
     mode = _typed(raw, "config", "mode", str, required=True)
     if mode not in ("dg", "da"):
@@ -134,6 +134,9 @@ def parse_config_dict(raw: dict) -> Config:
     seeds = _typed(raw, "config", "seeds", list, required=True)
     if not seeds or not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in seeds):
         raise ParseError("seeds: expected a non-empty list of non-negative integers")
+    repeated = next((s for i, s in enumerate(seeds) if s in seeds[:i]), None)
+    if repeated is not None:
+        raise ParseError(f"seeds: seed {repeated} is listed more than once")
     aug_raw = raw.get("augmentation", {"kind": "identity"})
     experiment = _typed(raw, "config", "experiment", str, required=True)
     config = Config(
@@ -146,7 +149,6 @@ def parse_config_dict(raw: dict) -> Config:
         hp=_parse_hp(raw.get("hp", {}), n_sources=data.domain_count - 1),
         out_dir=_typed(raw, "config", "out_dir", str, default=f"runs/{experiment}"),
         seeds=[int(s) for s in seeds],
-        parallel_clients=_typed(raw, "config", "parallel_clients", bool, default=False),
     )
     try:
         config.validate()
@@ -172,6 +174,8 @@ def parse_config(path) -> Config:
 
 def apply_overrides(raw: dict, overrides: list[str]) -> dict:
     """Apply dotted-path KEY=VALUE overrides to the raw config dict."""
+    if not isinstance(raw, dict):
+        raise ParseError("config: expected an object")
     out = json.loads(json.dumps(raw))  # deep copy
     for item in overrides:
         if "=" not in item:
@@ -192,9 +196,8 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
 
 
 def config_hash(config: Config) -> str:
-    """Stable digest of the resolved experiment (execution flags and output directory excluded)."""
+    """Stable digest of the resolved experiment (output directory excluded)."""
     payload = asdict(config)
-    payload.pop("parallel_clients")
     payload.pop("out_dir")
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
@@ -210,7 +213,8 @@ def _headline(mode: str, table: MetricsTable, held_out: int) -> float:
     return table.final_value(phase, "accuracy", held_out)
 
 
-def cmd_run(mode: str, config: Config) -> int:
+def cmd_run(config: Config) -> int:
+    mode = config.mode
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     runner = run_da if mode == "da" else run_dg
@@ -268,7 +272,7 @@ def grad_check_instances(arch, trials, seed):
     lams = [0.0, 0.3, 0.5, 1.0]
     for trial in range(trials):
         depth = int(rng.integers(1, len(arch)))
-        dims = [int(rng.integers(2, d + 1)) for d in arch[: depth + 1]]
+        dims = [int(rng.integers(min(2, d), d + 1)) for d in arch[: depth + 1]]
         classes = int(rng.integers(2, 5))
         batch = int(rng.integers(1, 9))
         params = init_params(dims, classes, int(rng.integers(0, 2**31)))
@@ -390,7 +394,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory (overrides config.out_dir)")
         p.add_argument("--seed", type=int, action="append", default=[], help="append a seed to config.seeds")
         p.add_argument("--override", action="append", default=[], metavar="KEY=VALUE", help="dotted-path config override, repeatable")
-        p.add_argument("--parallel-clients", choices=("true", "false"), default=None, help="train the round's clients in parallel threads")
         return p
 
     add_run("run-dg", "leave-one-domain-out generalization experiment")
@@ -413,13 +416,23 @@ def _load_run_config(args) -> Config:
     if args.override:
         raw = apply_overrides(raw, args.override)
     config = parse_config_dict(raw)
+    if args.seed:
+        # parsed again so the flag's seeds pass the same checks as the config's
+        config = parse_config_dict(dict(raw, seeds=config.seeds + [s for s in args.seed if s not in config.seeds]))
     if args.out is not None:
         config = replace(config, out_dir=args.out)
-    if args.seed:
-        config = replace(config, seeds=config.seeds + [s for s in args.seed if s not in config.seeds])
-    if args.parallel_clients is not None:
-        config = replace(config, parallel_clients=args.parallel_clients == "true")
     return config
+
+
+def _parse_arch(text: str) -> list[int]:
+    """``--arch``: at least two comma-separated maximum widths, each >= 1."""
+    try:
+        arch = [int(d) for d in text.split(",")]
+    except ValueError:
+        arch = []
+    if len(arch) < 2 or min(arch) < 1:
+        raise UsageError(f"--arch: expected at least two comma-separated widths >= 1, got '{text}'")
+    return arch
 
 
 def main(argv=None) -> int:
@@ -430,10 +443,9 @@ def main(argv=None) -> int:
             mode = "dg" if args.command == "run-dg" else "da"
             if config.mode != mode:
                 raise ParseError(f"config.mode is '{config.mode}' but the subcommand expects '{mode}'")
-            return cmd_run(mode, config)
+            return cmd_run(config)
         if args.command == "grad-check":
-            arch = [int(d) for d in args.arch.split(",")]
-            return cmd_grad_check(arch, args.trials, args.tolerance, args.seed)
+            return cmd_grad_check(_parse_arch(args.arch), args.trials, args.tolerance, args.seed)
         if args.command == "gen-data":
             return cmd_gen_data(parse_config(args.config), args.out)
     except (ParseError, UsageError) as e:

@@ -69,7 +69,6 @@ class Config:
     hp: HyperParams
     out_dir: str
     seeds: list[int]
-    parallel_clients: bool = False
 
     def validate(self) -> None:
         """Raise UsageError unless the held-out index, input width and hp fit."""

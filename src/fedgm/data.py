@@ -10,7 +10,7 @@ not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -21,12 +21,11 @@ from .errors import ShapeError, UsageError
 
 @dataclass
 class DomainDataset:
-    """Labeled samples of one domain plus the parameters that generated it."""
+    """Labeled samples of one domain."""
 
     domain_id: int
     X: np.ndarray
     y: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     @property
     def N(self) -> int:
@@ -34,7 +33,7 @@ class DomainDataset:
 
     def subset(self, indices) -> "DomainDataset":
         idx = np.asarray(indices, dtype=np.int64)
-        return DomainDataset(self.domain_id, self.X[idx].copy(), self.y[idx].copy(), dict(self.meta))
+        return DomainDataset(self.domain_id, self.X[idx].copy(), self.y[idx].copy())
 
 
 @dataclass(frozen=True)
@@ -127,15 +126,7 @@ def gen_rotated_domains(
     domains = []
     for i, angle in enumerate(angles):
         X = base @ _rotation_matrix(angle).T + noise
-        meta = {
-            "kind": "rotated_moons",
-            "angle_degrees": float(angle),
-            "noise_sigma": float(noise_sigma),
-            "seed": int(seed),
-            "classes": int(classes),
-            "n": int(n_per_domain),
-        }
-        domains.append(DomainDataset(i, X, y.copy(), meta))
+        domains.append(DomainDataset(i, X, y.copy()))
     return domains
 
 
@@ -186,15 +177,7 @@ def gen_textured_domains(
             grid = _class_mask(side, int(y[idx]), classes, jitter) + texture
             grid += srng.normal(0.0, 0.05, size=(side, side))
             X[idx] = grid.ravel()
-        meta = {
-            "kind": "textured",
-            "side": int(side),
-            "seed": int(seed),
-            "classes": int(classes),
-            "n": int(n_per_domain),
-            "domain": int(d),
-        }
-        domains.append(DomainDataset(d, X, y.copy(), meta))
+        domains.append(DomainDataset(d, X, y.copy()))
     return domains
 
 

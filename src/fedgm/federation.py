@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -66,15 +65,6 @@ class ClientUpdate:
     params: ModelParams
     n_samples: int
     train_stats: dict[str, float] | None = None
-
-
-@dataclass
-class RoundMessage:
-    """Server broadcast: the global model and last round's local heads."""
-
-    round: int
-    global_params: ModelParams
-    heads: list[HeadSnapshot]
 
 
 @dataclass
@@ -312,19 +302,6 @@ def build_domains(config: Config) -> list[DomainDataset]:
     raise UsageError(f"unknown data kind '{spec.kind}'")
 
 
-def _train_round(msg, train_sets, source_ids, hp, aug, parallel):
-    def job(did):
-        return local_train(msg.global_params, train_sets[did], msg.heads, hp, msg.round, aug)
-
-    if parallel and len(source_ids) > 1:
-        with ThreadPoolExecutor(max_workers=len(source_ids)) as pool:
-            futures = {did: pool.submit(job, did) for did in source_ids}
-            results = {did: f.result() for did, f in futures.items()}
-    else:
-        results = {did: job(did) for did in source_ids}
-    return [results[did] for did in sorted(results)]
-
-
 def _check_batches(train_sets: dict[int, DomainDataset], batch: int, aug: AugmentationSpec) -> None:
     """amplitude_mix pairs rows within a batch, so no source batch may hold one row."""
     if aug.kind != "amplitude_mix":
@@ -337,7 +314,13 @@ def _check_batches(train_sets: dict[int, DomainDataset], batch: int, aug: Augmen
             )
 
 
-def _adapt_target(msg: RoundMessage, updates: list[ClientUpdate], pool: DomainDataset, hp: HyperParams):
+def _adapt_target(
+    round_t: int,
+    global_params: ModelParams,
+    updates: list[ClientUpdate],
+    pool: DomainDataset,
+    hp: HyperParams,
+):
     """Vote pseudo-labels on the target pool and fine-tune on the accepted rows.
 
     Returns the target's update (None when the vote accepts nothing), the
@@ -347,12 +330,12 @@ def _adapt_target(msg: RoundMessage, updates: list[ClientUpdate], pool: DomainDa
     voted = knowledge_vote([u.params for u in updates], pool.X, hp.tau, hp.min_votes)
     coverage = voted.n_accepted / pool.N
     if voted.n_accepted == 0:
-        log.info("round %d: no pseudo-labels above tau=%.2f, target client skipped", msg.round, hp.tau)
+        log.info("round %d: no pseudo-labels above tau=%.2f, target client skipped", round_t, hp.tau)
         return None, coverage, float("nan")
     precision = float(np.mean(pool.y[voted.indices] == voted.labels))
-    pseudo = DomainDataset(pool.domain_id, pool.X[voted.indices].copy(), voted.labels.copy(), {"kind": "pseudo"})
+    pseudo = DomainDataset(pool.domain_id, pool.X[voted.indices].copy(), voted.labels.copy())
     update = local_train(
-        msg.global_params, pseudo, [], hp, msg.round, AugmentationSpec.identity(), plain_ce_loss
+        global_params, pseudo, [], hp, round_t, AugmentationSpec.identity(), plain_ce_loss
     )
     return update, coverage, precision
 
@@ -398,11 +381,15 @@ def _run_rounds(config: Config, adapt: bool) -> MetricsTable:
     heads: list[HeadSnapshot] = []
     table = MetricsTable()
     for t in range(1, hp.rounds + 1):
-        msg = RoundMessage(round=t, global_params=global_params, heads=heads)
-        updates = _train_round(msg, train_sets, source_ids, hp, config.augmentation, config.parallel_clients)
+        # sources are independent until aggregation, so running them in
+        # ascending domain order is exact
+        updates = [
+            local_train(global_params, train_sets[did], heads, hp, t, config.augmentation)
+            for did in source_ids
+        ]
         target = None
         if adapt:
-            target, coverage, precision = _adapt_target(msg, updates, target_pool, hp)
+            target, coverage, precision = _adapt_target(t, global_params, updates, target_pool, hp)
         global_params = aggregate(updates if target is None else updates + [target])
         heads = [
             HeadSnapshot(u.domain_id, u.params.head_w.copy(), u.params.head_b.copy(), t)

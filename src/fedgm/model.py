@@ -49,10 +49,6 @@ class ModelParams:
             head_b=self.head_b.copy(),
         )
 
-    @property
-    def feature_dim(self) -> int:
-        return self.arch[-1]
-
 
 @dataclass
 class HeadSnapshot:
@@ -219,6 +215,11 @@ def save_checkpoint(params: ModelParams, path) -> None:
         fh.write(text)
 
 
+def _plain(value, kinds) -> bool:
+    """isinstance that turns away booleans, which JSON true/false decode to."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def load_checkpoint(path) -> ModelParams:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -238,12 +239,13 @@ def load_checkpoint(path) -> ModelParams:
     if (
         not isinstance(arch, list)
         or not arch
-        or not all(isinstance(d, int) and d >= 1 for d in arch)
-        or not isinstance(classes, int)
+        or not all(_plain(d, int) and d >= 1 for d in arch)
+        or not _plain(classes, int)
+        or classes < 2
     ):
         raise ParseError("checkpoint header has a malformed arch or class count")
     flat = obj["flat"]
-    if not isinstance(flat, list) or not all(isinstance(v, (int, float)) for v in flat):
+    if not isinstance(flat, list) or not all(_plain(v, (int, float)) for v in flat):
         raise ParseError("checkpoint flat parameter list is malformed")
     if len(flat) != param_count(arch, classes):
         raise ContractError(

@@ -43,7 +43,6 @@ class LossBreakdown:
     intra: float
     inter: float
     total: float
-    lam: float
 
 
 def one_hot(y, classes: int) -> np.ndarray:
@@ -254,6 +253,5 @@ def local_loss(
         intra=intra_val,
         inter=inter_val,
         total=float(tape.value(total)),
-        lam=lam,
     )
     return total, breakdown

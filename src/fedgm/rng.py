@@ -2,8 +2,8 @@
 
 Every source of randomness in an experiment hangs off the root seed through
 a (stream, *indices) spawn key, so any component can be regenerated in
-isolation and parallel client execution draws the same numbers as
-sequential execution.
+isolation: each client draws its batches and augmentations from its own
+substream, whatever order the clients run in.
 """
 
 from __future__ import annotations

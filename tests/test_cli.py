@@ -71,6 +71,10 @@ def test_parse_unknown_key_named(tmp_path):
     payload = dict(BASE, gradient_matching=False)
     with pytest.raises(ParseError, match="config.gradient_matching"):
         parse_config(_write(tmp_path, payload))
+    # clients always run in sequence; there is no execution-mode key
+    payload = dict(BASE, parallel_clients=True)
+    with pytest.raises(ParseError, match="config.parallel_clients"):
+        parse_config(_write(tmp_path, payload))
 
 
 def test_parse_missing_required_key(tmp_path):
@@ -83,6 +87,12 @@ def test_parse_missing_required_key(tmp_path):
 def test_parse_type_mismatch(tmp_path):
     payload = dict(BASE, held_out="two")
     with pytest.raises(ParseError, match="held_out"):
+        parse_config(_write(tmp_path, payload))
+
+
+def test_parse_duplicate_seed_rejected(tmp_path):
+    payload = dict(BASE, seeds=[0, 3, 0])
+    with pytest.raises(ParseError, match="seed 0 is listed more than once"):
         parse_config(_write(tmp_path, payload))
 
 
@@ -143,9 +153,15 @@ def test_run_dg_override_recorded_in_summary(tmp_path):
     assert summary["config"]["hp"]["lambda"] == 0.3
 
 
-def test_run_dg_seed_flag_appends(tmp_path):
+def test_run_dg_seed_flag_appends(tmp_path, capsys):
     payload = dict(BASE, out_dir=str(tmp_path / "out"))
     cfg_path = _write(tmp_path, payload)
+    # flag seeds pass the same checks as config seeds
+    assert main(["run-dg", "--config", str(cfg_path), "--seed", "-1"]) == 1
+    assert "non-negative" in capsys.readouterr().err
+    assert main(["run-dg", "--config", str(cfg_path), "--seed", "4", "--seed", "4"]) == 1
+    assert "seed 4 is listed more than once" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
     assert main(["run-dg", "--config", str(cfg_path), "--seed", "7"]) == 0
     assert (tmp_path / "out" / "seed_7.csv").exists()
 
@@ -153,6 +169,12 @@ def test_run_dg_seed_flag_appends(tmp_path):
 def test_run_bad_config_exit_code(tmp_path):
     payload = dict(BASE, hp={"lambda": 2.0})
     assert main(["run-dg", "--config", str(_write(tmp_path, payload))]) == 1
+
+
+def test_override_on_non_object_config(tmp_path, capsys):
+    cfg_path = _write(tmp_path, [1, 2])
+    assert main(["run-dg", "--config", str(cfg_path), "--override", "hp.lambda=0.3"]) == 1
+    assert "config: expected an object" in capsys.readouterr().err
 
 
 def test_run_mode_mismatch(tmp_path):
@@ -197,6 +219,10 @@ def test_grad_check_cli_reproducible(capsys):
     assert main(["grad-check", "--trials", "2", "--seed", "5"]) == 0
     second = capsys.readouterr().out
     assert first == second
+    # a malformed --arch is a usage error, not a traceback
+    for arch in ("6,x", "6", "6,0,5"):
+        assert main(["grad-check", "--arch", arch, "--trials", "2"]) == 1
+        assert "error: --arch" in capsys.readouterr().err
 
 
 def test_gen_data_writes_csvs(tmp_path):

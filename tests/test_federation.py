@@ -198,7 +198,7 @@ def test_knowledge_vote_invariants():
     assert out.n_accepted <= 50
 
 
-def _config(mode="dg", rounds=3, held_out=2, n=120, lam=0.5, parallel=False, angles=(0.0, 30.0, 60.0), seeds=(0,)):
+def _config(mode="dg", rounds=3, held_out=2, n=120, lam=0.5, angles=(0.0, 30.0, 60.0), seeds=(0,)):
     return Config(
         experiment="unit",
         mode=mode,
@@ -209,7 +209,6 @@ def _config(mode="dg", rounds=3, held_out=2, n=120, lam=0.5, parallel=False, ang
         hp=HyperParams(lam=lam, rounds=rounds, batch=16, lr0=0.05, lr1=0.01, seed=seeds[0]),
         out_dir="unused",
         seeds=list(seeds),
-        parallel_clients=parallel,
     )
 
 
@@ -239,12 +238,11 @@ def test_run_dg_held_out_must_be_valid():
         run_dg(_config(held_out=7))
 
 
-def test_run_dg_deterministic_and_parallel_equivalent():
+def test_run_dg_deterministic():
     t1 = run_dg(_config(rounds=2))
     t2 = run_dg(_config(rounds=2))
-    t3 = run_dg(_config(rounds=2, parallel=True))
-    assert t1.rows == t2.rows == t3.rows
-    assert flatten(t1.final_model).tobytes() == flatten(t3.final_model).tobytes()
+    assert t1.rows == t2.rows
+    assert flatten(t1.final_model).tobytes() == flatten(t2.final_model).tobytes()
 
 
 def test_run_dg_inter_becomes_active_after_round_one():
@@ -305,7 +303,7 @@ def test_run_da_deterministic():
     cfg1 = _config(mode="da", rounds=2, n=200)
     cfg1.hp.tau = 0.7
     cfg1.hp.min_votes = 1
-    cfg2 = _config(mode="da", rounds=2, n=200, parallel=True)
+    cfg2 = _config(mode="da", rounds=2, n=200)
     cfg2.hp.tau = 0.7
     cfg2.hp.min_votes = 1
     t1, t2 = run_da(cfg1), run_da(cfg2)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -163,6 +165,18 @@ def test_checkpoint_unsupported_version(tmp_path):
     save_checkpoint(p, path)
     path.write_text(path.read_text().replace('"version": 1', '"version": 2'))
     with pytest.raises(UnsupportedVersionError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("arch", [True, 2]), ("classes", True), ("classes", 1), ("flat", [False] * 12)],
+)
+def test_checkpoint_malformed_fields(tmp_path, field, value):
+    header = {"version": 1, "arch": [2, 2], "classes": 2, "flat": [0.5] * 12}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(dict(header, **{field: value})))
+    with pytest.raises(ParseError, match="malformed"):
         load_checkpoint(path)
 
 
