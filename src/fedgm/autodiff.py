@@ -3,8 +3,16 @@
 A ``Tape`` records a Wengert list: every operation appends one node holding
 the op tag, the input node ids, the forward value, and whatever the backward
 rule needs. Node ids are list indices, so inputs always precede outputs and a
-single reverse sweep visits each node exactly once. Tapes are rebuilt per
-step (define-by-run); nothing is cached between steps.
+single reverse sweep visits each node exactly once.
+
+Graphs are built eagerly (define-by-run), one op at a time. A recorded tape
+can also be replayed: ``Tape.replay`` rebinds some leaves to new values of
+the same shapes and re-runs the recorded forward rules in order, so a step
+whose graph depends only on shapes and configuration is recorded once and
+replayed for later batches. The rule lookups, the input ids of every node
+and ``backward``'s reverse schedule are resolved once per tape and cached on
+it; the lists ``ops``, ``inputs``, ``vals``, ``saved`` and ``params`` mean
+the same on a replayed tape as on a freshly recorded one.
 
 Tensors are plain ``numpy.ndarray`` values in float64, row-major. Scalars are
 0-d arrays.
@@ -261,7 +269,7 @@ def _bw_flatten_concat(g, vals, out, saved, needs):
     grads = []
     offset = 0
     for k, shape in enumerate(saved):
-        size = int(np.prod(shape)) if shape else 1
+        size = math.prod(shape)
         grads.append(g[offset : offset + size].reshape(shape) if needs[k] else None)
         offset += size
     return tuple(grads)
@@ -294,7 +302,7 @@ class Tape:
     Single-threaded by design; use one Tape per concurrent unit of work.
     """
 
-    __slots__ = ("ops", "inputs", "vals", "saved", "params")
+    __slots__ = ("ops", "inputs", "vals", "saved", "params", "_program", "_sweeps")
 
     def __init__(self) -> None:
         self.ops: list[str] = []
@@ -302,6 +310,9 @@ class Tape:
         self.vals: list[Array] = []
         self.saved: list = []
         self.params: list[int] = []
+        # replay's forward program, and backward's schedule per loss node
+        self._program: tuple[int, list] = (0, [])
+        self._sweeps: dict[int, list] = {}
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -325,6 +336,67 @@ class Tape:
 
     def apply(self, kind: str, inputs, const: float | None = None) -> int:
         return op_apply(self, kind, inputs, const)
+
+    def replay(self, feeds: dict[int, Array]) -> None:
+        """Rebind leaves to new values and re-run every recorded op in order.
+
+        ``feeds`` maps leaf ids to values of the recorded shapes; leaves not
+        named keep their values. Each op goes through the same forward rule
+        as when it was recorded, shape checks included, and overwrites its
+        value and saved data in place.
+        """
+        vals = self.vals
+        for nid, value in feeds.items():
+            value = as_tensor(value)
+            if self.ops[nid] != LEAF:
+                raise UsageError(f"replay: node {nid} is a '{self.ops[nid]}' op, not a leaf")
+            if value.shape != vals[nid].shape:
+                raise ShapeError(f"replay: leaf {nid} was recorded with dims {vals[nid].shape}, got {value.shape}")
+            vals[nid] = value
+        saved = self.saved
+        for nid, fw, ids, const in self._forward_program():
+            vals[nid], saved[nid] = fw([vals[i] for i in ids], const)
+
+    def _forward_program(self) -> list:
+        """(node, forward rule, input ids, constant) of every op, in order."""
+        n, program = self._program
+        if n != len(self.ops):
+            # scale-by-constant keeps its constant as its saved data; no
+            # other rule reads a constant
+            program = [
+                (nid, _FORWARD[kind], self.inputs[nid], self.saved[nid] if kind == "scale-by-constant" else None)
+                for nid, kind in enumerate(self.ops)
+                if kind != LEAF
+            ]
+            self._program = (len(self.ops), program)
+        return program
+
+    def _sweep(self, loss: int) -> list:
+        """Reverse schedule from ``loss``: (node, backward rule, input ids,
+        per-input needs) of every op that can reach a parameter, last first.
+
+        A node ``needs`` an adjoint when a parameter leaf is among its
+        ancestors. The tape only grows, so the schedule of a loss node
+        recorded earlier stays valid.
+        """
+        sweep = self._sweeps.get(loss)
+        if sweep is None:
+            ops, inputs = self.ops, self.inputs
+            n = loss + 1
+            needs = bytearray(n)
+            for pid in self.params:
+                if pid < n:
+                    needs[pid] = 1
+            for nid in range(n):
+                if ops[nid] != LEAF and any(needs[i] for i in inputs[nid]):
+                    needs[nid] = 1
+            sweep = [
+                (nid, _BACKWARD[ops[nid]], inputs[nid], tuple(bool(needs[i]) for i in inputs[nid]))
+                for nid in range(loss, -1, -1)
+                if needs[nid] and ops[nid] != LEAF
+            ]
+            self._sweeps[loss] = sweep
+        return sweep
 
 
 def op_apply(tape: Tape, kind: str, inputs, const: float | None = None) -> int:
@@ -351,36 +423,24 @@ def backward(tape: Tape, loss: int) -> dict[int, Array]:
     Returns one gradient per parameter leaf, keyed by node id. Parameters
     the loss does not depend on get zero gradients. Subgraphs that cannot
     reach a parameter (constants, frozen snapshots) are skipped entirely.
+    Which nodes those are is worked out on the first call for a loss node
+    and reused by later calls on the same tape, such as after a replay.
     """
     if len(tape) == 0:
         raise ContractError("backward on an empty tape")
     val = tape.vals[loss]
     if val.size != 1:
         raise ContractError(f"backward needs a scalar loss, got dims {val.shape}")
-    ops = tape.ops
-    inputs = tape.inputs
     vals = tape.vals
     saved = tape.saved
     n = loss + 1
-    needs = bytearray(n)
-    for pid in tape.params:
-        if pid < n:
-            needs[pid] = 1
-    for nid in range(n):
-        if ops[nid] != LEAF and any(needs[i] for i in inputs[nid]):
-            needs[nid] = 1
     adjoint: list[Array | None] = [None] * n
     adjoint[loss] = np.ones_like(val)
-    for nid in range(loss, -1, -1):
+    for nid, rule, in_ids, in_needs in tape._sweep(loss):
         g = adjoint[nid]
-        if g is None or not needs[nid]:
+        if g is None:
             continue
-        kind = ops[nid]
-        if kind == LEAF:
-            continue
-        in_ids = inputs[nid]
-        in_needs = tuple(bool(needs[i]) for i in in_ids)
-        grads = _BACKWARD[kind](g, [vals[i] for i in in_ids], vals[nid], saved[nid], in_needs)
+        grads = rule(g, [vals[i] for i in in_ids], vals[nid], saved[nid], in_needs)
         for iid, ig in zip(in_ids, grads):
             if ig is None:
                 continue

@@ -1,7 +1,8 @@
 """Config parsing and the command-line entry points.
 
 Configs are strict JSON: unknown keys are errors so typos cannot silently
-fall back to defaults. All randomness in a run flows from one root seed, so
+fall back to defaults, and numbers a float cannot hold (Infinity, NaN, 1e400)
+are rejected. All randomness in a run flows from one root seed, so
 identical invocations write identical metrics files.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -157,13 +159,26 @@ def parse_config_dict(raw: dict) -> Config:
     return config
 
 
+def _loads_finite(text: str, where: str):
+    """json.loads that rejects numbers a float cannot hold (Infinity, NaN, 1e400)."""
+
+    def reject(token):
+        raise ParseError(f"{where}: non-finite number {token}")
+
+    def number(token):
+        value = float(token)
+        return value if math.isfinite(value) else reject(token)
+
+    return json.loads(text, parse_float=number, parse_constant=reject)
+
+
 def _read_json(path) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise ParseError(f"cannot read config {path}: {e}") from None
     try:
-        return json.loads(text)
+        return _loads_finite(text, f"config {path}")
     except json.JSONDecodeError as e:
         raise ParseError(f"config parse error at line {e.lineno} column {e.colno}: {e.msg}") from None
 
@@ -182,7 +197,7 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
             raise ParseError(f"override '{item}' is not KEY=VALUE")
         key, _, value = item.partition("=")
         try:
-            parsed = json.loads(value)
+            parsed = _loads_finite(value, f"override '{item}'")
         except json.JSONDecodeError:
             parsed = value
         node = out

@@ -1,7 +1,8 @@
 """Experiment configuration: the data, model and optimizer settings of a run.
 
-``Config.validate`` checks the held-out index, the input width and the
-hyperparameters; the JSON parser and the round protocol both call it.
+``Config.validate`` checks the held-out index, the input width, the noise
+level and the hyperparameters; the JSON parser and the round protocol both
+call it.
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ class HyperParams:
             raise UsageError(f"learning rates must satisfy lr0 >= lr1 > 0, got {self.lr0}, {self.lr1}")
         if not 0.0 < self.tau <= 1.0:
             raise UsageError(f"hp.tau must lie in (0, 1], got {self.tau}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise UsageError(f"hp.momentum must lie in [0, 1), got {self.momentum}")
+        if not self.weight_decay >= 0.0:
+            raise UsageError(f"hp.weight_decay must be >= 0, got {self.weight_decay}")
         if self.rounds < 1 or self.local_epochs < 1 or self.batch < 1 or self.min_votes < 1:
             raise UsageError("rounds, local_epochs, batch and min_votes must all be >= 1")
 
@@ -71,7 +76,10 @@ class Config:
     seeds: list[int]
 
     def validate(self) -> None:
-        """Raise UsageError unless the held-out index, input width and hp fit."""
+        """Raise UsageError unless the held-out index, input width, noise
+        level and hp fit."""
+        if not self.data.noise_sigma >= 0.0:
+            raise UsageError(f"data.noise_sigma must be >= 0, got {self.data.noise_sigma}")
         n_domains = self.data.domain_count
         if not 0 <= self.held_out < n_domains:
             raise UsageError(f"held_out: index {self.held_out} outside the {n_domains} configured domains")

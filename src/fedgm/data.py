@@ -181,8 +181,15 @@ def gen_textured_domains(
     return domains
 
 
-def mix_amplitude(x1: np.ndarray, x2: np.ndarray, weight: float) -> np.ndarray:
-    """Blend Fourier amplitudes at a fixed weight, keeping x1's phase."""
+def mix_amplitude(x1: np.ndarray, x2: np.ndarray, weight) -> np.ndarray:
+    """Blend Fourier amplitudes at a fixed weight, keeping x1's phase.
+
+    ``x1`` and ``x2`` are one grid each, or equal stacks of grids with one
+    grid per row of a leading axis; for a stack, ``weight`` may hold one
+    weight per row, shaped to broadcast (``(n, 1, 1)``). Each row of a
+    stack gets the same bytes as mixing it alone, and an imaginary residual
+    above 1e-9 is reported for the first row that has one.
+    """
     x1 = as_tensor(x1)
     x2 = as_tensor(x2)
     if x1.shape != x2.shape:
@@ -191,9 +198,13 @@ def mix_amplitude(x1: np.ndarray, x2: np.ndarray, weight: float) -> np.ndarray:
     f2 = np.fft.fft2(x2)
     amp = (1.0 - weight) * np.abs(f1) + weight * np.abs(f2)
     mixed = np.fft.ifft2(amp * np.exp(1j * np.angle(f1)))
-    residual = float(np.abs(mixed.imag).max())
-    if residual > 1e-9:
-        raise ShapeError(f"amplitude_mix: imaginary residual {residual:.3e} exceeds 1e-9")
+    residual = np.abs(mixed.imag).max(axis=(-2, -1))
+    bad = np.flatnonzero(residual > 1e-9)
+    if bad.size:
+        where = f" in row {bad[0]}" if residual.ndim else ""
+        raise ShapeError(
+            f"amplitude_mix: imaginary residual {residual.flat[bad[0]]:.3e}{where} exceeds 1e-9"
+        )
     return mixed.real
 
 
@@ -228,14 +239,16 @@ def augment(X: np.ndarray, spec: AugmentationSpec, rng: np.random.Generator) -> 
     side = math.isqrt(X.shape[1])
     if side * side != X.shape[1]:
         raise UsageError(f"amplitude_mix needs square grids, got width {X.shape[1]}")
-    out = np.empty_like(X)
+    # draw partner and weight row by row, in the order of one amplitude_mix per row
+    partners = np.empty(batch, dtype=np.int64)
+    weights = np.empty(batch)
     for i in range(batch):
         j = int(rng.integers(0, batch - 1))
-        if j >= i:
-            j += 1
-        mixed = amplitude_mix(X[i].reshape(side, side), X[j].reshape(side, side), spec.eta_max, rng)
-        out[i] = mixed.ravel()
-    return out
+        partners[i] = j + 1 if j >= i else j
+        weights[i] = rng.uniform(0.0, spec.eta_max)
+    grids = X.reshape(batch, side, side)
+    mixed = mix_amplitude(grids, grids[partners], weights[:, None, None])
+    return np.ascontiguousarray(mixed.reshape(batch, side * side))
 
 
 def batch_iter(

@@ -18,7 +18,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -47,14 +47,27 @@ from .model import (
     stage_params,
     unflatten,
 )
-from .objective import cross_entropy, local_loss
+from .objective import cross_entropy, local_loss, one_hot
 
 log = logging.getLogger(__name__)
 
 TRAIN_METRICS = ("ce_orig", "ce_aug", "intra", "inter", "total")
 
-# (tape, staged params, batch X, labels y) -> (loss node, scalar stats with a "total")
-StepLoss = Callable[[Tape, ParamNodes, np.ndarray, np.ndarray], tuple[int, dict[str, float]]]
+
+class StepLoss(NamedTuple):
+    """A client's loss on one batch, in two parts so a recorded step can be replayed.
+
+    ``feeds(X, y, classes)`` returns the batch's per-step leaf values and
+    draws any augmentation randomness; it runs for every batch.
+    ``record(tape, staged, *leaves)`` records the loss on those values,
+    staged as leaves in the same order, and returns the loss node and the
+    node of each reported stat, "total" among them. Everything else it
+    records may depend only on the leaves' shapes and the step loss's own
+    settings, because later batches of the same shapes replay the record.
+    """
+
+    feeds: Callable[[np.ndarray, np.ndarray, int], tuple[np.ndarray, ...]]
+    record: Callable[..., tuple[int, dict[str, int]]]
 
 
 @dataclass
@@ -148,13 +161,15 @@ def local_train(
 ) -> ClientUpdate:
     """Mini-batch SGD with momentum and decoupled L2 decay.
 
-    Every batch records ``step_loss``; its stats are averaged over the
-    steps. The default step loss is the gradient-matched source objective
-    on the batch and its ``aug`` view against ``heads``, which only it
-    reads. Round 1 has no previous heads, so the inter term is skipped
-    there regardless of what was passed. Momentum buffers start at zero
-    every round because the client restarts from the broadcast global
-    model.
+    The first batch of each shape records ``step_loss`` on a tape; later
+    batches of that shape rebind the tape's per-step leaves (the step
+    loss's feeds and the parameters) and replay it, which gives the same
+    bytes as recording again. The stats are averaged over the steps. The
+    default step loss is the gradient-matched source objective on the batch
+    and its ``aug`` view against ``heads``, which only it reads. Round 1 has
+    no previous heads, so the inter term is skipped there regardless of what
+    was passed. Momentum buffers start at zero every round because the
+    client restarts from the broadcast global model.
     """
     if round_t < 1:
         raise UsageError(f"round must be >= 1, got {round_t}")
@@ -165,16 +180,29 @@ def local_train(
     lr = cosine_lr(round_t, hp)
     batch_seed = streams.subseed(hp.seed, streams.CLIENT)
     velocity: dict[int, np.ndarray] = {}
+    # feed shapes -> (tape, staged params, feed leaves, loss node, stat nodes)
+    records: dict[tuple, tuple] = {}
     sums: dict[str, float] = {}
     steps = 0
     epoch_base = (round_t - 1) * hp.local_epochs
     for e in range(hp.local_epochs):
         for X, y in batch_iter(dataset, hp.batch, batch_seed, epoch_base + e):
-            tape = Tape()
-            staged = stage_params(tape, params)
+            values = step_loss.feeds(X, y, params.classes)
+            shapes = tuple(v.shape for v in values)
+            if shapes in records:
+                tape, staged, leaves, loss, stat_nodes = records[shapes]
+                feeds = dict(zip(staged.all_ids(), _param_arrays(params)))
+                feeds.update(zip(leaves, values))
+                tape.replay(feeds)
+            else:
+                tape = Tape()
+                staged = stage_params(tape, params)
+                leaves = [tape.constant(v) for v in values]
+                loss, stat_nodes = step_loss.record(tape, staged, *leaves)
+                records[shapes] = (tape, staged, leaves, loss, stat_nodes)
             if not velocity:
                 velocity = {nid: np.zeros_like(tape.value(nid)) for nid in staged.all_ids()}
-            loss, stats = step_loss(tape, staged, X, y)
+            stats = {k: float(tape.value(nid)) for k, nid in stat_nodes.items()}
             if not math.isfinite(stats["total"]):
                 raise DivergenceError(
                     f"non-finite loss {stats['total']} at round {round_t}, step {steps}"
@@ -193,29 +221,35 @@ def local_train(
 def _matching_loss(snapshots, hp: HyperParams, aug: AugmentationSpec, aug_rng) -> StepLoss:
     """A source client's step loss: local_loss on a batch and its augmented view."""
 
-    def step(tape, staged, X, y):
+    def feeds(X, y, classes):
+        return X, augment(X, aug, aug_rng), one_hot(y, classes)
+
+    def record(tape, staged, x, x_aug, y_mat):
         loss, bd = local_loss(
             tape,
             staged,
             snapshots,
-            X,
-            augment(X, aug, aug_rng),
-            y,
+            x,
+            x_aug,
+            y_mat,
             hp.lam,
             inter_normalize=hp.inter_normalize,
             gm_enabled=hp.gm_enabled,
         )
-        return loss, {m: getattr(bd, m) for m in TRAIN_METRICS}
+        zero = tape.constant(0.0)  # what a skipped term reads
+        return loss, {m: bd.nodes.get(m, zero) for m in TRAIN_METRICS}
 
-    return step
+    return StepLoss(feeds, record)
 
 
-def plain_ce_loss(tape: Tape, staged: ParamNodes, X, y) -> tuple[int, dict[str, float]]:
-    """The target client's step loss: cross-entropy on the un-augmented batch."""
-    _, z = forward(tape, staged, X)
-    loss = cross_entropy(tape, z, y)
-    ce = float(tape.value(loss))
-    return loss, {"ce_orig": ce, "total": ce}
+def _plain_ce_record(tape: Tape, staged: ParamNodes, x: int, y_mat: int) -> tuple[int, dict[str, int]]:
+    _, z = forward(tape, staged, x)
+    loss = cross_entropy(tape, z, y_mat)
+    return loss, {"ce_orig": loss, "total": loss}
+
+
+# The target client's step loss: cross-entropy on the un-augmented batch.
+plain_ce_loss = StepLoss(lambda X, y, classes: (X, one_hot(y, classes)), _plain_ce_record)
 
 
 def aggregate(updates: list[ClientUpdate]) -> ModelParams:
@@ -267,26 +301,18 @@ def knowledge_vote(
     argm = np.stack([p.argmax(axis=1) for p in probs])     # (models, N)
     voting = maxp >= tau
     classes = source_models[0].classes
-    indices, labels, confidences = [], [], []
-    for i in range(X_T.shape[0]):
-        votes = argm[voting[:, i], i]
-        if votes.size == 0:
-            continue
-        counts = np.bincount(votes, minlength=classes)
-        winner = int(np.argmax(counts))
-        top = counts[winner]
-        counts[winner] = 0
-        if top < min_votes or top <= counts.max():
-            continue
-        backers = voting[:, i] & (argm[:, i] == winner)
-        indices.append(i)
-        labels.append(winner)
-        confidences.append(float(maxp[backers, i].mean()))
-    return PseudoLabeledSet(
-        np.array(indices, dtype=np.int64),
-        np.array(labels, dtype=np.int64),
-        np.array(confidences),
-    )
+    rows = np.arange(X_T.shape[0])
+    # (N, classes) votes per class: a masked one-hot sum over the models
+    counts = ((argm[:, :, None] == np.arange(classes)) & voting[:, :, None]).sum(axis=0)
+    winner = counts.argmax(axis=1)  # ties go to the lowest class
+    top = counts[rows, winner]
+    counts[rows, winner] = 0
+    accepted = (top >= min_votes) & (top > counts.max(axis=1))
+    # an accepted sample has at least one backer; the sum runs in model
+    # order, as the mean over the sample's backers adds them
+    backers = (voting & (argm == winner))[:, accepted]
+    confidence = np.where(backers, maxp[:, accepted], 0.0).sum(axis=0) / backers.sum(axis=0)
+    return PseudoLabeledSet(rows[accepted], winner[accepted], confidence)
 
 
 def build_domains(config: Config) -> list[DomainDataset]:

@@ -124,17 +124,18 @@ def forward(tape: Tape, params: ModelParams | ParamNodes, X) -> tuple[int, int]:
 
     Accepts raw ModelParams (staged as fresh trainable leaves) or an
     already-staged ParamNodes, so one set of leaves can serve several
-    forward passes on the same tape.
+    forward passes on the same tape. ``X`` is a batch of rows or the node
+    of one.
     """
     if isinstance(params, ModelParams):
         params = stage_params(tape, params)
-    X = as_tensor(X)
+    h = int(X) if isinstance(X, (int, np.integer)) else tape.constant(X)
+    X = tape.value(h)
     if X.ndim != 2:
         raise ShapeError(f"forward: expected a batch of rows, got dims {X.shape}")
     d_in = tape.value(params.feature[0][0]).shape[1] if params.feature else tape.value(params.head_w).shape[1]
     if X.shape[1] != d_in:
         raise ShapeError(f"forward: input width {X.shape[1]} does not match model width {d_in}")
-    h = tape.constant(X)
     for (_, b_id), wt_id in zip(params.feature, params.feature_wt):
         h = ad.relu(tape, ad.add(tape, ad.matmul(tape, h, wt_id), b_id))
     z = ad.add(tape, ad.matmul(tape, h, params.head_wt), params.head_b)

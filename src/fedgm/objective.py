@@ -21,7 +21,7 @@ snapshot from the previous round.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -36,13 +36,19 @@ COSINE_EPS = 1e-12
 
 @dataclass
 class LossBreakdown:
-    """Scalar values of every term in one local-loss evaluation."""
+    """Scalar values of every term in one local-loss evaluation.
+
+    ``nodes`` maps each recorded term to its tape node, so the terms can be
+    read again after the tape is replayed. A skipped term reads 0 and has
+    no node.
+    """
 
     ce_orig: float
     ce_aug: float
     intra: float
     inter: float
     total: float
+    nodes: dict[str, int] = field(default_factory=dict, repr=False, compare=False)
 
 
 def one_hot(y, classes: int) -> np.ndarray:
@@ -62,12 +68,15 @@ def _ce_from_log_probs(tape: Tape, logp: int, y_mat: int, batch: int) -> int:
 
 
 def cross_entropy(tape: Tape, z: int, y) -> int:
-    """Batch-mean negative log-likelihood of the true classes."""
+    """Batch-mean negative log-likelihood of the true classes.
+
+    ``y`` is the labels, or the node of their one-hot matrix.
+    """
     zval = tape.value(z)
     if zval.ndim != 2:
         raise ShapeError(f"cross_entropy: logits must be 2-d, got dims {zval.shape}")
     batch, classes = zval.shape
-    y_mat = tape.constant(one_hot(y, classes))
+    y_mat = _one_hot_node(tape, y, classes)
     logp = ad.log_softmax_rows(tape, z)
     return _ce_from_log_probs(tape, logp, y_mat, batch)
 
@@ -76,6 +85,13 @@ def _as_node(tape: Tape, value_or_node) -> int:
     if isinstance(value_or_node, (int, np.integer)):
         return int(value_or_node)
     return tape.constant(as_tensor(value_or_node))
+
+
+def _one_hot_node(tape: Tape, y, classes: int) -> int:
+    """Stage the one-hot matrix of labels ``y``, unless ``y`` is already its node."""
+    if isinstance(y, (int, np.integer)):
+        return int(y)
+    return tape.constant(one_hot(y, classes))
 
 
 def _head_grad_from_probs(tape: Tape, h: int, y_mat: int, p: int, batch: int, ones: int) -> int:
@@ -202,30 +218,33 @@ def local_loss(
 ) -> tuple[int, LossBreakdown]:
     """Combined local objective; returns (total node, scalar breakdown).
 
-    With no snapshots (round 1) the inter term is skipped. With
-    ``gm_enabled=False`` both matching terms are dropped and the loss is the
-    plain averaged cross-entropy, which is the federated-averaging baseline.
+    ``X`` and ``X_aug`` are batches or their nodes, ``y`` is the labels or
+    the node of their one-hot matrix. With no snapshots (round 1) the inter
+    term is skipped. With ``gm_enabled=False`` both matching terms are
+    dropped and the loss is the plain averaged cross-entropy, which is the
+    federated-averaging baseline.
     """
     if not 0.0 <= lam <= 1.0:
         raise UsageError(f"lambda must lie in [0, 1], got {lam}")
-    X = as_tensor(X)
-    X_aug = as_tensor(X_aug)
-    if X.shape != X_aug.shape:
-        raise ShapeError(f"original batch {X.shape} and augmented batch {X_aug.shape} differ")
+    x = _as_node(tape, X)
+    x_aug = _as_node(tape, X_aug)
+    if tape.value(x).shape != tape.value(x_aug).shape:
+        raise ShapeError(
+            f"original batch {tape.value(x).shape} and augmented batch {tape.value(x_aug).shape} differ"
+        )
     if isinstance(params, ModelParams):
         params = stage_params(tape, params)
-    batch = X.shape[0]
     classes = tape.value(params.head_w).shape[0]
-    y_mat = tape.constant(one_hot(y, classes))
-    h_orig, z_orig = forward(tape, params, X)
-    h_aug, z_aug = forward(tape, params, X_aug)
+    y_mat = _one_hot_node(tape, y, classes)
+    h_orig, z_orig = forward(tape, params, x)
+    h_aug, z_aug = forward(tape, params, x_aug)
+    batch = tape.value(x).shape[0]
     logp_o = ad.log_softmax_rows(tape, z_orig)
     logp_a = ad.log_softmax_rows(tape, z_aug)
     ce_o = _ce_from_log_probs(tape, logp_o, y_mat, batch)
     ce_a = _ce_from_log_probs(tape, logp_a, y_mat, batch)
     total = ad.scale(tape, ad.add(tape, ce_o, ce_a), 0.5)
-    intra_val = 0.0
-    inter_val = 0.0
+    nodes = {"ce_orig": ce_o, "ce_aug": ce_a}
     if gm_enabled:
         # the live-head gradients reuse the forward log-probabilities
         ones_col = tape.constant(np.ones((batch, 1)))
@@ -239,19 +258,15 @@ def local_loss(
         }
         intra = intra_gm_loss(tape, g, g_aug, **shared)
         total = ad.add(tape, total, ad.scale(tape, intra, lam))
-        intra_val = float(tape.value(intra))
+        nodes["intra"] = intra
         if snapshots:
             inter = inter_gm_loss(
                 tape, g_aug, snapshots, h_orig, y,
                 normalize=inter_normalize, y_mat=y_mat, ones_col=ones_col, **shared,
             )
             total = ad.add(tape, total, ad.scale(tape, inter, 1.0 - lam))
-            inter_val = float(tape.value(inter))
-    breakdown = LossBreakdown(
-        ce_orig=float(tape.value(ce_o)),
-        ce_aug=float(tape.value(ce_a)),
-        intra=intra_val,
-        inter=inter_val,
-        total=float(tape.value(total)),
-    )
-    return total, breakdown
+            nodes["inter"] = inter
+    nodes["total"] = total
+    values = {"intra": 0.0, "inter": 0.0}
+    values.update((name, float(tape.value(nid))) for name, nid in nodes.items())
+    return total, LossBreakdown(**values, nodes=nodes)

@@ -60,6 +60,35 @@ def test_parse_lambda_range_error(tmp_path):
         parse_config(_write(tmp_path, payload))
 
 
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("hp", "momentum", -3.0, r"hp.momentum must lie in \[0, 1\)"),
+        ("hp", "momentum", 1.0, r"hp.momentum must lie in \[0, 1\)"),
+        ("hp", "weight_decay", -1.0, "hp.weight_decay must be >= 0"),
+        ("data", "noise_sigma", -1.0, "data.noise_sigma must be >= 0"),
+    ],
+)
+def test_parse_momentum_decay_and_noise_ranges(tmp_path, section, key, value, message):
+    payload = dict(BASE, **{section: dict(BASE[section], **{key: value})})
+    with pytest.raises(ParseError, match=message):
+        parse_config(_write(tmp_path, payload))
+
+
+@pytest.mark.parametrize("number", ["Infinity", "-Infinity", "NaN", "1e400"])
+def test_non_finite_numbers_rejected(tmp_path, capsys, number):
+    payload = dict(BASE, out_dir=str(tmp_path / "out"))
+    text = json.dumps(payload).replace('"noise_sigma": 0.1', f'"noise_sigma": {number}')
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert main(["run-dg", "--config", str(bad)]) == 1
+    assert f"non-finite number {number}" in capsys.readouterr().err
+    good = _write(tmp_path, payload)
+    assert main(["run-dg", "--config", str(good), "--override", f"data.angles=[0,30,{number}]"]) == 1
+    assert f"override 'data.angles=[0,30,{number}]': non-finite number {number}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_parse_unknown_key_named(tmp_path):
     payload = dict(BASE, hp={"lamda": 0.3})
     with pytest.raises(ParseError, match="hp.lamda"):

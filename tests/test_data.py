@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedgm.data import (
     AugmentationSpec,
@@ -216,3 +218,33 @@ def test_train_test_split_deterministic_and_disjoint():
     assert tr1.N == 16 and te1.N == 4
     combined = sorted(np.concatenate([tr1.X[:, 0], te1.X[:, 0]]).tolist())
     assert combined == sorted(ds.X[:, 0].tolist())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    batch=st.integers(2, 19),
+    side=st.integers(8, 16),
+    eta=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_augment_amplitude_mix_matches_one_mix_per_row(batch, side, eta, seed):
+    X = np.random.default_rng(seed).normal(0.0, 2.0, (batch, side * side))
+    rng = np.random.default_rng(seed + 1)
+    out = augment(X, AugmentationSpec.amplitude_mix(eta), rng)
+    # reference: one amplitude_mix per row against a random other row
+    ref_rng = np.random.default_rng(seed + 1)
+    ref = np.empty_like(X)
+    for i in range(batch):
+        j = int(ref_rng.integers(0, batch - 1))
+        j += j >= i
+        ref[i] = amplitude_mix(X[i].reshape(side, side), X[j].reshape(side, side), eta, ref_rng).ravel()
+    assert out.tobytes() == ref.tobytes()
+    assert out.flags.c_contiguous
+    assert rng.random() == ref_rng.random()  # the same draws were consumed
+
+
+def test_mix_amplitude_names_first_row_over_residual():
+    grids = np.random.default_rng(0).normal(0.0, 1.0, (3, 8, 8))
+    grids[2] *= 1e9  # residuals scale with the amplitude mixed in
+    with pytest.raises(ShapeError, match=r"residual .* in row 1 exceeds 1e-9"):
+        mix_amplitude(grids, grids[[1, 2, 0]], np.full((3, 1, 1), 0.5))

@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedgm.cli import Config, DataSpec
 from fedgm.data import AugmentationSpec, DomainDataset, gen_rotated_domains
@@ -18,7 +20,7 @@ from fedgm.federation import (
     run_da,
     run_dg,
 )
-from fedgm.model import HeadSnapshot, flatten, init_params, unflatten
+from fedgm.model import HeadSnapshot, flatten, init_params, predict_proba, unflatten
 
 
 def test_cosine_lr_endpoints_and_midpoint():
@@ -330,3 +332,49 @@ def test_run_dg_amplitude_mix_one_row_batch_rejected_up_front():
         run_dg(_textured_amix_config(241, 16))
     with pytest.raises(UsageError, match=r"batch 1 .* domain 1"):
         run_dg(_textured_amix_config(60, 1))
+
+
+def _vote_per_sample(models, X, tau, min_votes):
+    """Reference knowledge vote: one sample at a time."""
+    probs = [predict_proba(m, X) for m in models]
+    maxp = np.stack([p.max(axis=1) for p in probs])
+    argm = np.stack([p.argmax(axis=1) for p in probs])
+    voting = maxp >= tau
+    indices, labels, confidences = [], [], []
+    for i in range(X.shape[0]):
+        votes = argm[voting[:, i], i]
+        if votes.size == 0:
+            continue
+        counts = np.bincount(votes, minlength=models[0].classes)
+        winner = int(np.argmax(counts))
+        top = counts[winner]
+        counts[winner] = 0
+        if top < min_votes or top <= counts.max():
+            continue
+        backers = voting[:, i] & (argm[:, i] == winner)
+        indices.append(i)
+        labels.append(winner)
+        confidences.append(float(maxp[backers, i].mean()))
+    return np.array(indices, dtype=np.int64), np.array(labels, dtype=np.int64), np.array(confidences)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    n_models=st.integers(1, 4),
+    classes=st.integers(2, 4),
+    rows=st.integers(1, 40),
+    tau=st.sampled_from([0.34, 0.5, 0.7, 0.9, 1.0]),
+    min_votes=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_knowledge_vote_matches_per_sample_vote(n_models, classes, rows, tau, min_votes, seed):
+    rng = np.random.default_rng(seed)
+    models = [init_params([2, 4], classes, seed=int(rng.integers(0, 2**31))) for _ in range(n_models)]
+    for m in models:
+        m.head_w *= 3.0  # spread the max-probabilities across tau
+    X = rng.normal(0.0, 2.0, (rows, 2))
+    out = knowledge_vote(models, X, tau, min_votes)
+    indices, labels, confidences = _vote_per_sample(models, X, tau, min_votes)
+    assert out.indices.tobytes() == indices.tobytes()
+    assert out.labels.tobytes() == labels.tobytes()
+    assert out.confidences.tobytes() == confidences.tobytes()
