@@ -5,14 +5,14 @@ the op tag, the input node ids, the forward value, and whatever the backward
 rule needs. Node ids are list indices, so inputs always precede outputs and a
 single reverse sweep visits each node exactly once.
 
-Graphs are built eagerly (define-by-run), one op at a time. A recorded tape
-can also be replayed: ``Tape.replay`` rebinds some leaves to new values of
-the same shapes and re-runs the recorded forward rules in order, so a step
-whose graph depends only on shapes and configuration is recorded once and
-replayed for later batches. The rule lookups, the input ids of every node
-and ``backward``'s reverse schedule are resolved once per tape and cached on
-it; the lists ``ops``, ``inputs``, ``vals``, ``saved`` and ``params`` mean
-the same on a replayed tape as on a freshly recorded one.
+Graphs are built eagerly (define-by-run), one op at a time, and ``backward``
+differentiates a freshly recorded tape. A step whose graph depends only on
+shapes and configuration can also be compiled: ``compile_step`` turns a
+recorded tape into one straight-line Python function of all its leaves that
+issues the same numpy kernels as the forward rules and ``backward``, in the
+same order, with every shape decision resolved when the source is generated.
+Later batches call that function instead of recording again, and tapes with
+the same structure share one compiled function.
 
 Tensors are plain ``numpy.ndarray`` values in float64, row-major. Scalars are
 0-d arrays.
@@ -302,7 +302,7 @@ class Tape:
     Single-threaded by design; use one Tape per concurrent unit of work.
     """
 
-    __slots__ = ("ops", "inputs", "vals", "saved", "params", "_program", "_sweeps")
+    __slots__ = ("ops", "inputs", "vals", "saved", "params")
 
     def __init__(self) -> None:
         self.ops: list[str] = []
@@ -310,9 +310,6 @@ class Tape:
         self.vals: list[Array] = []
         self.saved: list = []
         self.params: list[int] = []
-        # replay's forward program, and backward's schedule per loss node
-        self._program: tuple[int, list] = (0, [])
-        self._sweeps: dict[int, list] = {}
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -334,70 +331,6 @@ class Tape:
     def value(self, nid: int) -> Array:
         return self.vals[nid]
 
-    def apply(self, kind: str, inputs, const: float | None = None) -> int:
-        return op_apply(self, kind, inputs, const)
-
-    def replay(self, feeds: dict[int, Array]) -> None:
-        """Rebind leaves to new values and re-run every recorded op in order.
-
-        ``feeds`` maps leaf ids to values of the recorded shapes; leaves not
-        named keep their values. Each op goes through the same forward rule
-        as when it was recorded, shape checks included, and overwrites its
-        value and saved data in place.
-        """
-        vals = self.vals
-        for nid, value in feeds.items():
-            value = as_tensor(value)
-            if self.ops[nid] != LEAF:
-                raise UsageError(f"replay: node {nid} is a '{self.ops[nid]}' op, not a leaf")
-            if value.shape != vals[nid].shape:
-                raise ShapeError(f"replay: leaf {nid} was recorded with dims {vals[nid].shape}, got {value.shape}")
-            vals[nid] = value
-        saved = self.saved
-        for nid, fw, ids, const in self._forward_program():
-            vals[nid], saved[nid] = fw([vals[i] for i in ids], const)
-
-    def _forward_program(self) -> list:
-        """(node, forward rule, input ids, constant) of every op, in order."""
-        n, program = self._program
-        if n != len(self.ops):
-            # scale-by-constant keeps its constant as its saved data; no
-            # other rule reads a constant
-            program = [
-                (nid, _FORWARD[kind], self.inputs[nid], self.saved[nid] if kind == "scale-by-constant" else None)
-                for nid, kind in enumerate(self.ops)
-                if kind != LEAF
-            ]
-            self._program = (len(self.ops), program)
-        return program
-
-    def _sweep(self, loss: int) -> list:
-        """Reverse schedule from ``loss``: (node, backward rule, input ids,
-        per-input needs) of every op that can reach a parameter, last first.
-
-        A node ``needs`` an adjoint when a parameter leaf is among its
-        ancestors. The tape only grows, so the schedule of a loss node
-        recorded earlier stays valid.
-        """
-        sweep = self._sweeps.get(loss)
-        if sweep is None:
-            ops, inputs = self.ops, self.inputs
-            n = loss + 1
-            needs = bytearray(n)
-            for pid in self.params:
-                if pid < n:
-                    needs[pid] = 1
-            for nid in range(n):
-                if ops[nid] != LEAF and any(needs[i] for i in inputs[nid]):
-                    needs[nid] = 1
-            sweep = [
-                (nid, _BACKWARD[ops[nid]], inputs[nid], tuple(bool(needs[i]) for i in inputs[nid]))
-                for nid in range(loss, -1, -1)
-                if needs[nid] and ops[nid] != LEAF
-            ]
-            self._sweeps[loss] = sweep
-        return sweep
-
 
 def op_apply(tape: Tape, kind: str, inputs, const: float | None = None) -> int:
     """Append one operation node and return its id.
@@ -417,30 +350,49 @@ def op_apply(tape: Tape, kind: str, inputs, const: float | None = None) -> int:
     return len(tape.ops) - 1
 
 
-def backward(tape: Tape, loss: int) -> dict[int, Array]:
-    """Reverse sweep from a scalar node.
+def _sweep(tape: Tape, loss: int) -> list[tuple[int, tuple[bool, ...]]]:
+    """Reverse schedule from a scalar ``loss``: (node, per-input needs) of
+    every op that can reach a parameter, last first.
 
-    Returns one gradient per parameter leaf, keyed by node id. Parameters
-    the loss does not depend on get zero gradients. Subgraphs that cannot
-    reach a parameter (constants, frozen snapshots) are skipped entirely.
-    Which nodes those are is worked out on the first call for a loss node
-    and reused by later calls on the same tape, such as after a replay.
+    A node ``needs`` an adjoint when a parameter leaf is among its ancestors.
     """
     if len(tape) == 0:
         raise ContractError("backward on an empty tape")
     val = tape.vals[loss]
     if val.size != 1:
         raise ContractError(f"backward needs a scalar loss, got dims {val.shape}")
-    vals = tape.vals
-    saved = tape.saved
-    n = loss + 1
-    adjoint: list[Array | None] = [None] * n
-    adjoint[loss] = np.ones_like(val)
-    for nid, rule, in_ids, in_needs in tape._sweep(loss):
+    ops, inputs = tape.ops, tape.inputs
+    needs = bytearray(loss + 1)
+    for pid in tape.params:
+        if pid <= loss:
+            needs[pid] = 1
+    for nid in range(loss + 1):
+        if ops[nid] != LEAF and any(needs[i] for i in inputs[nid]):
+            needs[nid] = 1
+    return [
+        (nid, tuple(bool(needs[i]) for i in inputs[nid]))
+        for nid in range(loss, -1, -1)
+        if needs[nid] and ops[nid] != LEAF
+    ]
+
+
+def backward(tape: Tape, loss: int) -> dict[int, Array]:
+    """Reverse sweep from a scalar node.
+
+    Returns one gradient per parameter leaf, keyed by node id. Parameters
+    the loss does not depend on get zero gradients. Subgraphs that cannot
+    reach a parameter (constants, frozen snapshots) are skipped entirely.
+    """
+    ops, inputs, vals, saved = tape.ops, tape.inputs, tape.vals, tape.saved
+    sweep = _sweep(tape, loss)
+    adjoint: list[Array | None] = [None] * (loss + 1)
+    adjoint[loss] = np.ones_like(vals[loss])
+    for nid, in_needs in sweep:
         g = adjoint[nid]
         if g is None:
             continue
-        grads = rule(g, [vals[i] for i in in_ids], vals[nid], saved[nid], in_needs)
+        in_ids = inputs[nid]
+        grads = _BACKWARD[ops[nid]](g, [vals[i] for i in in_ids], vals[nid], saved[nid], in_needs)
         for iid, ig in zip(in_ids, grads):
             if ig is None:
                 continue
@@ -448,9 +400,165 @@ def backward(tape: Tape, loss: int) -> dict[int, Array]:
             adjoint[iid] = ig if acc is None else acc + ig
     result: dict[int, Array] = {}
     for pid in tape.params:
-        g = adjoint[pid] if pid < n else None
-        result[pid] = np.zeros_like(tape.vals[pid]) if g is None else np.array(g)
+        g = adjoint[pid] if pid <= loss else None
+        result[pid] = np.zeros_like(vals[pid]) if g is None else np.array(g)
     return result
+
+
+# --- compiled steps -----------------------------------------------------------
+# Source templates of the rules above: {a} and {b} name the input values, {o}
+# the output value, {g} its adjoint, {n} the node id and {c} the constant.
+
+_FW_SRC = {
+    "add": ["{o} = {a} + {b}"],
+    "sub": ["{o} = {a} - {b}"],
+    "elementwise-mul": ["{o} = {a} * {b}"],
+    "div": ["{o} = {a} / {b}"],
+    "scale-by-constant": ["{o} = {a} * {c}"],
+    "matmul": ["{o} = {a} @ {b}"],
+    "transpose": ["{o} = {a}.T"],
+    "relu": ["{o} = maximum({a}, 0.0)", "m{n} = {a} > 0.0"],
+    "exp": ["{o} = exp({a})"],
+    "log-softmax-rows": [
+        "s{n} = {a} - {a}.max(axis=1, keepdims=True)",
+        "{o} = s{n} - log(exp(s{n}).sum(axis=1, keepdims=True))",
+        "m{n} = exp({o})",
+    ],
+    "reduce-sum": ["{o} = asarray({a}.sum())"],
+    "reduce-mean": ["{o} = asarray({a}.mean())"],
+    "dot": ["{o} = asarray({a}.ravel() @ {b}.ravel())"],
+    "l2-norm": ["{o} = asarray(sqrt(float({a}.ravel() @ {a}.ravel())))"],
+    "flatten-concat": ["{o} = concatenate([{ravels}])"],
+}
+
+# one adjoint expression per input; flatten-concat's slices are built apart
+_BW_SRC = {
+    "add": ("{g}", "{g}"),
+    "sub": ("{g}", "(-{g})"),
+    "elementwise-mul": ("({g} * {b})", "({g} * {a})"),
+    "div": ("({g} / {b})", "(-{g} * {a} / ({b} * {b}))"),
+    "scale-by-constant": ("{g} * {c}",),
+    "matmul": ("{g} @ {b}.T", "{a}.T @ {g}"),
+    "transpose": ("{g}.T",),
+    "relu": ("{g} * m{n}",),
+    "exp": ("{g} * {o}",),
+    "log-softmax-rows": ("{g} - m{n} * {g}.sum(axis=1, keepdims=True)",),
+    "reduce-sum": ("full_like({a}, float({g}))",),
+    "reduce-mean": ("full_like({a}, float({g}) / {size})",),
+    "dot": ("(float({g}) * {b}).reshape({shape_a})", "(float({g}) * {a}).reshape({shape_b})"),
+    # the zero-norm subgradient depends on the value, so it stays a branch
+    "l2-norm": ("(zeros_like({a}) if float({o}) == 0.0 else {a} * (float({g}) / float({o})))",),
+}
+
+_KERNELS = {
+    "asarray": np.asarray, "concatenate": np.concatenate, "exp": np.exp, "full_like": np.full_like,
+    "log": np.log, "maximum": np.maximum, "ones_like": np.ones_like, "zeros_like": np.zeros_like,
+    "sqrt": math.sqrt, "inf": math.inf, "nan": math.nan,
+}
+
+_STEP_CACHE: dict[tuple, Callable] = {}
+_STEP_CACHE_SIZE = 32
+
+
+def _unbroadcast_src(expr: str, grad_shape: tuple[int, ...], shape: tuple[int, ...]) -> str:
+    """``_unbroadcast`` resolved for known shapes."""
+    if grad_shape == shape:
+        return expr
+    extra = len(grad_shape) - len(shape)
+    if extra:
+        expr = f"{expr}.sum(axis={tuple(range(extra))!r})"
+        grad_shape = grad_shape[extra:]
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad_shape[i] != 1)
+    return f"{expr}.sum(axis={axes!r}, keepdims=True)" if axes else expr
+
+
+def _names(tape: Tape, nid: int) -> dict:
+    """What the source templates of node ``nid`` fill in."""
+    ids = tape.inputs[nid]
+    a, b = tape.vals[ids[0]], tape.vals[ids[-1]]
+    return dict(
+        o=f"v{nid}", g=f"g{nid}", n=nid, a=f"v{ids[0]}", b=f"v{ids[-1]}",
+        c=repr(tape.saved[nid]) if tape.ops[nid] == "scale-by-constant" else None,
+        ravels=", ".join(f"v{i}.ravel()" for i in ids), size=a.size, shape_a=repr(a.shape), shape_b=repr(b.shape),
+    )
+
+
+def _grad_exprs(tape: Tape, nid: int, in_needs: tuple[bool, ...]) -> list[str | None]:
+    """Source of each input's adjoint contribution (None where not needed)."""
+    kind = tape.ops[nid]
+    shapes = [tape.vals[i].shape for i in tape.inputs[nid]]
+    if kind == "flatten-concat":
+        exprs, offset = [], 0
+        for shape in shapes:
+            size = math.prod(shape)
+            exprs.append(f"g{nid}[{offset}:{offset + size}].reshape({shape!r})")
+            offset += size
+    else:
+        names = _names(tape, nid)
+        exprs = [t.format(**names) for t in _BW_SRC[kind]]
+        if kind in ("add", "sub", "elementwise-mul", "div"):
+            out_shape = tape.vals[nid].shape
+            exprs = [_unbroadcast_src(e, out_shape, s) for e, s in zip(exprs, shapes)]
+    return [e if need else None for e, need in zip(exprs, in_needs)]
+
+
+def compile_step(tape: Tape, loss: int, outs: Sequence[int]) -> Callable:
+    """One straight-line function for the forward and backward of ``tape``.
+
+    The function takes the value of every leaf of the tape, in tape order:
+    parameters, per-step inputs and recorded constants alike, as float64
+    arrays of the recorded shapes (a ShapeError names the first leaf that
+    differs). It returns the values of ``outs`` and one gradient per
+    parameter leaf, in ``tape.params`` order, equal bit for bit to what
+    recording the same values afresh and calling ``backward`` would give:
+    it issues the forward rules' kernels and ``backward``'s sweep with its
+    adjoint accumulation order, and resolves the ``needs`` masks, the
+    unbroadcasts and the flatten-concat slices once. Functions are cached by
+    the tape's structure, so tapes recorded alike share one; the generated
+    source is the function's ``source`` attribute.
+    """
+    ops, inputs, vals = tape.ops, tape.inputs, tape.vals
+    outs = tuple(outs)
+    leaves = [nid for nid, kind in enumerate(ops) if kind == LEAF]
+    shapes = tuple(vals[nid].shape for nid in leaves)
+    consts = tuple(repr(tape.saved[nid]) for nid, kind in enumerate(ops) if kind == "scale-by-constant")
+    key = (tuple(ops), tuple(inputs), shapes, consts, tuple(tape.params), loss, outs)
+    step = _STEP_CACHE.get(key)
+    if step is not None:
+        return step
+    sweep = _sweep(tape, loss)
+    args = ", ".join(f"v{nid}" for nid in leaves)
+    body = [f"if ({''.join(f'v{nid}.shape, ' for nid in leaves)}) != shapes:", f"    shape_error([{args}])"]
+    for nid in range(max((loss, *outs)) + 1):
+        if ops[nid] != LEAF:
+            names = _names(tape, nid)
+            body.extend(t.format(**names) for t in _FW_SRC[ops[nid]])
+    body.append(f"g{loss} = ones_like(v{loss})")
+    has_adjoint = {loss}
+    for nid, in_needs in sweep:
+        if nid not in has_adjoint:
+            continue
+        for iid, expr in zip(inputs[nid], _grad_exprs(tape, nid, in_needs)):
+            if expr is not None:
+                body.append(f"g{iid} = g{iid} + ({expr})" if iid in has_adjoint else f"g{iid} = {expr}")
+                has_adjoint.add(iid)
+    grads = "".join(f"g{p}, " if p in has_adjoint else f"zeros_like(v{p}), " for p in tape.params)
+    body.append(f"return ({''.join(f'v{nid}, ' for nid in outs)}), ({grads})")
+    source = f"def step({args}):\n" + "".join(f"    {line}\n" for line in body)
+
+    def shape_error(values):
+        for nid, shape, value in zip(leaves, shapes, values):
+            if value.shape != shape:
+                raise ShapeError(f"compiled step: leaf {nid} was recorded with dims {shape}, got {value.shape}")
+
+    namespace = {**_KERNELS, "shapes": shapes, "shape_error": shape_error}
+    exec(compile(source, "<compiled step>", "exec"), namespace)
+    step = namespace["step"]
+    step.source = source
+    if len(_STEP_CACHE) >= _STEP_CACHE_SIZE:
+        del _STEP_CACHE[next(iter(_STEP_CACHE))]  # the oldest entry
+    _STEP_CACHE[key] = step
+    return step
 
 
 def finite_diff_grad(f: Callable[[Array], float], theta, h: float) -> Array:

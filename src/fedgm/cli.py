@@ -60,6 +60,14 @@ def _typed(obj, path, key, types, default=None, required=False):
     return value
 
 
+def _float(value, where: str) -> float:
+    """float() of a JSON number; an integer too large for a float is a ParseError."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParseError(f"{where}: integer too large for a float") from None
+
+
 def _parse_data(raw) -> DataSpec:
     kind = _typed(raw, "data", "kind", str, required=True)
     if kind == "rotated_moons":
@@ -69,9 +77,9 @@ def _parse_data(raw) -> DataSpec:
             raise ParseError("data.angles: expected a non-empty list of numbers")
         return DataSpec(
             kind=kind,
-            angles=[float(a) for a in angles],
+            angles=[_float(a, f"data.angles[{i}]") for i, a in enumerate(angles)],
             n_per_domain=_typed(raw, "data", "n_per_domain", int, required=True),
-            noise_sigma=float(_typed(raw, "data", "noise_sigma", (int, float), default=0.1)),
+            noise_sigma=_float(_typed(raw, "data", "noise_sigma", (int, float), default=0.1), "data.noise_sigma"),
             classes=_typed(raw, "data", "classes", int, default=2),
         )
     if kind == "textured":
@@ -86,6 +94,10 @@ def _parse_data(raw) -> DataSpec:
     raise ParseError(f"data.kind: unknown generator '{kind}'")
 
 
+def _number(raw, path: str, key: str) -> float:
+    return _float(_typed(raw, path, key, (int, float), required=True), f"{path}.{key}")
+
+
 def _parse_augmentation(raw) -> AugmentationSpec:
     kind = _typed(raw, "augmentation", "kind", str, required=True)
     try:
@@ -94,13 +106,13 @@ def _parse_augmentation(raw) -> AugmentationSpec:
             return AugmentationSpec.identity()
         if kind == "gaussian_noise":
             _expect(raw, "augmentation", ("kind", "sigma"), ())
-            return AugmentationSpec.gaussian_noise(float(_typed(raw, "augmentation", "sigma", (int, float), required=True)))
+            return AugmentationSpec.gaussian_noise(_number(raw, "augmentation", "sigma"))
         if kind == "input_rotation":
             _expect(raw, "augmentation", ("kind", "max_degrees"), ())
-            return AugmentationSpec.input_rotation(float(_typed(raw, "augmentation", "max_degrees", (int, float), required=True)))
+            return AugmentationSpec.input_rotation(_number(raw, "augmentation", "max_degrees"))
         if kind == "amplitude_mix":
             _expect(raw, "augmentation", ("kind", "eta_max"), ())
-            return AugmentationSpec.amplitude_mix(float(_typed(raw, "augmentation", "eta_max", (int, float), required=True)))
+            return AugmentationSpec.amplitude_mix(_number(raw, "augmentation", "eta_max"))
     except UsageError as e:
         raise ParseError(f"augmentation: {e}") from None
     raise ParseError(f"augmentation.kind: unknown kind '{kind}'")
@@ -115,7 +127,8 @@ def _parse_hp(raw, n_sources: int) -> HyperParams:
         name = "lam" if key == "lambda" else key
         default = getattr(defaults, name)
         kind = type(default)
-        values[name] = kind(_typed(raw, "hp", key, (int, float) if kind is float else kind, default=default))
+        value = _typed(raw, "hp", key, (int, float) if kind is float else kind, default=default)
+        values[name] = _float(value, f"hp.{key}") if kind is float else kind(value)
     return HyperParams(**values)
 
 

@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import rng as streams
-from .autodiff import Tape, backward
+from .autodiff import LEAF, Tape, as_tensor, backward, compile_step
 from .config import Config, HyperParams
 from .data import (
     AugmentationSpec,
@@ -55,7 +55,7 @@ TRAIN_METRICS = ("ce_orig", "ce_aug", "intra", "inter", "total")
 
 
 class StepLoss(NamedTuple):
-    """A client's loss on one batch, in two parts so a recorded step can be replayed.
+    """A client's loss on one batch, in two parts so a recorded step can be compiled.
 
     ``feeds(X, y, classes)`` returns the batch's per-step leaf values and
     draws any augmentation randomness; it runs for every batch.
@@ -63,7 +63,7 @@ class StepLoss(NamedTuple):
     staged as leaves in the same order, and returns the loss node and the
     node of each reported stat, "total" among them. Everything else it
     records may depend only on the leaves' shapes and the step loss's own
-    settings, because later batches of the same shapes replay the record.
+    settings, because later batches of the same shapes run the record compiled.
     """
 
     feeds: Callable[[np.ndarray, np.ndarray, int], tuple[np.ndarray, ...]]
@@ -132,11 +132,9 @@ def cosine_lr(round_t: int, hp: HyperParams) -> float:
     return hp.lr1 + 0.5 * (hp.lr0 - hp.lr1) * (1.0 + math.cos(math.pi * frac))
 
 
-def _sgd_step(params, staged, grads, velocity, lr, hp):
-    slots = list(zip(staged.all_ids(), _param_arrays(params)))
-    for node_id, arr in slots:
-        g = grads[node_id]
-        v = velocity[node_id]
+def _sgd_step(params, grads, velocity, lr, hp):
+    """Momentum SGD with decoupled decay, in place; ``grads`` in ``_param_arrays`` order."""
+    for arr, g, v in zip(_param_arrays(params), grads, velocity):
         v *= hp.momentum
         v += g
         arr -= lr * v + lr * hp.weight_decay * arr
@@ -150,6 +148,29 @@ def _param_arrays(params: ModelParams):
     yield params.head_b
 
 
+class _Recorded:
+    """The first step of some feed shapes, recorded; later steps run it compiled.
+
+    ``run`` rebinds the parameter and feed leaves and calls the tape's
+    compiled step (compiled on the first such call, or found in the cache)
+    with the recorded values of the other leaves.
+    """
+
+    def __init__(self, tape: Tape, fed: list[int], loss: int, stat_nodes: dict[str, int]):
+        leaves = [nid for nid, kind in enumerate(tape.ops) if kind == LEAF]
+        self.tape, self.loss, self.stat_nodes = tape, loss, stat_nodes
+        self.args = [tape.vals[nid] for nid in leaves]
+        self.slots = [leaves.index(nid) for nid in fed]
+        self.step = None
+
+    def run(self, values):
+        if self.step is None:
+            self.step = compile_step(self.tape, self.loss, list(self.stat_nodes.values()))
+        for k, value in zip(self.slots, values):
+            self.args[k] = value
+        return self.step(*self.args)
+
+
 def local_train(
     initial: ModelParams,
     dataset: DomainDataset,
@@ -161,14 +182,14 @@ def local_train(
 ) -> ClientUpdate:
     """Mini-batch SGD with momentum and decoupled L2 decay.
 
-    The first batch of each shape records ``step_loss`` on a tape; later
-    batches of that shape rebind the tape's per-step leaves (the step
-    loss's feeds and the parameters) and replay it, which gives the same
-    bytes as recording again. The stats are averaged over the steps. The
-    default step loss is the gradient-matched source objective on the batch
-    and its ``aug`` view against ``heads``, which only it reads. Round 1 has
-    no previous heads, so the inter term is skipped there regardless of what
-    was passed. Momentum buffers start at zero every round because the
+    The first batch of each feed shape records ``step_loss`` on a tape and
+    differentiates it with ``backward``; later batches of that shape run the
+    tape's compiled step on the new feeds and parameters, which gives the
+    same bytes as recording again. The stats are averaged over the steps.
+    The default step loss is the gradient-matched source objective on the
+    batch and its ``aug`` view against ``heads``, which only it reads. Round
+    1 has no previous heads, so the inter term is skipped there regardless of
+    what was passed. Momentum buffers start at zero every round because the
     client restarts from the broadcast global model.
     """
     if round_t < 1:
@@ -179,36 +200,34 @@ def local_train(
     params = initial.copy()
     lr = cosine_lr(round_t, hp)
     batch_seed = streams.subseed(hp.seed, streams.CLIENT)
-    velocity: dict[int, np.ndarray] = {}
-    # feed shapes -> (tape, staged params, feed leaves, loss node, stat nodes)
-    records: dict[tuple, tuple] = {}
+    velocity = [np.zeros_like(arr) for arr in _param_arrays(params)]
+    records: dict[tuple, _Recorded] = {}  # by feed shapes
     sums: dict[str, float] = {}
     steps = 0
     epoch_base = (round_t - 1) * hp.local_epochs
     for e in range(hp.local_epochs):
         for X, y in batch_iter(dataset, hp.batch, batch_seed, epoch_base + e):
-            values = step_loss.feeds(X, y, params.classes)
+            values = [as_tensor(v) for v in step_loss.feeds(X, y, params.classes)]
             shapes = tuple(v.shape for v in values)
-            if shapes in records:
-                tape, staged, leaves, loss, stat_nodes = records[shapes]
-                feeds = dict(zip(staged.all_ids(), _param_arrays(params)))
-                feeds.update(zip(leaves, values))
-                tape.replay(feeds)
-            else:
+            rec = records.get(shapes)
+            if rec is None:
                 tape = Tape()
                 staged = stage_params(tape, params)
-                leaves = [tape.constant(v) for v in values]
-                loss, stat_nodes = step_loss.record(tape, staged, *leaves)
-                records[shapes] = (tape, staged, leaves, loss, stat_nodes)
-            if not velocity:
-                velocity = {nid: np.zeros_like(tape.value(nid)) for nid in staged.all_ids()}
-            stats = {k: float(tape.value(nid)) for k, nid in stat_nodes.items()}
+                feeds = [tape.constant(v) for v in values]
+                loss, stat_nodes = step_loss.record(tape, staged, *feeds)
+                records[shapes] = _Recorded(tape, staged.all_ids() + feeds, loss, stat_nodes)
+                outs = [tape.value(nid) for nid in stat_nodes.values()]
+                by_id = backward(tape, loss)
+                grads = [by_id[nid] for nid in staged.all_ids()]
+            else:
+                outs, grads = rec.run([*_param_arrays(params), *values])
+                stat_nodes = rec.stat_nodes
+            stats = {k: float(v) for k, v in zip(stat_nodes, outs)}
             if not math.isfinite(stats["total"]):
                 raise DivergenceError(
                     f"non-finite loss {stats['total']} at round {round_t}, step {steps}"
                 )
-            grads = backward(tape, loss)
-            _sgd_step(params, staged, grads, velocity, lr, hp)
+            _sgd_step(params, grads, velocity, lr, hp)
             for k, v in stats.items():
                 sums[k] = sums.get(k, 0.0) + v
             steps += 1

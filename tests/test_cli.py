@@ -89,6 +89,23 @@ def test_non_finite_numbers_rejected(tmp_path, capsys, number):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "override, field",
+    [
+        ("hp.lr0={big}", "hp.lr0"),
+        ("data.noise_sigma={big}", "data.noise_sigma"),
+        ("augmentation.sigma={big}", "augmentation.sigma"),
+        ("data.angles=[0,{big},60]", "data.angles[1]"),
+    ],
+)
+def test_integer_too_large_for_a_float_named(tmp_path, capsys, override, field):
+    good = _write(tmp_path, dict(BASE, out_dir=str(tmp_path / "out")))
+    override = override.format(big="1" + "0" * 400)
+    assert main(["run-dg", "--config", str(good), "--override", override]) == 1
+    assert f"{field}: integer too large for a float" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_parse_unknown_key_named(tmp_path):
     payload = dict(BASE, hp={"lamda": 0.3})
     with pytest.raises(ParseError, match="hp.lamda"):

@@ -1,9 +1,11 @@
-"""Replayed tapes against fresh recordings.
+"""Compiled steps against fresh recordings.
 
-``local_train`` records the first batch of each shape and replays that tape
-for later batches of the same shape. A replayed step must give the loss,
-stats and gradients of a step recorded afresh on the same values, bit for
-bit, and must still run every check a recorded step runs.
+``local_train`` records the first batch of each feed shape eagerly and runs
+later batches of that shape through the tape's compiled step
+(``autodiff.compile_step``), which tapes of the same structure share. A
+compiled step must give the loss, stats and gradients of a step recorded
+afresh on the same values, bit for bit, and the checks of a recorded step
+must still run on it.
 """
 
 import numpy as np
@@ -13,11 +15,11 @@ from hypothesis import strategies as st
 
 from fedgm import autodiff as ad
 from fedgm import rng as streams
-from fedgm.autodiff import Tape, backward
+from fedgm.autodiff import Tape, backward, compile_step
 from fedgm.data import AugmentationSpec, DomainDataset, batch_iter
 from fedgm.errors import DivergenceError, ShapeError, UsageError
-from fedgm.federation import HyperParams, _matching_loss, local_train, plain_ce_loss
-from fedgm.model import HeadSnapshot, init_params, stage_params
+from fedgm.federation import HyperParams, _matching_loss, _Recorded, local_train, plain_ce_loss
+from fedgm.model import HeadSnapshot, ModelParams, init_params, stage_params
 
 
 def _param_arrays(params):
@@ -32,8 +34,26 @@ def _record(step, params, values):
     return tape, staged, leaves, loss, stat_nodes
 
 
-def _stats(tape, stat_nodes):
-    return list(stat_nodes), np.array([float(tape.value(n)) for n in stat_nodes.values()]).tobytes()
+def _fresh(step, params, values):
+    """Stats and gradients of the step recorded afresh, as bytes."""
+    tape, staged, _, loss, stat_nodes = _record(step, params, values)
+    assert stat_nodes["total"] == loss
+    grads = backward(tape, loss)
+    return (
+        np.array([float(tape.value(n)) for n in stat_nodes.values()]).tobytes(),
+        [grads[nid].tobytes() for nid in staged.all_ids()],
+    )
+
+
+def _compiled(rec, params, values):
+    """Stats and gradients of the recorded step ``rec`` run compiled, as bytes."""
+    outs, grads = rec.run([*_param_arrays(params), *values])
+    return np.array([float(v) for v in outs]).tobytes(), [np.asarray(g).tobytes() for g in grads]
+
+
+def _recorded(step, params, values):
+    tape, staged, leaves, loss, stat_nodes = _record(step, params, values)
+    return _Recorded(tape, staged.all_ids() + leaves, loss, stat_nodes)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -60,45 +80,121 @@ def test_replayed_steps_match_fresh_recordings(widths, classes, batch, n_snaps, 
     hp = HyperParams(lam=lam, gm_enabled=gm_enabled)
     step = plain_ce_loss if plain else _matching_loss(snaps, hp, AugmentationSpec.gaussian_noise(0.3), rng)
     records = {}
-    replayed = 0
+    compiled = 0
     for epoch in range(2):
         for X, y in batch_iter(ds, batch, seed, epoch):
-            values = step.feeds(X, y, classes)
+            values = [ad.as_tensor(v) for v in step.feeds(X, y, classes)]
             shapes = tuple(v.shape for v in values)
+            fresh = _fresh(step, params, values)
             if shapes in records:
-                tape, staged, leaves, loss, stat_nodes = records[shapes]
-                feeds = dict(zip(staged.all_ids(), _param_arrays(params)))
-                feeds.update(zip(leaves, values))
-                tape.replay(feeds)
-                replayed += 1
+                assert _compiled(records[shapes], params, values) == fresh
+                compiled += 1
             else:
-                records[shapes] = _record(step, params, values)
-            tape, staged, _, loss, stat_nodes = records[shapes]
-            f_tape, f_staged, _, f_loss, f_stat_nodes = _record(step, params, values)
-            assert tape.value(loss).tobytes() == f_tape.value(f_loss).tobytes()
-            assert _stats(tape, stat_nodes) == _stats(f_tape, f_stat_nodes)
-            grads = backward(tape, loss)
-            f_grads = backward(f_tape, f_loss)
-            for nid, f_nid in zip(staged.all_ids(), f_staged.all_ids()):
-                assert grads[nid].tobytes() == f_grads[f_nid].tobytes()
+                records[shapes] = _recorded(step, params, values)
             # move the parameters in place, as SGD does, so each step differs
-            for f_nid, arr in zip(f_staged.all_ids(), _param_arrays(params)):
-                arr -= 0.1 * f_grads[f_nid]
-    assert replayed >= 4  # both batch shapes were replayed at least once
+            tape, staged, _, loss, _ = _record(step, params, values)
+            grads = backward(tape, loss)
+            for nid, arr in zip(staged.all_ids(), _param_arrays(params)):
+                arr -= 0.1 * grads[nid]
+    assert compiled >= 4  # both batch shapes ran compiled at least once
 
 
-def test_tape_replay_rebinds_leaves_and_checks_them():
+def _saturating_params():
+    """One relu layer and a head whose logits on ``_SATURATED`` rows differ by 1000."""
+    return ModelParams(
+        arch=[2, 2],
+        classes=2,
+        feature=[(np.eye(2), np.zeros(2))],
+        head_w=np.array([[100.0, 0.0], [0.0, 0.0]]),
+        head_b=np.zeros(2),
+    )
+
+
+_SATURATED = np.tile([10.0, 0.0], (4, 1))  # softmax is exactly one-hot on class 0
+_UNIFORM = np.zeros((4, 2))  # zero features: both classes at 0.5
+_LABELS = np.zeros(4, dtype=np.int64)
+
+
+def _l2_norms(step, params, X):
+    tape, *_ = _record(step, params, step.feeds(X, _LABELS, 2))
+    return [float(tape.value(nid)) for nid, kind in enumerate(tape.ops) if kind == "l2-norm"]
+
+
+@pytest.mark.parametrize("recorded, compiled", [(_UNIFORM, _SATURATED), (_SATURATED, _UNIFORM)])
+def test_zero_norm_subgradient_decided_per_step(recorded, compiled, monkeypatch):
+    monkeypatch.setattr(ad, "_STEP_CACHE", {})  # compile from this recording
+    params = _saturating_params()
+    snaps = [HeadSnapshot(1, np.array([[100.0, 0.0], [0.0, 0.0]]), np.zeros(2), 0)]
+    step = _matching_loss(snaps, HyperParams(lam=0.5), AugmentationSpec.identity(), None)
+    # the matched head gradients vanish exactly on the saturated batch only
+    assert min(_l2_norms(step, params, _SATURATED)) == 0.0
+    assert min(_l2_norms(step, params, _UNIFORM)) > 0.0
+    rec = _recorded(step, params, step.feeds(recorded, _LABELS, 2))
+    values = step.feeds(compiled, _LABELS, 2)
+    got = _compiled(rec, params, values)
+    assert got == _fresh(step, params, values)
+    assert all(np.isfinite(np.frombuffer(g)).all() for g in got[1])
+
+
+def test_calls_share_one_compiled_step_with_their_own_snapshot_heads():
+    rng = np.random.default_rng(7)
+    params = init_params([3, 5], 3, 7)
+    X, y = rng.normal(0.0, 1.0, (6, 3)), rng.integers(0, 3, 6)
+    hp = HyperParams(lam=0.3)
+    results = []
+    steps = []
+    for call in range(2):
+        snaps = [HeadSnapshot(j, rng.normal(0.0, 0.7, (3, 5)), rng.normal(0.0, 0.3, 3), 0) for j in range(2)]
+        step = _matching_loss(snaps, hp, AugmentationSpec.identity(), None)
+        values = step.feeds(X, y, 3)
+        rec = _recorded(step, params, values)
+        got = _compiled(rec, params, values)
+        assert got == _fresh(step, params, values)
+        results.append(got)
+        steps.append(rec.step)
+    assert steps[0] is steps[1]
+    assert results[0] != results[1]  # the snapshot heads are arguments, not baked in
+    # scale constants such as lambda are baked in, so another lambda compiles anew
+    step = _matching_loss(snaps, HyperParams(lam=0.7), AugmentationSpec.identity(), None)
+    rec = _recorded(step, params, values)
+    assert _compiled(rec, params, values) == _fresh(step, params, values)
+    assert rec.step is not steps[0]
+
+
+def test_local_train_calls_share_compiled_steps(monkeypatch):
+    monkeypatch.setattr(ad, "_STEP_CACHE", {})
+    rng = np.random.default_rng(3)
+    ds = DomainDataset(0, rng.normal(0.0, 1.0, (20, 2)), np.arange(20) % 2)
+    hp = HyperParams(batch=4, lr0=0.05, lr1=0.01)
+    for t in (2, 3):
+        heads = [HeadSnapshot(1, rng.normal(0.0, 0.5, (2, 4)), rng.normal(0.0, 0.1, 2), t - 1)]
+        local_train(init_params([2, 4], 2, 0), ds, heads, hp, t, AugmentationSpec.identity())
+    assert len(ad._STEP_CACHE) == 1  # one batch shape, one tape structure
+
+
+def test_compiled_step_takes_every_leaf_and_checks_shapes():
     tape = Tape()
     w = tape.leaf(np.array([[1.0, 2.0], [3.0, 4.0]]), param=True)
     x = tape.constant(np.ones((3, 2)))
     z = ad.reduce_sum(tape, ad.relu(tape, ad.matmul(tape, x, ad.transpose(tape, w))))
-    tape.replay({x: np.full((3, 2), -2.0)})
-    assert float(tape.value(z)) == 0.0  # every pre-activation is negative now
-    assert np.array_equal(backward(tape, z)[w], np.zeros((2, 2)))
-    with pytest.raises(ShapeError, match=r"leaf 1 was recorded with dims \(3, 2\)"):
-        tape.replay({x: np.ones((4, 2))})
-    with pytest.raises(UsageError, match="not a leaf"):
-        tape.replay({z: np.ones(())})
+    c = tape.constant(2.0)  # a leaf recorded after the loss is an argument too
+    step = compile_step(tape, z, [z, c])
+    assert step is compile_step(tape, z, [z, c])
+    assert step.source.startswith("def step(v0, v1, v6):")
+    (total, two), (g,) = step(tape.value(w), np.full((3, 2), -2.0), np.asarray(5.0))
+    assert float(total) == 0.0 and float(two) == 5.0  # every pre-activation is negative now
+    assert np.array_equal(g, np.zeros((2, 2)))
+    with pytest.raises(ShapeError, match=r"leaf 1 was recorded with dims \(3, 2\), got \(4, 2\)"):
+        step(tape.value(w), np.ones((4, 2)), np.asarray(2.0))
+
+
+def test_step_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(ad, "_STEP_CACHE", {})
+    for k in range(ad._STEP_CACHE_SIZE + 3):
+        tape = Tape()
+        w = tape.leaf(np.ones(k + 1), param=True)
+        compile_step(tape, ad.reduce_sum(tape, w), [])
+    assert len(ad._STEP_CACHE) == ad._STEP_CACHE_SIZE
 
 
 def _second_batch_row(ds, hp, round_t):
@@ -117,7 +213,7 @@ def _two_batch_dataset(batch):
 def test_replayed_step_rejects_out_of_range_label(plain):
     hp = HyperParams(batch=4, lr0=0.05, lr1=0.01)
     ds = _two_batch_dataset(hp.batch)
-    ds.y[_second_batch_row(ds, hp, 2)] = 7  # only the replayed batch is bad
+    ds.y[_second_batch_row(ds, hp, 2)] = 7  # only the compiled batch is bad
     step = plain_ce_loss if plain else None
     with pytest.raises(UsageError, match=r"label 7 at index \d+ outside \[0, 2\)"):
         local_train(init_params([2, 4], 2, 0), ds, [], hp, 2, AugmentationSpec.identity(), step)
@@ -127,7 +223,7 @@ def test_replayed_step_rejects_out_of_range_label(plain):
 def test_replayed_step_rejects_non_finite_loss(plain):
     hp = HyperParams(batch=4, lr0=0.05, lr1=0.01)
     ds = _two_batch_dataset(hp.batch)
-    ds.X[_second_batch_row(ds, hp, 2)] = 1e308  # only the replayed batch overflows
+    ds.X[_second_batch_row(ds, hp, 2)] = 1e308  # only the compiled batch overflows
     step = plain_ce_loss if plain else None
     with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="at round 2, step 1"):
         local_train(init_params([2, 4], 2, 0), ds, [], hp, 2, AugmentationSpec.identity(), step)
