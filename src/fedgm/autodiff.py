@@ -7,12 +7,14 @@ single reverse sweep visits each node exactly once.
 
 Graphs are built eagerly (define-by-run), one op at a time, and ``backward``
 differentiates a freshly recorded tape. A step whose graph depends only on
-shapes and configuration can also be compiled: ``compile_step`` turns a
-recorded tape into one straight-line Python function of all its leaves that
-issues the same numpy kernels as the forward rules and ``backward``, in the
-same order, with every shape decision resolved when the source is generated.
-Later batches call that function instead of recording again, and tapes with
-the same structure share one compiled function.
+shapes and configuration can also be compiled: ``compile_step`` turns the
+tapes of k clients, recorded alike, into one straight-line Python function
+of all their leaves stacked on a leading client axis. It issues the forward
+rules' and ``backward``'s kernels in the same order, each giving every
+client's slice the bytes of that client's own eager step, with every shape
+decision resolved when the source is generated. Later batches call that
+function instead of recording again, and tapes with the same structure share
+one compiled function.
 
 Tensors are plain ``numpy.ndarray`` values in float64, row-major. Scalars are
 0-d arrays.
@@ -406,8 +408,15 @@ def backward(tape: Tape, loss: int) -> dict[int, Array]:
 
 
 # --- compiled steps -----------------------------------------------------------
-# Source templates of the rules above: {a} and {b} name the input values, {o}
-# the output value, {g} its adjoint, {n} the node id and {c} the constant.
+# Source templates of the rules above, run for k clients at once: every value
+# carries a leading client axis, so a scalar is (k,). {a} and {b} name the
+# input values (an elementwise operand of fewer dims is reshaped to broadcast
+# as the rule's operand does), {o} the output value, {g} its adjoint, {n} the
+# node id, {c} the constant, {k} the client count, and {ra}/{rb} reshape a
+# (k,) scalar to broadcast against {a}/{b}. Each kernel gives a client's
+# slice the bytes the rule gives that client alone: matmul and transposes per
+# slice, reductions only over the rule's axes, and dot and l2-norm as
+# (k, 1, n) @ (k, n, 1), which numpy runs as the same per-slice dot product.
 
 _FW_SRC = {
     "add": ["{o} = {a} + {b}"],
@@ -416,19 +425,19 @@ _FW_SRC = {
     "div": ["{o} = {a} / {b}"],
     "scale-by-constant": ["{o} = {a} * {c}"],
     "matmul": ["{o} = {a} @ {b}"],
-    "transpose": ["{o} = {a}.T"],
+    "transpose": ["{o} = {a}.swapaxes(-1, -2)"],
     "relu": ["{o} = maximum({a}, 0.0)", "m{n} = {a} > 0.0"],
     "exp": ["{o} = exp({a})"],
     "log-softmax-rows": [
-        "s{n} = {a} - {a}.max(axis=1, keepdims=True)",
-        "{o} = s{n} - log(exp(s{n}).sum(axis=1, keepdims=True))",
+        "s{n} = {a} - {a}.max(axis=-1, keepdims=True)",
+        "{o} = s{n} - log(exp(s{n}).sum(axis=-1, keepdims=True))",
         "m{n} = exp({o})",
     ],
-    "reduce-sum": ["{o} = asarray({a}.sum())"],
-    "reduce-mean": ["{o} = asarray({a}.mean())"],
-    "dot": ["{o} = asarray({a}.ravel() @ {b}.ravel())"],
-    "l2-norm": ["{o} = asarray(sqrt(float({a}.ravel() @ {a}.ravel())))"],
-    "flatten-concat": ["{o} = concatenate([{ravels}])"],
+    "reduce-sum": ["{o} = {a}.sum(axis={rest})"],
+    "reduce-mean": ["{o} = {a}.mean(axis={rest})"],
+    "dot": ["{o} = ({a}.reshape({k}, 1, -1) @ {b}.reshape({k}, -1, 1)).reshape({k})"],
+    "l2-norm": ["{o} = sqrt(({a}.reshape({k}, 1, -1) @ {a}.reshape({k}, -1, 1)).reshape({k}))"],
+    "flatten-concat": ["{o} = concatenate([{rows}], axis=1)"],
 }
 
 # one adjoint expression per input; flatten-concat's slices are built apart
@@ -438,22 +447,26 @@ _BW_SRC = {
     "elementwise-mul": ("({g} * {b})", "({g} * {a})"),
     "div": ("({g} / {b})", "(-{g} * {a} / ({b} * {b}))"),
     "scale-by-constant": ("{g} * {c}",),
-    "matmul": ("{g} @ {b}.T", "{a}.T @ {g}"),
-    "transpose": ("{g}.T",),
+    "matmul": ("{g} @ {b}.swapaxes(-1, -2)", "{a}.swapaxes(-1, -2) @ {g}"),
+    "transpose": ("{g}.swapaxes(-1, -2)",),
     "relu": ("{g} * m{n}",),
     "exp": ("{g} * {o}",),
-    "log-softmax-rows": ("{g} - m{n} * {g}.sum(axis=1, keepdims=True)",),
-    "reduce-sum": ("full_like({a}, float({g}))",),
-    "reduce-mean": ("full_like({a}, float({g}) / {size})",),
-    "dot": ("(float({g}) * {b}).reshape({shape_a})", "(float({g}) * {a}).reshape({shape_b})"),
-    # the zero-norm subgradient depends on the value, so it stays a branch
-    "l2-norm": ("(zeros_like({a}) if float({o}) == 0.0 else {a} * (float({g}) / float({o})))",),
+    "log-softmax-rows": ("{g} - m{n} * {g}.sum(axis=-1, keepdims=True)",),
+    "reduce-sum": ("full_like({a}, {g}{ra})",),
+    "reduce-mean": ("full_like({a}, ({g} / {size}){ra})",),
+    "dot": ("({g}{rb} * {b}).reshape({shape_a})", "({g}{ra} * {a}).reshape({shape_b})"),
+    # the zero-norm subgradient depends on each client's value, so it is
+    # selected per slice (and the division never sees that zero)
+    "l2-norm": ("where({o}{ra} == 0.0, 0.0, {a} * ({g} / where({o} == 0.0, 1.0, {o})){ra})",),
 }
 
+_ELEMENTWISE = ("add", "sub", "elementwise-mul", "div")
+
+
 _KERNELS = {
-    "asarray": np.asarray, "concatenate": np.concatenate, "exp": np.exp, "full_like": np.full_like,
-    "log": np.log, "maximum": np.maximum, "ones_like": np.ones_like, "zeros_like": np.zeros_like,
-    "sqrt": math.sqrt, "inf": math.inf, "nan": math.nan,
+    "concatenate": np.concatenate, "exp": np.exp, "full_like": np.full_like, "log": np.log,
+    "maximum": np.maximum, "ones_like": np.ones_like, "sqrt": np.sqrt, "where": np.where,
+    "zeros_like": np.zeros_like, "inf": math.inf, "nan": math.nan,
 }
 
 _STEP_CACHE: dict[tuple, Callable] = {}
@@ -461,29 +474,38 @@ _STEP_CACHE_SIZE = 32
 
 
 def _unbroadcast_src(expr: str, grad_shape: tuple[int, ...], shape: tuple[int, ...]) -> str:
-    """``_unbroadcast`` resolved for known shapes."""
+    """``_unbroadcast`` resolved for known shapes, below the client axis."""
     if grad_shape == shape:
         return expr
     extra = len(grad_shape) - len(shape)
     if extra:
-        expr = f"{expr}.sum(axis={tuple(range(extra))!r})"
+        expr = f"{expr}.sum(axis={tuple(range(1, extra + 1))!r})"
         grad_shape = grad_shape[extra:]
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad_shape[i] != 1)
+    axes = tuple(i + 1 for i, n in enumerate(shape) if n == 1 and grad_shape[i] != 1)
     return f"{expr}.sum(axis={axes!r}, keepdims=True)" if axes else expr
 
 
-def _names(tape: Tape, nid: int) -> dict:
-    """What the source templates of node ``nid`` fill in."""
+def _names(tape: Tape, nid: int, k: int) -> dict:
+    """What the source templates of node ``nid`` fill in, for ``k`` clients."""
     ids = tape.inputs[nid]
-    a, b = tape.vals[ids[0]], tape.vals[ids[-1]]
+    (a, a_shape), (b, b_shape) = [(i, tape.vals[i].shape) for i in (ids[0], ids[-1])]
+    nd = tape.vals[nid].ndim
+
+    def operand(i, shape):
+        if tape.ops[nid] in _ELEMENTWISE and len(shape) < nd:
+            return f"v{i}.reshape({(k,) + (1,) * (nd - len(shape)) + shape!r})"
+        return f"v{i}"
+
     return dict(
-        o=f"v{nid}", g=f"g{nid}", n=nid, a=f"v{ids[0]}", b=f"v{ids[-1]}",
+        o=f"v{nid}", g=f"g{nid}", n=nid, k=k, a=operand(a, a_shape), b=operand(b, b_shape),
         c=repr(tape.saved[nid]) if tape.ops[nid] == "scale-by-constant" else None,
-        ravels=", ".join(f"v{i}.ravel()" for i in ids), size=a.size, shape_a=repr(a.shape), shape_b=repr(b.shape),
+        rows=", ".join(f"v{i}.reshape({k}, -1)" for i in ids), rest=tuple(range(1, len(a_shape) + 1)),
+        size=math.prod(a_shape), shape_a=repr((k, *a_shape)), shape_b=repr((k, *b_shape)),
+        ra=f".reshape({(k,) + (1,) * len(a_shape)!r})", rb=f".reshape({(k,) + (1,) * len(b_shape)!r})",
     )
 
 
-def _grad_exprs(tape: Tape, nid: int, in_needs: tuple[bool, ...]) -> list[str | None]:
+def _grad_exprs(tape: Tape, nid: int, in_needs: tuple[bool, ...], k: int) -> list[str | None]:
     """Source of each input's adjoint contribution (None where not needed)."""
     kind = tape.ops[nid]
     shapes = [tape.vals[i].shape for i in tape.inputs[nid]]
@@ -491,54 +513,68 @@ def _grad_exprs(tape: Tape, nid: int, in_needs: tuple[bool, ...]) -> list[str | 
         exprs, offset = [], 0
         for shape in shapes:
             size = math.prod(shape)
-            exprs.append(f"g{nid}[{offset}:{offset + size}].reshape({shape!r})")
+            exprs.append(f"g{nid}[:, {offset}:{offset + size}].reshape({(k, *shape)!r})")
             offset += size
     else:
-        names = _names(tape, nid)
+        names = _names(tape, nid, k)
         exprs = [t.format(**names) for t in _BW_SRC[kind]]
-        if kind in ("add", "sub", "elementwise-mul", "div"):
+        if kind in _ELEMENTWISE:
             out_shape = tape.vals[nid].shape
             exprs = [_unbroadcast_src(e, out_shape, s) for e, s in zip(exprs, shapes)]
     return [e if need else None for e, need in zip(exprs, in_needs)]
 
 
-def compile_step(tape: Tape, loss: int, outs: Sequence[int]) -> Callable:
-    """One straight-line function for the forward and backward of ``tape``.
+def _structure(tape: Tape, loss: int, outs: tuple[int, ...]) -> tuple:
+    """What a compiled step depends on: ops, inputs, leaf shapes, scale
+    constants (by ``repr``, so 0.0 and -0.0 differ), params, loss and outs."""
+    shapes = tuple(v.shape for v, kind in zip(tape.vals, tape.ops) if kind == LEAF)
+    consts = tuple(repr(s) for s, kind in zip(tape.saved, tape.ops) if kind == "scale-by-constant")
+    return (tuple(tape.ops), tuple(tape.inputs), shapes, consts, tuple(tape.params), loss, outs)
 
-    The function takes the value of every leaf of the tape, in tape order:
+
+def compile_step(tapes: Sequence[Tape], loss: int, outs: Sequence[int]) -> Callable:
+    """One straight-line function for the forward and backward of k clients' steps at once.
+
+    ``tapes`` holds one recording per client, k of them, all of one
+    structure (ops, inputs, leaf shapes, scale constants, params), else a
+    ContractError. The function takes the value of every leaf of that
+    structure, in tape order, stacked over the clients on a leading axis:
     parameters, per-step inputs and recorded constants alike, as float64
-    arrays of the recorded shapes (a ShapeError names the first leaf that
-    differs). It returns the values of ``outs`` and one gradient per
-    parameter leaf, in ``tape.params`` order, equal bit for bit to what
-    recording the same values afresh and calling ``backward`` would give:
-    it issues the forward rules' kernels and ``backward``'s sweep with its
-    adjoint accumulation order, and resolves the ``needs`` masks, the
-    unbroadcasts and the flatten-concat slices once. Functions are cached by
-    the tape's structure, so tapes recorded alike share one; the generated
-    source is the function's ``source`` attribute.
+    arrays of shape (k, *recorded shape) (a ShapeError names the first leaf
+    that differs). It returns the values of ``outs`` and one gradient per
+    parameter leaf, in ``tape.params`` order, each with the client axis in
+    front. Slice i equals bit for bit what recording client i's values
+    afresh and calling ``backward`` would give: it issues the forward rules'
+    kernels and ``backward``'s sweep with its adjoint accumulation order,
+    and resolves the ``needs`` masks, the unbroadcasts and the
+    flatten-concat slices once. Functions are cached by structure and k, so
+    calls recorded alike share one; the generated source is the function's
+    ``source`` attribute.
     """
-    ops, inputs, vals = tape.ops, tape.inputs, tape.vals
-    outs = tuple(outs)
-    leaves = [nid for nid, kind in enumerate(ops) if kind == LEAF]
-    shapes = tuple(vals[nid].shape for nid in leaves)
-    consts = tuple(repr(tape.saved[nid]) for nid, kind in enumerate(ops) if kind == "scale-by-constant")
-    key = (tuple(ops), tuple(inputs), shapes, consts, tuple(tape.params), loss, outs)
+    tape, k, outs = tapes[0], len(tapes), tuple(outs)
+    structure = _structure(tape, loss, outs)
+    if any(_structure(t, loss, outs) != structure for t in tapes[1:]):
+        raise ContractError("compile_step: the clients' tapes differ in structure")
+    key = (k, *structure)
     step = _STEP_CACHE.get(key)
     if step is not None:
         return step
+    ops, inputs = tape.ops, tape.inputs
+    leaves = [nid for nid, kind in enumerate(ops) if kind == LEAF]
+    shapes = tuple((k, *tape.vals[nid].shape) for nid in leaves)
     sweep = _sweep(tape, loss)
     args = ", ".join(f"v{nid}" for nid in leaves)
     body = [f"if ({''.join(f'v{nid}.shape, ' for nid in leaves)}) != shapes:", f"    shape_error([{args}])"]
     for nid in range(max((loss, *outs)) + 1):
         if ops[nid] != LEAF:
-            names = _names(tape, nid)
+            names = _names(tape, nid, k)
             body.extend(t.format(**names) for t in _FW_SRC[ops[nid]])
     body.append(f"g{loss} = ones_like(v{loss})")
     has_adjoint = {loss}
     for nid, in_needs in sweep:
         if nid not in has_adjoint:
             continue
-        for iid, expr in zip(inputs[nid], _grad_exprs(tape, nid, in_needs)):
+        for iid, expr in zip(inputs[nid], _grad_exprs(tape, nid, in_needs, k)):
             if expr is not None:
                 body.append(f"g{iid} = g{iid} + ({expr})" if iid in has_adjoint else f"g{iid} = {expr}")
                 has_adjoint.add(iid)

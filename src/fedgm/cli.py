@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -24,6 +25,7 @@ from .config import Config, DataSpec, HyperParams  # Config and DataSpec are re-
 from .data import AugmentationSpec
 from .errors import DivergenceError, ParseError, UsageError
 from .federation import MetricsTable, build_domains, run_da, run_dg
+from .files import write_atomic
 from .model import HeadSnapshot, flatten, init_params, save_checkpoint, stage_params, unflatten
 from .objective import cross_entropy, head_grad, local_loss
 
@@ -242,6 +244,8 @@ def _headline(mode: str, table: MetricsTable, held_out: int) -> float:
 
 
 def cmd_run(config: Config) -> int:
+    """Run every seed; a diverging seed stops the run with exit code 2, after
+    the summary of the seeds that finished, which names it under "diverged"."""
     mode = config.mode
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -249,13 +253,15 @@ def cmd_run(config: Config) -> int:
     digest = config_hash(config)
     finals = {}
     row_counts = {}
+    diverged = {}
     for seed in config.seeds:
         cfg = replace(config, hp=replace(config.hp, seed=seed))
         try:
             table = runner(cfg)
         except DivergenceError as e:
             print(f"seed {seed}: diverged: {e}", file=sys.stderr)
-            return 2
+            diverged[str(seed)] = str(e)
+            break
         table.write_csv(out_dir / f"seed_{seed}.csv")
         save_checkpoint(table.final_model, out_dir / f"model_seed_{seed}.json")
         if table.final_target_model is not None:
@@ -264,9 +270,11 @@ def cmd_run(config: Config) -> int:
         finals[str(seed)] = acc
         row_counts[str(seed)] = len(table.rows)
         print(f"seed {seed}: final {'target' if mode == 'da' else 'unseen'} accuracy {acc:.4f}")
-    values = np.array(list(finals.values()))
-    mean, std = float(values.mean()), float(values.std())
-    print(f"{config.experiment}: headline accuracy {mean:.4f} +/- {std:.4f} over {len(values)} seeds")
+    mean = std = None
+    if finals:
+        values = np.array(list(finals.values()))
+        mean, std = float(values.mean()), float(values.std())
+        print(f"{config.experiment}: headline accuracy {mean:.4f} +/- {std:.4f} over {len(values)} seeds")
     rows = sorted(set(row_counts.values()))
     summary = {
         "config_hash": digest,
@@ -274,10 +282,10 @@ def cmd_run(config: Config) -> int:
         "final": {"per_seed": finals, "headline_mean": mean, "headline_std": std},
         "per_round_rows": rows[0] if len(rows) == 1 else row_counts,
     }
-    with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return 0
+    if diverged:
+        summary["diverged"] = diverged
+    write_atomic(out_dir / "summary.json", [json.dumps(summary, indent=2, sort_keys=True), "\n"])
+    return 2 if diverged else 0
 
 
 def _flat_loss_fn(arch, classes, snapshots, X, X_aug, y, lam):
@@ -395,11 +403,9 @@ def cmd_gen_data(config: Config, out: str) -> int:
     cfg = replace(config, hp=replace(config.hp, seed=config.seeds[0]))
     for ds in build_domains(cfg):
         path = out_dir / f"domain_{ds.domain_id}.csv"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            width = ds.X.shape[1]
-            fh.write("domain_id,y," + ",".join(f"x{i}" for i in range(width)) + "\n")
-            for row, label in zip(ds.X, ds.y):
-                fh.write(f"{ds.domain_id},{label}," + ",".join(repr(v) for v in row) + "\n")
+        header = "domain_id,y," + ",".join(f"x{i}" for i in range(ds.X.shape[1])) + "\n"
+        rows = (f"{ds.domain_id},{label}," + ",".join(repr(v) for v in row) + "\n" for row, label in zip(ds.X, ds.y))
+        write_atomic(path, itertools.chain([header], rows))
         print(f"wrote {path} ({ds.N} rows)")
     return 0
 

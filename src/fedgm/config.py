@@ -1,8 +1,8 @@
 """Experiment configuration: the data, model and optimizer settings of a run.
 
 ``Config.validate`` checks the held-out index, the input width, the noise
-level and the hyperparameters; the JSON parser and the round protocol both
-call it.
+level, the hyperparameters and, for adaptation, the vote quorum; the JSON
+parser and the round protocol both call it.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ class Config:
 
     def validate(self) -> None:
         """Raise UsageError unless the held-out index, input width, noise
-        level and hp fit."""
+        level and hp fit, and in adaptation mode enough sources can vote."""
         if not self.data.noise_sigma >= 0.0:
             raise UsageError(f"data.noise_sigma must be >= 0, got {self.data.noise_sigma}")
         n_domains = self.data.domain_count
@@ -88,3 +88,8 @@ class Config:
         if d_in != width:
             raise UsageError(f"arch: input width {d_in} does not match the data width {width}")
         self.hp.validate()
+        if self.mode == "da" and self.hp.min_votes > n_domains - 1:
+            # such a vote accepts no row, so the target would never train
+            raise UsageError(
+                f"hp.min_votes {self.hp.min_votes} exceeds the {n_domains - 1} source domains that can vote"
+            )

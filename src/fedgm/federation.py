@@ -15,6 +15,7 @@ number of accepted samples.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -23,7 +24,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import rng as streams
-from .autodiff import LEAF, Tape, as_tensor, backward, compile_step
+from .autodiff import LEAF, Tape, backward, compile_step
 from .config import Config, HyperParams
 from .data import (
     AugmentationSpec,
@@ -35,6 +36,7 @@ from .data import (
     train_test_split,
 )
 from .errors import ContractError, DivergenceError, UsageError
+from .files import write_atomic
 from .model import (
     HeadSnapshot,
     ModelParams,
@@ -118,10 +120,8 @@ class MetricsTable:
         return hits[-1][1]
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("round,phase,domain_id,metric,value\n")
-            for r, p, d, m, v in self.rows:
-                fh.write(f"{r},{p},{d},{m},{v!r}\n")
+        lines = (f"{r},{p},{d},{m},{v!r}\n" for r, p, d, m, v in self.rows)
+        write_atomic(path, itertools.chain(["round,phase,domain_id,metric,value\n"], lines))
 
 
 def cosine_lr(round_t: int, hp: HyperParams) -> float:
@@ -132,9 +132,9 @@ def cosine_lr(round_t: int, hp: HyperParams) -> float:
     return hp.lr1 + 0.5 * (hp.lr0 - hp.lr1) * (1.0 + math.cos(math.pi * frac))
 
 
-def _sgd_step(params, grads, velocity, lr, hp):
-    """Momentum SGD with decoupled decay, in place; ``grads`` in ``_param_arrays`` order."""
-    for arr, g, v in zip(_param_arrays(params), grads, velocity):
+def _sgd_step(arrays, grads, velocity, lr, hp):
+    """Momentum SGD with decoupled decay, in place and elementwise, so stacked clients update as one."""
+    for arr, g, v in zip(arrays, grads, velocity):
         v *= hp.momentum
         v += g
         arr -= lr * v + lr * hp.weight_decay * arr
@@ -148,24 +148,33 @@ def _param_arrays(params: ModelParams):
     yield params.head_b
 
 
-class _Recorded:
-    """The first step of some feed shapes, recorded; later steps run it compiled.
+def _client_params(initial: ModelParams, stacked: list[np.ndarray], i: int) -> ModelParams:
+    """Client ``i``'s model: views of slice ``i`` of the stacked parameter arrays."""
+    arrays = [arr[i] for arr in stacked]
+    feature = list(zip(arrays[:-2:2], arrays[1:-2:2]))
+    return ModelParams(list(initial.arch), initial.classes, feature, arrays[-2], arrays[-1])
 
-    ``run`` rebinds the parameter and feed leaves and calls the tape's
-    compiled step (compiled on the first such call, or found in the cache)
-    with the recorded values of the other leaves.
+
+class _Recorded:
+    """The first step of some feed shapes, recorded per client; later steps run it compiled.
+
+    ``run`` calls the clients' compiled step (compiled on the first such
+    call, or found in the cache) with the stacked parameter and feed values
+    it is given and the other leaves stacked from the recordings.
     """
 
-    def __init__(self, tape: Tape, fed: list[int], loss: int, stat_nodes: dict[str, int]):
-        leaves = [nid for nid, kind in enumerate(tape.ops) if kind == LEAF]
-        self.tape, self.loss, self.stat_nodes = tape, loss, stat_nodes
-        self.args = [tape.vals[nid] for nid in leaves]
-        self.slots = [leaves.index(nid) for nid in fed]
+    def __init__(self, tapes: list[Tape], fed: list[int], loss: int, stat_nodes: dict[str, int]):
+        self.tapes, self.fed, self.loss, self.stat_nodes = tapes, fed, loss, stat_nodes
         self.step = None
 
     def run(self, values):
         if self.step is None:
-            self.step = compile_step(self.tape, self.loss, list(self.stat_nodes.values()))
+            self.step = compile_step(self.tapes, self.loss, list(self.stat_nodes.values()))
+            leaves = [nid for nid, kind in enumerate(self.tapes[0].ops) if kind == LEAF]
+            # np.stack keeps each value's memory order in its slice (a
+            # transposed snapshot head stays transposed), and BLAS rounds by it
+            self.args = [np.stack([t.vals[nid] for t in self.tapes]) for nid in leaves]
+            self.slots = [leaves.index(nid) for nid in self.fed]
         for k, value in zip(self.slots, values):
             self.args[k] = value
         return self.step(*self.args)
@@ -173,68 +182,109 @@ class _Recorded:
 
 def local_train(
     initial: ModelParams,
-    dataset: DomainDataset,
+    datasets: list[DomainDataset],
     heads: list[HeadSnapshot],
     hp: HyperParams,
     round_t: int,
     aug: AugmentationSpec,
     step_loss: StepLoss | None = None,
-) -> ClientUpdate:
-    """Mini-batch SGD with momentum and decoupled L2 decay.
+) -> list[ClientUpdate]:
+    """Mini-batch SGD with momentum and decoupled L2 decay, for k clients in lockstep.
 
-    The first batch of each feed shape records ``step_loss`` on a tape and
-    differentiates it with ``backward``; later batches of that shape run the
-    tape's compiled step on the new feeds and parameters, which gives the
-    same bytes as recording again. The stats are averaged over the steps.
-    The default step loss is the gradient-matched source objective on the
-    batch and its ``aug`` view against ``heads``, which only it reads. Round
-    1 has no previous heads, so the inter term is skipped there regardless of
-    what was passed. Momentum buffers start at zero every round because the
-    client restarts from the broadcast global model.
+    Every client starts from ``initial`` and trains on its own dataset; the
+    datasets must have equal sizes and widths, so the clients' batches line
+    up. The first batch of each feed shape records ``step_loss`` on one tape
+    per client and differentiates it with ``backward``; later batches of
+    that shape run all clients at once through the tapes' compiled step on
+    the stacked feeds and parameters, which gives every client the bytes of
+    recording again. The stats are averaged over the steps. The default
+    step loss is the gradient-matched source objective on the batch and its
+    ``aug`` view against ``heads``, which only it reads, with each client's
+    own augmentation stream; an explicit ``step_loss`` serves every client.
+    Round 1 has no previous heads, so the inter term is skipped there
+    regardless of what was passed. Momentum buffers start at zero every
+    round because the client restarts from the broadcast global model.
+
+    A client's failure (a non-finite loss, a bad label) is raised as
+    training the clients one at a time, in list order, would raise it.
     """
     if round_t < 1:
         raise UsageError(f"round must be >= 1, got {round_t}")
+    if not datasets:
+        raise UsageError("local_train needs at least one client dataset")
+    if len({ds.X.shape for ds in datasets}) > 1:
+        dims = ", ".join(f"domain {ds.domain_id}: {ds.X.shape}" for ds in datasets)
+        raise ContractError(f"lockstep clients need datasets of one size and width, got {dims}")
+    try:
+        return _train_lockstep(initial, datasets, heads, hp, round_t, aug, step_loss)
+    except (DivergenceError, UsageError):
+        if len(datasets) == 1:
+            raise
+    # one client at a time, so the error is the first client's first one
+    return [u for ds in datasets for u in _train_lockstep(initial, [ds], heads, hp, round_t, aug, step_loss)]
+
+
+def _train_lockstep(initial, datasets, heads, hp, round_t, aug, step_loss) -> list[ClientUpdate]:
+    """``local_train``'s loop; every array carries a leading client axis."""
+    k = len(datasets)
     if step_loss is None:
-        aug_rng = streams.substream(hp.seed, streams.AUG, dataset.domain_id, round_t)
-        step_loss = _matching_loss([] if round_t == 1 else list(heads), hp, aug, aug_rng)
-    params = initial.copy()
+        snapshots = [] if round_t == 1 else list(heads)
+        losses = [
+            _matching_loss(snapshots, hp, aug, streams.substream(hp.seed, streams.AUG, ds.domain_id, round_t))
+            for ds in datasets
+        ]
+    else:
+        losses = [step_loss] * k
+    stacked = [np.stack([arr] * k) for arr in _param_arrays(initial)]
+    clients = [_client_params(initial, stacked, i) for i in range(k)]
+    velocity = [np.zeros_like(arr) for arr in stacked]
     lr = cosine_lr(round_t, hp)
     batch_seed = streams.subseed(hp.seed, streams.CLIENT)
-    velocity = [np.zeros_like(arr) for arr in _param_arrays(params)]
     records: dict[tuple, _Recorded] = {}  # by feed shapes
-    sums: dict[str, float] = {}
+    sums = None
     steps = 0
     epoch_base = (round_t - 1) * hp.local_epochs
     for e in range(hp.local_epochs):
-        for X, y in batch_iter(dataset, hp.batch, batch_seed, epoch_base + e):
-            values = [as_tensor(v) for v in step_loss.feeds(X, y, params.classes)]
-            shapes = tuple(v.shape for v in values)
+        for batches in zip(*(batch_iter(ds, hp.batch, batch_seed, epoch_base + e) for ds in datasets)):
+            values = [
+                [np.asarray(v, dtype=np.float64, order="C") for v in loss_i.feeds(X, y, initial.classes)]
+                for loss_i, (X, y) in zip(losses, batches)
+            ]
+            shapes = tuple(v.shape for v in values[0])
             rec = records.get(shapes)
             if rec is None:
-                tape = Tape()
-                staged = stage_params(tape, params)
-                feeds = [tape.constant(v) for v in values]
-                loss, stat_nodes = step_loss.record(tape, staged, *feeds)
-                records[shapes] = _Recorded(tape, staged.all_ids() + feeds, loss, stat_nodes)
-                outs = [tape.value(nid) for nid in stat_nodes.values()]
-                by_id = backward(tape, loss)
-                grads = [by_id[nid] for nid in staged.all_ids()]
+                tapes, outs, grads = [], [], []
+                for loss_i, params_i, values_i in zip(losses, clients, values):
+                    tape = Tape()
+                    staged = stage_params(tape, params_i)
+                    feeds = [tape.constant(v) for v in values_i]
+                    loss, stat_nodes = loss_i.record(tape, staged, *feeds)
+                    by_id = backward(tape, loss)
+                    tapes.append(tape)
+                    outs.append([tape.value(nid) for nid in stat_nodes.values()])
+                    grads.append([by_id[nid] for nid in staged.all_ids()])
+                records[shapes] = _Recorded(tapes, staged.all_ids() + feeds, loss, stat_nodes)
+                outs = [np.stack(col) for col in zip(*outs)]
+                grads = [np.stack(col) for col in zip(*grads)]
             else:
-                outs, grads = rec.run([*_param_arrays(params), *values])
+                outs, grads = rec.run([*stacked, *(np.stack(col) for col in zip(*values))])
                 stat_nodes = rec.stat_nodes
-            stats = {k: float(v) for k, v in zip(stat_nodes, outs)}
-            if not math.isfinite(stats["total"]):
-                raise DivergenceError(
-                    f"non-finite loss {stats['total']} at round {round_t}, step {steps}"
-                )
-            _sgd_step(params, grads, velocity, lr, hp)
-            for k, v in stats.items():
-                sums[k] = sums.get(k, 0.0) + v
+            total = outs[list(stat_nodes).index("total")]
+            if not np.isfinite(total).all():
+                bad = float(total[np.argmin(np.isfinite(total))])
+                raise DivergenceError(f"non-finite loss {bad} at round {round_t}, step {steps}")
+            _sgd_step(stacked, grads, velocity, lr, hp)
+            if sums is None:
+                sums = [np.zeros(k) for _ in outs]
+            for acc, out in zip(sums, outs):
+                acc += out
             steps += 1
     if steps == 0:
-        raise UsageError(f"no training steps: {hp.local_epochs} epochs over {dataset.N} rows")
-    stats = {k: v / steps for k, v in sums.items()}
-    return ClientUpdate(dataset.domain_id, params, dataset.N, stats)
+        raise UsageError(f"no training steps: {hp.local_epochs} epochs over {datasets[0].N} rows")
+    return [
+        ClientUpdate(ds.domain_id, clients[i], ds.N, {m: float(acc[i] / steps) for m, acc in zip(stat_nodes, sums)})
+        for i, ds in enumerate(datasets)
+    ]
 
 
 def _matching_loss(snapshots, hp: HyperParams, aug: AugmentationSpec, aug_rng) -> StepLoss:
@@ -379,8 +429,8 @@ def _adapt_target(
         return None, coverage, float("nan")
     precision = float(np.mean(pool.y[voted.indices] == voted.labels))
     pseudo = DomainDataset(pool.domain_id, pool.X[voted.indices].copy(), voted.labels.copy())
-    update = local_train(
-        global_params, pseudo, [], hp, round_t, AugmentationSpec.identity(), plain_ce_loss
+    (update,) = local_train(
+        global_params, [pseudo], [], hp, round_t, AugmentationSpec.identity(), plain_ce_loss
     )
     return update, coverage, precision
 
@@ -426,12 +476,10 @@ def _run_rounds(config: Config, adapt: bool) -> MetricsTable:
     heads: list[HeadSnapshot] = []
     table = MetricsTable()
     for t in range(1, hp.rounds + 1):
-        # sources are independent until aggregation, so running them in
-        # ascending domain order is exact
-        updates = [
-            local_train(global_params, train_sets[did], heads, hp, t, config.augmentation)
-            for did in source_ids
-        ]
+        # sources are independent until aggregation, so they train in
+        # lockstep; their train splits are equal, as every domain has
+        # n_per_domain rows
+        updates = local_train(global_params, [train_sets[did] for did in source_ids], heads, hp, t, config.augmentation)
         target = None
         if adapt:
             target, coverage, precision = _adapt_target(t, global_params, updates, target_pool, hp)

@@ -21,6 +21,7 @@ from .errors import (
     UnsupportedVersionError,
     UsageError,
 )
+from .files import write_atomic
 
 CHECKPOINT_VERSION = 1
 
@@ -212,8 +213,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
         '{"version": %d, "arch": %s, "classes": %d, "flat": [%s]}\n'
         % (CHECKPOINT_VERSION, json.dumps(list(params.arch)), params.classes, body)
     )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    write_atomic(path, [text])
 
 
 def _plain(value, kinds) -> bool:

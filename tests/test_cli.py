@@ -1,7 +1,10 @@
+import builtins
+import errno
 import json
 
 import pytest
 
+from fedgm import cli
 from fedgm.cli import (
     apply_overrides,
     cmd_grad_check,
@@ -10,7 +13,9 @@ from fedgm.cli import (
     parse_config,
     parse_config_dict,
 )
-from fedgm.errors import ParseError
+from fedgm.errors import DivergenceError, ParseError, UsageError
+from fedgm.federation import MetricsTable, run_da
+from fedgm.model import init_params, save_checkpoint
 
 BASE = {
     "experiment": "smoke",
@@ -293,3 +298,99 @@ def test_gen_data_bad_config(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "d")]) == 1
+
+
+def test_da_min_votes_above_source_count_rejected(tmp_path):
+    # 3 domains, one held out: 2 sources can vote, so a quorum of 3 never forms
+    payload = dict(BASE, mode="da", hp=dict(BASE["hp"], min_votes=3))
+    with pytest.raises(ParseError, match="hp.min_votes 3 exceeds the 2 source domains"):
+        parse_config(_write(tmp_path, payload))
+    config = parse_config(_write(tmp_path, dict(BASE, mode="da")))
+    config.hp.min_votes = 3
+    with pytest.raises(UsageError, match="hp.min_votes 3 exceeds the 2 source domains"):
+        run_da(config)
+    assert parse_config(_write(tmp_path, dict(payload, mode="dg"))).hp.min_votes == 3  # dg does not vote
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_seed_keeps_finished_seeds(tmp_path, monkeypatch, capsys):
+    real = cli.run_dg
+
+    def runner(config):
+        if config.hp.seed == 1:
+            raise DivergenceError("non-finite loss nan at round 2, step 3")
+        return real(config)
+
+    monkeypatch.setattr(cli, "run_dg", runner)
+    out = tmp_path / "out"
+    cfg_path = _write(tmp_path, dict(BASE, seeds=[0, 1, 2], out_dir=str(out)))
+    assert main(["run-dg", "--config", str(cfg_path)]) == 2
+    assert "seed 1: diverged: non-finite loss nan at round 2, step 3" in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["diverged"] == {"1": "non-finite loss nan at round 2, step 3"}
+    assert list(summary["final"]["per_seed"]) == ["0"]
+    assert summary["final"]["headline_mean"] == summary["final"]["per_seed"]["0"]
+    assert (out / "seed_0.csv").exists() and (out / "model_seed_0.json").exists()
+    assert not (out / "seed_2.csv").exists()  # the run stops at the diverging seed
+    # a run where every seed finishes has no such key
+    assert main(["run-dg", "--config", str(_write(tmp_path, dict(BASE, out_dir=str(out))))]) == 0
+    assert "diverged" not in json.loads((out / "summary.json").read_text())
+
+
+def _write_csv(tmp_path, path):
+    MetricsTable([(1, "train", 0, "total", 0.5)] * 50).write_csv(path)
+
+
+def _save_checkpoint(tmp_path, path):
+    save_checkpoint(init_params([2, 8], 2, 0), path)
+
+
+def _run_dg(tmp_path, path):
+    return main(["run-dg", "--config", str(_write(tmp_path, dict(BASE, out_dir=str(path.parent))))])
+
+
+def _gen_data(tmp_path, path):
+    return main(["gen-data", "--config", str(_write(tmp_path, BASE)), "--out", str(path.parent)])
+
+
+@pytest.mark.parametrize(
+    "name, write",
+    [("seed_0.csv", _write_csv), ("model.json", _save_checkpoint), ("summary.json", _run_dg), ("domain_1.csv", _gen_data)],
+)
+def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, capsys, name, write):
+    out = tmp_path / "out"
+    out.mkdir()
+    path = out / name
+    path.write_text("previous\n")
+    real_open = builtins.open
+
+    class DiskFull:
+        """A file that takes half of the first chunk written to it, then fails."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            self.fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return DiskFull(fh) if "w" in mode and str(file).startswith(str(out)) and name in str(file) else fh
+
+    monkeypatch.setattr(builtins, "open", failing_open)
+    if write in (_run_dg, _gen_data):
+        assert write(tmp_path, path) == 1  # main reports the failed write
+        assert "No space left on device" in capsys.readouterr().err
+    else:
+        with pytest.raises(OSError, match="No space left on device"):
+            write(tmp_path, path)
+    assert path.read_text() == "previous\n"
+    assert [p.name for p in out.iterdir() if p.name.startswith(".")] == []

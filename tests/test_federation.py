@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedgm.cli import Config, DataSpec
-from fedgm.data import AugmentationSpec, DomainDataset, gen_rotated_domains
-from fedgm.errors import ContractError, UsageError
+from fedgm import rng as streams
+from fedgm.data import AugmentationSpec, DomainDataset, batch_iter, gen_rotated_domains
+from fedgm.errors import ContractError, DivergenceError, UsageError
 from fedgm.federation import (
     ClientUpdate,
     HyperParams,
@@ -46,16 +48,16 @@ def _tiny_dataset(n=8, margin=2.0, seed=0):
 def test_local_train_zero_epochs_forbidden():
     hp = HyperParams(local_epochs=0)
     with pytest.raises(UsageError):
-        local_train(init_params([2, 4], 2, 0), _tiny_dataset(), [], hp, 1, AugmentationSpec.identity())
+        local_train(init_params([2, 4], 2, 0), [_tiny_dataset()], [], hp, 1, AugmentationSpec.identity())
     empty = DomainDataset(0, np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
     with pytest.raises(UsageError, match="no training steps"):
-        local_train(init_params([2, 4], 2, 0), empty, [], HyperParams(), 1, AugmentationSpec.identity())
+        local_train(init_params([2, 4], 2, 0), [empty], [], HyperParams(), 1, AugmentationSpec.identity())
 
 
 def test_local_train_zero_lr_is_identity():
     hp = HyperParams(lr0=0.0, lr1=0.0, local_epochs=1, batch=4, seed=3)
     initial = init_params([2, 4], 2, seed=1)
-    update = local_train(initial, _tiny_dataset(), [], hp, 1, AugmentationSpec.identity())
+    (update,) = local_train(initial, [_tiny_dataset()], [], hp, 1, AugmentationSpec.identity())
     assert flatten(update.params).tobytes() == flatten(initial).tobytes()
     assert update.n_samples == 8
 
@@ -64,14 +66,14 @@ def test_local_train_converges_on_separable_batch():
     # 200 full-batch steps of plain gradient-matched training
     hp = HyperParams(lam=1.0, rounds=1, local_epochs=200, batch=8, lr0=0.1, lr1=0.05, seed=4)
     ds = _tiny_dataset()
-    update = local_train(init_params([2, 8], 2, seed=2), ds, [], hp, 1, AugmentationSpec.identity())
+    (update,) = local_train(init_params([2, 8], 2, seed=2), [ds], [], hp, 1, AugmentationSpec.identity())
     assert evaluate(update.params, ds) == 1.0
 
 
 def test_local_train_round_one_skips_inter():
     heads = [HeadSnapshot(1, np.zeros((2, 4)), np.zeros(2), 0)]
     hp = HyperParams(lam=0.5, local_epochs=1, batch=4, lr0=0.01, lr1=0.01, rounds=1, seed=5)
-    update = local_train(init_params([2, 4], 2, 0), _tiny_dataset(), heads, hp, 1, AugmentationSpec.identity())
+    (update,) = local_train(init_params([2, 4], 2, 0), [_tiny_dataset()], heads, hp, 1, AugmentationSpec.identity())
     assert update.train_stats["inter"] == 0.0
 
 
@@ -84,13 +86,48 @@ def test_local_train_target_style_matches_recorded_bytes():
     y = (np.arange(10) % 2).astype(np.int64)
     X[:, 0] += np.where(y == 0, -1.0, 1.0)
     hp = HyperParams(rounds=3, local_epochs=2, batch=4, lr0=0.05, lr1=0.01, seed=7)
-    update = local_train(
-        init_params([2, 6], 2, seed=3), DomainDataset(2, X, y), [], hp, 2, AugmentationSpec.identity(), plain_ce_loss
+    (update,) = local_train(
+        init_params([2, 6], 2, seed=3), [DomainDataset(2, X, y)], [], hp, 2, AugmentationSpec.identity(), plain_ce_loss
     )
     digest = hashlib.sha256(flatten(update.params).tobytes()).hexdigest()
     assert digest == "4853d1037e107bbefeba5fd8f74a2ff7432bed4bc8fb942556fd58a7217c453b"
     assert update.train_stats == {"ce_orig": 1.3161356648080431, "total": 1.3161356648080431}
     assert update.n_samples == 10
+
+
+def _overflowing(domain_id, hp, round_t, step):
+    """A 12-row dataset whose local_train step ``step`` in round ``round_t`` overflows."""
+    rng = np.random.default_rng(domain_id)
+    ds = DomainDataset(domain_id, rng.normal(0.0, 1.0, (12, 2)), np.arange(12) % 2)
+    if step is not None:
+        seed = streams.subseed(hp.seed, streams.CLIENT)
+        X, _ = next(itertools.islice(batch_iter(ds, hp.batch, seed, round_t - 1), step, None))
+        ds.X[np.flatnonzero((ds.X[:, None] == X).all(axis=2).any(axis=1))[0]] = 1e308
+    return ds
+
+
+def _divergence(datasets, hp):
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
+        local_train(init_params([2, 4], 2, 0), datasets, [], hp, 2, AugmentationSpec.identity())
+    return str(info.value)
+
+
+def test_lockstep_divergence_is_the_first_clients_first_error():
+    hp = HyperParams(batch=4, lr0=0.05, lr1=0.01)
+    late, early = _overflowing(0, hp, 2, 2), _overflowing(1, hp, 2, 0)
+    alone = [_divergence([ds], hp) for ds in (late, early)]
+    assert alone == ["non-finite loss nan at round 2, step 2", "non-finite loss nan at round 2, step 0"]
+    # client 1 fails first in lockstep, but client 0 would have failed first one at a time
+    assert _divergence([late, early], hp) == alone[0]
+    # client 1 alone diverging
+    assert _divergence([_overflowing(0, hp, 2, None), early], hp) == alone[1]
+
+
+def test_local_train_rejects_clients_of_unequal_size():
+    hp = HyperParams(batch=4)
+    for other in (_tiny_dataset(n=10), DomainDataset(1, np.zeros((8, 3)), np.arange(8) % 2)):
+        with pytest.raises(ContractError, match="datasets of one size and width"):
+            local_train(init_params([2, 4], 2, 0), [_tiny_dataset(), other], [], hp, 1, AugmentationSpec.identity())
 
 
 def _params_from_flat(flat):
@@ -146,7 +183,7 @@ def test_aggregate_rejects_empty_and_mismatched():
 def test_evaluate_perfect_and_flipped():
     ds = _tiny_dataset(n=20, margin=3.0)
     hp = HyperParams(lam=1.0, rounds=1, local_epochs=150, batch=20, lr0=0.1, lr1=0.05, seed=6)
-    trained = local_train(init_params([2, 8], 2, 1), ds, [], hp, 1, AugmentationSpec.identity()).params
+    trained = local_train(init_params([2, 8], 2, 1), [ds], [], hp, 1, AugmentationSpec.identity())[0].params
     acc = evaluate(trained, ds)
     assert acc == 1.0
     flipped = DomainDataset(0, ds.X, 1 - ds.y)

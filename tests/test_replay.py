@@ -1,12 +1,15 @@
 """Compiled steps against fresh recordings.
 
-``local_train`` records the first batch of each feed shape eagerly and runs
-later batches of that shape through the tape's compiled step
-(``autodiff.compile_step``), which tapes of the same structure share. A
-compiled step must give the loss, stats and gradients of a step recorded
-afresh on the same values, bit for bit, and the checks of a recorded step
-must still run on it.
+``local_train`` trains its clients in lockstep: it records the first batch
+of each feed shape eagerly, once per client, and runs later batches of that
+shape for every client at once through the tapes' compiled step
+(``autodiff.compile_step``), which calls of the same structure share. Each
+client's slice of a compiled step must give the loss, stats and gradients of
+that client's step recorded afresh on the same values, bit for bit, and the
+checks of a recorded step must still run on it.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,12 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedgm import autodiff as ad
+from fedgm import federation
 from fedgm import rng as streams
 from fedgm.autodiff import Tape, backward, compile_step
 from fedgm.data import AugmentationSpec, DomainDataset, batch_iter
 from fedgm.errors import DivergenceError, ShapeError, UsageError
-from fedgm.federation import HyperParams, _matching_loss, _Recorded, local_train, plain_ce_loss
-from fedgm.model import HeadSnapshot, ModelParams, init_params, stage_params
+from fedgm.federation import HyperParams, _matching_loss, _Recorded, cosine_lr, local_train, plain_ce_loss
+from fedgm.model import HeadSnapshot, ModelParams, flatten, init_params, stage_params
 
 
 def _param_arrays(params):
@@ -45,15 +49,22 @@ def _fresh(step, params, values):
     )
 
 
-def _compiled(rec, params, values):
-    """Stats and gradients of the recorded step ``rec`` run compiled, as bytes."""
-    outs, grads = rec.run([*_param_arrays(params), *values])
-    return np.array([float(v) for v in outs]).tobytes(), [np.asarray(g).tobytes() for g in grads]
+def _compiled(rec, params, clients):
+    """Each client's stats and gradients of the recorded step ``rec`` run
+    compiled on the clients' values ``clients``, as bytes."""
+    stacked = [np.stack([a] * len(clients)) for a in _param_arrays(params)]
+    outs, grads = rec.run([*stacked, *(np.stack(col) for col in zip(*clients))])
+    return [
+        (np.array([float(v[i]) for v in outs]).tobytes(), [np.asarray(g[i]).tobytes() for g in grads])
+        for i in range(len(clients))
+    ]
 
 
-def _recorded(step, params, values):
-    tape, staged, leaves, loss, stat_nodes = _record(step, params, values)
-    return _Recorded(tape, staged.all_ids() + leaves, loss, stat_nodes)
+def _recorded(step, params, clients):
+    """One recording per client values in ``clients``, as local_train keeps them."""
+    recs = [_record(step, params, values) for values in clients]
+    _, staged, leaves, loss, stat_nodes = recs[-1]
+    return _Recorded([r[0] for r in recs], staged.all_ids() + leaves, loss, stat_nodes)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -87,10 +98,10 @@ def test_replayed_steps_match_fresh_recordings(widths, classes, batch, n_snaps, 
             shapes = tuple(v.shape for v in values)
             fresh = _fresh(step, params, values)
             if shapes in records:
-                assert _compiled(records[shapes], params, values) == fresh
+                assert _compiled(records[shapes], params, [values]) == [fresh]
                 compiled += 1
             else:
-                records[shapes] = _recorded(step, params, values)
+                records[shapes] = _recorded(step, params, [values])
             # move the parameters in place, as SGD does, so each step differs
             tape, staged, _, loss, _ = _record(step, params, values)
             grads = backward(tape, loss)
@@ -129,11 +140,25 @@ def test_zero_norm_subgradient_decided_per_step(recorded, compiled, monkeypatch)
     # the matched head gradients vanish exactly on the saturated batch only
     assert min(_l2_norms(step, params, _SATURATED)) == 0.0
     assert min(_l2_norms(step, params, _UNIFORM)) > 0.0
-    rec = _recorded(step, params, step.feeds(recorded, _LABELS, 2))
+    rec = _recorded(step, params, [step.feeds(recorded, _LABELS, 2)])
     values = step.feeds(compiled, _LABELS, 2)
-    got = _compiled(rec, params, values)
+    (got,) = _compiled(rec, params, [values])
     assert got == _fresh(step, params, values)
     assert all(np.isfinite(np.frombuffer(g)).all() for g in got[1])
+
+
+def test_zero_norm_subgradient_taken_by_one_slice_only(monkeypatch):
+    monkeypatch.setattr(ad, "_STEP_CACHE", {})
+    params = _saturating_params()
+    snaps = [HeadSnapshot(1, np.array([[100.0, 0.0], [0.0, 0.0]]), np.zeros(2), 0)]
+    step = _matching_loss(snaps, HyperParams(lam=0.5), AugmentationSpec.identity(), None)
+    rec = _recorded(step, params, [step.feeds(X, _LABELS, 2) for X in (_UNIFORM, _UNIFORM)])
+    # one client's head-gradient norms vanish, the other's do not, in one call
+    for batches in ((_SATURATED, _UNIFORM), (_UNIFORM, _SATURATED)):
+        clients = [step.feeds(X, _LABELS, 2) for X in batches]
+        got = _compiled(rec, params, clients)
+        assert got == [_fresh(step, params, values) for values in clients]
+        assert all(np.isfinite(np.frombuffer(g)).all() for client in got for g in client[1])
 
 
 def test_calls_share_one_compiled_step_with_their_own_snapshot_heads():
@@ -147,8 +172,8 @@ def test_calls_share_one_compiled_step_with_their_own_snapshot_heads():
         snaps = [HeadSnapshot(j, rng.normal(0.0, 0.7, (3, 5)), rng.normal(0.0, 0.3, 3), 0) for j in range(2)]
         step = _matching_loss(snaps, hp, AugmentationSpec.identity(), None)
         values = step.feeds(X, y, 3)
-        rec = _recorded(step, params, values)
-        got = _compiled(rec, params, values)
+        rec = _recorded(step, params, [values])
+        (got,) = _compiled(rec, params, [values])
         assert got == _fresh(step, params, values)
         results.append(got)
         steps.append(rec.step)
@@ -156,8 +181,8 @@ def test_calls_share_one_compiled_step_with_their_own_snapshot_heads():
     assert results[0] != results[1]  # the snapshot heads are arguments, not baked in
     # scale constants such as lambda are baked in, so another lambda compiles anew
     step = _matching_loss(snaps, HyperParams(lam=0.7), AugmentationSpec.identity(), None)
-    rec = _recorded(step, params, values)
-    assert _compiled(rec, params, values) == _fresh(step, params, values)
+    rec = _recorded(step, params, [values])
+    assert _compiled(rec, params, [values]) == [_fresh(step, params, values)]
     assert rec.step is not steps[0]
 
 
@@ -168,7 +193,7 @@ def test_local_train_calls_share_compiled_steps(monkeypatch):
     hp = HyperParams(batch=4, lr0=0.05, lr1=0.01)
     for t in (2, 3):
         heads = [HeadSnapshot(1, rng.normal(0.0, 0.5, (2, 4)), rng.normal(0.0, 0.1, 2), t - 1)]
-        local_train(init_params([2, 4], 2, 0), ds, heads, hp, t, AugmentationSpec.identity())
+        local_train(init_params([2, 4], 2, 0), [ds], heads, hp, t, AugmentationSpec.identity())
     assert len(ad._STEP_CACHE) == 1  # one batch shape, one tape structure
 
 
@@ -178,14 +203,15 @@ def test_compiled_step_takes_every_leaf_and_checks_shapes():
     x = tape.constant(np.ones((3, 2)))
     z = ad.reduce_sum(tape, ad.relu(tape, ad.matmul(tape, x, ad.transpose(tape, w))))
     c = tape.constant(2.0)  # a leaf recorded after the loss is an argument too
-    step = compile_step(tape, z, [z, c])
-    assert step is compile_step(tape, z, [z, c])
+    step = compile_step([tape], z, [z, c])
+    assert step is compile_step([tape], z, [z, c])
     assert step.source.startswith("def step(v0, v1, v6):")
-    (total, two), (g,) = step(tape.value(w), np.full((3, 2), -2.0), np.asarray(5.0))
-    assert float(total) == 0.0 and float(two) == 5.0  # every pre-activation is negative now
-    assert np.array_equal(g, np.zeros((2, 2)))
-    with pytest.raises(ShapeError, match=r"leaf 1 was recorded with dims \(3, 2\), got \(4, 2\)"):
-        step(tape.value(w), np.ones((4, 2)), np.asarray(2.0))
+    # every value carries a leading client axis, here of one client
+    (total, two), (g,) = step(tape.value(w)[None], np.full((1, 3, 2), -2.0), np.array([5.0]))
+    assert float(total[0]) == 0.0 and float(two[0]) == 5.0  # every pre-activation is negative now
+    assert np.array_equal(g, np.zeros((1, 2, 2)))
+    with pytest.raises(ShapeError, match=r"leaf 1 was recorded with dims \(1, 3, 2\), got \(1, 4, 2\)"):
+        step(tape.value(w)[None], np.ones((1, 4, 2)), np.array([2.0]))
 
 
 def test_step_cache_is_bounded(monkeypatch):
@@ -193,7 +219,7 @@ def test_step_cache_is_bounded(monkeypatch):
     for k in range(ad._STEP_CACHE_SIZE + 3):
         tape = Tape()
         w = tape.leaf(np.ones(k + 1), param=True)
-        compile_step(tape, ad.reduce_sum(tape, w), [])
+        compile_step([tape], ad.reduce_sum(tape, w), [])
     assert len(ad._STEP_CACHE) == ad._STEP_CACHE_SIZE
 
 
@@ -216,7 +242,7 @@ def test_replayed_step_rejects_out_of_range_label(plain):
     ds.y[_second_batch_row(ds, hp, 2)] = 7  # only the compiled batch is bad
     step = plain_ce_loss if plain else None
     with pytest.raises(UsageError, match=r"label 7 at index \d+ outside \[0, 2\)"):
-        local_train(init_params([2, 4], 2, 0), ds, [], hp, 2, AugmentationSpec.identity(), step)
+        local_train(init_params([2, 4], 2, 0), [ds], [], hp, 2, AugmentationSpec.identity(), step)
 
 
 @pytest.mark.parametrize("plain", [False, True])
@@ -226,4 +252,126 @@ def test_replayed_step_rejects_non_finite_loss(plain):
     ds.X[_second_batch_row(ds, hp, 2)] = 1e308  # only the compiled batch overflows
     step = plain_ce_loss if plain else None
     with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="at round 2, step 1"):
-        local_train(init_params([2, 4], 2, 0), ds, [], hp, 2, AugmentationSpec.identity(), step)
+        local_train(init_params([2, 4], 2, 0), [ds], [], hp, 2, AugmentationSpec.identity(), step)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    k=st.integers(1, 3),
+    widths=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+    classes=st.integers(2, 4),
+    batch=st.integers(2, 6),
+    n_snaps=st.integers(0, 3),
+    lam=st.sampled_from([0.0, 0.3, 1.0]),
+    gm_enabled=st.booleans(),
+    plain=st.booleans(),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_lockstep_clients_match_separate_eager_steps(k, widths, classes, batch, n_snaps, lam, gm_enabled, plain, seed):
+    rng = np.random.default_rng(seed)
+    arch = [3] + widths
+    initial = init_params(arch, classes, seed)
+    n = 2 * batch + int(rng.integers(1, batch))  # the last batch is short
+    datasets = [DomainDataset(d, rng.normal(0.0, 1.5, (n, 3)), rng.integers(0, classes, n)) for d in range(k)]
+    heads = [
+        HeadSnapshot(j, rng.normal(0.0, 0.7, (classes, arch[-1])), rng.normal(0.0, 0.3, classes), 1)
+        for j in range(n_snaps)
+    ]
+    hp = HyperParams(lam=lam, gm_enabled=gm_enabled, local_epochs=2, batch=batch, lr0=0.05, lr1=0.01, seed=seed)
+    aug = AugmentationSpec.gaussian_noise(0.3)
+    round_t = 2
+    # the optimizer sees every step's stacked gradients and ends with the momentum
+    steps, compiles = [], []
+    sgd_step, compile_fn = federation._sgd_step, federation.compile_step
+
+    def spy_sgd(arrays, grads, velocity, lr, hp_):
+        steps.append(([g.copy() for g in grads], velocity))
+        sgd_step(arrays, grads, velocity, lr, hp_)
+
+    def spy_compile(*args):
+        compiles.append(len(args[0]))
+        return compile_fn(*args)
+
+    with mock.patch.object(federation, "_sgd_step", spy_sgd), mock.patch.object(federation, "compile_step", spy_compile):
+        updates = local_train(initial, datasets, heads, hp, round_t, aug, plain_ce_loss if plain else None)
+    assert compiles == [k, k]  # the full and the short batch ran compiled in the second epoch
+    velocity_end = steps[-1][1]
+    # the oracle: each client alone, every step recorded afresh
+    for i, ds in enumerate(datasets):
+        aug_rng = streams.substream(hp.seed, streams.AUG, ds.domain_id, round_t)
+        step = plain_ce_loss if plain else _matching_loss(heads, hp, aug, aug_rng)
+        params = initial.copy()
+        velocity = [np.zeros_like(a) for a in _param_arrays(params)]
+        sums, count = {}, 0
+        for epoch in (2, 3):
+            for X, y in batch_iter(ds, batch, streams.subseed(hp.seed, streams.CLIENT), epoch):
+                tape, staged, _, loss, stat_nodes = _record(step, params, step.feeds(X, y, classes))
+                by_id = backward(tape, loss)
+                grads = [by_id[nid] for nid in staged.all_ids()]
+                assert [g.tobytes() for g in grads] == [g[i].tobytes() for g in steps[count][0]]
+                for name, nid in stat_nodes.items():
+                    sums[name] = sums.get(name, 0.0) + float(tape.value(nid))
+                lr = cosine_lr(round_t, hp)
+                for arr, g, v in zip(_param_arrays(params), grads, velocity):
+                    v *= hp.momentum
+                    v += g
+                    arr -= lr * v + lr * hp.weight_decay * arr
+                count += 1
+        assert count == len(steps) == 6
+        assert flatten(updates[i].params).tobytes() == flatten(params).tobytes()
+        assert [v[i].tobytes() for v in velocity_end] == [v.tobytes() for v in velocity]
+        assert updates[i].train_stats == {name: total / count for name, total in sums.items()}
+
+
+def test_three_clients_share_one_compiled_step_per_batch_shape(monkeypatch):
+    monkeypatch.setattr(ad, "_STEP_CACHE", {})
+    rng = np.random.default_rng(5)
+    datasets = [DomainDataset(d, rng.normal(0.0, 1.0, (10, 2)), np.arange(10) % 2) for d in range(3)]
+    heads = [HeadSnapshot(j, rng.normal(0.0, 0.5, (2, 4)), rng.normal(0.0, 0.1, 2), 1) for j in range(3)]
+    hp = HyperParams(batch=4, local_epochs=2, lr0=0.05, lr1=0.01)
+    local_train(init_params([2, 4], 2, 0), datasets, heads, hp, 2, AugmentationSpec.gaussian_noise(0.1))
+    # batches of 4, 4 and 2 rows: one function for each shape, each for all 3 clients
+    assert sorted(key[0] for key in ad._STEP_CACHE) == [3, 3]
+
+
+def test_stacked_constants_keep_their_memory_order():
+    # BLAS rounds a one-row product by the memory order of its operands, and
+    # snapshot heads are recorded transposed
+    rng = np.random.default_rng(2)
+    snaps = [HeadSnapshot(j, rng.normal(0.0, 0.7, (3, 8)), rng.normal(0.0, 0.3, 3), 1) for j in range(2)]
+    step = _matching_loss(snaps, HyperParams(lam=0.3), AugmentationSpec.identity(), None)
+    params = init_params([3, 8], 3, 0)
+    clients = [step.feeds(rng.normal(0.0, 1.0, (1, 3)), [c], 3) for c in range(2)]
+    rec = _recorded(step, params, clients)
+    assert _compiled(rec, params, clients) == [_fresh(step, params, values) for values in clients]
+    # the two snapshot heads, stacked for the compiled step, are still transposed per client
+    assert [arg[0].strides for arg in rec.args if arg.ndim == 3].count((8, 64)) == 2
+
+
+def _every_op_tape(w_val, s_val, x_val):
+    """A scalar loss that uses every op tag, with a matrix-plus-scalar and a
+    matrix-minus-row broadcast, on a (3, 4) weight, a scalar and a (5, 4) batch."""
+    tape = Tape()
+    w, s = tape.leaf(w_val, param=True), tape.leaf(s_val, param=True)
+    x = tape.constant(x_val)
+    h = ad.relu(tape, ad.matmul(tape, x, ad.transpose(tape, w)))
+    z = ad.sub(tape, ad.add(tape, h, ad.scale(tape, s, 2.0)), tape.constant(np.arange(3.0)))
+    e = ad.exp(tape, ad.log_softmax_rows(tape, z))
+    f = ad.flatten_concat(tape, (e, w))
+    q = ad.div(tape, ad.dot(tape, f, f), ad.add(tape, ad.l2_norm(tape, f), s))
+    m = ad.reduce_mean(tape, ad.mul(tape, e, h))
+    return tape, ad.add(tape, ad.add(tape, q, m), ad.reduce_sum(tape, ad.mul(tape, z, z)))
+
+
+def test_every_op_compiles_to_each_clients_eager_bytes():
+    rng = np.random.default_rng(11)
+    recorded = [_every_op_tape(rng.normal(size=(3, 4)), rng.uniform(0.5, 1.0), rng.normal(size=(5, 4))) for _ in range(2)]
+    tapes, loss = [t for t, _ in recorded], recorded[0][1]
+    assert set(tapes[0].ops) == {ad.LEAF, *ad.OP_TAGS}
+    step = compile_step(tapes, loss, [loss])
+    leaves = [nid for nid, kind in enumerate(tapes[0].ops) if kind == ad.LEAF]
+    (total,), grads = step(*(np.stack([t.value(nid) for t in tapes]) for nid in leaves))
+    for i, tape in enumerate(tapes):
+        by_id = backward(tape, loss)
+        assert total[i].tobytes() == tape.value(loss).tobytes()
+        assert [g[i].tobytes() for g in grads] == [by_id[p].tobytes() for p in tape.params]
