@@ -12,9 +12,10 @@ tapes of k clients, recorded alike, into one straight-line Python function
 of all their leaves stacked on a leading client axis. It issues the forward
 rules' and ``backward``'s kernels in the same order, each giving every
 client's slice the bytes of that client's own eager step, with every shape
-decision resolved when the source is generated. Later batches call that
-function instead of recording again, and tapes with the same structure share
-one compiled function.
+decision resolved when the source is generated; isomorphic copies of one
+block (the inter term's per-snapshot ops) run as one kernel per op. Later
+batches call that function instead of recording again, and tapes with the
+same structure share one compiled function.
 
 Tensors are plain ``numpy.ndarray`` values in float64, row-major. Scalars are
 0-d arrays.
@@ -409,14 +410,13 @@ def backward(tape: Tape, loss: int) -> dict[int, Array]:
 
 # --- compiled steps -----------------------------------------------------------
 # Source templates of the rules above, run for k clients at once: every value
-# carries a leading client axis, so a scalar is (k,). {a} and {b} name the
-# input values (an elementwise operand of fewer dims is reshaped to broadcast
-# as the rule's operand does), {o} the output value, {g} its adjoint, {n} the
-# node id, {c} the constant, {k} the client count, and {ra}/{rb} reshape a
-# (k,) scalar to broadcast against {a}/{b}. Each kernel gives a client's
-# slice the bytes the rule gives that client alone: matmul and transposes per
-# slice, reductions only over the rule's axes, and dot and l2-norm as
-# (k, 1, n) @ (k, n, 1), which numpy runs as the same per-slice dot product.
+# has a leading client axis, a group of S lanes (see _lanes) has (k, S). {a}
+# and {b} name the inputs shaped to broadcast as the rule's operands, {A}/{B}
+# unshaped with leading dims {ka}/{kb}; {o} is the output, {g} its adjoint,
+# {n} the node, {lead} its leading dims, {c} the constant, and {ra}/{rb}
+# reshape a scalar to broadcast against {a}/{b}. Each kernel gives a slice the
+# bytes the rule gives that client alone: matmul and transposes per slice,
+# reductions only over the rule's axes, dot and l2-norm as (1, n) @ (n, 1).
 
 _FW_SRC = {
     "add": ["{o} = {a} + {b}"],
@@ -435,9 +435,9 @@ _FW_SRC = {
     ],
     "reduce-sum": ["{o} = {a}.sum(axis={rest})"],
     "reduce-mean": ["{o} = {a}.mean(axis={rest})"],
-    "dot": ["{o} = ({a}.reshape({k}, 1, -1) @ {b}.reshape({k}, -1, 1)).reshape({k})"],
-    "l2-norm": ["{o} = sqrt(({a}.reshape({k}, 1, -1) @ {a}.reshape({k}, -1, 1)).reshape({k}))"],
-    "flatten-concat": ["{o} = concatenate([{rows}], axis=1)"],
+    "dot": ["{o} = ({A}.reshape({ka}, 1, -1) @ {B}.reshape({kb}, -1, 1)).reshape({lead})"],
+    "l2-norm": ["{o} = sqrt(({A}.reshape({ka}, 1, -1) @ {A}.reshape({ka}, -1, 1)).reshape({lead}))"],
+    "flatten-concat": ["{o} = concatenate([{rows}], axis=-1)"],
 }
 
 # one adjoint expression per input; flatten-concat's slices are built apart
@@ -465,8 +465,8 @@ _ELEMENTWISE = ("add", "sub", "elementwise-mul", "div")
 
 _KERNELS = {
     "concatenate": np.concatenate, "exp": np.exp, "full_like": np.full_like, "log": np.log,
-    "maximum": np.maximum, "ones_like": np.ones_like, "sqrt": np.sqrt, "where": np.where,
-    "zeros_like": np.zeros_like, "inf": math.inf, "nan": math.nan,
+    "maximum": np.maximum, "ones_like": np.ones_like, "sqrt": np.sqrt, "stack": np.stack,
+    "where": np.where, "zeros_like": np.zeros_like, "inf": math.inf, "nan": math.nan,
 }
 
 _STEP_CACHE: dict[tuple, Callable] = {}
@@ -485,27 +485,35 @@ def _unbroadcast_src(expr: str, grad_shape: tuple[int, ...], shape: tuple[int, .
     return f"{expr}.sum(axis={axes!r}, keepdims=True)" if axes else expr
 
 
-def _names(tape: Tape, nid: int, k: int) -> dict:
-    """What the source templates of node ``nid`` fill in, for ``k`` clients."""
+def _names(tape: Tape, nid: int, lead: tuple[int, ...], args: list[tuple[str, tuple[int, ...]]]) -> dict:
+    """What the source templates of node ``nid`` fill in, with ``lead`` the leading dims of its
+    value, (k,) or (k, S), and ``args`` each input's variable and leading dims ((k, 1) if shared)."""
     ids = tape.inputs[nid]
-    (a, a_shape), (b, b_shape) = [(i, tape.vals[i].shape) for i in (ids[0], ids[-1])]
+    shapes = [tape.vals[i].shape for i in ids]
     nd = tape.vals[nid].ndim
+    lanes = len(lead) > 1
 
-    def operand(i, shape):
-        if tape.ops[nid] in _ELEMENTWISE and len(shape) < nd:
-            return f"v{i}.reshape({(k,) + (1,) * (nd - len(shape)) + shape!r})"
-        return f"v{i}"
+    def operand(q):
+        var, ld = args[q]
+        if tape.ops[nid] in _ELEMENTWISE and len(shapes[q]) < nd:
+            return f"{var}.reshape({ld + (1,) * (nd - len(shapes[q])) + shapes[q]!r})"
+        return f"{var}[:, None]" if ld != lead else var
 
+    dims = lambda ld: ", ".join(map(str, ld))  # noqa: E731
+    (a, a_shape), (b, b_shape) = (0, shapes[0]), (len(ids) - 1, shapes[-1])
     return dict(
-        o=f"v{nid}", g=f"g{nid}", n=nid, k=k, a=operand(a, a_shape), b=operand(b, b_shape),
-        c=repr(tape.saved[nid]) if tape.ops[nid] == "scale-by-constant" else None,
-        rows=", ".join(f"v{i}.reshape({k}, -1)" for i in ids), rest=tuple(range(1, len(a_shape) + 1)),
-        size=math.prod(a_shape), shape_a=repr((k, *a_shape)), shape_b=repr((k, *b_shape)),
-        ra=f".reshape({(k,) + (1,) * len(a_shape)!r})", rb=f".reshape({(k,) + (1,) * len(b_shape)!r})",
+        lead_shape=lead, n=f"L{nid}" if lanes else nid,
+        o=f"L{nid}" if lanes else f"v{nid}", g=f"G{nid}" if lanes else f"g{nid}",
+        a=operand(a), b=operand(b), A=args[a][0], B=args[b][0], ka=dims(args[a][1]), kb=dims(args[b][1]),
+        lead=dims(lead), c=repr(tape.saved[nid]) if tape.ops[nid] == "scale-by-constant" else None,
+        rows=", ".join(f"{var}.reshape({dims(lead)}, -1)" for var, _ in args),
+        rest=tuple(range(len(lead), len(lead) + len(a_shape))), size=math.prod(a_shape),
+        shape_a=repr(lead + a_shape), shape_b=repr(lead + b_shape),
+        ra=f".reshape({lead + (1,) * len(a_shape)!r})", rb=f".reshape({lead + (1,) * len(b_shape)!r})",
     )
 
 
-def _grad_exprs(tape: Tape, nid: int, in_needs: tuple[bool, ...], k: int) -> list[str | None]:
+def _grad_exprs(tape: Tape, nid: int, in_needs: tuple[bool, ...], names: dict) -> list[str | None]:
     """Source of each input's adjoint contribution (None where not needed)."""
     kind = tape.ops[nid]
     shapes = [tape.vals[i].shape for i in tape.inputs[nid]]
@@ -513,10 +521,9 @@ def _grad_exprs(tape: Tape, nid: int, in_needs: tuple[bool, ...], k: int) -> lis
         exprs, offset = [], 0
         for shape in shapes:
             size = math.prod(shape)
-            exprs.append(f"g{nid}[:, {offset}:{offset + size}].reshape({(k, *shape)!r})")
+            exprs.append(f"{names['g']}[..., {offset}:{offset + size}].reshape({names['lead_shape'] + shape!r})")
             offset += size
     else:
-        names = _names(tape, nid, k)
         exprs = [t.format(**names) for t in _BW_SRC[kind]]
         if kind in _ELEMENTWISE:
             out_shape = tape.vals[nid].shape
@@ -524,73 +531,210 @@ def _grad_exprs(tape: Tape, nid: int, in_needs: tuple[bool, ...], k: int) -> lis
     return [e if need else None for e, need in zip(exprs, in_needs)]
 
 
-def _structure(tape: Tape, loss: int, outs: tuple[int, ...]) -> tuple:
+def _structure(tape: Tape, loss: int, outs: tuple[int, ...], fed: tuple[int, ...]) -> tuple:
     """What a compiled step depends on: ops, inputs, leaf shapes, scale
-    constants (by ``repr``, so 0.0 and -0.0 differ), params, loss and outs."""
+    constants (by ``repr``, so 0.0 and -0.0 differ), params, loss, outs, the
+    fed leaves, and the strides of the other constants (lanes share a layout)."""
     shapes = tuple(v.shape for v, kind in zip(tape.vals, tape.ops) if kind == LEAF)
     consts = tuple(repr(s) for s, kind in zip(tape.saved, tape.ops) if kind == "scale-by-constant")
-    return (tuple(tape.ops), tuple(tape.inputs), shapes, consts, tuple(tape.params), loss, outs)
+    fixed = {*tape.params, *fed}
+    orders = tuple(v.strides for nid, v in enumerate(tape.vals) if tape.ops[nid] == LEAF and nid not in fixed)
+    return (tuple(tape.ops), tuple(tape.inputs), shapes, consts, tuple(tape.params), loss, outs, fed, orders)
 
 
-def compile_step(tapes: Sequence[Tape], loss: int, outs: Sequence[int]) -> Callable:
+def _lanes(tape: Tape, loss: int, last: int, seeds: list[int], sweep, has_adjoint: set[int]):
+    """Groups of S >= 2 isomorphic, mutually independent nodes (lanes), in
+    ascending id order, that one (k, S, ...) kernel per op computes at once.
+
+    Seeds are constant leaves of one shape, memory order and use (the frozen
+    snapshot heads). A group grows to the nodes that take its lanes at one
+    input with one tag, scale constant, shape and adjoint need, whose other
+    inputs are one node shared by all lanes or the same lane of another group;
+    ops that combine lanes (the sum over snapshots), unbroadcast a gradient or
+    concatenate a shared input stay single. Also returns which inputs are lanes.
+    """
+    ops, inputs, vals = tape.ops, tape.inputs, tape.vals
+    users: list[list[tuple[int, int]]] = [[] for _ in range(last + 1)]
+    for nid in range(last + 1):
+        for p, i in enumerate(inputs[nid]):
+            users[i].append((nid, p))
+    needs = dict(sweep)
+    buckets: dict[tuple, list[int]] = {}
+    for nid in seeds:
+        use = tuple((ops[c], p) for c, p in users[nid])
+        buckets.setdefault((vals[nid].shape, vals[nid].strides, use), []).append(nid)
+    groups = [g for g in buckets.values() if len(g) > 1]
+    lane = {m: (gi, j) for gi, g in enumerate(groups) for j, m in enumerate(g)}
+
+    def sig(nid):
+        const = repr(tape.saved[nid]) if ops[nid] == "scale-by-constant" else None
+        return ops[nid], const, vals[nid].shape, nid in has_adjoint
+
+    def first(i):  # the group whose first lane node i is, else None
+        return lane[i][0] if i in lane and lane[i][1] == 0 else None
+
+    def joins(c0, c, j):  # c takes lane j where c0 takes lane 0 (and every group's lane 0 is a lane input)
+        return c not in lane and sig(c) == sig(c0) and all(
+            x == y if first(x) is None else lane.get(y) == (first(x), j) for x, y in zip(inputs[c0], inputs[c])
+        )
+
+    for nid in range(last + 1):
+        p = next((q for q, i in enumerate(inputs[nid]) if first(i) is not None), None)
+        unbroadcast = ops[nid] in _ELEMENTWISE and any(
+            need and vals[i].shape != vals[nid].shape for i, need in zip(inputs[nid], needs.get(nid, ())))
+        if p is None or nid in lane or nid == loss or unbroadcast:
+            continue
+        members = [nid]
+        for j, m in enumerate(groups[first(inputs[nid][p])][1:], 1):
+            c = next((c for c, q in users[m] if q == p and c > members[-1] and joins(nid, c, j)), None)
+            if c is None:
+                break
+            members.append(c)
+        else:
+            if ops[nid] != "flatten-concat" or all(x != y for x, y in zip(inputs[nid], inputs[members[1]])):
+                lane.update((m, (len(groups), j)) for j, m in enumerate(members))
+                groups.append(members)
+    flags = [tuple(x != y for x, y in zip(inputs[g[0]], inputs[g[1]])) for g in groups]
+    used = {lane[inputs[g[0]][q]][0] for g, f in zip(groups, flags) for q, is_lane in enumerate(f) if is_lane}
+    keep = [gi for gi, g in enumerate(groups) if ops[g[0]] != LEAF or gi in used]
+    return [groups[gi] for gi in keep], [flags[gi] for gi in keep]
+
+
+def compile_step(tapes: Sequence[Tape], loss: int, outs: Sequence[int], fed: Sequence[int] = ()) -> Callable:
     """One straight-line function for the forward and backward of k clients' steps at once.
 
     ``tapes`` holds one recording per client, k of them, all of one
-    structure (ops, inputs, leaf shapes, scale constants, params), else a
-    ContractError. The function takes the value of every leaf of that
-    structure, in tape order, stacked over the clients on a leading axis:
-    parameters, per-step inputs and recorded constants alike, as float64
-    arrays of shape (k, *recorded shape) (a ShapeError names the first leaf
-    that differs). It returns the values of ``outs`` and one gradient per
-    parameter leaf, in ``tape.params`` order, each with the client axis in
-    front. Slice i equals bit for bit what recording client i's values
-    afresh and calling ``backward`` would give: it issues the forward rules'
-    kernels and ``backward``'s sweep with its adjoint accumulation order,
-    and resolves the ``needs`` masks, the unbroadcasts and the
-    flatten-concat slices once. Functions are cached by structure and k, so
-    calls recorded alike share one; the generated source is the function's
-    ``source`` attribute.
+    structure (ops, inputs, leaf shapes, scale constants, params, the memory
+    order of the constants), else a ContractError; ``fed`` names the leaves
+    the caller passes anew on every call. The function takes the value of
+    every leaf, in tape order, stacked over the clients on a leading axis,
+    (k, *recorded shape), except that the constants seeding a group of S
+    lanes (see ``_lanes``) come as one argument, also stacked on axis 1,
+    (k, S, *recorded shape); its ``leaves`` attribute lists each argument's
+    leaves, and a ShapeError names the first argument that differs. It
+    returns the values of ``outs`` and one gradient per parameter leaf, in
+    ``tape.params`` order, with the client axis in front. Slice i equals bit
+    for bit what recording client i's values afresh and calling ``backward``
+    would give: it issues the forward rules' kernels and ``backward``'s
+    sweep, one kernel per group of lanes, adds every adjoint's terms in
+    ``backward``'s order, and resolves the ``needs`` masks, unbroadcasts and
+    flatten-concat slices once. Functions are cached by structure and k; the
+    generated source is the function's ``source`` attribute.
     """
-    tape, k, outs = tapes[0], len(tapes), tuple(outs)
-    structure = _structure(tape, loss, outs)
-    if any(_structure(t, loss, outs) != structure for t in tapes[1:]):
+    tape, k, outs, fed = tapes[0], len(tapes), tuple(outs), tuple(fed)
+    structure = _structure(tape, loss, outs, fed)
+    if any(_structure(t, loss, outs, fed) != structure for t in tapes[1:]):
         raise ContractError("compile_step: the clients' tapes differ in structure")
     key = (k, *structure)
     step = _STEP_CACHE.get(key)
     if step is not None:
         return step
     ops, inputs = tape.ops, tape.inputs
-    leaves = [nid for nid, kind in enumerate(ops) if kind == LEAF]
-    shapes = tuple((k, *tape.vals[nid].shape) for nid in leaves)
+    last = max((loss, *outs))
     sweep = _sweep(tape, loss)
-    args = ", ".join(f"v{nid}" for nid in leaves)
-    body = [f"if ({''.join(f'v{nid}.shape, ' for nid in leaves)}) != shapes:", f"    shape_error([{args}])"]
-    for nid in range(max((loss, *outs)) + 1):
-        if ops[nid] != LEAF:
-            names = _names(tape, nid, k)
-            body.extend(t.format(**names) for t in _FW_SRC[ops[nid]])
-    body.append(f"g{loss} = ones_like(v{loss})")
+    terms: dict[int, list[tuple[int, int]]] = {}  # each adjoint's terms (consumer, input), in backward's order
     has_adjoint = {loss}
     for nid, in_needs in sweep:
-        if nid not in has_adjoint:
+        if nid in has_adjoint:
+            for p, (iid, need) in enumerate(zip(inputs[nid], in_needs)):
+                if need:
+                    terms.setdefault(iid, []).append((nid, p))
+                    has_adjoint.add(iid)
+    seeds = [nid for nid in range(last + 1) if ops[nid] == LEAF and nid not in {*tape.params, *fed}]
+    groups, flags = _lanes(tape, loss, last, seeds, sweep, has_adjoint)
+    lane = {m: (gi, j) for gi, g in enumerate(groups) for j, m in enumerate(g)}
+    tails = {m for g in groups for m in g[1:]}  # lanes computed along with their group's first
+    leaves = [nid for nid, kind in enumerate(ops) if kind == LEAF and nid not in tails]
+    args = tuple(tuple(groups[lane[nid][0]]) if nid in lane else (nid,) for nid in leaves)
+    arg_names = [f"L{ids[0]}" if len(ids) > 1 else f"v{ids[0]}" for ids in args]
+    shapes = tuple((k, *(len(ids),) * (len(ids) > 1), *tape.vals[ids[0]].shape) for ids in args)
+    shape_vars = "".join(f"{v}.shape, " for v in arg_names)
+    body = [f"if ({shape_vars}) != shapes:", f"    shape_error([{', '.join(arg_names)}])"]
+    # a lane that anything but its group's own lane ops reads is bound as a view
+    alone = set(outs) | {
+        i for c in range(last + 1) for q, i in enumerate(inputs[c])
+        if i in lane and not (c in lane and flags[lane[c][0]][q])
+    }
+
+    def names(nid):
+        if nid not in lane:
+            return _names(tape, nid, (k,), [(f"v{i}", (k,)) for i in inputs[nid]])
+        gi = lane[nid][0]
+        lead = (k, len(groups[gi]))
+        return _names(tape, nid, lead, [
+            (f"L{groups[lane[i][0]][0]}", lead) if is_lane else (f"v{i}", (k, 1))
+            for i, is_lane in zip(inputs[nid], flags[gi])
+        ])
+
+    for nid in range(last + 1):
+        if ops[nid] != LEAF and nid not in tails:
+            nm, i = names(nid), inputs[nid][0]
+            if ops[nid] == "exp" and ops[i] == "log-softmax-rows" and (i in lane) == (nid in lane):
+                body.append(f"{nm['o']} = m{nm['A'] if nid in lane else i}")  # the softmax it saved
+            else:
+                body.extend(t.format(**nm) for t in _FW_SRC[ops[nid]])
+        if nid in lane and nid not in tails:
+            g = groups[lane[nid][0]]
+            body.extend(f"v{m} = L{g[0]}[:, {j}]" for j, m in enumerate(g) if m in alone)
+    body.append(f"g{loss} = ones_like(v{loss})")
+
+    # Every adjoint adds its terms in backward's order, each once it is ready.
+    # A group's adjoint is one (k, S, ...) array when each lane's terms come
+    # lane by lane from the same groups; otherwise its lanes add up apart and
+    # are stacked, and a term a group gives to a single node is one slice.
+    def aligned(g):
+        lists = [terms.get(m, []) for m in g]
+        return len(set(map(len, lists))) == 1 and all(
+            c in lane and list(col) == [(h, p) for h in groups[lane[c][0]]] for col in zip(*lists) for c, p in col[:1]
+        )
+
+    whole = {gi for gi, g in enumerate(groups) if aligned(g)}
+    ready, added = {}, {}  # term sources by (consumer, input); terms added so far by node
+
+    def offer(c, p, expr):
+        t = inputs[c][p]
+        var = f"G{t}" if t in lane and lane[t][0] in whole else f"g{t}"
+        ready[c, p] = expr
+        n = added.get(t, 0)
+        while n < len(terms[t]) and terms[t][n] in ready:
+            e = ready.pop(terms[t][n])
+            body.append(f"{var} = {var} + ({e})" if n else f"{var} = {e}")
+            n += 1
+        added[t] = n
+
+    for nid, in_needs in sweep:
+        if nid not in has_adjoint or nid in tails:
             continue
-        for iid, expr in zip(inputs[nid], _grad_exprs(tape, nid, in_needs, k)):
-            if expr is not None:
-                body.append(f"g{iid} = g{iid} + ({expr})" if iid in has_adjoint else f"g{iid} = {expr}")
-                has_adjoint.add(iid)
+        exprs = _grad_exprs(tape, nid, in_needs, names(nid))
+        if nid not in lane:
+            for p, expr in enumerate(exprs):
+                if expr is not None:
+                    offer(nid, p, expr)
+            continue
+        gi = lane[nid][0]
+        if gi not in whole:
+            body.append(f"G{nid} = stack([{', '.join(f'g{m}' for m in groups[gi])}], axis=1)")
+        for p, expr in enumerate(exprs):
+            if expr is not None and flags[gi][p] and lane[inputs[nid][p]][0] in whole:
+                offer(nid, p, expr)
+            elif expr is not None:
+                body.append(f"C{nid}_{p} = {expr}")
+                for j, m in enumerate(groups[gi]):
+                    offer(m, p, f"C{nid}_{p}[:, {j}]")
     grads = "".join(f"g{p}, " if p in has_adjoint else f"zeros_like(v{p}), " for p in tape.params)
     body.append(f"return ({''.join(f'v{nid}, ' for nid in outs)}), ({grads})")
-    source = f"def step({args}):\n" + "".join(f"    {line}\n" for line in body)
+    source = f"def step({', '.join(arg_names)}):\n" + "".join(f"    {line}\n" for line in body)
 
     def shape_error(values):
-        for nid, shape, value in zip(leaves, shapes, values):
+        for ids, shape, value in zip(args, shapes, values):
             if value.shape != shape:
-                raise ShapeError(f"compiled step: leaf {nid} was recorded with dims {shape}, got {value.shape}")
+                what = f"leaf {ids[0]}" if len(ids) == 1 else f"lanes of leaves {ids}"
+                raise ShapeError(f"compiled step: {what} was recorded with dims {shape}, got {value.shape}")
 
     namespace = {**_KERNELS, "shapes": shapes, "shape_error": shape_error}
     exec(compile(source, "<compiled step>", "exec"), namespace)
     step = namespace["step"]
-    step.source = source
+    step.source, step.leaves = source, args
     if len(_STEP_CACHE) >= _STEP_CACHE_SIZE:
         del _STEP_CACHE[next(iter(_STEP_CACHE))]  # the oldest entry
     _STEP_CACHE[key] = step

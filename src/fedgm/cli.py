@@ -320,7 +320,7 @@ def grad_check_instances(arch, trials, seed):
         y = rng.integers(0, classes, size=batch)
         n_snaps = int(rng.integers(1, 4))
         snapshots = [
-            HeadSnapshot(j, rng.normal(0.0, 0.7, size=params.head_w.shape), rng.normal(0.0, 0.3, size=classes), 0)
+            HeadSnapshot(j, rng.normal(0.0, 0.7, size=params.head_w.shape), rng.normal(0.0, 0.3, size=classes))
             for j in range(n_snaps)
         ]
         lam = lams[trial % len(lams)]

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import rng as streams
-from .autodiff import LEAF, Tape, backward, compile_step
+from .autodiff import Tape, backward, compile_step
 from .config import Config, HyperParams
 from .data import (
     AugmentationSpec,
@@ -155,6 +155,12 @@ def _client_params(initial: ModelParams, stacked: list[np.ndarray], i: int) -> M
     return ModelParams(list(initial.arch), initial.classes, feature, arrays[-2], arrays[-1])
 
 
+def _stacked(tapes: list[Tape], ids: tuple[int, ...]) -> np.ndarray:
+    """Leaf values stacked over the clients, and the lanes of a group on axis 1."""
+    per_leaf = [np.stack([t.vals[nid] for t in tapes]) for nid in ids]
+    return per_leaf[0] if len(ids) == 1 else np.stack(per_leaf, axis=1)
+
+
 class _Recorded:
     """The first step of some feed shapes, recorded per client; later steps run it compiled.
 
@@ -169,12 +175,13 @@ class _Recorded:
 
     def run(self, values):
         if self.step is None:
-            self.step = compile_step(self.tapes, self.loss, list(self.stat_nodes.values()))
-            leaves = [nid for nid, kind in enumerate(self.tapes[0].ops) if kind == LEAF]
+            self.step = compile_step(self.tapes, self.loss, list(self.stat_nodes.values()), self.fed)
+            firsts = [ids[0] for ids in self.step.leaves]
+            self.slots = [firsts.index(nid) for nid in self.fed]
             # np.stack keeps each value's memory order in its slice (a
-            # transposed snapshot head stays transposed), and BLAS rounds by it
-            self.args = [np.stack([t.vals[nid] for t in self.tapes]) for nid in leaves]
-            self.slots = [leaves.index(nid) for nid in self.fed]
+            # transposed snapshot head stays transposed), and BLAS rounds by
+            # it; a group of lanes stacks its leaves once more, on axis 1
+            self.args = [None if ids[0] in self.fed else _stacked(self.tapes, ids) for ids in self.step.leaves]
         for k, value in zip(self.slots, values):
             self.args[k] = value
         return self.step(*self.args)
@@ -484,10 +491,7 @@ def _run_rounds(config: Config, adapt: bool) -> MetricsTable:
         if adapt:
             target, coverage, precision = _adapt_target(t, global_params, updates, target_pool, hp)
         global_params = aggregate(updates if target is None else updates + [target])
-        heads = [
-            HeadSnapshot(u.domain_id, u.params.head_w.copy(), u.params.head_b.copy(), t)
-            for u in updates
-        ]
+        heads = [HeadSnapshot(u.domain_id, u.params.head_w.copy(), u.params.head_b.copy()) for u in updates]
         for u in updates:
             for metric in TRAIN_METRICS:
                 table.add(t, "train", u.domain_id, metric, u.train_stats[metric])

@@ -53,12 +53,11 @@ class ModelParams:
 
 @dataclass
 class HeadSnapshot:
-    """Frozen classifier head from another domain at the previous round."""
+    """Frozen classifier head of one source client at the end of the previous round."""
 
     domain_id: int
     weight: np.ndarray
     bias: np.ndarray
-    round: int
 
 
 @dataclass

@@ -63,7 +63,7 @@ def test_tape_layout_and_floor_step():
     # traced benchmark does for its dispatch floor
     rng = np.random.default_rng(0)
     params = init_params([2, 6], 2, 0)
-    snaps = [HeadSnapshot(1, rng.normal(size=(2, 6)), rng.normal(size=2), 1)]
+    snaps = [HeadSnapshot(1, rng.normal(size=(2, 6)), rng.normal(size=2))]
     step = _matching_loss(snaps, HyperParams(), AugmentationSpec.gaussian_noise(0.1), rng)
     staged = stage_params(tape, params)
     feeds = [tape.constant(v) for v in step.feeds(rng.normal(size=(5, 2)), np.arange(5) % 2, 2)]

@@ -71,7 +71,7 @@ def test_local_train_converges_on_separable_batch():
 
 
 def test_local_train_round_one_skips_inter():
-    heads = [HeadSnapshot(1, np.zeros((2, 4)), np.zeros(2), 0)]
+    heads = [HeadSnapshot(1, np.zeros((2, 4)), np.zeros(2))]
     hp = HyperParams(lam=0.5, local_epochs=1, batch=4, lr0=0.01, lr1=0.01, rounds=1, seed=5)
     (update,) = local_train(init_params([2, 4], 2, 0), [_tiny_dataset()], heads, hp, 1, AugmentationSpec.identity())
     assert update.train_stats["inter"] == 0.0

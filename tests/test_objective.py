@@ -174,7 +174,7 @@ def test_inter_loss_identical_snapshot_identity_augmentation():
     t = Tape()
     h = t.constant(H)
     g_aug = head_grad(t, h, y, w, b)  # identity augmentation: same batch
-    snap = HeadSnapshot(0, w.copy(), b.copy(), 0)
+    snap = HeadSnapshot(0, w.copy(), b.copy())
     val = float(t.value(inter_gm_loss(t, g_aug, [snap], h, y)))
     assert val <= 1e-9
 
@@ -191,8 +191,8 @@ def test_inter_loss_orthogonal_snapshots_sum_to_two():
     h_aug = t.constant([[-1.0, 0.5]])
     g_aug = head_grad(t, h_aug, y, w_live, b_live)
     snaps = [
-        HeadSnapshot(0, np.array([[0.3, 0.0], [-0.1, 0.2]]), np.zeros(2), 0),
-        HeadSnapshot(1, np.array([[-0.6, 0.4], [0.2, 0.1]]), np.array([0.1, 0.0]), 0),
+        HeadSnapshot(0, np.array([[0.3, 0.0], [-0.1, 0.2]]), np.zeros(2)),
+        HeadSnapshot(1, np.array([[-0.6, 0.4], [0.2, 0.1]]), np.array([0.1, 0.0])),
     ]
     val = float(t.value(inter_gm_loss(t, g_aug, snaps, h_orig, y)))
     assert abs(val - 2.0) <= 1e-12
@@ -206,7 +206,7 @@ def test_inter_loss_matches_independent_recomputation():
     b = rng.normal(0, 0.2, 3)
     y = rng.integers(0, 3, 5)
     snaps = [
-        HeadSnapshot(j, rng.normal(0, 0.6, (3, 4)), rng.normal(0, 0.2, 3), 0)
+        HeadSnapshot(j, rng.normal(0, 0.6, (3, 4)), rng.normal(0, 0.2, 3))
         for j in range(3)
     ]
     t = Tape()
@@ -231,7 +231,7 @@ def test_inter_loss_normalize_divides_by_count():
     H = rng.normal(0, 1, (3, 2))
     w = rng.normal(0, 0.5, (2, 2))
     y = [0, 1, 0]
-    snaps = [HeadSnapshot(j, rng.normal(0, 0.6, (2, 2)), np.zeros(2), 0) for j in range(4)]
+    snaps = [HeadSnapshot(j, rng.normal(0, 0.6, (2, 2)), np.zeros(2)) for j in range(4)]
     t = Tape()
     h = t.constant(H)
     g_aug = head_grad(t, h, y, w, np.zeros(2))
@@ -254,7 +254,7 @@ def _instance(seed=0, batch=4, arch=(3, 5, 4), classes=3, n_snaps=2, x_scale=1.5
     X_aug = X + rng.normal(0, 0.3, X.shape)
     y = rng.integers(0, classes, batch)
     snaps = [
-        HeadSnapshot(j, rng.normal(0, 0.7, params.head_w.shape), rng.normal(0, 0.3, classes), 0)
+        HeadSnapshot(j, rng.normal(0, 0.7, params.head_w.shape), rng.normal(0, 0.3, classes))
         for j in range(n_snaps)
     ]
     return params, snaps, X, X_aug, y
@@ -271,7 +271,7 @@ def test_local_loss_lambda_one_ignores_snapshots():
 
 def test_local_loss_lambda_zero_identity_aug_live_copy():
     params, _, X, _, y = _instance(seed=6)
-    snap = HeadSnapshot(0, params.head_w.copy(), params.head_b.copy(), 0)
+    snap = HeadSnapshot(0, params.head_w.copy(), params.head_b.copy())
     t = Tape()
     _, bd = local_loss(t, params, [snap], X, X, y, 0.0)
     assert bd.ce_aug == bd.ce_orig

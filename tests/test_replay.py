@@ -85,7 +85,7 @@ def test_replayed_steps_match_fresh_recordings(widths, classes, batch, n_snaps, 
     n = 3 * batch + int(rng.integers(1, batch))  # the last batch is short
     ds = DomainDataset(0, rng.normal(0.0, 1.5, (n, 3)), rng.integers(0, classes, n))
     snaps = [  # none: a round-1 client
-        HeadSnapshot(j, rng.normal(0.0, 0.7, (classes, arch[-1])), rng.normal(0.0, 0.3, classes), 0)
+        HeadSnapshot(j, rng.normal(0.0, 0.7, (classes, arch[-1])), rng.normal(0.0, 0.3, classes))
         for j in range(n_snaps)
     ]
     hp = HyperParams(lam=lam, gm_enabled=gm_enabled)
@@ -135,7 +135,7 @@ def _l2_norms(step, params, X):
 def test_zero_norm_subgradient_decided_per_step(recorded, compiled, monkeypatch):
     monkeypatch.setattr(ad, "_STEP_CACHE", {})  # compile from this recording
     params = _saturating_params()
-    snaps = [HeadSnapshot(1, np.array([[100.0, 0.0], [0.0, 0.0]]), np.zeros(2), 0)]
+    snaps = [HeadSnapshot(1, np.array([[100.0, 0.0], [0.0, 0.0]]), np.zeros(2))]
     step = _matching_loss(snaps, HyperParams(lam=0.5), AugmentationSpec.identity(), None)
     # the matched head gradients vanish exactly on the saturated batch only
     assert min(_l2_norms(step, params, _SATURATED)) == 0.0
@@ -150,7 +150,7 @@ def test_zero_norm_subgradient_decided_per_step(recorded, compiled, monkeypatch)
 def test_zero_norm_subgradient_taken_by_one_slice_only(monkeypatch):
     monkeypatch.setattr(ad, "_STEP_CACHE", {})
     params = _saturating_params()
-    snaps = [HeadSnapshot(1, np.array([[100.0, 0.0], [0.0, 0.0]]), np.zeros(2), 0)]
+    snaps = [HeadSnapshot(1, np.array([[100.0, 0.0], [0.0, 0.0]]), np.zeros(2))]
     step = _matching_loss(snaps, HyperParams(lam=0.5), AugmentationSpec.identity(), None)
     rec = _recorded(step, params, [step.feeds(X, _LABELS, 2) for X in (_UNIFORM, _UNIFORM)])
     # one client's head-gradient norms vanish, the other's do not, in one call
@@ -169,7 +169,7 @@ def test_calls_share_one_compiled_step_with_their_own_snapshot_heads():
     results = []
     steps = []
     for call in range(2):
-        snaps = [HeadSnapshot(j, rng.normal(0.0, 0.7, (3, 5)), rng.normal(0.0, 0.3, 3), 0) for j in range(2)]
+        snaps = [HeadSnapshot(j, rng.normal(0.0, 0.7, (3, 5)), rng.normal(0.0, 0.3, 3)) for j in range(2)]
         step = _matching_loss(snaps, hp, AugmentationSpec.identity(), None)
         values = step.feeds(X, y, 3)
         rec = _recorded(step, params, [values])
@@ -192,7 +192,7 @@ def test_local_train_calls_share_compiled_steps(monkeypatch):
     ds = DomainDataset(0, rng.normal(0.0, 1.0, (20, 2)), np.arange(20) % 2)
     hp = HyperParams(batch=4, lr0=0.05, lr1=0.01)
     for t in (2, 3):
-        heads = [HeadSnapshot(1, rng.normal(0.0, 0.5, (2, 4)), rng.normal(0.0, 0.1, 2), t - 1)]
+        heads = [HeadSnapshot(1, rng.normal(0.0, 0.5, (2, 4)), rng.normal(0.0, 0.1, 2))]
         local_train(init_params([2, 4], 2, 0), [ds], heads, hp, t, AugmentationSpec.identity())
     assert len(ad._STEP_CACHE) == 1  # one batch shape, one tape structure
 
@@ -261,7 +261,7 @@ def test_replayed_step_rejects_non_finite_loss(plain):
     widths=st.lists(st.integers(1, 6), min_size=1, max_size=3),
     classes=st.integers(2, 4),
     batch=st.integers(2, 6),
-    n_snaps=st.integers(0, 3),
+    n_snaps=st.integers(0, 5),
     lam=st.sampled_from([0.0, 0.3, 1.0]),
     gm_enabled=st.booleans(),
     plain=st.booleans(),
@@ -274,7 +274,7 @@ def test_lockstep_clients_match_separate_eager_steps(k, widths, classes, batch, 
     n = 2 * batch + int(rng.integers(1, batch))  # the last batch is short
     datasets = [DomainDataset(d, rng.normal(0.0, 1.5, (n, 3)), rng.integers(0, classes, n)) for d in range(k)]
     heads = [
-        HeadSnapshot(j, rng.normal(0.0, 0.7, (classes, arch[-1])), rng.normal(0.0, 0.3, classes), 1)
+        HeadSnapshot(j, rng.normal(0.0, 0.7, (classes, arch[-1])), rng.normal(0.0, 0.3, classes))
         for j in range(n_snaps)
     ]
     hp = HyperParams(lam=lam, gm_enabled=gm_enabled, local_epochs=2, batch=batch, lr0=0.05, lr1=0.01, seed=seed)
@@ -327,7 +327,7 @@ def test_three_clients_share_one_compiled_step_per_batch_shape(monkeypatch):
     monkeypatch.setattr(ad, "_STEP_CACHE", {})
     rng = np.random.default_rng(5)
     datasets = [DomainDataset(d, rng.normal(0.0, 1.0, (10, 2)), np.arange(10) % 2) for d in range(3)]
-    heads = [HeadSnapshot(j, rng.normal(0.0, 0.5, (2, 4)), rng.normal(0.0, 0.1, 2), 1) for j in range(3)]
+    heads = [HeadSnapshot(j, rng.normal(0.0, 0.5, (2, 4)), rng.normal(0.0, 0.1, 2)) for j in range(3)]
     hp = HyperParams(batch=4, local_epochs=2, lr0=0.05, lr1=0.01)
     local_train(init_params([2, 4], 2, 0), datasets, heads, hp, 2, AugmentationSpec.gaussian_noise(0.1))
     # batches of 4, 4 and 2 rows: one function for each shape, each for all 3 clients
@@ -338,14 +338,16 @@ def test_stacked_constants_keep_their_memory_order():
     # BLAS rounds a one-row product by the memory order of its operands, and
     # snapshot heads are recorded transposed
     rng = np.random.default_rng(2)
-    snaps = [HeadSnapshot(j, rng.normal(0.0, 0.7, (3, 8)), rng.normal(0.0, 0.3, 3), 1) for j in range(2)]
+    snaps = [HeadSnapshot(j, rng.normal(0.0, 0.7, (3, 8)), rng.normal(0.0, 0.3, 3)) for j in range(2)]
     step = _matching_loss(snaps, HyperParams(lam=0.3), AugmentationSpec.identity(), None)
     params = init_params([3, 8], 3, 0)
     clients = [step.feeds(rng.normal(0.0, 1.0, (1, 3)), [c], 3) for c in range(2)]
     rec = _recorded(step, params, clients)
     assert _compiled(rec, params, clients) == [_fresh(step, params, values) for values in clients]
-    # the two snapshot heads, stacked for the compiled step, are still transposed per client
-    assert [arg[0].strides for arg in rec.args if arg.ndim == 3].count((8, 64)) == 2
+    # the two snapshot heads, stacked for the compiled step as the two lanes of
+    # one argument, are still transposed per client and lane
+    (heads,) = [arg for arg in rec.args if arg.ndim == 4]
+    assert [heads[i, j].strides for i in range(2) for j in range(2)] == [(8, 64)] * 4
 
 
 def _every_op_tape(w_val, s_val, x_val):
@@ -375,3 +377,91 @@ def test_every_op_compiles_to_each_clients_eager_bytes():
         by_id = backward(tape, loss)
         assert total[i].tobytes() == tape.value(loss).tobytes()
         assert [g[i].tobytes() for g in grads] == [by_id[p].tobytes() for p in tape.params]
+
+
+def _forward_lines(source):
+    return source[: source.index("ones_like")].splitlines()
+
+
+def test_snapshot_blocks_run_as_one_group_of_lanes(monkeypatch):
+    monkeypatch.setattr(ad, "_STEP_CACHE", {})
+    rng = np.random.default_rng(9)
+    snaps = [HeadSnapshot(j, rng.normal(0.0, 0.7, (2, 6)), rng.normal(0.0, 0.3, 2)) for j in range(3)]
+    step = _matching_loss(snaps, HyperParams(lam=0.5), AugmentationSpec.gaussian_noise(0.2), rng)
+    params = init_params([3, 6], 2, 1)
+    clients = [step.feeds(rng.normal(0.0, 1.0, (5, 3)), rng.integers(0, 2, 5), 2) for _ in range(3)]
+    rec = _recorded(step, params, clients)
+    assert _compiled(rec, params, clients) == [_fresh(step, params, values) for values in clients]
+    tape = rec.tapes[0]
+    heads = tuple(nid for nid, kind in enumerate(tape.ops) if kind == ad.LEAF and tape.value(nid).shape == (6, 2))
+    assert len(heads) == 3 and heads in rec.step.leaves  # the heads are the lanes of one argument
+    # one matmul by the stacked snapshot heads, not one per snapshot
+    matmuls = [ln for ln in _forward_lines(rec.step.source) if " @ " in ln and any(f"{v}{h}" in ln for h in heads for v in "vL")]
+    assert len(matmuls) == 1
+
+
+def _two_lane_tape(first, second, chained=False):
+    """Two heads applied to one parameter block: each lane is (h @ W_j)**2 summed,
+    or, ``chained``, the second head's add reads the first's."""
+    rng = np.random.default_rng(4)
+    tape = Tape()
+    h = tape.leaf(rng.normal(size=(4, 3)), param=True)
+    w1, w2 = tape.constant(first), tape.constant(second)
+    if chained:
+        a = ad.add(tape, h, w1)
+        loss = ad.reduce_sum(tape, ad.mul(tape, ad.add(tape, a, w2), a))
+        return tape, loss
+    z1, z2 = ad.matmul(tape, h, w1), ad.matmul(tape, h, w2)
+    s1, s2 = ad.reduce_sum(tape, ad.mul(tape, z1, z1)), ad.reduce_sum(tape, ad.mul(tape, z2, z2))
+    return tape, ad.add(tape, s1, s2)
+
+
+def _compiled_matches_eager(tape, loss):
+    step = compile_step([tape], loss, [loss])
+    leaves = [nid for nid, kind in enumerate(tape.ops) if kind == ad.LEAF]
+    (total,), grads = step(*(federation._stacked([tape], ids) for ids in step.leaves))
+    assert total[0].tobytes() == tape.value(loss).tobytes()
+    assert [g[0].tobytes() for g in grads] == [g.tobytes() for g in backward(tape, loss).values()]
+    assert sorted(n for ids in step.leaves for n in ids) == leaves
+    return step
+
+
+@pytest.mark.parametrize("contiguous", [False, True])
+def test_lanes_need_one_memory_order(contiguous, monkeypatch):
+    monkeypatch.setattr(ad, "_STEP_CACHE", {})
+    rng = np.random.default_rng(6)
+    w1, w2 = rng.normal(size=(2, 3)).T, rng.normal(size=(2, 3)).T  # transposed, as snapshot heads are
+    if contiguous:
+        w2 = np.ascontiguousarray(w2)
+    step = _compiled_matches_eager(*_two_lane_tape(w1, w2))
+    grouped = [ids for ids in step.leaves if len(ids) > 1]
+    matmuls = [ln for ln in _forward_lines(step.source) if " @ " in ln]
+    # one transposed and one contiguous head: BLAS would round a shared kernel
+    # differently for one of them, so each keeps its own matmul
+    assert (grouped, len(matmuls)) == (([], 2) if contiguous else ([(1, 2)], 1))
+
+
+def test_an_op_that_consumes_its_isomorphic_twin_is_not_a_lane(monkeypatch):
+    monkeypatch.setattr(ad, "_STEP_CACHE", {})
+    rng = np.random.default_rng(8)
+    # both adds take one seed at position 1, but the second also takes the first
+    step = _compiled_matches_eager(*_two_lane_tape(rng.normal(size=(4, 3)), rng.normal(size=(4, 3)), chained=True))
+    assert all(len(ids) == 1 for ids in step.leaves)
+    assert not any(ln.lstrip().startswith("L") for ln in step.source.splitlines())  # no group's value
+
+
+def test_a_lane_read_by_lane_0_is_read_lane_by_lane(monkeypatch):
+    monkeypatch.setattr(ad, "_STEP_CACHE", {})
+    rng = np.random.default_rng(10)
+    tape = Tape()
+    w = tape.leaf(rng.normal(size=(2, 2)), param=True)
+    g = [tape.constant(rng.normal(size=(2, 2))) for _ in range(3)]
+    h = [tape.constant(rng.normal(size=(2, 2))) for _ in range(3)]
+    # the second product reads h[0] where its lane's h would be h[1], the third its own h[2]
+    products = [ad.mul(tape, g[0], h[0]), ad.mul(tape, g[1], h[0]), ad.mul(tape, g[2], h[2])]
+    products += [ad.mul(tape, w, h[1]), ad.mul(tape, w, h[1]), ad.mul(tape, w, h[2])]
+    loss = ad.reduce_sum(tape, ad.mul(tape, w, products[0]))
+    for z in products[1:]:
+        loss = ad.add(tape, loss, ad.reduce_sum(tape, ad.mul(tape, w, z)))
+    step = _compiled_matches_eager(tape, loss)
+    assert all(len(ids) == 1 for ids in step.leaves)
