@@ -27,6 +27,7 @@ from fedgm.experiments import (
     swap_config,
 )
 from fedgm.federation import run_da, run_dg
+from fedgm.files import write_atomic
 
 
 def derive_dg_directional() -> dict:
@@ -103,9 +104,7 @@ def main() -> None:
         print(f"{name}: {time.perf_counter() - t0:.1f}s")
     path = REPO / "results" / "directional.json"
     path.parent.mkdir(exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(out, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_atomic(path, [json.dumps(out, indent=2, sort_keys=True) + "\n"])
     print(f"wrote {path}")
 
 

@@ -13,9 +13,10 @@ of all their leaves stacked on a leading client axis. It issues the forward
 rules' and ``backward``'s kernels in the same order, each giving every
 client's slice the bytes of that client's own eager step, with every shape
 decision resolved when the source is generated; isomorphic copies of one
-block (the inter term's per-snapshot ops) run as one kernel per op. Later
-batches call that function instead of recording again, and tapes with the
-same structure share one compiled function.
+block (the inter term's per-snapshot ops) run as one kernel per op. Every
+batch of the recorded shapes, the recorded one included, calls that
+function, and tapes with the same structure share one compiled function;
+``backward`` on one of the recorded tapes checks it.
 
 Tensors are plain ``numpy.ndarray`` values in float64, row-major. Scalars are
 0-d arrays.

@@ -30,4 +30,5 @@ class DivergenceError(FedgmError, RuntimeError):
 
 
 class OracleError(FedgmError, RuntimeError):
-    """A finite-difference probe hit a non-finite function value."""
+    """A reference oracle failed: a finite-difference probe hit a non-finite
+    function value, or a compiled step differs from its eager ``backward``."""

@@ -35,7 +35,7 @@ from .data import (
     gen_textured_domains,
     train_test_split,
 )
-from .errors import ContractError, DivergenceError, UsageError
+from .errors import ContractError, DivergenceError, OracleError, UsageError
 from .files import write_atomic
 from .model import (
     HeadSnapshot,
@@ -65,7 +65,8 @@ class StepLoss(NamedTuple):
     staged as leaves in the same order, and returns the loss node and the
     node of each reported stat, "total" among them. Everything else it
     records may depend only on the leaves' shapes and the step loss's own
-    settings, because later batches of the same shapes run the record compiled.
+    settings, because every batch of those shapes, the recorded one
+    included, runs the record compiled.
     """
 
     feeds: Callable[[np.ndarray, np.ndarray, int], tuple[np.ndarray, ...]]
@@ -162,29 +163,45 @@ def _stacked(tapes: list[Tape], ids: tuple[int, ...]) -> np.ndarray:
 
 
 class _Recorded:
-    """The first step of some feed shapes, recorded per client; later steps run it compiled.
+    """The clients' recordings of one feed shape, compiled into one stacked step.
 
-    ``run`` calls the clients' compiled step (compiled on the first such
-    call, or found in the cache) with the stacked parameter and feed values
-    it is given and the other leaves stacked from the recordings.
+    The recordings give the step its structure and its recorded constants
+    (the snapshot heads), stacked over the clients once; ``run`` calls the
+    compiled step with the stacked parameter and feed values it is given,
+    and ``check`` holds a run's slice 0 against ``backward`` on client 0's
+    recording.
     """
 
     def __init__(self, tapes: list[Tape], fed: list[int], loss: int, stat_nodes: dict[str, int]):
-        self.tapes, self.fed, self.loss, self.stat_nodes = tapes, fed, loss, stat_nodes
-        self.step = None
+        self.tapes, self.loss, self.stat_nodes = tapes, loss, stat_nodes
+        self.step = compile_step(tapes, loss, list(stat_nodes.values()), fed)
+        firsts = [ids[0] for ids in self.step.leaves]
+        self.slots = [firsts.index(nid) for nid in fed]
+        # np.stack keeps each value's memory order in its slice (a transposed
+        # snapshot head stays transposed), and BLAS rounds by it; a group of
+        # lanes stacks its leaves once more, on axis 1
+        self.args = [None if ids[0] in fed else _stacked(tapes, ids) for ids in self.step.leaves]
 
     def run(self, values):
-        if self.step is None:
-            self.step = compile_step(self.tapes, self.loss, list(self.stat_nodes.values()), self.fed)
-            firsts = [ids[0] for ids in self.step.leaves]
-            self.slots = [firsts.index(nid) for nid in self.fed]
-            # np.stack keeps each value's memory order in its slice (a
-            # transposed snapshot head stays transposed), and BLAS rounds by
-            # it; a group of lanes stacks its leaves once more, on axis 1
-            self.args = [None if ids[0] in self.fed else _stacked(self.tapes, ids) for ids in self.step.leaves]
         for k, value in zip(self.slots, values):
             self.args[k] = value
         return self.step(*self.args)
+
+    def check(self, outs, grads) -> None:
+        """Raise OracleError unless slice 0 of the run that gave ``outs`` and
+        ``grads`` holds the bytes of client 0's recording and its ``backward``.
+
+        The run must be on the recorded values, before any update moves the
+        parameters the recording holds.
+        """
+        tape = self.tapes[0]
+        by_id = backward(tape, self.loss)
+        eager = [(f"stat {m}", tape.value(nid)) for m, nid in self.stat_nodes.items()]
+        eager += [(f"gradient of leaf {nid}", by_id[nid]) for nid in tape.params]
+        for (what, want), got in zip(eager, [*outs, *grads]):
+            got = np.asarray(got[0])
+            if got.shape != want.shape or got.tobytes() != want.tobytes():
+                raise OracleError(f"compiled step: client 0's {what} differs from the eager step's")
 
 
 def local_train(
@@ -201,10 +218,13 @@ def local_train(
     Every client starts from ``initial`` and trains on its own dataset; the
     datasets must have equal sizes and widths, so the clients' batches line
     up. The first batch of each feed shape records ``step_loss`` on one tape
-    per client and differentiates it with ``backward``; later batches of
-    that shape run all clients at once through the tapes' compiled step on
-    the stacked feeds and parameters, which gives every client the bytes of
-    recording again. The stats are averaged over the steps. The default
+    per client, which gives the step its structure and recorded constants,
+    and compiles the tapes into one step; every batch of that shape, the
+    first included, runs all clients at once through it on the stacked feeds
+    and parameters, which gives every client the bytes of its own eager
+    step. On that first batch ``backward`` differentiates client 0's tape
+    and an OracleError is raised unless the compiled slice 0 matches it bit
+    for bit. The stats are averaged over the steps. The default
     step loss is the gradient-matched source objective on the batch and its
     ``aug`` view against ``heads``, which only it reads, with each client's
     own augmentation stream; an explicit ``step_loss`` serves every client.
@@ -213,7 +233,8 @@ def local_train(
     round because the client restarts from the broadcast global model.
 
     A client's failure (a non-finite loss, a bad label) is raised as
-    training the clients one at a time, in list order, would raise it.
+    training the clients one at a time, in list order, would raise it; an
+    OracleError is an engine fault and is raised as it is.
     """
     if round_t < 1:
         raise UsageError(f"round must be >= 1, got {round_t}")
@@ -259,27 +280,23 @@ def _train_lockstep(initial, datasets, heads, hp, round_t, aug, step_loss) -> li
             ]
             shapes = tuple(v.shape for v in values[0])
             rec = records.get(shapes)
-            if rec is None:
-                tapes, outs, grads = [], [], []
+            fresh = rec is None
+            if fresh:  # the recordings give the step its structure and recorded constants
+                tapes = []
                 for loss_i, params_i, values_i in zip(losses, clients, values):
                     tape = Tape()
                     staged = stage_params(tape, params_i)
                     feeds = [tape.constant(v) for v in values_i]
                     loss, stat_nodes = loss_i.record(tape, staged, *feeds)
-                    by_id = backward(tape, loss)
                     tapes.append(tape)
-                    outs.append([tape.value(nid) for nid in stat_nodes.values()])
-                    grads.append([by_id[nid] for nid in staged.all_ids()])
-                records[shapes] = _Recorded(tapes, staged.all_ids() + feeds, loss, stat_nodes)
-                outs = [np.stack(col) for col in zip(*outs)]
-                grads = [np.stack(col) for col in zip(*grads)]
-            else:
-                outs, grads = rec.run([*stacked, *(np.stack(col) for col in zip(*values))])
-                stat_nodes = rec.stat_nodes
-            total = outs[list(stat_nodes).index("total")]
+                rec = records[shapes] = _Recorded(tapes, staged.all_ids() + feeds, loss, stat_nodes)
+            outs, grads = rec.run([*stacked, *(np.stack(col) for col in zip(*values))])
+            total = outs[list(rec.stat_nodes).index("total")]
             if not np.isfinite(total).all():
                 bad = float(total[np.argmin(np.isfinite(total))])
                 raise DivergenceError(f"non-finite loss {bad} at round {round_t}, step {steps}")
+            if fresh:
+                rec.check(outs, grads)
             _sgd_step(stacked, grads, velocity, lr, hp)
             if sums is None:
                 sums = [np.zeros(k) for _ in outs]
@@ -289,7 +306,7 @@ def _train_lockstep(initial, datasets, heads, hp, round_t, aug, step_loss) -> li
     if steps == 0:
         raise UsageError(f"no training steps: {hp.local_epochs} epochs over {datasets[0].N} rows")
     return [
-        ClientUpdate(ds.domain_id, clients[i], ds.N, {m: float(acc[i] / steps) for m, acc in zip(stat_nodes, sums)})
+        ClientUpdate(ds.domain_id, clients[i], ds.N, {m: float(acc[i] / steps) for m, acc in zip(rec.stat_nodes, sums)})
         for i, ds in enumerate(datasets)
     ]
 
@@ -448,9 +465,10 @@ def run_dg(config: Config) -> MetricsTable:
     Per round: sources train from the broadcast global model with last
     round's local heads, the server aggregates, and the new global model is
     scored on every source test split and on the held-out domain's test
-    split.
+    split. The config's mode must be "dg".
     """
-    return _run_rounds(config, adapt=False)
+    _require_mode(config, "dg")
+    return _run_rounds(config)
 
 
 def run_da(config: Config) -> MetricsTable:
@@ -460,14 +478,22 @@ def run_da(config: Config) -> MetricsTable:
     labels from the current source local models each round, fine-tunes the
     broadcast global model on the accepted subset, and enters aggregation
     weighted by the accepted count. Target ground truth is used only to
-    score pseudo-label precision and accuracies.
+    score pseudo-label precision and accuracies. The config's mode must be
+    "da".
     """
-    return _run_rounds(config, adapt=True)
+    _require_mode(config, "da")
+    return _run_rounds(config)
 
 
-def _run_rounds(config: Config, adapt: bool) -> MetricsTable:
-    """The round loop of run_dg, plus the target client when ``adapt``."""
+def _require_mode(config: Config, mode: str) -> None:
+    if config.mode != mode:
+        raise UsageError(f"run_{mode} needs a config of mode '{mode}', got '{config.mode}'")
+
+
+def _run_rounds(config: Config) -> MetricsTable:
+    """The round loop of run_dg, plus the target client in mode "da"."""
     config.validate()
+    adapt = config.mode == "da"
     hp = config.hp
     held_out = config.held_out
     domains = build_domains(config)

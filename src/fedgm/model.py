@@ -103,17 +103,14 @@ def init_params(arch: list[int], classes: int, seed: int) -> ModelParams:
     )
 
 
-def stage_params(tape: Tape, params: ModelParams, *, trainable: bool = True) -> ParamNodes:
-    """Register every parameter array as a tape leaf."""
-    feature = [
-        (tape.leaf(w, param=trainable), tape.leaf(b, param=trainable))
-        for w, b in params.feature
-    ]
-    head_w = tape.leaf(params.head_w, param=trainable)
+def stage_params(tape: Tape, params: ModelParams) -> ParamNodes:
+    """Register every parameter array as a trainable tape leaf."""
+    feature = [(tape.leaf(w, param=True), tape.leaf(b, param=True)) for w, b in params.feature]
+    head_w = tape.leaf(params.head_w, param=True)
     return ParamNodes(
         feature=feature,
         head_w=head_w,
-        head_b=tape.leaf(params.head_b, param=trainable),
+        head_b=tape.leaf(params.head_b, param=True),
         feature_wt=[ad.transpose(tape, w) for w, _ in feature],
         head_wt=ad.transpose(tape, head_w),
     )

@@ -251,6 +251,16 @@ def _config(mode="dg", rounds=3, held_out=2, n=120, lam=0.5, angles=(0.0, 30.0, 
     )
 
 
+def test_protocols_reject_a_config_of_the_other_mode():
+    # a dg config skips the vote-quorum check, which 2 sources and a quorum of 3 fail
+    dg = _config(rounds=2)
+    dg.hp.min_votes = 3
+    with pytest.raises(UsageError, match="run_da needs a config of mode 'da', got 'dg'"):
+        run_da(dg)
+    with pytest.raises(UsageError, match="run_dg needs a config of mode 'dg', got 'da'"):
+        run_dg(_config(mode="da", rounds=2))
+
+
 def test_run_dg_single_round_inter_inactive():
     table = run_dg(_config(rounds=1))
     inter_vals = [v for _, v in table.values("train", "inter")]

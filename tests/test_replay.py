@@ -1,12 +1,14 @@
 """Compiled steps against fresh recordings.
 
 ``local_train`` trains its clients in lockstep: it records the first batch
-of each feed shape eagerly, once per client, and runs later batches of that
-shape for every client at once through the tapes' compiled step
-(``autodiff.compile_step``), which calls of the same structure share. Each
-client's slice of a compiled step must give the loss, stats and gradients of
-that client's step recorded afresh on the same values, bit for bit, and the
-checks of a recorded step must still run on it.
+of each feed shape eagerly, once per client, compiles the tapes into one
+step (``autodiff.compile_step``), which calls of the same structure share,
+and runs every batch of that shape, the first included, for every client at
+once through it. On the first batch it differentiates client 0's tape with
+``backward`` and raises OracleError unless the compiled slice 0 matches.
+Each client's slice of a compiled step must give the loss, stats and
+gradients of that client's step recorded afresh on the same values, bit for
+bit, and the checks of a recorded step must still run on it.
 """
 
 from unittest import mock
@@ -21,7 +23,7 @@ from fedgm import federation
 from fedgm import rng as streams
 from fedgm.autodiff import Tape, backward, compile_step
 from fedgm.data import AugmentationSpec, DomainDataset, batch_iter
-from fedgm.errors import DivergenceError, ShapeError, UsageError
+from fedgm.errors import DivergenceError, OracleError, ShapeError, UsageError
 from fedgm.federation import HyperParams, _matching_loss, _Recorded, cosine_lr, local_train, plain_ce_loss
 from fedgm.model import HeadSnapshot, ModelParams, flatten, init_params, stage_params
 
@@ -223,11 +225,13 @@ def test_step_cache_is_bounded(monkeypatch):
     assert len(ad._STEP_CACHE) == ad._STEP_CACHE_SIZE
 
 
-def _second_batch_row(ds, hp, round_t):
-    """Index of a row that local_train's round ``round_t`` sees in its second batch."""
+def _batch_row(ds, hp, round_t, second):
+    """Index of a row that local_train's round ``round_t`` sees in its first
+    batch, or, ``second``, in its second."""
     epoch = (round_t - 1) * hp.local_epochs
     first, _ = next(batch_iter(ds, hp.batch, streams.subseed(hp.seed, streams.CLIENT), epoch))
-    return next(i for i in range(ds.N) if not (first == ds.X[i]).all(axis=1).any())
+    in_first = [bool((first == row).all(axis=1).any()) for row in ds.X]
+    return in_first.index(not second)
 
 
 def _two_batch_dataset(batch):
@@ -235,24 +239,89 @@ def _two_batch_dataset(batch):
     return DomainDataset(1, rng.normal(0.0, 1.0, (2 * batch, 2)), np.arange(2 * batch) % 2)
 
 
-@pytest.mark.parametrize("plain", [False, True])
-def test_replayed_step_rejects_out_of_range_label(plain):
+# (plain, second): a bad row in the second batch, or in the first
+_BAD_BATCH = [
+    pytest.param(False, True, id="False"),
+    pytest.param(True, True, id="True"),
+    pytest.param(False, False, id="False-first-batch"),
+    pytest.param(True, False, id="True-first-batch"),
+]
+
+
+@pytest.mark.parametrize("plain, second", _BAD_BATCH)
+def test_replayed_step_rejects_out_of_range_label(plain, second):
     hp = HyperParams(batch=4, lr0=0.05, lr1=0.01)
     ds = _two_batch_dataset(hp.batch)
-    ds.y[_second_batch_row(ds, hp, 2)] = 7  # only the compiled batch is bad
+    ds.y[_batch_row(ds, hp, 2, second)] = 7  # only one batch is bad
     step = plain_ce_loss if plain else None
     with pytest.raises(UsageError, match=r"label 7 at index \d+ outside \[0, 2\)"):
         local_train(init_params([2, 4], 2, 0), [ds], [], hp, 2, AugmentationSpec.identity(), step)
 
 
-@pytest.mark.parametrize("plain", [False, True])
-def test_replayed_step_rejects_non_finite_loss(plain):
+@pytest.mark.parametrize("plain, second", _BAD_BATCH)
+def test_replayed_step_rejects_non_finite_loss(plain, second):
     hp = HyperParams(batch=4, lr0=0.05, lr1=0.01)
     ds = _two_batch_dataset(hp.batch)
-    ds.X[_second_batch_row(ds, hp, 2)] = 1e308  # only the compiled batch overflows
+    ds.X[_batch_row(ds, hp, 2, second)] = 1e308  # only one batch overflows
     step = plain_ce_loss if plain else None
-    with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="at round 2, step 1"):
+    # the divergence check runs before the oracle check, so a bad first batch diverges too
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError, match=f"at round 2, step {int(second)}"):
         local_train(init_params([2, 4], 2, 0), [ds], [], hp, 2, AugmentationSpec.identity(), step)
+
+
+def _lockstep_call(k):
+    """local_train's arguments for k clients of 10 rows: batches of 4, 4 and 2 rows."""
+    rng = np.random.default_rng(5)
+    datasets = [DomainDataset(d, rng.normal(0.0, 1.0, (10, 2)), np.arange(10) % 2) for d in range(k)]
+    heads = [HeadSnapshot(j, rng.normal(0.0, 0.5, (2, 4)), rng.normal(0.0, 0.1, 2)) for j in range(3)]
+    hp = HyperParams(batch=4, local_epochs=2, lr0=0.05, lr1=0.01)
+    return init_params([2, 4], 2, 0), datasets, heads, hp, 2, AugmentationSpec.gaussian_noise(0.1)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_backward_runs_once_per_feed_shape_on_client_0(k):
+    calls = []
+    real = federation.backward
+
+    def spy(tape, loss):
+        calls.append(tape)
+        return real(tape, loss)
+
+    initial, datasets, heads, hp, round_t, aug = _lockstep_call(k)
+    with mock.patch.object(federation, "backward", spy):
+        for call in range(2):
+            local_train(initial, datasets, heads, hp, round_t, aug)
+            # two feed shapes (batches of 4 and 2 rows), each checked once
+            assert len(calls) == 2 * (call + 1)
+    epoch = (round_t - 1) * hp.local_epochs
+    X0 = next(batch_iter(datasets[0], hp.batch, streams.subseed(hp.seed, streams.CLIENT), epoch))[0]
+    # the first check differentiates client 0's recording of its first batch
+    assert any(np.array_equal(v, X0) for v in calls[0].vals)
+
+
+@pytest.mark.parametrize("what", ["total", "gradient"])
+def test_compiled_slice_0_off_by_one_ulp_is_an_oracle_error(what):
+    compiles = []
+    real = federation.compile_step
+
+    def off_by_one_ulp(*args):
+        step = real(*args)
+        compiles.append(len(args[0]))
+
+        def bumped(*values):
+            outs, grads = map(list, step(*values))
+            arrays, j = (outs, list(args[2]).index(args[1])) if what == "total" else (grads, -1)
+            arrays[j] = arrays[j].copy()
+            arrays[j][0] = np.nextafter(arrays[j][0], np.inf)
+            return outs, grads
+
+        bumped.leaves = step.leaves
+        return bumped
+
+    with mock.patch.object(federation, "compile_step", off_by_one_ulp):
+        with pytest.raises(OracleError, match="client 0's"):
+            local_train(*_lockstep_call(3))
+    assert compiles == [3]  # an engine fault: no retry one client at a time
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -294,7 +363,7 @@ def test_lockstep_clients_match_separate_eager_steps(k, widths, classes, batch, 
 
     with mock.patch.object(federation, "_sgd_step", spy_sgd), mock.patch.object(federation, "compile_step", spy_compile):
         updates = local_train(initial, datasets, heads, hp, round_t, aug, plain_ce_loss if plain else None)
-    assert compiles == [k, k]  # the full and the short batch ran compiled in the second epoch
+    assert compiles == [k, k]  # the full and the short batch each compiled once, when first recorded
     velocity_end = steps[-1][1]
     # the oracle: each client alone, every step recorded afresh
     for i, ds in enumerate(datasets):
@@ -325,11 +394,7 @@ def test_lockstep_clients_match_separate_eager_steps(k, widths, classes, batch, 
 
 def test_three_clients_share_one_compiled_step_per_batch_shape(monkeypatch):
     monkeypatch.setattr(ad, "_STEP_CACHE", {})
-    rng = np.random.default_rng(5)
-    datasets = [DomainDataset(d, rng.normal(0.0, 1.0, (10, 2)), np.arange(10) % 2) for d in range(3)]
-    heads = [HeadSnapshot(j, rng.normal(0.0, 0.5, (2, 4)), rng.normal(0.0, 0.1, 2)) for j in range(3)]
-    hp = HyperParams(batch=4, local_epochs=2, lr0=0.05, lr1=0.01)
-    local_train(init_params([2, 4], 2, 0), datasets, heads, hp, 2, AugmentationSpec.gaussian_noise(0.1))
+    local_train(*_lockstep_call(3))
     # batches of 4, 4 and 2 rows: one function for each shape, each for all 3 clients
     assert sorted(key[0] for key in ad._STEP_CACHE) == [3, 3]
 
