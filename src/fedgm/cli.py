@@ -14,7 +14,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,12 +29,12 @@ from .files import write_atomic
 from .model import HeadSnapshot, flatten, init_params, save_checkpoint, stage_params, unflatten
 from .objective import cross_entropy, head_grad, local_loss
 
-# config keys of the hp object; "lambda" sets HyperParams.lam, and each
-# key's default and type come from HyperParams
-HP_KEYS = (
-    "lambda", "rounds", "local_epochs", "batch", "lr0", "lr1", "momentum",
-    "weight_decay", "inter_normalize", "tau", "min_votes", "gm_enabled",
-)
+# config key of the hp object -> HyperParams field: every field but seed,
+# which config.seeds sets; "lambda" sets lam. Each key's default and type
+# come from HyperParams.
+HP_KEYS = {
+    ("lambda" if f.name == "lam" else f.name): f.name for f in fields(HyperParams) if f.name != "seed"
+}
 
 
 def _expect(obj, path, keys_required, keys_optional):
@@ -125,8 +125,7 @@ def _parse_hp(raw, n_sources: int) -> HyperParams:
     # one vote suffices when only two sources can vote
     defaults = HyperParams(min_votes=2 if n_sources >= 3 else 1)
     values = {}
-    for key in HP_KEYS:
-        name = "lam" if key == "lambda" else key
+    for key, name in HP_KEYS.items():
         default = getattr(defaults, name)
         kind = type(default)
         value = _typed(raw, "hp", key, (int, float) if kind is float else kind, default=default)
@@ -410,14 +409,22 @@ def cmd_gen_data(config: Config, out: str) -> int:
     return 0
 
 
+def _hp_defaults() -> str:
+    """Every hp key with its default, as a config writes it."""
+    defaults = HyperParams()
+    shown = []
+    for key, name in HP_KEYS.items():
+        note = " (1 when only 2 sources)" if key == "min_votes" else ""
+        shown.append(f"{key}={json.dumps(getattr(defaults, name))}{note}")
+    return ", ".join(shown)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fedgm",
         description=(
             "Desk-scale federated domain generalization with gradient matching. "
-            "Config defaults: lambda=0.5, rounds=30, batch=16, lr0=1e-3, lr1=1e-4, "
-            "momentum=0.9, weight_decay=5e-4, local_epochs=1, tau=0.9, "
-            "min_votes=2 (1 when only 2 sources), inter_normalize=false."
+            f"Config defaults: {_hp_defaults()}."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

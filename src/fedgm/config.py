@@ -1,8 +1,9 @@
 """Experiment configuration: the data, model and optimizer settings of a run.
 
-``Config.validate`` checks the held-out index, the input width, the noise
-level, the hyperparameters and, for adaptation, the vote quorum; the JSON
-parser and the round protocol both call it.
+``Config.validate`` checks the class count, the domain size, the grid side,
+the domain count, the held-out index, the input width, the noise level, the
+hyperparameters and, for adaptation, the vote quorum; the JSON parser and
+the round protocol both call it.
 """
 
 from __future__ import annotations
@@ -76,11 +77,23 @@ class Config:
     seeds: list[int]
 
     def validate(self) -> None:
-        """Raise UsageError unless the held-out index, input width, noise
-        level and hp fit, and in adaptation mode enough sources can vote."""
+        """Raise UsageError unless the class count, domain size, grid side,
+        domain count, held-out index, input width, noise level and hp fit,
+        and in adaptation mode enough sources can vote."""
+        if self.data.classes < 2:
+            raise UsageError(f"data.classes must be >= 2, got {self.data.classes}")
+        if self.data.classes > self.data.n_per_domain:
+            raise UsageError(
+                f"data.n_per_domain {self.data.n_per_domain} cannot hold one sample of each of "
+                f"the {self.data.classes} classes"
+            )
+        if self.data.kind == "textured" and not 8 <= self.data.side <= 32:
+            raise UsageError(f"data.side must lie in [8, 32], got {self.data.side}")
         if not self.data.noise_sigma >= 0.0:
             raise UsageError(f"data.noise_sigma must be >= 0, got {self.data.noise_sigma}")
         n_domains = self.data.domain_count
+        if n_domains < 2:
+            raise UsageError(f"data: need at least 2 domains, one held out and one source, got {n_domains}")
         if not 0 <= self.held_out < n_domains:
             raise UsageError(f"held_out: index {self.held_out} outside the {n_domains} configured domains")
         d_in = self.arch[0] if self.arch else 0

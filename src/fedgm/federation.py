@@ -49,11 +49,9 @@ from .model import (
     stage_params,
     unflatten,
 )
-from .objective import cross_entropy, local_loss, one_hot
+from .objective import TRAIN_METRICS, cross_entropy, local_loss, one_hot
 
 log = logging.getLogger(__name__)
-
-TRAIN_METRICS = ("ce_orig", "ce_aug", "intra", "inter", "total")
 
 
 class StepLoss(NamedTuple):
@@ -139,21 +137,6 @@ def _sgd_step(arrays, grads, velocity, lr, hp):
         v *= hp.momentum
         v += g
         arr -= lr * v + lr * hp.weight_decay * arr
-
-
-def _param_arrays(params: ModelParams):
-    for w, b in params.feature:
-        yield w
-        yield b
-    yield params.head_w
-    yield params.head_b
-
-
-def _client_params(initial: ModelParams, stacked: list[np.ndarray], i: int) -> ModelParams:
-    """Client ``i``'s model: views of slice ``i`` of the stacked parameter arrays."""
-    arrays = [arr[i] for arr in stacked]
-    feature = list(zip(arrays[:-2:2], arrays[1:-2:2]))
-    return ModelParams(list(initial.arch), initial.classes, feature, arrays[-2], arrays[-1])
 
 
 def _stacked(tapes: list[Tape], ids: tuple[int, ...]) -> np.ndarray:
@@ -263,8 +246,12 @@ def _train_lockstep(initial, datasets, heads, hp, round_t, aug, step_loss) -> li
         ]
     else:
         losses = [step_loss] * k
-    stacked = [np.stack([arr] * k) for arr in _param_arrays(initial)]
-    clients = [_client_params(initial, stacked, i) for i in range(k)]
+    # in the order of staged.all_ids(), as the compiled step takes them;
+    # client i's model is views of slice i
+    stacked = [np.stack([arr] * k) for arr in initial.arrays()]
+    clients = [
+        ModelParams.from_arrays(initial.arch, initial.classes, [arr[i] for arr in stacked]) for i in range(k)
+    ]
     velocity = [np.zeros_like(arr) for arr in stacked]
     lr = cosine_lr(round_t, hp)
     batch_seed = streams.subseed(hp.seed, streams.CLIENT)
@@ -329,8 +316,7 @@ def _matching_loss(snapshots, hp: HyperParams, aug: AugmentationSpec, aug_rng) -
             inter_normalize=hp.inter_normalize,
             gm_enabled=hp.gm_enabled,
         )
-        zero = tape.constant(0.0)  # what a skipped term reads
-        return loss, {m: bd.nodes.get(m, zero) for m in TRAIN_METRICS}
+        return loss, bd.nodes
 
     return StepLoss(feeds, record)
 
@@ -498,8 +484,6 @@ def _run_rounds(config: Config) -> MetricsTable:
     held_out = config.held_out
     domains = build_domains(config)
     source_ids = [d.domain_id for d in domains if d.domain_id != held_out]
-    if not source_ids:
-        raise UsageError("no source domains left after holding one out")
     split_seed = streams.subseed(hp.seed, streams.SPLIT)
     splits = {d.domain_id: train_test_split(d, split_seed) for d in domains}
     train_sets = {did: splits[did][0] for did in source_ids}

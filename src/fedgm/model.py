@@ -42,13 +42,29 @@ class ModelParams:
     head_b: np.ndarray
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            arch=list(self.arch),
-            classes=self.classes,
-            feature=[(w.copy(), b.copy()) for w, b in self.feature],
-            head_w=self.head_w.copy(),
-            head_b=self.head_b.copy(),
-        )
+        return ModelParams.from_arrays(self.arch, self.classes, [a.copy() for a in self.arrays()])
+
+    def arrays(self) -> list[np.ndarray]:
+        """The parameter arrays in the fixed order (see ``_ordered``)."""
+        return _ordered(self.feature, self.head_w, self.head_b)
+
+    @classmethod
+    def from_arrays(cls, arch: list[int], classes: int, arrays) -> "ModelParams":
+        """The model whose ``arrays()`` are ``arrays``, which it holds, not copies."""
+        feature, head_w, head_b = _grouped(arrays)
+        return cls(list(arch), classes, feature, head_w, head_b)
+
+
+def _ordered(feature, head_w, head_b) -> list:
+    """The one parameter order: each feature layer's weight then bias, then the
+    head weight, then the head bias. Flat vectors, staged leaves and stacked
+    lockstep arrays all follow it."""
+    return [x for pair in feature for x in pair] + [head_w, head_b]
+
+
+def _grouped(items: list) -> tuple:
+    """Undo ``_ordered``: (feature pairs, head weight, head bias)."""
+    return list(zip(items[:-2:2], items[1:-2:2])), items[-2], items[-1]
 
 
 @dataclass
@@ -75,9 +91,7 @@ class ParamNodes:
     head_wt: int
 
     def all_ids(self) -> list[int]:
-        ids = [i for pair in self.feature for i in pair]
-        ids.extend((self.head_w, self.head_b))
-        return ids
+        return _ordered(self.feature, self.head_w, self.head_b)
 
 
 def init_params(arch: list[int], classes: int, seed: int) -> ModelParams:
@@ -105,12 +119,11 @@ def init_params(arch: list[int], classes: int, seed: int) -> ModelParams:
 
 def stage_params(tape: Tape, params: ModelParams) -> ParamNodes:
     """Register every parameter array as a trainable tape leaf."""
-    feature = [(tape.leaf(w, param=True), tape.leaf(b, param=True)) for w, b in params.feature]
-    head_w = tape.leaf(params.head_w, param=True)
+    feature, head_w, head_b = _grouped([tape.leaf(a, param=True) for a in params.arrays()])
     return ParamNodes(
         feature=feature,
         head_w=head_w,
-        head_b=tape.leaf(params.head_b, param=True),
+        head_b=head_b,
         feature_wt=[ad.transpose(tape, w) for w, _ in feature],
         head_wt=ad.transpose(tape, head_w),
     )
@@ -161,15 +174,8 @@ def param_count(arch: list[int], classes: int) -> int:
 
 
 def flatten(params: ModelParams) -> np.ndarray:
-    """Fixed order: each feature weight row-major then its bias, then the
-    head weight row-major, then the head bias."""
-    parts = []
-    for w, b in params.feature:
-        parts.append(w.ravel())
-        parts.append(b)
-    parts.append(params.head_w.ravel())
-    parts.append(params.head_b)
-    return np.concatenate(parts) if parts else np.empty(0)
+    """``params.arrays()``, each weight row-major, joined into one vector."""
+    return np.concatenate([a.ravel() for a in params.arrays()])
 
 
 def unflatten(arch: list[int], classes: int, flat) -> ModelParams:
@@ -180,21 +186,10 @@ def unflatten(arch: list[int], classes: int, flat) -> ModelParams:
             f"unflatten: flat length {flat.size} does not match arch {arch}, "
             f"classes {classes} (expected {expected})"
         )
-    offset = 0
-
-    def take(shape):
-        nonlocal offset
-        size = int(np.prod(shape))
-        out = flat[offset : offset + size].reshape(shape).copy()
-        offset += size
-        return out
-
-    feature = []
-    for d_in, d_out in zip(arch[:-1], arch[1:]):
-        feature.append((take((d_out, d_in)), take((d_out,))))
-    head_w = take((classes, arch[-1]))
-    head_b = take((classes,))
-    return ModelParams(arch=list(arch), classes=classes, feature=feature, head_w=head_w, head_b=head_b)
+    shapes = _ordered([((o, i), (o,)) for i, o in zip(arch[:-1], arch[1:])], (classes, arch[-1]), (classes,))
+    ends = np.cumsum([int(np.prod(shape)) for shape in shapes])
+    parts = np.split(flat, ends[:-1])
+    return ModelParams.from_arrays(arch, classes, [p.reshape(shape).copy() for p, shape in zip(parts, shapes)])
 
 
 def save_checkpoint(params: ModelParams, path) -> None:

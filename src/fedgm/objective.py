@@ -22,7 +22,7 @@ snapshot from the previous round.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,15 +32,16 @@ from .errors import ContractError, ShapeError, UsageError
 from .model import HeadSnapshot, ModelParams, ParamNodes, forward, stage_params
 
 COSINE_EPS = 1e-12
+# the terms of the local objective, in the order a client reports them
+TRAIN_METRICS = ("ce_orig", "ce_aug", "intra", "inter", "total")
 
 
 @dataclass
 class LossBreakdown:
     """Scalar values of every term in one local-loss evaluation.
 
-    ``nodes`` maps each recorded term to its tape node, so the terms can be
-    read again after the tape is replayed. A skipped term reads 0 and has
-    no node.
+    ``nodes`` maps each of the TRAIN_METRICS to its tape node, so a compiled
+    step can report the terms; a skipped term's node is a zero constant.
     """
 
     ce_orig: float
@@ -62,9 +63,9 @@ def one_hot(y, classes: int) -> np.ndarray:
     return out
 
 
-def _ce_from_log_probs(tape: Tape, logp: int, y_mat: int, batch: int) -> int:
+def _ce_from_log_probs(tape: Tape, logp: int, y_mat: int) -> int:
     picked = ad.reduce_sum(tape, ad.mul(tape, logp, y_mat))
-    return ad.scale(tape, picked, -1.0 / batch)
+    return ad.scale(tape, picked, -1.0 / tape.value(y_mat).shape[0])
 
 
 def cross_entropy(tape: Tape, z: int, y) -> int:
@@ -75,10 +76,8 @@ def cross_entropy(tape: Tape, z: int, y) -> int:
     zval = tape.value(z)
     if zval.ndim != 2:
         raise ShapeError(f"cross_entropy: logits must be 2-d, got dims {zval.shape}")
-    batch, classes = zval.shape
-    y_mat = _one_hot_node(tape, y, classes)
-    logp = ad.log_softmax_rows(tape, z)
-    return _ce_from_log_probs(tape, logp, y_mat, batch)
+    y_mat = _one_hot_node(tape, y, zval.shape[1])
+    return _ce_from_log_probs(tape, ad.log_softmax_rows(tape, z), y_mat)
 
 
 def _as_node(tape: Tape, value_or_node) -> int:
@@ -89,119 +88,100 @@ def _as_node(tape: Tape, value_or_node) -> int:
 
 def _one_hot_node(tape: Tape, y, classes: int) -> int:
     """Stage the one-hot matrix of labels ``y``, unless ``y`` is already its node."""
-    if isinstance(y, (int, np.integer)):
-        return int(y)
-    return tape.constant(one_hot(y, classes))
+    return _as_node(tape, y if isinstance(y, (int, np.integer)) else one_hot(y, classes))
 
 
-def _head_grad_from_probs(tape: Tape, h: int, y_mat: int, p: int, batch: int, ones: int) -> int:
-    """grad_W and grad_b assembled from an existing softmax node."""
-    diff_t = ad.transpose(tape, ad.sub(tape, p, y_mat))
+class _Labels(NamedTuple):
+    """A batch's one-hot labels, and the (B, 1) ones column that sums P - Y into grad_b."""
+
+    y_mat: int
+    ones: int
+
+
+def _labels(tape: Tape, y_mat: int) -> _Labels:
+    return _Labels(y_mat, tape.constant(np.ones((tape.value(y_mat).shape[0], 1))))
+
+
+def _head_grad(tape: Tape, lab: _Labels, h: int, logp: int) -> int:
+    """The closed form from features ``h`` and their logits' log-softmax; weight row-major, then bias."""
+    batch = tape.value(h).shape[0]
+    diff_t = ad.transpose(tape, ad.sub(tape, ad.exp(tape, logp), lab.y_mat))
     gw = ad.scale(tape, ad.matmul(tape, diff_t, h), 1.0 / batch)
-    gb = ad.scale(tape, ad.matmul(tape, diff_t, ones), 1.0 / batch)
+    gb = ad.scale(tape, ad.matmul(tape, diff_t, lab.ones), 1.0 / batch)
     return ad.flatten_concat(tape, (gw, gb))
 
 
+def _frozen_head_grad(tape: Tape, lab: _Labels, h: int, weight: np.ndarray, bias: np.ndarray) -> int:
+    """``_head_grad`` under a head staged pre-transposed as constants: no adjoint reaches it."""
+    z = ad.add(tape, ad.matmul(tape, h, tape.constant(weight.T)), tape.constant(bias))
+    return _head_grad(tape, lab, h, ad.log_softmax_rows(tape, z))
+
+
 def head_grad(tape: Tape, h: int, y, head_w, head_b) -> int:
-    """Closed-form head gradient of the batch-mean cross-entropy.
-
-    ``head_w``/``head_b`` may be tape nodes (live head: adjoints flow into
-    them) or raw arrays (frozen snapshot: staged as constants, no adjoints).
-    Returns a flat node of length classes * d_h + classes, weight row-major
-    followed by bias.
-    """
-    w_id = _as_node(tape, head_w)
-    b_id = _as_node(tape, head_b)
-    hval = tape.value(h)
-    wval = tape.value(w_id)
-    if hval.ndim != 2 or wval.ndim != 2 or hval.shape[1] != wval.shape[1]:
-        raise ShapeError(
-            f"head_grad: features {hval.shape} and head weight {wval.shape} are not conformable"
-        )
-    batch = hval.shape[0]
-    classes = wval.shape[0]
-    z = ad.add(tape, ad.matmul(tape, h, ad.transpose(tape, w_id)), b_id)
-    p = ad.exp(tape, ad.log_softmax_rows(tape, z))
-    y_mat = tape.constant(one_hot(y, classes))
-    ones = tape.constant(np.ones((batch, 1)))
-    return _head_grad_from_probs(tape, h, y_mat, p, batch, ones)
+    """Closed-form head gradient of the batch-mean cross-entropy under a frozen
+    head: ``head_w``/``head_b`` are arrays staged as constants, so adjoints
+    reach the features ``h`` but never the head."""
+    head_w = as_tensor(head_w)
+    lab = _labels(tape, _one_hot_node(tape, y, head_w.shape[0]))
+    return _frozen_head_grad(tape, lab, h, head_w, head_b)
 
 
-def cosine_sim(tape: Tape, u: int, v: int, *, u_norm: int | None = None, eps: int | None = None) -> int:
-    """(u . v) / (|u| |v| + 1e-12), kept differentiable near zero vectors.
+class _Anchor(NamedTuple):
+    """The vector ``u`` a batch's cosines all compare with, and the nodes they share."""
 
-    ``u_norm`` and ``eps`` take nodes the caller has already recorded.
-    """
-    if tape.value(u).size != tape.value(v).size:
-        raise ShapeError(
-            f"cosine_sim: dims {tape.value(u).shape} and {tape.value(v).shape} have different sizes"
-        )
-    u_norm = ad.l2_norm(tape, u) if u_norm is None else u_norm
-    eps = tape.constant(COSINE_EPS) if eps is None else eps
-    num = ad.dot(tape, u, v)
-    den = ad.add(tape, ad.mul(tape, u_norm, ad.l2_norm(tape, v)), eps)
+    u: int
+    u_norm: int
+    eps: int
+    one: int
+
+
+def _anchor(tape: Tape, u: int) -> _Anchor:
+    return _Anchor(u, ad.l2_norm(tape, u), tape.constant(COSINE_EPS), tape.constant(1.0))
+
+
+def _cosine(tape: Tape, a: _Anchor, v: int) -> int:
+    num = ad.dot(tape, a.u, v)
+    den = ad.add(tape, ad.mul(tape, a.u_norm, ad.l2_norm(tape, v)), a.eps)
     return ad.div(tape, num, den)
 
 
-def intra_gm_loss(
-    tape: Tape,
-    g: int,
-    g_aug: int,
-    *,
-    g_aug_norm: int | None = None,
-    eps: int | None = None,
-    one: int | None = None,
-) -> int:
-    """1 - cosine(g, g_aug); zero when augmentation leaves gradients alone.
-
-    The keyword nodes let local_loss share what the inter term also uses.
-    """
-    one = tape.constant(1.0) if one is None else one
-    return ad.sub(tape, one, cosine_sim(tape, g_aug, g, u_norm=g_aug_norm, eps=eps))
+def _mismatch(tape: Tape, a: _Anchor, v: int) -> int:
+    """1 - cosine(u, v): the intra term and every inter summand."""
+    return ad.sub(tape, a.one, _cosine(tape, a, v))
 
 
-def inter_gm_loss(
-    tape: Tape,
-    g_aug: int,
-    snapshots: Sequence[HeadSnapshot],
-    h_orig: int,
-    y,
-    *,
-    normalize: bool = False,
-    y_mat: int | None = None,
-    ones_col: int | None = None,
-    g_aug_norm: int | None = None,
-    eps: int | None = None,
-    one: int | None = None,
-) -> int:
-    """Sum over snapshots of 1 - cosine(g_aug, snapshot-head gradient).
-
-    Snapshot gradients are taken on the original batch under each frozen
-    head, so adjoints reach the features and g_aug but never the snapshots.
-    ``normalize`` divides the sum by the snapshot count. The remaining
-    keyword nodes let local_loss share what it has already recorded for
-    the batch; a standalone call records its own.
-    """
-    if not snapshots:
-        raise ContractError("inter_gm_loss: empty snapshot list (skip the term instead)")
-    batch = tape.value(h_orig).shape[0]
-    if y_mat is None:
-        y_mat = tape.constant(one_hot(y, snapshots[0].weight.shape[0]))
-    g_aug_norm = ad.l2_norm(tape, g_aug) if g_aug_norm is None else g_aug_norm
-    eps = tape.constant(COSINE_EPS) if eps is None else eps
-    one = tape.constant(1.0) if one is None else one
-    ones_col = tape.constant(np.ones((batch, 1))) if ones_col is None else ones_col
+def _inter(tape: Tape, lab: _Labels, a: _Anchor, h_orig: int, snapshots, normalize: bool) -> int:
+    """``inter_gm_loss`` on the nodes its batch shares."""
     total = None
     for snap in snapshots:
-        # snapshot heads are constants: staged pre-transposed, no adjoints
-        z_j = ad.add(tape, ad.matmul(tape, h_orig, tape.constant(snap.weight.T)), tape.constant(snap.bias))
-        p_j = ad.exp(tape, ad.log_softmax_rows(tape, z_j))
-        g_j = _head_grad_from_probs(tape, h_orig, y_mat, p_j, batch, ones_col)
-        term = ad.sub(tape, one, cosine_sim(tape, g_aug, g_j, u_norm=g_aug_norm, eps=eps))
+        term = _mismatch(tape, a, _frozen_head_grad(tape, lab, h_orig, snap.weight, snap.bias))
         total = term if total is None else ad.add(tape, total, term)
     if normalize:
         total = ad.scale(tape, total, 1.0 / len(snapshots))
     return total
+
+
+def cosine_sim(tape: Tape, u: int, v: int) -> int:
+    """(u . v) / (|u| |v| + 1e-12), kept differentiable near zero vectors."""
+    return _cosine(tape, _anchor(tape, u), v)
+
+
+def intra_gm_loss(tape: Tape, g: int, g_aug: int) -> int:
+    """1 - cosine(g, g_aug); zero when augmentation leaves gradients alone."""
+    return _mismatch(tape, _anchor(tape, g_aug), g)
+
+
+def inter_gm_loss(
+    tape: Tape, g_aug: int, snapshots: Sequence[HeadSnapshot], h_orig: int, y, *, normalize: bool = False
+) -> int:
+    """Sum over snapshots of 1 - cosine(g_aug, snapshot-head gradient), divided
+    by the snapshot count if ``normalize``. Snapshot gradients are taken on
+    ``h_orig`` under each frozen head: adjoints reach the features and g_aug
+    but never the snapshots."""
+    if not snapshots:
+        raise ContractError("inter_gm_loss: empty snapshot list (skip the term instead)")
+    lab = _labels(tape, _one_hot_node(tape, y, snapshots[0].weight.shape[0]))
+    return _inter(tape, lab, _anchor(tape, g_aug), h_orig, snapshots, normalize)
 
 
 def local_loss(
@@ -220,9 +200,8 @@ def local_loss(
 
     ``X`` and ``X_aug`` are batches or their nodes, ``y`` is the labels or
     the node of their one-hot matrix. With no snapshots (round 1) the inter
-    term is skipped. With ``gm_enabled=False`` both matching terms are
-    dropped and the loss is the plain averaged cross-entropy, which is the
-    federated-averaging baseline.
+    term is skipped. ``gm_enabled=False`` skips both matching terms, leaving
+    the plain averaged cross-entropy of the federated-averaging baseline.
     """
     if not 0.0 <= lam <= 1.0:
         raise UsageError(f"lambda must lie in [0, 1], got {lam}")
@@ -234,39 +213,25 @@ def local_loss(
         )
     if isinstance(params, ModelParams):
         params = stage_params(tape, params)
-    classes = tape.value(params.head_w).shape[0]
-    y_mat = _one_hot_node(tape, y, classes)
+    y_mat = _one_hot_node(tape, y, tape.value(params.head_w).shape[0])
     h_orig, z_orig = forward(tape, params, x)
     h_aug, z_aug = forward(tape, params, x_aug)
-    batch = tape.value(x).shape[0]
     logp_o = ad.log_softmax_rows(tape, z_orig)
     logp_a = ad.log_softmax_rows(tape, z_aug)
-    ce_o = _ce_from_log_probs(tape, logp_o, y_mat, batch)
-    ce_a = _ce_from_log_probs(tape, logp_a, y_mat, batch)
+    ce_o = _ce_from_log_probs(tape, logp_o, y_mat)
+    ce_a = _ce_from_log_probs(tape, logp_a, y_mat)
     total = ad.scale(tape, ad.add(tape, ce_o, ce_a), 0.5)
-    nodes = {"ce_orig": ce_o, "ce_aug": ce_a}
+    # a skipped term reads a zero constant
+    intra = inter = None if gm_enabled and snapshots else tape.constant(0.0)
     if gm_enabled:
         # the live-head gradients reuse the forward log-probabilities
-        ones_col = tape.constant(np.ones((batch, 1)))
-        g = _head_grad_from_probs(tape, h_orig, y_mat, ad.exp(tape, logp_o), batch, ones_col)
-        g_aug = _head_grad_from_probs(tape, h_aug, y_mat, ad.exp(tape, logp_a), batch, ones_col)
-        # recorded once, used by both matching terms
-        shared = {
-            "eps": tape.constant(COSINE_EPS),
-            "one": tape.constant(1.0),
-            "g_aug_norm": ad.l2_norm(tape, g_aug),
-        }
-        intra = intra_gm_loss(tape, g, g_aug, **shared)
+        lab = _labels(tape, y_mat)
+        g = _head_grad(tape, lab, h_orig, logp_o)
+        anchor = _anchor(tape, _head_grad(tape, lab, h_aug, logp_a))
+        intra = _mismatch(tape, anchor, g)
         total = ad.add(tape, total, ad.scale(tape, intra, lam))
-        nodes["intra"] = intra
         if snapshots:
-            inter = inter_gm_loss(
-                tape, g_aug, snapshots, h_orig, y,
-                normalize=inter_normalize, y_mat=y_mat, ones_col=ones_col, **shared,
-            )
+            inter = _inter(tape, lab, anchor, h_orig, snapshots, inter_normalize)
             total = ad.add(tape, total, ad.scale(tape, inter, 1.0 - lam))
-            nodes["inter"] = inter
-    nodes["total"] = total
-    values = {"intra": 0.0, "inter": 0.0}
-    values.update((name, float(tape.value(nid))) for name, nid in nodes.items())
-    return total, LossBreakdown(**values, nodes=nodes)
+    nodes = dict(zip(TRAIN_METRICS, (ce_o, ce_a, intra, inter, total)))
+    return total, LossBreakdown(**{m: float(tape.value(nid)) for m, nid in nodes.items()}, nodes=nodes)

@@ -8,6 +8,7 @@ bit changes a digest. This is a fast companion to
 """
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -30,6 +31,17 @@ def _moons(mode, gm, n, tau=0.9, min_votes=2):
         ),
         out_dir="unused",
         seeds=[1],
+    )
+
+
+def _moons_normalized():
+    """Four domains, so every source matches against S = 3 snapshot heads."""
+    base = _moons("dg", True, 120)
+    return replace(
+        base,
+        data=replace(base.data, angles=[0.0, 30.0, 60.0, 90.0]),
+        held_out=3,
+        hp=replace(base.hp, lam=0.3, inter_normalize=True),
     )
 
 
@@ -57,6 +69,11 @@ CASES = {
         lambda: run_dg(_moons("dg", False, 120)),
         39,
         "b7ccdd9831356924ad6cfa08caffaf263a4ca3e244fd8f45792cd637546c2eef",
+    ),
+    "dg-gm-normalized": (
+        lambda: run_dg(_moons_normalized()),
+        57,
+        "c8383cf663b0603758977738b8849281f62fadc08c4298128ff71fb7b1c299f6",
     ),
     # tau and min_votes are low enough that the target trains every round
     "da": (

@@ -1,6 +1,7 @@
 import builtins
 import errno
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -14,7 +15,7 @@ from fedgm.cli import (
     parse_config_dict,
 )
 from fedgm.errors import DivergenceError, ParseError, UsageError
-from fedgm.federation import MetricsTable, run_da
+from fedgm.federation import HyperParams, MetricsTable, run_da
 from fedgm.model import init_params, save_checkpoint
 
 BASE = {
@@ -78,6 +79,40 @@ def test_parse_momentum_decay_and_noise_ranges(tmp_path, section, key, value, me
     payload = dict(BASE, **{section: dict(BASE[section], **{key: value})})
     with pytest.raises(ParseError, match=message):
         parse_config(_write(tmp_path, payload))
+
+
+TEXTURED = {"kind": "textured", "n_domains": 3, "n_per_domain": 30}
+
+
+# each of these parsed before, and the run then failed in init_params, a
+# generator or the round loop after the output directory was made
+@pytest.mark.parametrize(
+    "data, arch, message",
+    [
+        (dict(BASE["data"], classes=1), [2, 8], r"data.classes must be >= 2, got 1"),
+        (dict(BASE["data"], classes=4, n_per_domain=3), [2, 8], "n_per_domain 3 cannot hold"),
+        (dict(BASE["data"], n_per_domain=0), [2, 8], "n_per_domain 0 cannot hold"),
+        (dict(TEXTURED, side=4), [16, 8], r"data.side must lie in \[8, 32\], got 4"),
+        (dict(TEXTURED, side=40), [1600, 8], r"data.side must lie in \[8, 32\], got 40"),
+        (dict(TEXTURED, side=8, n_domains=1), [64, 8], "need at least 2 domains"),
+    ],
+    ids=["one-class", "more-classes-than-rows", "no-rows", "side-4", "side-40", "one-domain"],
+)
+def test_parse_rejects_data_a_run_would_reject(data, arch, message):
+    with pytest.raises(ParseError, match=message):
+        parse_config_dict(dict(BASE, data=data, arch=arch))
+
+
+def test_help_lists_every_hp_default(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    defaults = HyperParams()
+    for f in fields(HyperParams):
+        if f.name != "seed":
+            key = "lambda" if f.name == "lam" else f.name
+            assert f"{key}={json.dumps(getattr(defaults, f.name))}" in text
+    assert "min_votes=2 (1 when only 2 sources)" in text
 
 
 @pytest.mark.parametrize("number", ["Infinity", "-Infinity", "NaN", "1e400"])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import fedgm.autodiff as ad
 from fedgm.autodiff import Tape, backward, finite_diff_grad
 from fedgm.errors import ContractError, ShapeError, UsageError
-from fedgm.model import HeadSnapshot, flatten, init_params, stage_params, unflatten
+from fedgm.model import HeadSnapshot, flatten, forward, init_params, stage_params, unflatten
 from fedgm.objective import (
     cosine_sim,
     cross_entropy,
@@ -94,17 +94,28 @@ def test_head_grad_duplication_invariant():
     assert np.abs(g1 - g2).max() <= 1e-14
 
 
+def test_head_grad_rejects_a_non_conformable_head():
+    t = Tape()
+    with pytest.raises(ShapeError):
+        head_grad(t, t.constant(np.ones((2, 3))), [0, 1], np.zeros((2, 4)), np.zeros(2))
+
+
 def test_head_grad_snapshot_receives_no_adjoint_but_features_do():
     rng = np.random.default_rng(8)
     t = Tape()
     h = t.leaf(rng.normal(0, 1, (2, 3)), param=True)
-    w = t.leaf(rng.normal(0, 1, (2, 3)), param=False)  # frozen head
-    b = t.leaf(np.zeros(2), param=False)
+    w = rng.normal(0, 1, (2, 3))  # frozen head
+    b = np.zeros(2)
     g = head_grad(t, h, [0, 1], w, b)
     grads = backward(t, ad.dot(t, g, g))
-    assert h in grads
+    assert set(grads) == {h}
     assert np.linalg.norm(grads[h]) > 0
-    assert w not in grads and b not in grads
+    # the head is on the tape only as constants, which take no adjoint
+    head = [
+        nid for nid, v in enumerate(t.vals)
+        if t.ops[nid] == ad.LEAF and v.shape == w.T.shape and (v == w.T).all()
+    ]
+    assert head and not set(head) & set(t.params)
 
 
 def _cos_value(u, v):
@@ -309,6 +320,34 @@ def test_local_loss_batch_shape_mismatch():
     params, snaps, X, X_aug, y = _instance(seed=9)
     with pytest.raises(ShapeError):
         local_loss(Tape(), params, snaps, X, X_aug[:-1], y, 0.5)
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_standalone_terms_give_local_loss_bits(normalize):
+    # one spelling of the matching objective: the public routines on a batch
+    # give the very bytes local_loss records for it
+    params, snaps, X, X_aug, y = _instance(seed=12, n_snaps=3)
+    t = Tape()
+    _, bd = local_loss(t, params, snaps, X, X_aug, y, 0.3, inter_normalize=normalize)
+    # local_loss's head gradients in recording order: g, g_aug, then one per snapshot
+    recorded = [t.value(nid) for nid, op in enumerate(t.ops) if op == "flatten-concat"]
+    s = Tape()
+    staged = stage_params(s, params)
+    h_orig, _ = forward(s, staged, X)
+    h_aug, _ = forward(s, staged, X_aug)
+    g = head_grad(s, h_orig, y, params.head_w, params.head_b)
+    g_aug = head_grad(s, h_aug, y, params.head_w, params.head_b)
+    standalone = [g, g_aug] + [head_grad(s, h_orig, y, snap.weight, snap.bias) for snap in snaps]
+    assert len(recorded) == len(standalone)
+    for want, nid in zip(recorded, standalone):
+        assert s.value(nid).shape == want.shape and s.value(nid).tobytes() == want.tobytes()
+    terms = {
+        "intra": intra_gm_loss(s, g, g_aug),
+        "inter": inter_gm_loss(s, g_aug, snaps, h_orig, y, normalize=normalize),
+    }
+    for m, nid in terms.items():
+        assert s.value(nid).tobytes() == t.value(bd.nodes[m]).tobytes()
+        assert float(s.value(nid)) == getattr(bd, m)
 
 
 def test_head_grad_equals_autodiff_cross_entropy_gradient():
