@@ -7,16 +7,16 @@ single reverse sweep visits each node exactly once.
 
 Graphs are built eagerly (define-by-run), one op at a time, and ``backward``
 differentiates a freshly recorded tape. A step whose graph depends only on
-shapes and configuration can also be compiled: ``compile_step`` turns the
-tapes of k clients, recorded alike, into one straight-line Python function
-of all their leaves stacked on a leading client axis. It issues the forward
-rules' and ``backward``'s kernels in the same order, each giving every
-client's slice the bytes of that client's own eager step, with every shape
-decision resolved when the source is generated; isomorphic copies of one
-block (the inter term's per-snapshot ops) run as one kernel per op. Every
-batch of the recorded shapes, the recorded one included, calls that
-function, and tapes with the same structure share one compiled function;
-``backward`` on one of the recorded tapes checks it.
+shapes and configuration can also be compiled: ``compile_step`` turns one
+recorded tape into one straight-line Python function that runs its step for
+k clients at once, on every leaf's values stacked on a leading client axis.
+It issues the forward rules' and ``backward``'s kernels in the same order,
+each giving every client's slice the bytes of that client's own eager step,
+with every shape decision resolved when the source is generated; isomorphic
+copies of one block (the inter term's per-snapshot ops) run as one kernel
+per op. Every batch of the recorded shapes, the recorded one included, calls
+that function, and tapes with the same structure share one compiled
+function; ``backward`` on the recorded tape checks it.
 
 Tensors are plain ``numpy.ndarray`` values in float64, row-major. Scalars are
 0-d arrays.
@@ -601,32 +601,30 @@ def _lanes(tape: Tape, loss: int, last: int, seeds: list[int], sweep, has_adjoin
     return [groups[gi] for gi in keep], [flags[gi] for gi in keep]
 
 
-def compile_step(tapes: Sequence[Tape], loss: int, outs: Sequence[int], fed: Sequence[int] = ()) -> Callable:
-    """One straight-line function for the forward and backward of k clients' steps at once.
+def compile_step(tape: Tape, k: int, loss: int, outs: Sequence[int], fed: Sequence[int] = ()) -> Callable:
+    """One straight-line function for the forward and backward of ``tape``'s step for k clients at once.
 
-    ``tapes`` holds one recording per client, k of them, all of one
-    structure (ops, inputs, leaf shapes, scale constants, params, the memory
-    order of the constants), else a ContractError; ``fed`` names the leaves
-    the caller passes anew on every call. The function takes the value of
-    every leaf, in tape order, stacked over the clients on a leading axis,
-    (k, *recorded shape), except that the constants seeding a group of S
-    lanes (see ``_lanes``) come as one argument, also stacked on axis 1,
-    (k, S, *recorded shape); its ``leaves`` attribute lists each argument's
-    leaves, and a ShapeError names the first argument that differs. It
-    returns the values of ``outs`` and one gradient per parameter leaf, in
-    ``tape.params`` order, with the client axis in front. Slice i equals bit
-    for bit what recording client i's values afresh and calling ``backward``
-    would give: it issues the forward rules' kernels and ``backward``'s
-    sweep, one kernel per group of lanes, adds every adjoint's terms in
-    ``backward``'s order, and resolves the ``needs`` masks, unbroadcasts and
-    flatten-concat slices once. Functions are cached by structure and k; the
-    generated source is the function's ``source`` attribute.
+    ``tape`` gives the step's structure (ops, inputs, leaf shapes, scale
+    constants, params, the memory order of the constants); ``fed`` names the
+    leaves the caller passes anew on every call. The function takes a value
+    of every leaf per client, constants included, in tape order, stacked on
+    a leading client axis, (k, *recorded shape), except that the constants
+    seeding a group of S lanes (see ``_lanes``) come as one argument, also
+    stacked on axis 1, (k, S, *recorded shape); its ``leaves`` attribute
+    lists each argument's leaves, and a ShapeError names the first argument
+    that differs. It returns the values of ``outs`` and one gradient per
+    parameter leaf, in ``tape.params`` order, with the client axis in front.
+    Slice i equals bit for bit what recording the step on client i's values
+    and calling ``backward`` would give, as long as those values keep the
+    recorded constants' memory order: it issues the forward rules' kernels
+    and ``backward``'s sweep, one kernel per group of lanes, adds every
+    adjoint's terms in ``backward``'s order, and resolves the ``needs``
+    masks, unbroadcasts and flatten-concat slices once. Functions are cached
+    by structure and k; the generated source is the function's ``source``
+    attribute.
     """
-    tape, k, outs, fed = tapes[0], len(tapes), tuple(outs), tuple(fed)
-    structure = _structure(tape, loss, outs, fed)
-    if any(_structure(t, loss, outs, fed) != structure for t in tapes[1:]):
-        raise ContractError("compile_step: the clients' tapes differ in structure")
-    key = (k, *structure)
+    outs, fed = tuple(outs), tuple(fed)
+    key = (k, *_structure(tape, loss, outs, fed))
     step = _STEP_CACHE.get(key)
     if step is not None:
         return step

@@ -489,10 +489,7 @@ def main(argv=None) -> int:
             return cmd_grad_check(_parse_arch(args.arch), args.trials, args.tolerance, args.seed)
         if args.command == "gen-data":
             return cmd_gen_data(parse_config(args.config), args.out)
-    except (ParseError, UsageError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (ParseError, UsageError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except DivergenceError as e:

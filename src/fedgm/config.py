@@ -2,15 +2,15 @@
 
 ``Config.validate`` checks the class count, the domain size, the grid side,
 the domain count, the held-out index, the input width, the noise level, the
-hyperparameters and, for adaptation, the vote quorum; the JSON parser and
-the round protocol both call it.
+augmentation, the hyperparameters and, for adaptation, the vote quorum; the
+JSON parser and the round protocol both call it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .data import AugmentationSpec
+from .data import AugmentationSpec, _n_test
 from .errors import UsageError
 
 
@@ -78,8 +78,8 @@ class Config:
 
     def validate(self) -> None:
         """Raise UsageError unless the class count, domain size, grid side,
-        domain count, held-out index, input width, noise level and hp fit,
-        and in adaptation mode enough sources can vote."""
+        domain count, held-out index, input width, noise level, augmentation
+        and hp fit, and in adaptation mode enough sources can vote."""
         if self.data.classes < 2:
             raise UsageError(f"data.classes must be >= 2, got {self.data.classes}")
         if self.data.classes > self.data.n_per_domain:
@@ -100,7 +100,22 @@ class Config:
         width = 2 if self.data.kind == "rotated_moons" else self.data.side * self.data.side
         if d_in != width:
             raise UsageError(f"arch: input width {d_in} does not match the data width {width}")
+        kind = self.augmentation.kind
+        if kind == "input_rotation" and width != 2:
+            raise UsageError(f"augmentation: input_rotation needs 2-d rows, got width {width}")
+        if kind == "amplitude_mix" and self.data.kind != "textured":
+            raise UsageError(f"augmentation: amplitude_mix needs square grids, got width {width}")
         self.hp.validate()
+        # amplitude_mix pairs rows within a batch, so no source's train split
+        # (all of one size) may leave a one-row batch
+        n_train = self.data.n_per_domain - _n_test(self.data.n_per_domain)
+        batch = self.hp.batch
+        if kind == "amplitude_mix" and (batch == 1 or n_train % batch == 1):
+            first_source = 1 if self.held_out == 0 else 0
+            raise UsageError(
+                f"amplitude_mix needs batches of at least 2 rows, but batch {batch} leaves a "
+                f"1-row batch in the {n_train} training rows of domain {first_source}"
+            )
         if self.mode == "da" and self.hp.min_votes > n_domains - 1:
             # such a vote accepts no row, so the target would never train
             raise UsageError(

@@ -269,9 +269,14 @@ def batch_iter(
         yield dataset.X[idx], dataset.y[idx]
 
 
+def _n_test(n: int, test_fraction: float = 0.2) -> int:
+    """How many of ``n`` rows ``train_test_split`` holds out for testing."""
+    return max(1, int(round(n * test_fraction)))
+
+
 def train_test_split(dataset: DomainDataset, seed: int, test_fraction: float = 0.2) -> tuple[DomainDataset, DomainDataset]:
     """Deterministic 80/20 split keyed by (seed, domain)."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(dataset.domain_id,)))
     perm = rng.permutation(dataset.N)
-    n_test = max(1, int(round(dataset.N * test_fraction)))
+    n_test = _n_test(dataset.N, test_fraction)
     return dataset.subset(perm[n_test:]), dataset.subset(perm[:n_test])

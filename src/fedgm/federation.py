@@ -62,9 +62,9 @@ class StepLoss(NamedTuple):
     ``record(tape, staged, *leaves)`` records the loss on those values,
     staged as leaves in the same order, and returns the loss node and the
     node of each reported stat, "total" among them. Everything else it
-    records may depend only on the leaves' shapes and the step loss's own
-    settings, because every batch of those shapes, the recorded one
-    included, runs the record compiled.
+    records may depend only on the leaves' shapes and on settings that all
+    clients of one ``local_train`` call share: one recording, client 0's,
+    runs compiled for every client and every batch of those shapes.
     """
 
     feeds: Callable[[np.ndarray, np.ndarray, int], tuple[np.ndarray, ...]]
@@ -139,35 +139,35 @@ def _sgd_step(arrays, grads, velocity, lr, hp):
         arr -= lr * v + lr * hp.weight_decay * arr
 
 
-def _stacked(tapes: list[Tape], ids: tuple[int, ...]) -> np.ndarray:
-    """Leaf values stacked over the clients, and the lanes of a group on axis 1."""
-    per_leaf = [np.stack([t.vals[nid] for t in tapes]) for nid in ids]
+def _stacked(tape: Tape, k: int, ids: tuple[int, ...]) -> np.ndarray:
+    """Leaf values stacked k times for the clients, and the lanes of a group on axis 1."""
+    per_leaf = [np.stack([tape.vals[nid]] * k) for nid in ids]
     return per_leaf[0] if len(ids) == 1 else np.stack(per_leaf, axis=1)
 
 
 class _Recorded:
-    """The clients' recordings of one feed shape, compiled into one stacked step.
+    """Client 0's recording of one feed shape, compiled into one step for k clients.
 
-    The recordings give the step its structure and its recorded constants
-    (the snapshot heads), stacked over the clients once; ``run`` calls the
-    compiled step with the stacked parameter and feed values it is given,
-    and ``check`` holds a run's slice 0 against ``backward`` on client 0's
-    recording.
+    The recording gives the step its structure and its recorded constants
+    (the snapshot heads), which every client of the call shares and which
+    are stacked k times once; ``run`` calls the compiled step with the
+    stacked parameter and feed values it is given, and ``check`` holds a
+    run's slice 0 against ``backward`` on the recording.
     """
 
-    def __init__(self, tapes: list[Tape], fed: list[int], loss: int, stat_nodes: dict[str, int]):
-        self.tapes, self.loss, self.stat_nodes = tapes, loss, stat_nodes
-        self.step = compile_step(tapes, loss, list(stat_nodes.values()), fed)
+    def __init__(self, tape: Tape, k: int, fed: list[int], loss: int, stat_nodes: dict[str, int]):
+        self.tape, self.loss, self.stat_nodes = tape, loss, stat_nodes
+        self.step = compile_step(tape, k, loss, list(stat_nodes.values()), fed)
         firsts = [ids[0] for ids in self.step.leaves]
         self.slots = [firsts.index(nid) for nid in fed]
-        # np.stack keeps each value's memory order in its slice (a transposed
+        # np.stack keeps each copy's memory order in its slice (a transposed
         # snapshot head stays transposed), and BLAS rounds by it; a group of
         # lanes stacks its leaves once more, on axis 1
-        self.args = [None if ids[0] in fed else _stacked(tapes, ids) for ids in self.step.leaves]
+        self.args = [None if ids[0] in fed else _stacked(tape, k, ids) for ids in self.step.leaves]
 
     def run(self, values):
-        for k, value in zip(self.slots, values):
-            self.args[k] = value
+        for slot, value in zip(self.slots, values):
+            self.args[slot] = value
         return self.step(*self.args)
 
     def check(self, outs, grads) -> None:
@@ -177,10 +177,9 @@ class _Recorded:
         The run must be on the recorded values, before any update moves the
         parameters the recording holds.
         """
-        tape = self.tapes[0]
-        by_id = backward(tape, self.loss)
-        eager = [(f"stat {m}", tape.value(nid)) for m, nid in self.stat_nodes.items()]
-        eager += [(f"gradient of leaf {nid}", by_id[nid]) for nid in tape.params]
+        by_id = backward(self.tape, self.loss)
+        eager = [(f"stat {m}", self.tape.value(nid)) for m, nid in self.stat_nodes.items()]
+        eager += [(f"gradient of leaf {nid}", by_id[nid]) for nid in self.tape.params]
         for (what, want), got in zip(eager, [*outs, *grads]):
             got = np.asarray(got[0])
             if got.shape != want.shape or got.tobytes() != want.tobytes():
@@ -200,17 +199,18 @@ def local_train(
 
     Every client starts from ``initial`` and trains on its own dataset; the
     datasets must have equal sizes and widths, so the clients' batches line
-    up. The first batch of each feed shape records ``step_loss`` on one tape
-    per client, which gives the step its structure and recorded constants,
-    and compiles the tapes into one step; every batch of that shape, the
-    first included, runs all clients at once through it on the stacked feeds
-    and parameters, which gives every client the bytes of its own eager
-    step. On that first batch ``backward`` differentiates client 0's tape
-    and an OracleError is raised unless the compiled slice 0 matches it bit
-    for bit. The stats are averaged over the steps. The default
-    step loss is the gradient-matched source objective on the batch and its
-    ``aug`` view against ``heads``, which only it reads, with each client's
-    own augmentation stream; an explicit ``step_loss`` serves every client.
+    up. The first batch of each feed shape records ``step_loss`` once, on
+    client 0's parameters and feeds, which gives the step its structure and
+    the recorded constants all clients share, and compiles that tape into one
+    step for all k clients; every batch of that shape, the first included,
+    runs all clients at once through it on the stacked feeds and parameters,
+    which gives every client the bytes of its own eager step. On that first
+    batch ``backward`` differentiates the tape and an OracleError is raised
+    unless the compiled slice 0 matches it bit for bit. The stats are
+    averaged over the steps. The default step loss is the gradient-matched
+    source objective on the batch and its ``aug`` view against ``heads``,
+    which only it reads, with each client's own augmentation stream; an
+    explicit ``step_loss`` serves every client.
     Round 1 has no previous heads, so the inter term is skipped there
     regardless of what was passed. Momentum buffers start at zero every
     round because the client restarts from the broadcast global model.
@@ -268,15 +268,12 @@ def _train_lockstep(initial, datasets, heads, hp, round_t, aug, step_loss) -> li
             shapes = tuple(v.shape for v in values[0])
             rec = records.get(shapes)
             fresh = rec is None
-            if fresh:  # the recordings give the step its structure and recorded constants
-                tapes = []
-                for loss_i, params_i, values_i in zip(losses, clients, values):
-                    tape = Tape()
-                    staged = stage_params(tape, params_i)
-                    feeds = [tape.constant(v) for v in values_i]
-                    loss, stat_nodes = loss_i.record(tape, staged, *feeds)
-                    tapes.append(tape)
-                rec = records[shapes] = _Recorded(tapes, staged.all_ids() + feeds, loss, stat_nodes)
+            if fresh:  # client 0's recording gives the step its structure and recorded constants
+                tape = Tape()
+                staged = stage_params(tape, clients[0])
+                feeds = [tape.constant(v) for v in values[0]]
+                loss, stat_nodes = losses[0].record(tape, staged, *feeds)
+                rec = records[shapes] = _Recorded(tape, k, staged.all_ids() + feeds, loss, stat_nodes)
             outs, grads = rec.run([*stacked, *(np.stack(col) for col in zip(*values))])
             total = outs[list(rec.stat_nodes).index("total")]
             if not np.isfinite(total).all():
@@ -407,18 +404,6 @@ def build_domains(config: Config) -> list[DomainDataset]:
     raise UsageError(f"unknown data kind '{spec.kind}'")
 
 
-def _check_batches(train_sets: dict[int, DomainDataset], batch: int, aug: AugmentationSpec) -> None:
-    """amplitude_mix pairs rows within a batch, so no source batch may hold one row."""
-    if aug.kind != "amplitude_mix":
-        return
-    for did, ds in train_sets.items():
-        if batch == 1 or ds.N % batch == 1:
-            raise UsageError(
-                f"amplitude_mix needs batches of at least 2 rows, but batch {batch} leaves a "
-                f"1-row batch in the {ds.N} training rows of domain {did}"
-            )
-
-
 def _adapt_target(
     round_t: int,
     global_params: ModelParams,
@@ -487,7 +472,6 @@ def _run_rounds(config: Config) -> MetricsTable:
     split_seed = streams.subseed(hp.seed, streams.SPLIT)
     splits = {d.domain_id: train_test_split(d, split_seed) for d in domains}
     train_sets = {did: splits[did][0] for did in source_ids}
-    _check_batches(train_sets, hp.batch, config.augmentation)
     target_pool, test = splits[held_out]
     global_params = init_params(config.arch, config.data.classes, streams.subseed(hp.seed, streams.INIT))
     heads: list[HeadSnapshot] = []

@@ -1,6 +1,7 @@
 import builtins
 import errno
 import json
+import re
 from dataclasses import fields
 
 import pytest
@@ -101,6 +102,42 @@ TEXTURED = {"kind": "textured", "n_domains": 3, "n_per_domain": 30}
 def test_parse_rejects_data_a_run_would_reject(data, arch, message):
     with pytest.raises(ParseError, match=message):
         parse_config_dict(dict(BASE, data=data, arch=arch))
+
+
+AMIX = {"kind": "amplitude_mix", "eta_max": 0.5}
+
+# each of these parsed before, and the first batch's augment or the round
+# loop then failed after the output directory was made
+_AUGMENTATION_A_RUN_WOULD_REJECT = pytest.mark.parametrize(
+    "data, arch, augmentation, message",
+    [
+        (BASE["data"], [2, 8], AMIX, "amplitude_mix needs square grids, got width 2"),
+        (
+            dict(TEXTURED, side=8),
+            [64, 8],
+            {"kind": "input_rotation", "max_degrees": 30.0},
+            "input_rotation needs 2-d rows, got width 64",
+        ),
+        # 21 rows leave 17 training rows, and 17 = 16 + 1
+        (dict(TEXTURED, side=8, n_per_domain=21), [64, 8], AMIX, r"batch 16 .* 17 training rows of domain 0"),
+    ],
+    ids=["amix-on-moons", "rotation-on-grids", "amix-one-row-batch"],
+)
+
+
+@_AUGMENTATION_A_RUN_WOULD_REJECT
+def test_parse_rejects_augmentation_a_run_would_reject(data, arch, augmentation, message):
+    with pytest.raises(ParseError, match=message):
+        parse_config_dict(dict(BASE, data=data, arch=arch, augmentation=augmentation))
+
+
+@_AUGMENTATION_A_RUN_WOULD_REJECT
+def test_run_rejects_augmentation_before_making_out_dir(tmp_path, capsys, data, arch, augmentation, message):
+    out = tmp_path / "out"
+    payload = dict(BASE, data=data, arch=arch, augmentation=augmentation, out_dir=str(out))
+    assert main(["run-dg", "--config", str(_write(tmp_path, payload))]) == 1
+    assert re.search(message, capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_help_lists_every_hp_default(capsys):

@@ -1,11 +1,12 @@
 """Compiled steps against fresh recordings.
 
 ``local_train`` trains its clients in lockstep: it records the first batch
-of each feed shape eagerly, once per client, compiles the tapes into one
-step (``autodiff.compile_step``), which calls of the same structure share,
-and runs every batch of that shape, the first included, for every client at
-once through it. On the first batch it differentiates client 0's tape with
-``backward`` and raises OracleError unless the compiled slice 0 matches.
+of each feed shape eagerly, once, for client 0, compiles that tape into one
+step for all the clients (``autodiff.compile_step``), which calls of the
+same structure share, and runs every batch of that shape, the first
+included, for every client at once through it. On the first batch it
+differentiates the tape with ``backward`` and raises OracleError unless the
+compiled slice 0 matches.
 Each client's slice of a compiled step must give the loss, stats and
 gradients of that client's step recorded afresh on the same values, bit for
 bit, and the checks of a recorded step must still run on it.
@@ -26,10 +27,6 @@ from fedgm.data import AugmentationSpec, DomainDataset, batch_iter
 from fedgm.errors import DivergenceError, OracleError, ShapeError, UsageError
 from fedgm.federation import HyperParams, _matching_loss, _Recorded, cosine_lr, local_train, plain_ce_loss
 from fedgm.model import HeadSnapshot, ModelParams, flatten, init_params, stage_params
-
-
-def _param_arrays(params):
-    return [a for pair in params.feature for a in pair] + [params.head_w, params.head_b]
 
 
 def _record(step, params, values):
@@ -54,7 +51,7 @@ def _fresh(step, params, values):
 def _compiled(rec, params, clients):
     """Each client's stats and gradients of the recorded step ``rec`` run
     compiled on the clients' values ``clients``, as bytes."""
-    stacked = [np.stack([a] * len(clients)) for a in _param_arrays(params)]
+    stacked = [np.stack([a] * len(clients)) for a in params.arrays()]
     outs, grads = rec.run([*stacked, *(np.stack(col) for col in zip(*clients))])
     return [
         (np.array([float(v[i]) for v in outs]).tobytes(), [np.asarray(g[i]).tobytes() for g in grads])
@@ -63,10 +60,10 @@ def _compiled(rec, params, clients):
 
 
 def _recorded(step, params, clients):
-    """One recording per client values in ``clients``, as local_train keeps them."""
-    recs = [_record(step, params, values) for values in clients]
-    _, staged, leaves, loss, stat_nodes = recs[-1]
-    return _Recorded([r[0] for r in recs], staged.all_ids() + leaves, loss, stat_nodes)
+    """The recording of the first client values in ``clients``, compiled for
+    all of them, as local_train keeps it."""
+    tape, staged, leaves, loss, stat_nodes = _record(step, params, clients[0])
+    return _Recorded(tape, len(clients), staged.all_ids() + leaves, loss, stat_nodes)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -107,7 +104,7 @@ def test_replayed_steps_match_fresh_recordings(widths, classes, batch, n_snaps, 
             # move the parameters in place, as SGD does, so each step differs
             tape, staged, _, loss, _ = _record(step, params, values)
             grads = backward(tape, loss)
-            for nid, arr in zip(staged.all_ids(), _param_arrays(params)):
+            for nid, arr in zip(staged.all_ids(), params.arrays()):
                 arr -= 0.1 * grads[nid]
     assert compiled >= 4  # both batch shapes ran compiled at least once
 
@@ -205,8 +202,8 @@ def test_compiled_step_takes_every_leaf_and_checks_shapes():
     x = tape.constant(np.ones((3, 2)))
     z = ad.reduce_sum(tape, ad.relu(tape, ad.matmul(tape, x, ad.transpose(tape, w))))
     c = tape.constant(2.0)  # a leaf recorded after the loss is an argument too
-    step = compile_step([tape], z, [z, c])
-    assert step is compile_step([tape], z, [z, c])
+    step = compile_step(tape, 1, z, [z, c])
+    assert step is compile_step(tape, 1, z, [z, c])
     assert step.source.startswith("def step(v0, v1, v6):")
     # every value carries a leading client axis, here of one client
     (total, two), (g,) = step(tape.value(w)[None], np.full((1, 3, 2), -2.0), np.array([5.0]))
@@ -221,7 +218,7 @@ def test_step_cache_is_bounded(monkeypatch):
     for k in range(ad._STEP_CACHE_SIZE + 3):
         tape = Tape()
         w = tape.leaf(np.ones(k + 1), param=True)
-        compile_step([tape], ad.reduce_sum(tape, w), [])
+        compile_step(tape, 1, ad.reduce_sum(tape, w), [])
     assert len(ad._STEP_CACHE) == ad._STEP_CACHE_SIZE
 
 
@@ -280,19 +277,25 @@ def _lockstep_call(k):
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_backward_runs_once_per_feed_shape_on_client_0(k):
-    calls = []
-    real = federation.backward
+    calls, recordings = [], []
+    real_backward, real_loss = federation.backward, federation.local_loss
 
     def spy(tape, loss):
         calls.append(tape)
-        return real(tape, loss)
+        return real_backward(tape, loss)
+
+    def spy_loss(tape, *args, **kwargs):
+        recordings.append(tape)
+        return real_loss(tape, *args, **kwargs)
 
     initial, datasets, heads, hp, round_t, aug = _lockstep_call(k)
-    with mock.patch.object(federation, "backward", spy):
+    with mock.patch.object(federation, "backward", spy), mock.patch.object(federation, "local_loss", spy_loss):
         for call in range(2):
             local_train(initial, datasets, heads, hp, round_t, aug)
-            # two feed shapes (batches of 4 and 2 rows), each checked once
-            assert len(calls) == 2 * (call + 1)
+            # two feed shapes (batches of 4 and 2 rows), each recorded and
+            # checked once, whatever the number of clients
+            assert len(calls) == len(recordings) == 2 * (call + 1)
+    assert calls == recordings  # backward differentiates the one recording
     epoch = (round_t - 1) * hp.local_epochs
     X0 = next(batch_iter(datasets[0], hp.batch, streams.subseed(hp.seed, streams.CLIENT), epoch))[0]
     # the first check differentiates client 0's recording of its first batch
@@ -306,11 +309,11 @@ def test_compiled_slice_0_off_by_one_ulp_is_an_oracle_error(what):
 
     def off_by_one_ulp(*args):
         step = real(*args)
-        compiles.append(len(args[0]))
+        compiles.append(args[1])
 
         def bumped(*values):
             outs, grads = map(list, step(*values))
-            arrays, j = (outs, list(args[2]).index(args[1])) if what == "total" else (grads, -1)
+            arrays, j = (outs, list(args[3]).index(args[2])) if what == "total" else (grads, -1)
             arrays[j] = arrays[j].copy()
             arrays[j][0] = np.nextafter(arrays[j][0], np.inf)
             return outs, grads
@@ -358,7 +361,7 @@ def test_lockstep_clients_match_separate_eager_steps(k, widths, classes, batch, 
         sgd_step(arrays, grads, velocity, lr, hp_)
 
     def spy_compile(*args):
-        compiles.append(len(args[0]))
+        compiles.append(args[1])
         return compile_fn(*args)
 
     with mock.patch.object(federation, "_sgd_step", spy_sgd), mock.patch.object(federation, "compile_step", spy_compile):
@@ -370,7 +373,7 @@ def test_lockstep_clients_match_separate_eager_steps(k, widths, classes, batch, 
         aug_rng = streams.substream(hp.seed, streams.AUG, ds.domain_id, round_t)
         step = plain_ce_loss if plain else _matching_loss(heads, hp, aug, aug_rng)
         params = initial.copy()
-        velocity = [np.zeros_like(a) for a in _param_arrays(params)]
+        velocity = [np.zeros_like(a) for a in params.arrays()]
         sums, count = {}, 0
         for epoch in (2, 3):
             for X, y in batch_iter(ds, batch, streams.subseed(hp.seed, streams.CLIENT), epoch):
@@ -381,7 +384,7 @@ def test_lockstep_clients_match_separate_eager_steps(k, widths, classes, batch, 
                 for name, nid in stat_nodes.items():
                     sums[name] = sums.get(name, 0.0) + float(tape.value(nid))
                 lr = cosine_lr(round_t, hp)
-                for arr, g, v in zip(_param_arrays(params), grads, velocity):
+                for arr, g, v in zip(params.arrays(), grads, velocity):
                     v *= hp.momentum
                     v += g
                     arr -= lr * v + lr * hp.weight_decay * arr
@@ -435,7 +438,9 @@ def test_every_op_compiles_to_each_clients_eager_bytes():
     recorded = [_every_op_tape(rng.normal(size=(3, 4)), rng.uniform(0.5, 1.0), rng.normal(size=(5, 4))) for _ in range(2)]
     tapes, loss = [t for t, _ in recorded], recorded[0][1]
     assert set(tapes[0].ops) == {ad.LEAF, *ad.OP_TAGS}
-    step = compile_step(tapes, loss, [loss])
+    # compiled from one tape, the step takes each client's own value of every
+    # leaf, the constants included
+    step = compile_step(tapes[0], 2, loss, [loss])
     leaves = [nid for nid, kind in enumerate(tapes[0].ops) if kind == ad.LEAF]
     (total,), grads = step(*(np.stack([t.value(nid) for t in tapes]) for nid in leaves))
     for i, tape in enumerate(tapes):
@@ -457,7 +462,7 @@ def test_snapshot_blocks_run_as_one_group_of_lanes(monkeypatch):
     clients = [step.feeds(rng.normal(0.0, 1.0, (5, 3)), rng.integers(0, 2, 5), 2) for _ in range(3)]
     rec = _recorded(step, params, clients)
     assert _compiled(rec, params, clients) == [_fresh(step, params, values) for values in clients]
-    tape = rec.tapes[0]
+    tape = rec.tape
     heads = tuple(nid for nid, kind in enumerate(tape.ops) if kind == ad.LEAF and tape.value(nid).shape == (6, 2))
     assert len(heads) == 3 and heads in rec.step.leaves  # the heads are the lanes of one argument
     # one matmul by the stacked snapshot heads, not one per snapshot
@@ -482,9 +487,9 @@ def _two_lane_tape(first, second, chained=False):
 
 
 def _compiled_matches_eager(tape, loss):
-    step = compile_step([tape], loss, [loss])
+    step = compile_step(tape, 1, loss, [loss])
     leaves = [nid for nid, kind in enumerate(tape.ops) if kind == ad.LEAF]
-    (total,), grads = step(*(federation._stacked([tape], ids) for ids in step.leaves))
+    (total,), grads = step(*(federation._stacked(tape, 1, ids) for ids in step.leaves))
     assert total[0].tobytes() == tape.value(loss).tobytes()
     assert [g[0].tobytes() for g in grads] == [g.tobytes() for g in backward(tape, loss).values()]
     assert sorted(n for ids in step.leaves for n in ids) == leaves
