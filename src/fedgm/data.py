@@ -185,10 +185,12 @@ def mix_amplitude(x1: np.ndarray, x2: np.ndarray, weight) -> np.ndarray:
     """Blend Fourier amplitudes at a fixed weight, keeping x1's phase.
 
     ``x1`` and ``x2`` are one grid each, or equal stacks of grids with one
-    grid per row of a leading axis; for a stack, ``weight`` may hold one
-    weight per row, shaped to broadcast (``(n, 1, 1)``). Each row of a
-    stack gets the same bytes as mixing it alone, and an imaginary residual
-    above 1e-9 is reported for the first row that has one.
+    grid per row of a leading axis (a batch, or a whole epoch of batches);
+    for a stack, ``weight`` may hold one weight per row, shaped to broadcast
+    (``(n, 1, 1)``). Each row of a stack gets the same bytes as mixing it
+    alone, so one call on an epoch gives the bytes of one call per batch,
+    and an imaginary residual above 1e-9 is reported for the first row of
+    the stack that has one.
     """
     x1 = as_tensor(x1)
     x2 = as_tensor(x2)
@@ -215,9 +217,21 @@ def amplitude_mix(x1: np.ndarray, x2: np.ndarray, eta: float, rng: np.random.Gen
     return mix_amplitude(x1, x2, rng.uniform(0.0, eta))
 
 
-def augment(X: np.ndarray, spec: AugmentationSpec, rng: np.random.Generator) -> np.ndarray:
-    """Apply one augmentation rowwise; labels are untouched by contract."""
+def augment(X: np.ndarray, spec: AugmentationSpec, rng: np.random.Generator, batch: int | None = None) -> np.ndarray:
+    """Apply one augmentation rowwise; labels are untouched by contract.
+
+    The rows are consecutive batches of ``batch`` rows, the last one
+    possibly shorter (``None``: one batch of all rows), so one call can
+    augment a client's whole epoch in batch order. It gives the bytes and
+    leaves ``rng`` in the state of one call per batch on the same generator:
+    noise and rotation angles are drawn for all rows in one call, and
+    ``amplitude_mix`` pairs each row with another row of its own batch,
+    drawing partner and weight row by row, and mixes all rows in one
+    ``mix_amplitude`` call.
+    """
     X = as_tensor(X)
+    if batch is not None and batch < 1:
+        raise UsageError(f"batch size must be >= 1, got {batch}")
     if spec.kind == "identity":
         return X.copy()
     if spec.kind == "gaussian_noise":
@@ -232,23 +246,27 @@ def augment(X: np.ndarray, spec: AugmentationSpec, rng: np.random.Generator) -> 
         for i, deg in enumerate(degrees):
             out[i] = X[i] @ _rotation_matrix(deg).T
         return out
-    # amplitude_mix: pair each row with a random other row of the batch
-    batch = X.shape[0]
-    if batch < 2:
+    # amplitude_mix: pair each row with a random other row of its batch
+    n = X.shape[0]
+    sizes = [n] if batch is None else [min(batch, n - start) for start in range(0, n, batch)]
+    if min(sizes, default=2) < 2:
         raise UsageError("amplitude_mix needs a batch of at least 2 rows")
     side = math.isqrt(X.shape[1])
     if side * side != X.shape[1]:
         raise UsageError(f"amplitude_mix needs square grids, got width {X.shape[1]}")
     # draw partner and weight row by row, in the order of one amplitude_mix per row
-    partners = np.empty(batch, dtype=np.int64)
-    weights = np.empty(batch)
-    for i in range(batch):
-        j = int(rng.integers(0, batch - 1))
-        partners[i] = j + 1 if j >= i else j
-        weights[i] = rng.uniform(0.0, spec.eta_max)
-    grids = X.reshape(batch, side, side)
+    partners = np.empty(n, dtype=np.int64)
+    weights = np.empty(n)
+    start = 0
+    for rows in sizes:
+        for i in range(rows):
+            j = int(rng.integers(0, rows - 1))
+            partners[start + i] = start + (j + 1 if j >= i else j)
+            weights[start + i] = rng.uniform(0.0, spec.eta_max)
+        start += rows
+    grids = X.reshape(n, side, side)
     mixed = mix_amplitude(grids, grids[partners], weights[:, None, None])
-    return np.ascontiguousarray(mixed.reshape(batch, side * side))
+    return np.ascontiguousarray(mixed.reshape(n, side * side))
 
 
 def batch_iter(

@@ -57,17 +57,22 @@ log = logging.getLogger(__name__)
 class StepLoss(NamedTuple):
     """A client's loss on one batch, in two parts so a recorded step can be compiled.
 
-    ``feeds(X, y, classes)`` returns the batch's per-step leaf values and
-    draws any augmentation randomness; it runs for every batch.
-    ``record(tape, staged, *leaves)`` records the loss on those values,
-    staged as leaves in the same order, and returns the loss node and the
-    node of each reported stat, "total" among them. Everything else it
-    records may depend only on the leaves' shapes and on settings that all
-    clients of one ``local_train`` call share: one recording, client 0's,
-    runs compiled for every client and every batch of those shapes.
+    ``feeds(X, y, classes, batch=None)`` returns the per-step leaf values
+    of the rows ``X`` and labels ``y``, which are consecutive batches of
+    ``batch`` rows (``None``: one batch), and draws any augmentation
+    randomness as one call per batch would. Every value it returns is per
+    row, with the row axis first, so a batch's values are a row slice of
+    the values of its epoch; ``local_train`` calls it once per client and
+    epoch. ``record(tape, staged, *leaves)`` records the loss on one
+    batch's values, staged as leaves in the same order, and returns the
+    loss node and the node of each reported stat, "total" among them.
+    Everything else it records may depend only on the leaves' shapes and on
+    settings that all clients of one ``local_train`` call share: one
+    recording, client 0's, runs compiled for every client and every batch
+    of those shapes.
     """
 
-    feeds: Callable[[np.ndarray, np.ndarray, int], tuple[np.ndarray, ...]]
+    feeds: Callable[..., tuple[np.ndarray, ...]]
     record: Callable[..., tuple[int, dict[str, int]]]
 
 
@@ -199,10 +204,15 @@ def local_train(
 
     Every client starts from ``initial`` and trains on its own dataset; the
     datasets must have equal sizes and widths, so the clients' batches line
-    up. The first batch of each feed shape records ``step_loss`` once, on
-    client 0's parameters and feeds, which gives the step its structure and
-    the recorded constants all clients share, and compiles that tape into one
-    step for all k clients; every batch of that shape, the first included,
+    up. At the start of every epoch each client's rows are gathered once, in
+    the epoch's batch order, and ``step_loss.feeds`` runs once on them, so
+    augmentation draws and the label-range check cover the whole epoch
+    before its first step; every batch's feeds are a row slice of the
+    clients' stacked epoch feeds. The first batch of each feed shape records
+    ``step_loss`` once, on client 0's parameters and feeds, which gives the
+    step its structure and the recorded constants all clients share, and
+    compiles that tape into one step for all k clients; every batch of that
+    shape, the first included,
     runs all clients at once through it on the stacked feeds and parameters,
     which gives every client the bytes of its own eager step. On that first
     batch ``backward`` differentiates the tape and an OracleError is raised
@@ -217,7 +227,10 @@ def local_train(
 
     A client's failure (a non-finite loss, a bad label) is raised as
     training the clients one at a time, in list order, would raise it; an
-    OracleError is an engine fault and is raised as it is.
+    OracleError is an engine fault and is raised as it is. Since a client's
+    feeds are built before its epoch's first step, a bad label anywhere in
+    the epoch raises UsageError before a non-finite loss on an earlier batch
+    of that epoch could raise DivergenceError.
     """
     if round_t < 1:
         raise UsageError(f"round must be >= 1, got {round_t}")
@@ -226,6 +239,10 @@ def local_train(
     if len({ds.X.shape for ds in datasets}) > 1:
         dims = ", ".join(f"domain {ds.domain_id}: {ds.X.shape}" for ds in datasets)
         raise ContractError(f"lockstep clients need datasets of one size and width, got {dims}")
+    if hp.batch < 1:
+        raise UsageError(f"batch size must be >= 1, got {hp.batch}")
+    if hp.local_epochs < 1 or datasets[0].N == 0:
+        raise UsageError(f"no training steps: {hp.local_epochs} epochs over {datasets[0].N} rows")
     try:
         return _train_lockstep(initial, datasets, heads, hp, round_t, aug, step_loss)
     except (DivergenceError, UsageError):
@@ -258,23 +275,28 @@ def _train_lockstep(initial, datasets, heads, hp, round_t, aug, step_loss) -> li
     records: dict[tuple, _Recorded] = {}  # by feed shapes
     sums = None
     steps = 0
+    n = datasets[0].N
     epoch_base = (round_t - 1) * hp.local_epochs
     for e in range(hp.local_epochs):
-        for batches in zip(*(batch_iter(ds, hp.batch, batch_seed, epoch_base + e) for ds in datasets)):
-            values = [
-                [np.asarray(v, dtype=np.float64, order="C") for v in loss_i.feeds(X, y, initial.classes)]
-                for loss_i, (X, y) in zip(losses, batches)
-            ]
-            shapes = tuple(v.shape for v in values[0])
+        per_client = []
+        for loss_i, ds in zip(losses, datasets):
+            # the epoch's rows in batch order: its permutation, as one batch of all rows
+            X, y = next(batch_iter(ds, n, batch_seed, epoch_base + e))
+            per_client.append(loss_i.feeds(X, y, initial.classes, hp.batch))
+        fed = [np.stack(col, dtype=np.float64) for col in zip(*per_client)]
+        for start in range(0, n, hp.batch):
+            # C-ordered copies, as BLAS rounding depends on memory order
+            values = [np.ascontiguousarray(f[:, start : start + hp.batch]) for f in fed]
+            shapes = tuple(v.shape[1:] for v in values)
             rec = records.get(shapes)
             fresh = rec is None
             if fresh:  # client 0's recording gives the step its structure and recorded constants
                 tape = Tape()
                 staged = stage_params(tape, clients[0])
-                feeds = [tape.constant(v) for v in values[0]]
+                feeds = [tape.constant(v[0]) for v in values]
                 loss, stat_nodes = losses[0].record(tape, staged, *feeds)
                 rec = records[shapes] = _Recorded(tape, k, staged.all_ids() + feeds, loss, stat_nodes)
-            outs, grads = rec.run([*stacked, *(np.stack(col) for col in zip(*values))])
+            outs, grads = rec.run([*stacked, *values])
             total = outs[list(rec.stat_nodes).index("total")]
             if not np.isfinite(total).all():
                 bad = float(total[np.argmin(np.isfinite(total))])
@@ -287,8 +309,6 @@ def _train_lockstep(initial, datasets, heads, hp, round_t, aug, step_loss) -> li
             for acc, out in zip(sums, outs):
                 acc += out
             steps += 1
-    if steps == 0:
-        raise UsageError(f"no training steps: {hp.local_epochs} epochs over {datasets[0].N} rows")
     return [
         ClientUpdate(ds.domain_id, clients[i], ds.N, {m: float(acc[i] / steps) for m, acc in zip(rec.stat_nodes, sums)})
         for i, ds in enumerate(datasets)
@@ -298,8 +318,8 @@ def _train_lockstep(initial, datasets, heads, hp, round_t, aug, step_loss) -> li
 def _matching_loss(snapshots, hp: HyperParams, aug: AugmentationSpec, aug_rng) -> StepLoss:
     """A source client's step loss: local_loss on a batch and its augmented view."""
 
-    def feeds(X, y, classes):
-        return X, augment(X, aug, aug_rng), one_hot(y, classes)
+    def feeds(X, y, classes, batch=None):
+        return X, augment(X, aug, aug_rng, batch), one_hot(y, classes)
 
     def record(tape, staged, x, x_aug, y_mat):
         loss, bd = local_loss(
@@ -325,7 +345,7 @@ def _plain_ce_record(tape: Tape, staged: ParamNodes, x: int, y_mat: int) -> tupl
 
 
 # The target client's step loss: cross-entropy on the un-augmented batch.
-plain_ce_loss = StepLoss(lambda X, y, classes: (X, one_hot(y, classes)), _plain_ce_record)
+plain_ce_loss = StepLoss(lambda X, y, classes, batch=None: (X, one_hot(y, classes)), _plain_ce_record)
 
 
 def aggregate(updates: list[ClientUpdate]) -> ModelParams:

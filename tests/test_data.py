@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fedgm.data import (
@@ -248,3 +248,45 @@ def test_mix_amplitude_names_first_row_over_residual():
     grids[2] *= 1e9  # residuals scale with the amplitude mixed in
     with pytest.raises(ShapeError, match=r"residual .* in row 1 exceeds 1e-9"):
         mix_amplitude(grids, grids[[1, 2, 0]], np.full((3, 1, 1), 0.5))
+
+
+_EPOCH_SPECS = {
+    "identity": (AugmentationSpec.identity(), 3),
+    "gaussian_noise": (AugmentationSpec.gaussian_noise(0.7), 3),
+    "input_rotation": (AugmentationSpec.input_rotation(60.0), 2),
+    "amplitude_mix": (AugmentationSpec.amplitude_mix(0.9), 64),
+}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(sorted(_EPOCH_SPECS)),
+    batch=st.integers(2, 7),
+    full=st.integers(0, 3),
+    short=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 2),
+)
+def test_augment_epoch_matches_one_call_per_batch(kind, batch, full, short, seed):
+    spec, width = _EPOCH_SPECS[kind]
+    short %= batch  # rows in a short last batch, if any
+    assume(not (kind == "amplitude_mix" and short == 1))
+    n = full * batch + short
+    X = np.random.default_rng(seed).normal(0.0, 2.0, (n, width))
+    rng, twin = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    out = augment(X, spec, rng, batch)
+    per_batch = [augment(X[start : start + batch], spec, twin) for start in range(0, n, batch)]
+    ref = np.concatenate([np.empty((0, width)), *per_batch])
+    assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
+    assert rng.random() == twin.random()  # the same draws were consumed, in the same order
+
+
+def test_augment_epoch_rejects_a_one_row_amplitude_mix_batch():
+    spec = AugmentationSpec.amplitude_mix(0.5)
+    X = np.random.default_rng(0).normal(0.0, 1.0, (17, 64))
+    with pytest.raises(UsageError, match="batch of at least 2 rows"):
+        augment(X, spec, np.random.default_rng(1), 16)  # batches of 16 and 1 rows
+    with pytest.raises(UsageError, match="batch of at least 2 rows"):
+        augment(X[:16], spec, np.random.default_rng(1), 1)
+    assert augment(X, spec, np.random.default_rng(1), 15).shape == X.shape  # 15 and 2 rows
+    with pytest.raises(UsageError, match="batch size must be >= 1"):
+        augment(X, AugmentationSpec.identity(), np.random.default_rng(1), 0)

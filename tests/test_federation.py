@@ -49,9 +49,23 @@ def test_local_train_zero_epochs_forbidden():
     hp = HyperParams(local_epochs=0)
     with pytest.raises(UsageError):
         local_train(init_params([2, 4], 2, 0), [_tiny_dataset()], [], hp, 1, AugmentationSpec.identity())
-    empty = DomainDataset(0, np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
+
+
+@pytest.mark.parametrize(
+    "aug, width",
+    [
+        (AugmentationSpec.identity(), 2),
+        (AugmentationSpec.gaussian_noise(0.1), 2),
+        (AugmentationSpec.input_rotation(30.0), 2),
+        (AugmentationSpec.amplitude_mix(0.5), 64),
+    ],
+    ids=AugmentationSpec.KINDS,
+)
+def test_local_train_empty_split_has_no_training_steps(aug, width):
+    # an empty epoch fails as such, not in the feeds it would build
+    empty = DomainDataset(0, np.zeros((0, width)), np.zeros(0, dtype=np.int64))
     with pytest.raises(UsageError, match="no training steps"):
-        local_train(init_params([2, 4], 2, 0), [empty], [], HyperParams(), 1, AugmentationSpec.identity())
+        local_train(init_params([width, 4], 2, 0), [empty], [], HyperParams(), 1, aug)
 
 
 def test_local_train_zero_lr_is_identity():
@@ -95,14 +109,19 @@ def test_local_train_target_style_matches_recorded_bytes():
     assert update.n_samples == 10
 
 
+def _row_in_step(ds, hp, round_t, step):
+    """Index of a row that local_train's step ``step`` in round ``round_t`` trains on."""
+    seed = streams.subseed(hp.seed, streams.CLIENT)
+    X, _ = next(itertools.islice(batch_iter(ds, hp.batch, seed, round_t - 1), step, None))
+    return np.flatnonzero((ds.X[:, None] == X).all(axis=2).any(axis=1))[0]
+
+
 def _overflowing(domain_id, hp, round_t, step):
     """A 12-row dataset whose local_train step ``step`` in round ``round_t`` overflows."""
     rng = np.random.default_rng(domain_id)
     ds = DomainDataset(domain_id, rng.normal(0.0, 1.0, (12, 2)), np.arange(12) % 2)
     if step is not None:
-        seed = streams.subseed(hp.seed, streams.CLIENT)
-        X, _ = next(itertools.islice(batch_iter(ds, hp.batch, seed, round_t - 1), step, None))
-        ds.X[np.flatnonzero((ds.X[:, None] == X).all(axis=2).any(axis=1))[0]] = 1e308
+        ds.X[_row_in_step(ds, hp, round_t, step)] = 1e308
     return ds
 
 
@@ -121,6 +140,18 @@ def test_lockstep_divergence_is_the_first_clients_first_error():
     assert _divergence([late, early], hp) == alone[0]
     # client 1 alone diverging
     assert _divergence([_overflowing(0, hp, 2, None), early], hp) == alone[1]
+
+
+@pytest.mark.parametrize("step_loss", [None, plain_ce_loss], ids=["matching", "plain"])
+def test_a_bad_label_fails_its_epoch_before_its_first_step(step_loss):
+    hp = HyperParams(batch=4, lr0=0.05, lr1=0.01)
+    ds = _overflowing(0, hp, 2, 0)
+    ds.y[_row_in_step(ds, hp, 2, 1)] = 7  # a bad label in the batch after the one that overflows
+    # the epoch's labels are checked when its feeds are built, before step 0 can diverge
+    with np.errstate(all="ignore"), pytest.raises(UsageError, match=r"label 7 at index \d+ outside \[0, 2\)"):
+        local_train(init_params([2, 4], 2, 0), [ds], [], hp, 2, AugmentationSpec.identity(), step_loss)
+    # in lockstep the error is still the one training one at a time raises first
+    assert _divergence([_overflowing(1, hp, 2, 0), ds], hp) == "non-finite loss nan at round 2, step 0"
 
 
 def test_local_train_rejects_clients_of_unequal_size():

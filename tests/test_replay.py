@@ -402,6 +402,26 @@ def test_three_clients_share_one_compiled_step_per_batch_shape(monkeypatch):
     assert sorted(key[0] for key in ad._STEP_CACHE) == [3, 3]
 
 
+def test_feeds_are_built_once_per_client_and_epoch():
+    calls = {"augment": [], "one_hot": []}
+    real_augment, real_one_hot = federation.augment, federation.one_hot
+
+    def spy_augment(X, spec, rng, batch=None):
+        calls["augment"].append((len(X), batch))
+        return real_augment(X, spec, rng, batch)
+
+    def spy_one_hot(y, classes):
+        calls["one_hot"].append(len(y))
+        return real_one_hot(y, classes)
+
+    initial, datasets, heads, hp, round_t, aug = _lockstep_call(3)
+    with mock.patch.object(federation, "augment", spy_augment), mock.patch.object(federation, "one_hot", spy_one_hot):
+        local_train(initial, datasets, heads, hp, round_t, aug)
+    # 3 clients x 2 epochs, each call on a client's whole epoch of 10 rows;
+    # one call per batch would be 3 clients x 2 epochs x 3 batches
+    assert calls == {"augment": [(10, hp.batch)] * 6, "one_hot": [10] * 6}
+
+
 def test_stacked_constants_keep_their_memory_order():
     # BLAS rounds a one-row product by the memory order of its operands, and
     # snapshot heads are recorded transposed
