@@ -25,7 +25,7 @@ from .config import Config, DataSpec, HyperParams  # Config and DataSpec are re-
 from .data import AugmentationSpec
 from .errors import DivergenceError, ParseError, UsageError
 from .federation import MetricsTable, build_domains, run_da, run_dg
-from .files import write_atomic
+from .files import parse_json, write_atomic
 from .model import HeadSnapshot, flatten, init_params, save_checkpoint, stage_params, unflatten
 from .objective import cross_entropy, head_grad, local_loss
 
@@ -173,26 +173,13 @@ def parse_config_dict(raw: dict) -> Config:
     return config
 
 
-def _loads_finite(text: str, where: str):
-    """json.loads that rejects numbers a float cannot hold (Infinity, NaN, 1e400)."""
-
-    def reject(token):
-        raise ParseError(f"{where}: non-finite number {token}")
-
-    def number(token):
-        value = float(token)
-        return value if math.isfinite(value) else reject(token)
-
-    return json.loads(text, parse_float=number, parse_constant=reject)
-
-
 def _read_json(path) -> dict:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as e:
         raise ParseError(f"cannot read config {path}: {e}") from None
     try:
-        return _loads_finite(text, f"config {path}")
+        return parse_json(data, f"config {path}")
     except json.JSONDecodeError as e:
         raise ParseError(f"config parse error at line {e.lineno} column {e.colno}: {e.msg}") from None
 
@@ -211,7 +198,7 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
             raise ParseError(f"override '{item}' is not KEY=VALUE")
         key, _, value = item.partition("=")
         try:
-            parsed = _loads_finite(value, f"override '{item}'")
+            parsed = parse_json(value, f"override '{item}'")
         except json.JSONDecodeError:
             parsed = value
         node = out
@@ -335,34 +322,39 @@ def total_loss_gradient(params, snapshots, X, X_aug, y, lam):
     return np.concatenate([grads[nid].ravel() for nid in staged.all_ids()])
 
 
-def cmd_grad_check(arch: list[int], trials: int, tolerance: float, seed: int) -> int:
-    """Compare reverse-mode gradients against central differences.
+def finite_difference_errors(arch, trials: int, seed: int) -> tuple[float, tuple[int, int], float]:
+    """Worst deviations of reverse-mode gradients from central differences
+    (h = 1e-5) over ``grad_check_instances(arch, trials, seed)``.
 
-    Also checks the closed-form head gradient against the autodiff gradient
-    of the cross-entropy with respect to the head parameters.
+    Returns the worst relative error over coordinates whose difference
+    quotient exceeds 1e-6 in magnitude, its (trial, coordinate), and the
+    worst absolute error over the others. A NaN gradient entry counts as an
+    infinite error.
     """
-    if trials < 1:
-        raise UsageError(f"trials must be >= 1, got {trials}")
     worst_rel = 0.0
     worst_abs = 0.0
     worst_coord = (0, 0)
-    for trial, (params, snapshots, X, X_aug, y, lam) in enumerate(
-        grad_check_instances(arch, trials, seed)
-    ):
-        theta = flatten(params)
+    for trial, (params, snapshots, X, X_aug, y, lam) in enumerate(grad_check_instances(arch, trials, seed)):
         g_ad = total_loss_gradient(params, snapshots, X, X_aug, y, lam)
         f = _flat_loss_fn(params.arch, params.classes, snapshots, X, X_aug, y, lam)
-        g_fd = finite_diff_grad(f, theta, 1e-5)
-        for k in range(theta.size):
-            err = abs(g_ad[k] - g_fd[k])
+        g_fd = finite_diff_grad(f, flatten(params), 1e-5)
+        errs = np.abs(g_ad - g_fd)
+        errs[np.isnan(errs)] = np.inf  # NaN compares false with every bound
+        for k, err in enumerate(errs):
             if abs(g_fd[k]) > 1e-6:
                 rel = err / abs(g_fd[k])
                 if rel > worst_rel:
                     worst_rel, worst_coord = rel, (trial, k)
             elif err > worst_abs:
                 worst_abs = err
-    # closed-form head gradient vs reverse mode over the head leaves
-    worst_head = 0.0
+    return worst_rel, worst_coord, worst_abs
+
+
+def head_gradient_deviation(trials: int, seed: int) -> float:
+    """Worst deviation of the closed-form head gradient from the reverse-mode
+    gradient of the cross-entropy over the head leaves, on ``trials`` random
+    instances drawn from ``seed + 1``."""
+    worst = 0.0
     rng = np.random.default_rng(np.random.SeedSequence(seed + 1))
     for _ in range(trials):
         batch = int(rng.integers(1, 9))
@@ -382,7 +374,20 @@ def cmd_grad_check(arch: list[int], trials: int, tolerance: float, seed: int) ->
         tape2 = Tape()
         h2 = tape2.constant(H)
         closed = tape2.value(head_grad(tape2, h2, y, w, b))
-        worst_head = max(worst_head, float(np.abs(closed - ad_flat).max()))
+        worst = max(worst, float(np.abs(closed - ad_flat).max()))
+    return worst
+
+
+def cmd_grad_check(arch: list[int], trials: int, tolerance: float, seed: int) -> int:
+    """Compare reverse-mode gradients against central differences.
+
+    Also checks the closed-form head gradient against the autodiff gradient
+    of the cross-entropy with respect to the head parameters.
+    """
+    if trials < 1:
+        raise UsageError(f"trials must be >= 1, got {trials}")
+    worst_rel, worst_coord, worst_abs = finite_difference_errors(arch, trials, seed)
+    worst_head = head_gradient_deviation(trials, seed)
     print(f"worst relative error (|g| > 1e-6): {worst_rel:.3e} at trial {worst_coord[0]}, coordinate {worst_coord[1]}")
     print(f"worst absolute error (|g| <= 1e-6): {worst_abs:.3e}")
     print(f"worst closed-form head-gradient deviation: {worst_head:.3e}")
@@ -476,6 +481,15 @@ def _parse_arch(text: str) -> list[int]:
     return arch
 
 
+def _check_grad_check(tolerance: float, seed: int) -> None:
+    """``--tolerance`` must be a finite number >= 0 (NaN fails every
+    comparison, so it would pass any gradient); ``--seed`` must be >= 0."""
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise UsageError(f"--tolerance: expected a finite number >= 0, got {tolerance}")
+    if seed < 0:
+        raise UsageError(f"--seed: expected an integer >= 0, got {seed}")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -486,6 +500,7 @@ def main(argv=None) -> int:
                 raise ParseError(f"config.mode is '{config.mode}' but the subcommand expects '{mode}'")
             return cmd_run(config)
         if args.command == "grad-check":
+            _check_grad_check(args.tolerance, args.seed)
             return cmd_grad_check(_parse_arch(args.arch), args.trials, args.tolerance, args.seed)
         if args.command == "gen-data":
             return cmd_gen_data(parse_config(args.config), args.out)

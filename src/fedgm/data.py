@@ -103,7 +103,6 @@ def _base_plane_points(n: int, classes: int, rng: np.random.Generator) -> tuple[
 
 
 def gen_rotated_domains(
-    n_domains: int,
     angles: list[float],
     n_per_domain: int,
     noise_sigma: float,
@@ -114,10 +113,8 @@ def gen_rotated_domains(
 
     All domains draw the same base points and the same noise, so equal
     angles give bitwise-equal domains and the only cross-domain difference
-    is the rotation itself.
+    is the rotation itself. One domain per angle.
     """
-    if len(angles) != n_domains:
-        raise UsageError(f"got {len(angles)} angles for {n_domains} domains")
     if classes > n_per_domain:
         raise UsageError(f"cannot balance {classes} classes over {n_per_domain} samples")
     rng = np.random.default_rng(np.random.SeedSequence(seed))

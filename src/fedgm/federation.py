@@ -416,9 +416,7 @@ def build_domains(config: Config) -> list[DomainDataset]:
     data_seed = streams.subseed(config.hp.seed, streams.DATA)
     spec = config.data
     if spec.kind == "rotated_moons":
-        return gen_rotated_domains(
-            len(spec.angles), spec.angles, spec.n_per_domain, spec.noise_sigma, data_seed, spec.classes
-        )
+        return gen_rotated_domains(spec.angles, spec.n_per_domain, spec.noise_sigma, data_seed, spec.classes)
     if spec.kind == "textured":
         return gen_textured_domains(spec.n_domains, spec.side, spec.n_per_domain, data_seed, spec.classes)
     raise UsageError(f"unknown data kind '{spec.kind}'")

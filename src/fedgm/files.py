@@ -1,10 +1,15 @@
-"""Output files that are replaced whole or not at all."""
+"""The JSON files the program reads, and output files that are replaced
+whole or not at all."""
 
 from __future__ import annotations
 
+import json
+import math
 import os
 from pathlib import Path
 from typing import Iterable
+
+from .errors import ParseError
 
 
 def write_atomic(path, chunks: Iterable[str]) -> None:
@@ -24,3 +29,26 @@ def write_atomic(path, chunks: Iterable[str]) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def parse_json(data: bytes | str, where: str):
+    """``json.loads`` of UTF-8 ``data``, rejecting numbers a float cannot hold.
+
+    Bytes that are not UTF-8 and the numbers Infinity, NaN and 1e400 raise
+    ParseError naming ``where``. Malformed JSON raises json.JSONDecodeError,
+    which each caller reports or handles in its own way.
+    """
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{where}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+
+    def reject(token):
+        raise ParseError(f"{where}: non-finite number {token}")
+
+    def number(token):
+        value = float(token)
+        return value if math.isfinite(value) else reject(token)
+
+    return json.loads(data, parse_float=number, parse_constant=reject)

@@ -21,7 +21,7 @@ from .errors import (
     UnsupportedVersionError,
     UsageError,
 )
-from .files import write_atomic
+from .files import parse_json, write_atomic
 
 CHECKPOINT_VERSION = 1
 
@@ -213,10 +213,10 @@ def _plain(value, kinds) -> bool:
 
 
 def load_checkpoint(path) -> ModelParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        obj = json.loads(text)
+        obj = parse_json(data, f"checkpoint {path}")
     except json.JSONDecodeError as e:
         raise ParseError(f"checkpoint parse error at line {e.lineno} column {e.colno}: {e.msg}") from None
     if not isinstance(obj, dict):
@@ -244,4 +244,8 @@ def load_checkpoint(path) -> ModelParams:
             f"checkpoint declares arch {arch}, classes {classes} but carries "
             f"{len(flat)} parameters (expected {param_count(arch, classes)})"
         )
-    return unflatten(arch, classes, np.array(flat, dtype=np.float64))
+    try:
+        values = np.array(flat, dtype=np.float64)
+    except OverflowError:
+        raise ParseError("checkpoint flat parameter list holds an integer too large for a float") from None
+    return unflatten(arch, classes, values)

@@ -10,20 +10,16 @@ import json
 import math
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import fedgm.federation
-from fedgm.autodiff import Tape, backward, finite_diff_grad
-from fedgm.cli import (
-    _flat_loss_fn,
-    grad_check_instances,
-    main,
-    total_loss_gradient,
-)
-from fedgm.experiments import da_config, dg_config, swap_config
-from fedgm.federation import ClientUpdate, aggregate, knowledge_vote, run_da, run_dg
+from fedgm import experiments
+from fedgm.autodiff import Tape, backward
+from fedgm.cli import finite_difference_errors, head_gradient_deviation, main
+from fedgm.federation import ClientUpdate, aggregate, knowledge_vote, run_dg
 from fedgm.model import flatten, init_params, unflatten
 from fedgm.objective import cosine_sim, cross_entropy, local_loss
 
@@ -54,44 +50,15 @@ def criterion(name):
 @criterion("gradient-fidelity")
 def test_gradient_fidelity_against_finite_differences():
     t0 = time.perf_counter()
-    for params, snaps, X, X_aug, y, lam in grad_check_instances([6, 8, 5], 20, seed=3):
-        g_ad = total_loss_gradient(params, snaps, X, X_aug, y, lam)
-        f = _flat_loss_fn(params.arch, params.classes, snaps, X, X_aug, y, lam)
-        g_fd = finite_diff_grad(f, flatten(params), 1e-5)
-        err = np.abs(g_ad - g_fd)
-        big = np.abs(g_fd) > 1e-6
-        if big.any():
-            assert (err[big] / np.abs(g_fd)[big]).max() <= 1e-5
-        if (~big).any():
-            assert err[~big].max() <= 1e-7
+    worst_rel, _, worst_abs = finite_difference_errors([6, 8, 5], 20, seed=3)
+    assert worst_rel <= 1e-5
+    assert worst_abs <= 1e-7
     assert time.perf_counter() - t0 < 10.0
 
 
 @criterion("closed-form-head-gradient")
 def test_closed_form_head_gradient_matches_reverse_mode():
-    import fedgm.autodiff as ad
-    from fedgm.objective import head_grad
-
-    rng = np.random.default_rng(2)
-    worst = 0.0
-    for _ in range(50):
-        batch = int(rng.integers(1, 9))
-        d_h = int(rng.integers(2, 9))
-        classes = int(rng.integers(2, 6))
-        H = rng.normal(0, 1, (batch, d_h))
-        w = rng.normal(0, 0.8, (classes, d_h))
-        b = rng.normal(0, 0.3, classes)
-        y = rng.integers(0, classes, batch)
-        t = Tape()
-        w_id = t.leaf(w, param=True)
-        b_id = t.leaf(b, param=True)
-        z = ad.add(t, ad.matmul(t, t.constant(H), ad.transpose(t, w_id)), b_id)
-        grads = backward(t, cross_entropy(t, z, y))
-        auto = np.concatenate([grads[w_id].ravel(), grads[b_id].ravel()])
-        t2 = Tape()
-        closed = t2.value(head_grad(t2, t2.constant(H), y, w, b))
-        worst = max(worst, float(np.abs(closed - auto).max()))
-    assert worst <= 1e-10
+    assert head_gradient_deviation(50, seed=1) <= 1e-10
 
 
 @criterion("identity-augmentation-null")
@@ -169,77 +136,104 @@ def test_metrics_are_byte_identical_and_schedule_free(tmp_path):
     assert (tmp_path / "other" / "seed_0.csv").read_bytes() == first
 
 
+def _assert_committed(section: dict, name: str, exact=(), unchecked=()) -> None:
+    """``section`` has the layout of the committed one; the keys in ``exact``
+    are equal, every other float lies within COMMIT_ATOL, and the keys in
+    ``unchecked`` are left to their criterion."""
+    committed = RESULTS[name]
+    assert section.keys() == committed.keys()
+    for key, want in committed.items():
+        if key in exact:
+            assert section[key] == want, key
+        elif key not in unchecked:
+            _assert_close(section[key], want, key)
+
+
+def _assert_close(got, want, path: str) -> None:
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and got.keys() == want.keys(), path
+        for key in want:
+            _assert_close(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_close(g, w, f"{path}[{i}]")
+    else:
+        assert isinstance(want, float) and isinstance(got, float), path
+        assert got == pytest.approx(want, abs=COMMIT_ATOL), path
+
+
+# each section is derived once per session, inside the first test that needs
+# it, so a derivation that raises fails that test's criterion
+
+
+@functools.cache
+def _directional() -> tuple[dict, float]:
+    t0 = time.perf_counter()
+    section = experiments.dg_directional()
+    return section, time.perf_counter() - t0
+
+
+@functools.cache
+def _adaptation() -> tuple[dict, list]:
+    dg = _directional()[0]
+    votes = []
+
+    def recording_vote(*args):
+        votes.append(knowledge_vote(*args))
+        return votes[-1]
+
+    with mock.patch.object(fedgm.federation, "knowledge_vote", recording_vote):
+        section = experiments.da_extension(dg)
+    return section, votes
+
+
+@functools.cache
+def _swap() -> tuple[dict, list]:
+    totals = []
+
+    def recording_run_dg(config):
+        table = run_dg(config)
+        totals.append([v for _, v in table.values("train", "total")])
+        return table
+
+    with mock.patch.object(experiments, "run_dg", recording_run_dg):
+        section = experiments.augmentation_swap()
+    return section, totals
+
+
 @criterion("directional-generalization")
 def test_gradient_matching_beats_fedavg_baseline_on_unseen_domains():
-    committed = RESULTS["dg_directional"]
-    t0 = time.perf_counter()
-    margins = []
-    for fold in range(4):
-        gm_accs, bl_accs = [], []
-        for seed in committed["seeds"]:
-            for gm, accs in ((True, gm_accs), (False, bl_accs)):
-                table = run_dg(dg_config(fold, seed, gm))
-                acc = table.final_value("eval_unseen", "accuracy", fold)
-                accs.append(acc)
-                key = f"fold{fold}_seed{seed}_{'gm' if gm else 'baseline'}"
-                assert acc == pytest.approx(committed["per_run_unseen_accuracy"][key], abs=COMMIT_ATOL)
-        margin = float(np.mean(gm_accs) - np.mean(bl_accs))
-        assert margin == pytest.approx(committed["per_fold"][str(fold)]["margin"], abs=COMMIT_ATOL)
-        assert margin >= -0.005  # no fold may lose more than half a point
-        margins.append(margin)
-    assert float(np.mean(margins)) > 0.0
-    assert time.perf_counter() - t0 < 120.0
+    section, seconds = _directional()
+    _assert_committed(section, "dg_directional", exact=("angles", "seeds"))
+    for fold in section["per_fold"].values():
+        assert fold["margin"] >= -0.005  # no fold may lose more than half a point
+    assert section["average_margin"] > 0.0
+    assert seconds < 120.0
 
 
 @criterion("adaptation-extension")
-def test_pseudo_labeled_target_finetuning(monkeypatch):
-    committed = RESULTS["da_extension"]
-    target = committed["target"]
-    captured = []
-    real_vote = knowledge_vote
-
-    def recording_vote(models, X, tau, min_votes):
-        out = real_vote(models, X, tau, min_votes)
-        captured.append(out)
-        return out
-
-    monkeypatch.setattr(fedgm.federation, "knowledge_vote", recording_vote)
-    wins = 0
-    for seed in committed["seeds"]:
-        captured.clear()
-        da = run_da(da_config(target, seed))
-        assert captured, "the vote must run every round"
-        for voted in captured:  # hard invariant: confidence >= tau, all rounds
-            if voted.n_accepted:
-                assert voted.confidences.min() >= 0.9
-        dg = run_dg(dg_config(target, seed, True))
-        da_acc = da.final_value("eval_target", "accuracy", target)
-        dg_acc = dg.final_value("eval_unseen", "accuracy", target)
-        precision = da.final_value("pseudo", "pl_precision", target)
-        expected = committed["per_seed"][str(seed)]
-        assert da_acc == pytest.approx(expected["da_target_accuracy"], abs=COMMIT_ATOL)
-        assert precision == pytest.approx(expected["final_precision"], abs=COMMIT_ATOL)
-        assert precision >= 0.9
-        wins += int(da_acc >= dg_acc)
-    assert wins >= 4
+def test_pseudo_labeled_target_finetuning():
+    section, votes = _adaptation()
+    _assert_committed(section, "da_extension", exact=("target", "seeds"), unchecked=("wins",))
+    assert len(votes) == 30 * len(section["seeds"]), "the vote must run every round"
+    for voted in votes:  # hard invariant: confidence >= tau, all rounds
+        if voted.n_accepted:
+            assert voted.confidences.min() >= 0.9
+    for entry in section["per_seed"].values():
+        assert entry["final_precision"] >= 0.9
+    assert section["wins"] >= 4
 
 
 @criterion("augmentation-swap")
 def test_amplitude_mix_arm_tracks_noise_arm():
-    committed = RESULTS["augmentation_swap"]
-    for fold in range(4):
-        arm_means = {}
-        for arm in ("amplitude_mix", "gaussian_noise"):
-            accs = []
-            for seed in committed["seeds"]:
-                table = run_dg(swap_config(fold, seed, arm))
-                totals = [v for _, v in table.values("train", "total")]
-                assert np.isfinite(totals).all()
-                accs.append(table.final_value("eval_unseen", "accuracy", fold))
-            arm_means[arm] = float(np.mean(accs))
-            for acc, expected in zip(accs, committed["per_fold"][str(fold)][arm]):
-                assert acc == pytest.approx(expected, abs=COMMIT_ATOL)
-        assert abs(arm_means["amplitude_mix"] - arm_means["gaussian_noise"]) <= 0.05
+    section, totals = _swap()
+    _assert_committed(section, "augmentation_swap", exact=("seeds",))
+    assert len(totals) == 4 * len(experiments.SWAP_ARMS) * len(section["seeds"])
+    for run in totals:
+        assert run and np.isfinite(run).all()
+    for fold in section["per_fold"].values():
+        assert fold["gap"] <= 0.05
 
 
 @criterion("numeric-hygiene")

@@ -2,11 +2,13 @@ import builtins
 import errno
 import json
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fedgm import cli
+from fedgm import cli, experiments
 from fedgm.cli import (
     apply_overrides,
     cmd_grad_check,
@@ -29,6 +31,8 @@ BASE = {
     "hp": {"rounds": 2, "lr0": 0.05, "lr1": 0.01},
     "seeds": [0],
 }
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _write(tmp_path, payload, name="config.json"):
@@ -348,6 +352,22 @@ def test_grad_check_cli_reproducible(capsys):
         assert "error: --arch" in capsys.readouterr().err
 
 
+def test_grad_check_fails_a_nan_gradient(monkeypatch, capsys):
+    real = cli.total_loss_gradient
+    monkeypatch.setattr(cli, "total_loss_gradient", lambda *args: real(*args) * np.nan)
+    assert main(["grad-check", "--trials", "2"]) == 3
+    assert "worst relative error (|g| > 1e-6): inf" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--tolerance", "nan"), ("--tolerance", "inf"), ("--tolerance", "-1e-5"), ("--seed", "-1")]
+)
+def test_grad_check_rejects_bad_tolerance_and_seed(capsys, flag, value):
+    # NaN fails every comparison, so it would pass any gradient
+    assert main(["grad-check", "--trials", "1", f"{flag}={value}"]) == 1
+    assert f"error: {flag}: expected" in capsys.readouterr().err
+
+
 def test_gen_data_writes_csvs(tmp_path):
     cfg_path = _write(tmp_path, BASE)
     out = tmp_path / "data"
@@ -370,6 +390,30 @@ def test_gen_data_bad_config(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "d")]) == 1
+
+
+@pytest.mark.parametrize("command", ["run-dg", "gen-data"])
+def test_config_that_is_not_utf8_exits_1(tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(json.dumps(BASE).encode().replace(b"smoke", b"sm\xffoke"))
+    assert main([command, "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
+    assert f"config {bad}: not UTF-8 text" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "name, build",
+    [
+        ("dg_moons.json", lambda: experiments.dg_config(3, 0, True)),
+        ("da_moons.json", lambda: experiments.da_config(1, 0)),
+        ("dg_textured.json", lambda: experiments.swap_config(3, 0, "amplitude_mix")),
+    ],
+)
+def test_example_configs_are_the_committed_experiments(name, build):
+    def comparable(config):
+        return replace(config, experiment="", out_dir="", seeds=[], hp=replace(config.hp, seed=0))
+
+    assert comparable(parse_config(CONFIGS / name)) == comparable(build())
 
 
 def test_da_min_votes_above_source_count_rejected(tmp_path):

@@ -18,31 +18,31 @@ from fedgm.errors import ShapeError, UsageError
 
 
 def test_rotated_equal_angles_identical_domains():
-    a, b = gen_rotated_domains(2, [0.0, 0.0], 60, 0.1, seed=5)
+    a, b = gen_rotated_domains([0.0, 0.0], 60, 0.1, seed=5)
     assert a.X.tobytes() == b.X.tobytes()
     assert a.y.tobytes() == b.y.tobytes()
 
 
 def test_rotated_full_turn_matches_zero():
-    a, b = gen_rotated_domains(2, [0.0, 360.0], 60, 0.1, seed=5)
+    a, b = gen_rotated_domains([0.0, 360.0], 60, 0.1, seed=5)
     assert np.abs(a.X - b.X).max() <= 1e-9
 
 
 def test_rotated_class_balance():
-    (d,) = gen_rotated_domains(1, [30.0], 500, 0.1, seed=1)
+    (d,) = gen_rotated_domains([30.0], 500, 0.1, seed=1)
     counts = np.bincount(d.y)
     assert counts.min() >= 249 and counts.max() <= 251
 
 
 def test_rotated_multiclass_arcs_balanced():
-    (d,) = gen_rotated_domains(1, [0.0], 100, 0.05, seed=2, classes=3)
+    (d,) = gen_rotated_domains([0.0], 100, 0.05, seed=2, classes=3)
     counts = np.bincount(d.y, minlength=3)
     assert counts.max() - counts.min() <= 1
 
 
 def test_rotated_regeneration_deterministic():
-    a = gen_rotated_domains(3, [0.0, 20.0, 40.0], 80, 0.15, seed=9)
-    b = gen_rotated_domains(3, [0.0, 20.0, 40.0], 80, 0.15, seed=9)
+    a = gen_rotated_domains([0.0, 20.0, 40.0], 80, 0.15, seed=9)
+    b = gen_rotated_domains([0.0, 20.0, 40.0], 80, 0.15, seed=9)
     for x, y in zip(a, b):
         assert x.X.tobytes() == y.X.tobytes()
         assert x.y.tobytes() == y.y.tobytes()
@@ -50,9 +50,7 @@ def test_rotated_regeneration_deterministic():
 
 def test_rotated_rejects_bad_args():
     with pytest.raises(UsageError):
-        gen_rotated_domains(2, [0.0], 50, 0.1, seed=0)
-    with pytest.raises(UsageError):
-        gen_rotated_domains(1, [0.0], 2, 0.1, seed=0, classes=3)
+        gen_rotated_domains([0.0], 2, 0.1, seed=0, classes=3)
 
 
 def test_textured_samples_deterministic():

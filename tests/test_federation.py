@@ -222,7 +222,7 @@ def test_evaluate_perfect_and_flipped():
 
 
 def test_evaluate_random_params_near_chance():
-    (d,) = gen_rotated_domains(1, [0.0], 600, 0.1, seed=12, classes=3)
+    (d,) = gen_rotated_domains([0.0], 600, 0.1, seed=12, classes=3)
     accs = [evaluate(init_params([2, 16, 8], 3, seed=s), d) for s in range(5)]
     assert abs(float(np.mean(accs)) - 1.0 / 3.0) <= 0.1
 

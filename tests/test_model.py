@@ -187,3 +187,28 @@ def test_checkpoint_arch_mismatch(tmp_path):
     path.write_text(path.read_text().replace('"arch": [2, 3]', '"arch": [2, 4]'))
     with pytest.raises(ContractError, match="arch"):
         load_checkpoint(path)
+
+
+def _checkpoint_with_first_parameter(tmp_path, token: bytes):
+    path = tmp_path / "model.json"
+    path.write_bytes(b'{"version": 1, "arch": [2, 2], "classes": 2, "flat": [%s%s]}' % (token, b", 0.5" * 11))
+    return path
+
+
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_checkpoint_non_finite_parameter_rejected(tmp_path, number):
+    path = _checkpoint_with_first_parameter(tmp_path, number.encode())
+    with pytest.raises(ParseError, match=f"non-finite number {number}"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_integer_too_large_for_a_float(tmp_path):
+    path = _checkpoint_with_first_parameter(tmp_path, b"1" + b"0" * 400)
+    with pytest.raises(ParseError, match="integer too large for a float"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_that_is_not_utf8(tmp_path):
+    path = _checkpoint_with_first_parameter(tmp_path, b'"\xff"')
+    with pytest.raises(ParseError, match="not UTF-8 text"):
+        load_checkpoint(path)
