@@ -13,10 +13,11 @@ k clients at once, on every leaf's values stacked on a leading client axis.
 It issues the forward rules' and ``backward``'s kernels in the same order,
 each giving every client's slice the bytes of that client's own eager step,
 with every shape decision resolved when the source is generated; isomorphic
-copies of one block (the inter term's per-snapshot ops) run as one kernel
-per op. Every batch of the recorded shapes, the recorded one included, calls
-that function, and tapes with the same structure share one compiled
-function; ``backward`` on the recorded tape checks it.
+copies of one block (the two views' forward and head-gradient chains, the
+inter term's per-snapshot ops) run as one kernel per op. Every batch of the
+recorded shapes, the recorded one included, calls that function, and tapes
+with the same structure share one compiled function; ``backward`` on the
+recorded tape checks it.
 
 Tensors are plain ``numpy.ndarray`` values in float64, row-major. Scalars are
 0-d arrays.
@@ -474,15 +475,16 @@ _STEP_CACHE: dict[tuple, Callable] = {}
 _STEP_CACHE_SIZE = 32
 
 
-def _unbroadcast_src(expr: str, grad_shape: tuple[int, ...], shape: tuple[int, ...]) -> str:
-    """``_unbroadcast`` resolved for known shapes, below the client axis."""
+def _unbroadcast_src(expr: str, grad_shape: tuple[int, ...], shape: tuple[int, ...], lead: int) -> str:
+    """``_unbroadcast`` resolved for known shapes, below ``lead`` leading axes
+    (1: the client axis; 2: the client and lane axes, so each lane keeps its term)."""
     if grad_shape == shape:
         return expr
     extra = len(grad_shape) - len(shape)
     if extra:
-        expr = f"{expr}.sum(axis={tuple(range(1, extra + 1))!r})"
+        expr = f"{expr}.sum(axis={tuple(range(lead, lead + extra))!r})"
         grad_shape = grad_shape[extra:]
-    axes = tuple(i + 1 for i, n in enumerate(shape) if n == 1 and grad_shape[i] != 1)
+    axes = tuple(i + lead for i, n in enumerate(shape) if n == 1 and grad_shape[i] != 1)
     return f"{expr}.sum(axis={axes!r}, keepdims=True)" if axes else expr
 
 
@@ -528,43 +530,50 @@ def _grad_exprs(tape: Tape, nid: int, in_needs: tuple[bool, ...], names: dict) -
         exprs = [t.format(**names) for t in _BW_SRC[kind]]
         if kind in _ELEMENTWISE:
             out_shape = tape.vals[nid].shape
-            exprs = [_unbroadcast_src(e, out_shape, s) for e, s in zip(exprs, shapes)]
+            lead = len(names["lead_shape"])
+            exprs = [_unbroadcast_src(e, out_shape, s, lead) for e, s in zip(exprs, shapes)]
     return [e if need else None for e, need in zip(exprs, in_needs)]
 
 
 def _structure(tape: Tape, loss: int, outs: tuple[int, ...], fed: tuple[int, ...]) -> tuple:
     """What a compiled step depends on: ops, inputs, leaf shapes, scale
     constants (by ``repr``, so 0.0 and -0.0 differ), params, loss, outs, the
-    fed leaves, and the strides of the other constants (lanes share a layout)."""
+    fed leaves, and the strides of the other leaves (lanes share a layout)."""
     shapes = tuple(v.shape for v, kind in zip(tape.vals, tape.ops) if kind == LEAF)
     consts = tuple(repr(s) for s, kind in zip(tape.saved, tape.ops) if kind == "scale-by-constant")
-    fixed = {*tape.params, *fed}
-    orders = tuple(v.strides for nid, v in enumerate(tape.vals) if tape.ops[nid] == LEAF and nid not in fixed)
+    params = set(tape.params)
+    orders = tuple(v.strides for nid, v in enumerate(tape.vals) if tape.ops[nid] == LEAF and nid not in params)
     return (tuple(tape.ops), tuple(tape.inputs), shapes, consts, tuple(tape.params), loss, outs, fed, orders)
 
 
-def _lanes(tape: Tape, loss: int, last: int, seeds: list[int], sweep, has_adjoint: set[int]):
+def _lanes(tape: Tape, loss: int, last: int, fed: set[int], has_adjoint: set[int]):
     """Groups of S >= 2 isomorphic, mutually independent nodes (lanes), in
     ascending id order, that one (k, S, ...) kernel per op computes at once.
 
-    Seeds are constant leaves of one shape, memory order and use (the frozen
-    snapshot heads). A group grows to the nodes that take its lanes at one
-    input with one tag, scale constant, shape and adjoint need, whose other
-    inputs are one node shared by all lanes or the same lane of another group;
-    ops that combine lanes (the sum over snapshots), unbroadcast a gradient or
-    concatenate a shared input stay single. Also returns which inputs are lanes.
+    Seeds are the leaves that are not parameters, of one shape, memory order
+    and use, either all fed or all constant: the batch and its augmented view,
+    and the frozen snapshot heads. A group grows, through any input position
+    that takes lane 0 of a group, to the nodes that take that group's lanes
+    there, with one tag, scale constant, shape and adjoint need, whose every
+    other input is, for all members, either one shared node (even a lane of
+    another group) or the same lane of one other group of S lanes. Ops that
+    combine lanes (the sum over snapshots, the mean of the two views' losses)
+    or concatenate a shared input stay single. Also returns which inputs of
+    each group are lanes.
     """
     ops, inputs, vals = tape.ops, tape.inputs, tape.vals
     users: list[list[tuple[int, int]]] = [[] for _ in range(last + 1)]
     for nid in range(last + 1):
         for p, i in enumerate(inputs[nid]):
             users[i].append((nid, p))
-    needs = dict(sweep)
+    params = set(tape.params)
     buckets: dict[tuple, list[int]] = {}
-    for nid in seeds:
-        use = tuple((ops[c], p) for c, p in users[nid])
-        buckets.setdefault((vals[nid].shape, vals[nid].strides, use), []).append(nid)
+    for nid in range(last + 1):
+        if ops[nid] == LEAF and nid not in params:
+            use = tuple((ops[c], p) for c, p in users[nid])
+            buckets.setdefault((nid in fed, vals[nid].shape, vals[nid].strides, use), []).append(nid)
     groups = [g for g in buckets.values() if len(g) > 1]
+    flags: list[tuple[bool, ...]] = [()] * len(groups)
     lane = {m: (gi, j) for gi, g in enumerate(groups) for j, m in enumerate(g)}
 
     def sig(nid):
@@ -574,28 +583,44 @@ def _lanes(tape: Tape, loss: int, last: int, seeds: list[int], sweep, has_adjoin
     def first(i):  # the group whose first lane node i is, else None
         return lane[i][0] if i in lane and lane[i][1] == 0 else None
 
-    def joins(c0, c, j):  # c takes lane j where c0 takes lane 0 (and every group's lane 0 is a lane input)
+    def joins(c0, c, j):  # c may take lane j where c0 takes lane 0
         return c not in lane and sig(c) == sig(c0) and all(
-            x == y if first(x) is None else lane.get(y) == (first(x), j) for x, y in zip(inputs[c0], inputs[c])
+            x == y or (first(x) is not None and lane.get(y) == (first(x), j)) for x, y in zip(inputs[c0], inputs[c])
         )
 
+    def split(members):  # per input: lanes (True) or shared (False), the same for every member; None if neither
+        out = []
+        for col in zip(*(inputs[m] for m in members)):
+            gi = first(col[0])
+            if len(set(col)) == 1:
+                out.append(False)
+            elif gi is not None and len(groups[gi]) == len(members) and all(
+                lane.get(i) == (gi, j) for j, i in enumerate(col)
+            ):
+                out.append(True)
+            else:
+                return None
+        return tuple(out)
+
     for nid in range(last + 1):
-        p = next((q for q, i in enumerate(inputs[nid]) if first(i) is not None), None)
-        unbroadcast = ops[nid] in _ELEMENTWISE and any(
-            need and vals[i].shape != vals[nid].shape for i, need in zip(inputs[nid], needs.get(nid, ())))
-        if p is None or nid in lane or nid == loss or unbroadcast:
+        if nid in lane or nid == loss:
             continue
-        members = [nid]
-        for j, m in enumerate(groups[first(inputs[nid][p])][1:], 1):
-            c = next((c for c, q in users[m] if q == p and c > members[-1] and joins(nid, c, j)), None)
-            if c is None:
-                break
-            members.append(c)
-        else:
-            if ops[nid] != "flatten-concat" or all(x != y for x, y in zip(inputs[nid], inputs[members[1]])):
-                lane.update((m, (len(groups), j)) for j, m in enumerate(members))
-                groups.append(members)
-    flags = [tuple(x != y for x, y in zip(inputs[g[0]], inputs[g[1]])) for g in groups]
+        for p, i in enumerate(inputs[nid]):
+            if first(i) is None:
+                continue
+            members = [nid]
+            for j, m in enumerate(groups[first(i)][1:], 1):
+                c = next((c for c, q in users[m] if q == p and c > members[-1] and joins(nid, c, j)), None)
+                if c is None:
+                    break
+                members.append(c)
+            else:
+                f = split(members)
+                if f is not None and (ops[nid] != "flatten-concat" or all(f)):
+                    lane.update((m, (len(groups), j)) for j, m in enumerate(members))
+                    groups.append(members)
+                    flags.append(f)
+                    break
     used = {lane[inputs[g[0]][q]][0] for g, f in zip(groups, flags) for q, is_lane in enumerate(f) if is_lane}
     keep = [gi for gi, g in enumerate(groups) if ops[g[0]] != LEAF or gi in used]
     return [groups[gi] for gi in keep], [flags[gi] for gi in keep]
@@ -605,12 +630,13 @@ def compile_step(tape: Tape, k: int, loss: int, outs: Sequence[int], fed: Sequen
     """One straight-line function for the forward and backward of ``tape``'s step for k clients at once.
 
     ``tape`` gives the step's structure (ops, inputs, leaf shapes, scale
-    constants, params, the memory order of the constants); ``fed`` names the
-    leaves the caller passes anew on every call. The function takes a value
+    constants, params, the memory order of the other leaves); ``fed`` names
+    the leaves the caller passes anew on every call. The function takes a value
     of every leaf per client, constants included, in tape order, stacked on
-    a leading client axis, (k, *recorded shape), except that the constants
-    seeding a group of S lanes (see ``_lanes``) come as one argument, also
-    stacked on axis 1, (k, S, *recorded shape); its ``leaves`` attribute
+    a leading client axis, (k, *recorded shape), except that the leaves
+    seeding a group of S lanes (see ``_lanes``: the snapshot heads, or a fed
+    batch and its augmented view) come as one argument, also stacked on
+    axis 1, (k, S, *recorded shape); its ``leaves`` attribute
     lists each argument's leaves, and a ShapeError names the first argument
     that differs. It returns the values of ``outs`` and one gradient per
     parameter leaf, in ``tape.params`` order, with the client axis in front.
@@ -618,10 +644,11 @@ def compile_step(tape: Tape, k: int, loss: int, outs: Sequence[int], fed: Sequen
     and calling ``backward`` would give, as long as those values keep the
     recorded constants' memory order: it issues the forward rules' kernels
     and ``backward``'s sweep, one kernel per group of lanes, adds every
-    adjoint's terms in ``backward``'s order, and resolves the ``needs``
-    masks, unbroadcasts and flatten-concat slices once. Functions are cached
-    by structure and k; the generated source is the function's ``source``
-    attribute.
+    adjoint's terms in ``backward``'s order (a shared input's terms from a
+    group lane by lane, an unbroadcast one included), and resolves the
+    ``needs`` masks, unbroadcasts and flatten-concat slices once. Functions
+    are cached by structure and k; the generated source is the function's
+    ``source`` attribute.
     """
     outs, fed = tuple(outs), tuple(fed)
     key = (k, *_structure(tape, loss, outs, fed))
@@ -639,8 +666,7 @@ def compile_step(tape: Tape, k: int, loss: int, outs: Sequence[int], fed: Sequen
                 if need:
                     terms.setdefault(iid, []).append((nid, p))
                     has_adjoint.add(iid)
-    seeds = [nid for nid in range(last + 1) if ops[nid] == LEAF and nid not in {*tape.params, *fed}]
-    groups, flags = _lanes(tape, loss, last, seeds, sweep, has_adjoint)
+    groups, flags = _lanes(tape, loss, last, set(fed), has_adjoint)
     lane = {m: (gi, j) for gi, g in enumerate(groups) for j, m in enumerate(g)}
     tails = {m for g in groups for m in g[1:]}  # lanes computed along with their group's first
     leaves = [nid for nid, kind in enumerate(ops) if kind == LEAF and nid not in tails]

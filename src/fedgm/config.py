@@ -77,15 +77,18 @@ class Config:
     seeds: list[int]
 
     def validate(self) -> None:
-        """Raise UsageError unless the class count, domain size, grid side,
+        """Raise UsageError unless the class count, domain size (a train split
+        of at least one row per class), grid side,
         domain count, held-out index, input width, noise level, augmentation
         and hp fit, and in adaptation mode enough sources can vote."""
         if self.data.classes < 2:
             raise UsageError(f"data.classes must be >= 2, got {self.data.classes}")
-        if self.data.classes > self.data.n_per_domain:
+        # every domain's train split (all of one size) must be able to hold every class
+        n_train = self.data.n_per_domain - _n_test(self.data.n_per_domain)
+        if n_train < self.data.classes:
             raise UsageError(
                 f"data.n_per_domain {self.data.n_per_domain} cannot hold one sample of each of "
-                f"the {self.data.classes} classes"
+                f"the {self.data.classes} classes in a train split of {max(n_train, 0)} rows"
             )
         if self.data.kind == "textured" and not 8 <= self.data.side <= 32:
             raise UsageError(f"data.side must lie in [8, 32], got {self.data.side}")
@@ -107,8 +110,7 @@ class Config:
             raise UsageError(f"augmentation: amplitude_mix needs square grids, got width {width}")
         self.hp.validate()
         # amplitude_mix pairs rows within a batch, so no source's train split
-        # (all of one size) may leave a one-row batch
-        n_train = self.data.n_per_domain - _n_test(self.data.n_per_domain)
+        # may leave a one-row batch
         batch = self.hp.batch
         if kind == "amplitude_mix" and (batch == 1 or n_train % batch == 1):
             first_source = 1 if self.held_out == 0 else 0

@@ -136,12 +136,12 @@ def cosine_lr(round_t: int, hp: HyperParams) -> float:
     return hp.lr1 + 0.5 * (hp.lr0 - hp.lr1) * (1.0 + math.cos(math.pi * frac))
 
 
-def _sgd_step(arrays, grads, velocity, lr, hp):
-    """Momentum SGD with decoupled decay, in place and elementwise, so stacked clients update as one."""
-    for arr, g, v in zip(arrays, grads, velocity):
-        v *= hp.momentum
-        v += g
-        arr -= lr * v + lr * hp.weight_decay * arr
+def _sgd_step(flat, grad, velocity, lr, hp):
+    """Momentum SGD with decoupled decay, in place and elementwise on the (k, P)
+    parameter buffer, so every parameter of every client updates as one."""
+    velocity *= hp.momentum
+    velocity += grad
+    flat -= lr * velocity + lr * hp.weight_decay * flat
 
 
 def _stacked(tape: Tape, k: int, ids: tuple[int, ...]) -> np.ndarray:
@@ -156,23 +156,27 @@ class _Recorded:
     The recording gives the step its structure and its recorded constants
     (the snapshot heads), which every client of the call shares and which
     are stacked k times once; ``run`` calls the compiled step with the
-    stacked parameter and feed values it is given, and ``check`` holds a
-    run's slice 0 against ``backward`` on the recording.
+    stacked parameter and feed values it is given, in ``fed`` order, and
+    stacks the feeds of a group of lanes (the batch and its augmented view)
+    on axis 1 into their one argument; ``check`` holds a run's slice 0
+    against ``backward`` on the recording.
     """
 
     def __init__(self, tape: Tape, k: int, fed: list[int], loss: int, stat_nodes: dict[str, int]):
         self.tape, self.loss, self.stat_nodes = tape, loss, stat_nodes
         self.step = compile_step(tape, k, loss, list(stat_nodes.values()), fed)
-        firsts = [ids[0] for ids in self.step.leaves]
-        self.slots = [firsts.index(nid) for nid in fed]
+        # each fed argument's slot, and the positions of its leaves among the fed values
+        self.feeds = [
+            (slot, [fed.index(nid) for nid in ids]) for slot, ids in enumerate(self.step.leaves) if ids[0] in fed
+        ]
         # np.stack keeps each copy's memory order in its slice (a transposed
         # snapshot head stays transposed), and BLAS rounds by it; a group of
         # lanes stacks its leaves once more, on axis 1
         self.args = [None if ids[0] in fed else _stacked(tape, k, ids) for ids in self.step.leaves]
 
     def run(self, values):
-        for slot, value in zip(self.slots, values):
-            self.args[slot] = value
+        for slot, pos in self.feeds:
+            self.args[slot] = values[pos[0]] if len(pos) == 1 else np.stack([values[q] for q in pos], axis=1)
         return self.step(*self.args)
 
     def check(self, outs, grads) -> None:
@@ -263,13 +267,18 @@ def _train_lockstep(initial, datasets, heads, hp, round_t, aug, step_loss) -> li
         ]
     else:
         losses = [step_loss] * k
-    # in the order of staged.all_ids(), as the compiled step takes them;
-    # client i's model is views of slice i
-    stacked = [np.stack([arr] * k) for arr in initial.arrays()]
+    # one (k, P) buffer of every client's flat parameters; stacked holds a
+    # (k, *shape) view of it per parameter, in the order of staged.all_ids(),
+    # as the compiled step takes them, and client i's model is views of row i
+    flat = np.stack([flatten(initial)] * k)
+    ends = np.cumsum([arr.size for arr in initial.arrays()])
+    stacked = [
+        flat[:, end - arr.size : end].reshape(k, *arr.shape) for arr, end in zip(initial.arrays(), ends)
+    ]
     clients = [
         ModelParams.from_arrays(initial.arch, initial.classes, [arr[i] for arr in stacked]) for i in range(k)
     ]
-    velocity = [np.zeros_like(arr) for arr in stacked]
+    velocity = np.zeros_like(flat)
     lr = cosine_lr(round_t, hp)
     batch_seed = streams.subseed(hp.seed, streams.CLIENT)
     records: dict[tuple, _Recorded] = {}  # by feed shapes
@@ -303,7 +312,7 @@ def _train_lockstep(initial, datasets, heads, hp, round_t, aug, step_loss) -> li
                 raise DivergenceError(f"non-finite loss {bad} at round {round_t}, step {steps}")
             if fresh:
                 rec.check(outs, grads)
-            _sgd_step(stacked, grads, velocity, lr, hp)
+            _sgd_step(flat, np.concatenate([g.reshape(k, -1) for g in grads], axis=1), velocity, lr, hp)
             if sums is None:
                 sums = [np.zeros(k) for _ in outs]
             for acc, out in zip(sums, outs):

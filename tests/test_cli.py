@@ -96,12 +96,16 @@ TEXTURED = {"kind": "textured", "n_domains": 3, "n_per_domain": 30}
     [
         (dict(BASE["data"], classes=1), [2, 8], r"data.classes must be >= 2, got 1"),
         (dict(BASE["data"], classes=4, n_per_domain=3), [2, 8], "n_per_domain 3 cannot hold"),
+        # 3 rows hold 3 classes, but the train split keeps 2 of them
+        (dict(BASE["data"], classes=3, n_per_domain=3), [2, 8], "3 classes in a train split of 2 rows"),
         (dict(BASE["data"], n_per_domain=0), [2, 8], "n_per_domain 0 cannot hold"),
         (dict(TEXTURED, side=4), [16, 8], r"data.side must lie in \[8, 32\], got 4"),
         (dict(TEXTURED, side=40), [1600, 8], r"data.side must lie in \[8, 32\], got 40"),
         (dict(TEXTURED, side=8, n_domains=1), [64, 8], "need at least 2 domains"),
     ],
-    ids=["one-class", "more-classes-than-rows", "no-rows", "side-4", "side-40", "one-domain"],
+    ids=[
+        "one-class", "more-classes-than-rows", "more-classes-than-train-rows", "no-rows", "side-4", "side-40", "one-domain",
+    ],
 )
 def test_parse_rejects_data_a_run_would_reject(data, arch, message):
     with pytest.raises(ParseError, match=message):

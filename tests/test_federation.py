@@ -161,6 +161,20 @@ def test_local_train_rejects_clients_of_unequal_size():
             local_train(init_params([2, 4], 2, 0), [_tiny_dataset(), other], [], hp, 1, AugmentationSpec.identity())
 
 
+def test_consecutive_local_train_calls_return_models_that_share_no_memory():
+    # the clients of one call are views of one (k, P) parameter buffer; the
+    # next call must train in a buffer of its own, not overwrite the last models
+    hp = HyperParams(batch=4, lr0=0.05, lr1=0.01)
+    datasets = [_tiny_dataset(), DomainDataset(1, _tiny_dataset().X + 0.5, _tiny_dataset().y)]
+    initial = init_params([2, 4], 2, 0)
+    first = local_train(initial, datasets, [], hp, 1, AugmentationSpec.identity())
+    kept = [flatten(u.params) for u in first]
+    second = local_train(initial, datasets, [], hp, 1, AugmentationSpec.identity())
+    assert [flatten(u.params).tobytes() for u in first] == [f.tobytes() for f in kept]
+    for a, b in itertools.product(first, second):
+        assert not any(np.shares_memory(x, y) for x in a.params.arrays() for y in b.params.arrays())
+
+
 def _params_from_flat(flat):
     return unflatten([1], 2, np.asarray(flat, dtype=float))
 

@@ -352,13 +352,18 @@ def test_lockstep_clients_match_separate_eager_steps(k, widths, classes, batch, 
     hp = HyperParams(lam=lam, gm_enabled=gm_enabled, local_epochs=2, batch=batch, lr0=0.05, lr1=0.01, seed=seed)
     aug = AugmentationSpec.gaussian_noise(0.3)
     round_t = 2
-    # the optimizer sees every step's stacked gradients and ends with the momentum
+    # the optimizer sees every step's (k, P) gradient buffer and ends with the momentum
     steps, compiles = [], []
     sgd_step, compile_fn = federation._sgd_step, federation.compile_step
 
-    def spy_sgd(arrays, grads, velocity, lr, hp_):
-        steps.append(([g.copy() for g in grads], velocity))
-        sgd_step(arrays, grads, velocity, lr, hp_)
+    def spy_sgd(flat, grad, velocity, lr, hp_):
+        steps.append((grad.copy(), velocity))
+        sgd_step(flat, grad, velocity, lr, hp_)
+
+    ends = np.cumsum([a.size for a in initial.arrays()])[:-1]
+
+    def per_param(buf, i):  # client i's part of each parameter in a (k, P) buffer, as bytes
+        return [part.tobytes() for part in np.split(buf[i], ends)]
 
     def spy_compile(*args):
         compiles.append(args[1])
@@ -380,7 +385,7 @@ def test_lockstep_clients_match_separate_eager_steps(k, widths, classes, batch, 
                 tape, staged, _, loss, stat_nodes = _record(step, params, step.feeds(X, y, classes))
                 by_id = backward(tape, loss)
                 grads = [by_id[nid] for nid in staged.all_ids()]
-                assert [g.tobytes() for g in grads] == [g[i].tobytes() for g in steps[count][0]]
+                assert [g.tobytes() for g in grads] == per_param(steps[count][0], i)
                 for name, nid in stat_nodes.items():
                     sums[name] = sums.get(name, 0.0) + float(tape.value(nid))
                 lr = cosine_lr(round_t, hp)
@@ -391,7 +396,7 @@ def test_lockstep_clients_match_separate_eager_steps(k, widths, classes, batch, 
                 count += 1
         assert count == len(steps) == 6
         assert flatten(updates[i].params).tobytes() == flatten(params).tobytes()
-        assert [v[i].tobytes() for v in velocity_end] == [v.tobytes() for v in velocity]
+        assert per_param(velocity_end, i) == [v.tobytes() for v in velocity]
         assert updates[i].train_stats == {name: total / count for name, total in sums.items()}
 
 
@@ -434,7 +439,10 @@ def test_stacked_constants_keep_their_memory_order():
     assert _compiled(rec, params, clients) == [_fresh(step, params, values) for values in clients]
     # the two snapshot heads, stacked for the compiled step as the two lanes of
     # one argument, are still transposed per client and lane
-    (heads,) = [arg for arg in rec.args if arg.ndim == 4]
+    tape = rec.tape
+    constants = [nid for nid, kind in enumerate(tape.ops) if kind == ad.LEAF and nid not in tape.params]
+    ids = tuple(nid for nid in constants if tape.value(nid).shape == (8, 3))
+    heads = rec.args[rec.step.leaves.index(ids)]
     assert [heads[i, j].strides for i in range(2) for j in range(2)] == [(8, 64)] * 4
 
 
@@ -506,8 +514,8 @@ def _two_lane_tape(first, second, chained=False):
     return tape, ad.add(tape, s1, s2)
 
 
-def _compiled_matches_eager(tape, loss):
-    step = compile_step(tape, 1, loss, [loss])
+def _compiled_matches_eager(tape, loss, fed=()):
+    step = compile_step(tape, 1, loss, [loss], fed)
     leaves = [nid for nid, kind in enumerate(tape.ops) if kind == ad.LEAF]
     (total,), grads = step(*(federation._stacked(tape, 1, ids) for ids in step.leaves))
     assert total[0].tobytes() == tape.value(loss).tobytes()
@@ -555,3 +563,98 @@ def test_a_lane_read_by_lane_0_is_read_lane_by_lane(monkeypatch):
         loss = ad.add(tape, loss, ad.reduce_sum(tape, ad.mul(tape, w, z)))
     step = _compiled_matches_eager(tape, loss)
     assert all(len(ids) == 1 for ids in step.leaves)
+
+
+def _views_step(snaps, gm_enabled=True):
+    """A source client's recorded step on 5 rows, compiled for 3 clients, checked against fresh recordings."""
+    rng = np.random.default_rng(12)
+    step = _matching_loss(snaps, HyperParams(lam=0.5, gm_enabled=gm_enabled), AugmentationSpec.gaussian_noise(0.2), rng)
+    params = init_params([3, 6], 2, 1)
+    clients = [step.feeds(rng.normal(0.0, 1.0, (5, 3)), rng.integers(0, 2, 5), 2) for _ in range(3)]
+    tape, staged, leaves, loss, stat_nodes = _record(step, params, clients[0])
+    rec = _Recorded(tape, len(clients), staged.all_ids() + leaves, loss, stat_nodes)
+    assert _compiled(rec, params, clients) == [_fresh(step, params, values) for values in clients]
+    return rec, leaves
+
+
+def test_fedavg_step_runs_both_views_as_one_group_of_lanes(monkeypatch):
+    monkeypatch.setattr(ad, "_STEP_CACHE", {})
+    rec, (x, x_aug, y_mat) = _views_step([], gm_enabled=False)
+    # the batch and its augmented view are the two lanes of one argument
+    assert [ids for ids in rec.step.leaves if len(ids) > 1] == [(x, x_aug)]
+    # one matmul per layer and backward product for both views: forward
+    # x @ W0.T, h @ W1.T; backward G @ W1, h.T @ G, x.T @ G
+    assert rec.step.source.count(" @ ") == 5
+
+
+def test_gm_step_holds_the_view_pair_and_the_snapshot_heads(monkeypatch):
+    monkeypatch.setattr(ad, "_STEP_CACHE", {})
+    rng = np.random.default_rng(13)
+    snaps = [HeadSnapshot(j, rng.normal(0.0, 0.7, (2, 6)), rng.normal(0.0, 0.3, 2)) for j in range(3)]
+    rec, (x, x_aug, y_mat) = _views_step(snaps)
+    tape = rec.tape
+    constants = [nid for nid, kind in enumerate(tape.ops) if kind == ad.LEAF and nid not in tape.params]
+    heads = tuple(nid for nid in constants if tape.value(nid).shape == (6, 2))
+    assert len(heads) == 3
+    # the view group takes in the hidden features, which the snapshot heads
+    # still read as one shared input of their group
+    assert (x, x_aug) in rec.step.leaves and heads in rec.step.leaves
+
+
+def _bias_chain(W, b, x1, x2):
+    """relu(x_j @ W + b) for two fed batches x_j, then sum(h1 * h1) + sum(h2):
+    the shared bias takes one term from each lane."""
+    tape = Tape()
+    w, bias = tape.leaf(W, param=True), tape.leaf(b, param=True)
+    xs = [tape.constant(x1), tape.constant(x2)]
+    h1, h2 = (ad.relu(tape, ad.add(tape, ad.matmul(tape, x, w), bias)) for x in xs)
+    loss = ad.add(tape, ad.reduce_sum(tape, ad.mul(tape, h1, h1)), ad.reduce_sum(tape, h2))
+    return tape, loss, [w, bias, *xs]
+
+
+@pytest.mark.parametrize("rows", [4, 3], ids=["full", "short"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_a_bias_add_on_two_fed_leaves_matches_backward(k, rows, monkeypatch):
+    monkeypatch.setattr(ad, "_STEP_CACHE", {})
+    rng = np.random.default_rng(14 + k)
+    clients = [
+        (rng.normal(size=(3, 4)), rng.normal(size=4), rng.normal(size=(rows, 3)), rng.normal(size=(rows, 3)))
+        for _ in range(k)
+    ]
+    tape, loss, fed = _bias_chain(*clients[0])
+    rec = _Recorded(tape, k, fed, loss, {"total": loss})
+    assert (fed[2], fed[3]) in rec.step.leaves
+    # one add of the bias for both batches
+    assert sum(f"v{fed[1]}.reshape" in ln for ln in _forward_lines(rec.step.source)) == 1
+    (total,), grads = rec.run([np.stack(col) for col in zip(*clients)])
+    for i, values in enumerate(clients):
+        tape_i, loss_i, _ = _bias_chain(*values)
+        by_id = backward(tape_i, loss_i)
+        assert total[i].tobytes() == tape_i.value(loss_i).tobytes()
+        assert [g[i].tobytes() for g in grads] == [by_id[p].tobytes() for p in tape_i.params]
+
+
+def _two_fed_tape(x1, x2, b_uses=1, constant=False):
+    """Two batches multiplied by one parameter; the second is a constant, not
+    fed, when ``constant``, and is read once more when ``b_uses`` is 2."""
+    tape = Tape()
+    w = tape.leaf(np.ones((3, 2)), param=True)
+    a, b = tape.constant(x1), tape.constant(x2)
+    loss = ad.add(tape, ad.reduce_sum(tape, ad.matmul(tape, a, w)), ad.reduce_sum(tape, ad.matmul(tape, b, w)))
+    if b_uses == 2:
+        loss = ad.add(tape, loss, ad.reduce_sum(tape, b))
+    return tape, loss, (w, a) if constant else (w, a, b)
+
+
+@pytest.mark.parametrize(
+    "rows, b_uses, constant",
+    [(4, 1, False), (5, 1, False), (4, 2, False), (4, 1, True)],
+    ids=["grouped", "other-shape", "other-use", "fed-and-constant"],
+)
+def test_fed_leaves_group_only_with_fed_leaves_of_one_shape_and_use(rows, b_uses, constant, monkeypatch):
+    monkeypatch.setattr(ad, "_STEP_CACHE", {})
+    rng = np.random.default_rng(15)
+    tape, loss, fed = _two_fed_tape(rng.normal(size=(4, 3)), rng.normal(size=(rows, 3)), b_uses, constant)
+    step = _compiled_matches_eager(tape, loss, fed)
+    grouped = [ids for ids in step.leaves if len(ids) > 1]
+    assert grouped == ([(1, 2)] if (rows, b_uses, constant) == (4, 1, False) else [])
