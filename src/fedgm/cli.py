@@ -153,7 +153,7 @@ def parse_config_dict(raw: dict) -> Config:
     repeated = next((s for i, s in enumerate(seeds) if s in seeds[:i]), None)
     if repeated is not None:
         raise ParseError(f"seeds: seed {repeated} is listed more than once")
-    aug_raw = raw.get("augmentation", {"kind": "identity"})
+    aug_raw = _typed(raw, "config", "augmentation", dict, default={"kind": "identity"})
     experiment = _typed(raw, "config", "experiment", str, required=True)
     config = Config(
         experiment=experiment,

@@ -229,12 +229,16 @@ def local_train(
     regardless of what was passed. Momentum buffers start at zero every
     round because the client restarts from the broadcast global model.
 
-    A client's failure (a non-finite loss, a bad label) is raised as
-    training the clients one at a time, in list order, would raise it; an
-    OracleError is an engine fault and is raised as it is. Since a client's
-    feeds are built before its epoch's first step, a bad label anywhere in
-    the epoch raises UsageError before a non-finite loss on an earlier batch
-    of that epoch could raise DivergenceError.
+    A client's failure (a bad label, a non-finite loss) is its own, as the
+    clients' slices are independent: each client's first failure is recorded,
+    a client whose feeds failed runs on client 0's feeds with its result
+    thrown away, and the lowest-index failing client's first failure is raised
+    after the last step (client 0's at once), which is the error training the
+    clients one at a time, in list order, raises. An OracleError is an engine
+    fault and is raised as it is. Since a client's feeds are built before its
+    epoch's first step, a bad label anywhere in the epoch raises UsageError
+    before a non-finite loss on an earlier batch of that epoch could raise
+    DivergenceError.
     """
     if round_t < 1:
         raise UsageError(f"round must be >= 1, got {round_t}")
@@ -247,17 +251,6 @@ def local_train(
         raise UsageError(f"batch size must be >= 1, got {hp.batch}")
     if hp.local_epochs < 1 or datasets[0].N == 0:
         raise UsageError(f"no training steps: {hp.local_epochs} epochs over {datasets[0].N} rows")
-    try:
-        return _train_lockstep(initial, datasets, heads, hp, round_t, aug, step_loss)
-    except (DivergenceError, UsageError):
-        if len(datasets) == 1:
-            raise
-    # one client at a time, so the error is the first client's first one
-    return [u for ds in datasets for u in _train_lockstep(initial, [ds], heads, hp, round_t, aug, step_loss)]
-
-
-def _train_lockstep(initial, datasets, heads, hp, round_t, aug, step_loss) -> list[ClientUpdate]:
-    """``local_train``'s loop; every array carries a leading client axis."""
     k = len(datasets)
     if step_loss is None:
         snapshots = [] if round_t == 1 else list(heads)
@@ -282,16 +275,23 @@ def _train_lockstep(initial, datasets, heads, hp, round_t, aug, step_loss) -> li
     lr = cosine_lr(round_t, hp)
     batch_seed = streams.subseed(hp.seed, streams.CLIENT)
     records: dict[tuple, _Recorded] = {}  # by feed shapes
+    failed: dict[int, UsageError | DivergenceError] = {}  # each failing client's first failure
     sums = None
     steps = 0
     n = datasets[0].N
     epoch_base = (round_t - 1) * hp.local_epochs
     for e in range(hp.local_epochs):
         per_client = []
-        for loss_i, ds in zip(losses, datasets):
+        for i, (loss_i, ds) in enumerate(zip(losses, datasets)):
             # the epoch's rows in batch order: its permutation, as one batch of all rows
             X, y = next(batch_iter(ds, n, batch_seed, epoch_base + e))
-            per_client.append(loss_i.feeds(X, y, initial.classes, hp.batch))
+            try:
+                per_client.append(loss_i.feeds(X, y, initial.classes, hp.batch))
+            except UsageError as err:
+                if i == 0:
+                    raise
+                failed.setdefault(i, err)
+                per_client.append(per_client[0])
         fed = [np.stack(col, dtype=np.float64) for col in zip(*per_client)]
         for start in range(0, n, hp.batch):
             # C-ordered copies, as BLAS rounding depends on memory order
@@ -308,8 +308,11 @@ def _train_lockstep(initial, datasets, heads, hp, round_t, aug, step_loss) -> li
             outs, grads = rec.run([*stacked, *values])
             total = outs[list(rec.stat_nodes).index("total")]
             if not np.isfinite(total).all():
-                bad = float(total[np.argmin(np.isfinite(total))])
-                raise DivergenceError(f"non-finite loss {bad} at round {round_t}, step {steps}")
+                for i in np.flatnonzero(~np.isfinite(total)):
+                    bad = DivergenceError(f"non-finite loss {float(total[i])} at round {round_t}, step {steps}")
+                    failed.setdefault(int(i), bad)
+                if 0 in failed:
+                    raise failed[0]
             if fresh:
                 rec.check(outs, grads)
             _sgd_step(flat, np.concatenate([g.reshape(k, -1) for g in grads], axis=1), velocity, lr, hp)
@@ -318,6 +321,8 @@ def _train_lockstep(initial, datasets, heads, hp, round_t, aug, step_loss) -> li
             for acc, out in zip(sums, outs):
                 acc += out
             steps += 1
+    if failed:
+        raise failed[min(failed)]
     return [
         ClientUpdate(ds.domain_id, clients[i], ds.N, {m: float(acc[i] / steps) for m, acc in zip(rec.stat_nodes, sums)})
         for i, ds in enumerate(datasets)

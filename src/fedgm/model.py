@@ -224,7 +224,7 @@ def load_checkpoint(path) -> ModelParams:
     for key in ("version", "arch", "classes", "flat"):
         if key not in obj:
             raise ParseError(f"checkpoint missing key '{key}'")
-    if obj["version"] != CHECKPOINT_VERSION:
+    if not _plain(obj["version"], int) or obj["version"] != CHECKPOINT_VERSION:
         raise UnsupportedVersionError(f"unsupported checkpoint version {obj['version']!r}")
     arch = obj["arch"]
     classes = obj["classes"]

@@ -148,6 +148,18 @@ def test_run_rejects_augmentation_before_making_out_dir(tmp_path, capsys, data, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["null", "5", '"kind"', "[]"])
+def test_non_object_augmentation_is_a_parse_error(tmp_path, capsys, value):
+    with pytest.raises(ParseError, match="config.augmentation: expected"):
+        parse_config_dict(dict(BASE, augmentation=json.loads(value)))
+    out = tmp_path / "out"
+    good = _write(tmp_path, dict(BASE, out_dir=str(out)))
+    assert main(["run-dg", "--config", str(good), "--override", f"augmentation={value}"]) == 1
+    err = capsys.readouterr().err
+    assert "error: config.augmentation: expected" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_help_lists_every_hp_default(capsys):
     with pytest.raises(SystemExit):
         main(["--help"])

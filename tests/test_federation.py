@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedgm.cli import Config, DataSpec
+from fedgm import federation
 from fedgm import rng as streams
 from fedgm.data import AugmentationSpec, DomainDataset, batch_iter, gen_rotated_domains
 from fedgm.errors import ContractError, DivergenceError, UsageError
@@ -136,7 +138,7 @@ def test_lockstep_divergence_is_the_first_clients_first_error():
     late, early = _overflowing(0, hp, 2, 2), _overflowing(1, hp, 2, 0)
     alone = [_divergence([ds], hp) for ds in (late, early)]
     assert alone == ["non-finite loss nan at round 2, step 2", "non-finite loss nan at round 2, step 0"]
-    # client 1 fails first in lockstep, but client 0 would have failed first one at a time
+    # client 1 fails first, but the lowest-index failing client's failure is raised
     assert _divergence([late, early], hp) == alone[0]
     # client 1 alone diverging
     assert _divergence([_overflowing(0, hp, 2, None), early], hp) == alone[1]
@@ -150,9 +152,75 @@ def test_a_bad_label_fails_its_epoch_before_its_first_step(step_loss):
     # the epoch's labels are checked when its feeds are built, before step 0 can diverge
     with np.errstate(all="ignore"), pytest.raises(UsageError, match=r"label 7 at index \d+ outside \[0, 2\)"):
         local_train(init_params([2, 4], 2, 0), [ds], [], hp, 2, AugmentationSpec.identity(), step_loss)
-    # in lockstep the error is still the one training one at a time raises first
+    # in lockstep client 1's bad label is its own, and client 0's divergence is raised
     assert _divergence([_overflowing(1, hp, 2, 0), ds], hp) == "non-finite loss nan at round 2, step 0"
 
+
+
+def test_a_failing_client_is_not_trained_again():
+    hp = HyperParams(batch=4, lr0=0.05, lr1=0.01)
+    datasets = [_overflowing(0, hp, 2, None), _overflowing(1, hp, 2, 0), _overflowing(2, hp, 2, None)]
+    compiles, recordings = [], []
+    real_compile, real_loss = federation.compile_step, federation.local_loss
+
+    def spy_compile(tape, k, *args):
+        compiles.append(k)
+        return real_compile(tape, k, *args)
+
+    def spy_loss(tape, *args, **kwargs):
+        recordings.append(tape)
+        return real_loss(tape, *args, **kwargs)
+
+    with mock.patch.object(federation, "compile_step", spy_compile), mock.patch.object(
+        federation, "local_loss", spy_loss
+    ):
+        assert _divergence(datasets, hp) == "non-finite loss nan at round 2, step 0"
+    # one step for all three clients, from one recording of the one feed shape
+    assert compiles == [3] and len(recordings) == 1
+
+
+
+def test_the_lowest_index_failure_is_raised_not_the_earliest():
+    hp = HyperParams(batch=4, lr0=0.05, lr1=0.01)
+    datasets = [_overflowing(0, hp, 2, None), _overflowing(1, hp, 2, 2), _overflowing(2, hp, 2, 0)]
+    assert _divergence(datasets, hp) == "non-finite loss nan at round 2, step 2"
+
+def test_client_0_divergence_outranks_client_1_bad_label():
+    hp = HyperParams(batch=4, lr0=0.05, lr1=0.01)
+    bad_label = _overflowing(1, hp, 2, None)
+    bad_label.y[_row_in_step(bad_label, hp, 2, 1)] = 7
+    assert _divergence([_overflowing(0, hp, 2, 2), bad_label], hp) == "non-finite loss nan at round 2, step 2"
+
+
+def test_client_0_bad_label_outranks_client_1_divergence():
+    hp = HyperParams(batch=4, lr0=0.05, lr1=0.01)
+    bad_label = _overflowing(0, hp, 2, None)
+    bad_label.y[_row_in_step(bad_label, hp, 2, 2)] = 7
+    with np.errstate(all="ignore"), pytest.raises(UsageError, match=r"label 7 at index \d+ outside \[0, 2\)"):
+        local_train(
+            init_params([2, 4], 2, 0), [bad_label, _overflowing(1, hp, 2, 0)], [], hp, 2, AugmentationSpec.identity()
+        )
+
+
+
+def test_a_client_keeps_its_first_bad_label():
+    # each epoch's feeds find the bad label again, at another index of the epoch's rows
+    hp = HyperParams(batch=4, lr0=0.05, lr1=0.01, local_epochs=2)
+    bad_label = _overflowing(1, hp, 2, None)
+    bad_label.y[5] = 7
+    errors = []
+    for datasets in ([bad_label], [_overflowing(0, hp, 2, None), bad_label]):
+        with pytest.raises(UsageError) as info:
+            local_train(init_params([2, 4], 2, 0), datasets, [], hp, 2, AugmentationSpec.identity())
+        errors.append(str(info.value))
+    assert errors[1] == errors[0]
+
+
+def test_client_0_divergence_stops_the_call():
+    hp = HyperParams(batch=4, lr0=0.05, lr1=0.01)
+    with mock.patch.object(federation, "_sgd_step") as sgd_step:
+        assert _divergence([_overflowing(0, hp, 2, 0), _overflowing(1, hp, 2, None)], hp).endswith("step 0")
+    sgd_step.assert_not_called()  # raised at step 0, before its update
 
 def test_local_train_rejects_clients_of_unequal_size():
     hp = HyperParams(batch=4)

@@ -168,6 +168,17 @@ def test_checkpoint_unsupported_version(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("version", ["true", "1.0"])
+def test_checkpoint_version_must_be_a_plain_integer(tmp_path, version):
+    # True == 1 and 1.0 == 1 in Python, but neither is version 1
+    p = init_params([2, 3], 2, seed=0)
+    path = tmp_path / "model.json"
+    save_checkpoint(p, path)
+    path.write_text(path.read_text().replace('"version": 1', f'"version": {version}'))
+    with pytest.raises(UnsupportedVersionError, match=f"version {version.capitalize()}"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("arch", [True, 2]), ("classes", True), ("classes", 1), ("flat", [False] * 12)],

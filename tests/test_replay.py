@@ -324,7 +324,7 @@ def test_compiled_slice_0_off_by_one_ulp_is_an_oracle_error(what):
     with mock.patch.object(federation, "compile_step", off_by_one_ulp):
         with pytest.raises(OracleError, match="client 0's"):
             local_train(*_lockstep_call(3))
-    assert compiles == [3]  # an engine fault: no retry one client at a time
+    assert compiles == [3]  # an engine fault, raised from the one step of the call
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
