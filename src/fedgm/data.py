@@ -115,6 +115,8 @@ def gen_rotated_domains(
     angles give bitwise-equal domains and the only cross-domain difference
     is the rotation itself. One domain per angle.
     """
+    if classes < 1:
+        raise UsageError(f"classes must be >= 1, got {classes}")
     if classes > n_per_domain:
         raise UsageError(f"cannot balance {classes} classes over {n_per_domain} samples")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -127,13 +129,9 @@ def gen_rotated_domains(
     return domains
 
 
-def _class_mask(side: int, label: int, classes: int, center_jitter: np.ndarray) -> np.ndarray:
-    """Low-frequency Gaussian bump whose position encodes the class."""
-    u = np.linspace(-1.0, 1.0, side)
-    uu, vv = np.meshgrid(u, u, indexing="ij")
-    theta = 2.0 * math.pi * label / classes
-    cx = 0.45 * math.cos(theta) + center_jitter[0]
-    cy = 0.45 * math.sin(theta) + center_jitter[1]
+def _class_mask(uu: np.ndarray, vv: np.ndarray, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
+    """Low-frequency Gaussian bumps centred at (cx[i], cy[i]) on the grid (uu, vv), one per sample."""
+    cx, cy = cx[:, None, None], cy[:, None, None]
     return 2.0 * np.exp(-((uu - cx) ** 2 + (vv - cy) ** 2) / (2.0 * 0.35**2))
 
 
@@ -157,25 +155,52 @@ def gen_textured_domains(
     """Image-like side x side grids: class sets the shape, domain the texture.
 
     Each sample is regenerated deterministically from (seed, domain, index),
-    so individual samples can be reproduced in isolation.
+    so individual samples can be reproduced in isolation: sample ``idx`` of
+    domain ``d`` draws ``normal(0, 0.05, size=2 + side**2)`` from its own
+    generator, seeded by ``SeedSequence(entropy=seed, spawn_key=(d, idx))``;
+    the first two draws jitter the centre of its class's bump (the class's
+    angle on a circle of radius 0.45), the rest are its additive pixel noise.
+    The draws are the generators' only per-sample work; the bumps of a
+    domain's samples are one array expression over the grid.
     """
     if not 8 <= side <= 32:
         raise UsageError(f"side must lie in [8, 32], got {side}")
+    if classes < 1:
+        raise UsageError(f"classes must be >= 1, got {classes}")
     if classes > n_per_domain:
         raise UsageError(f"cannot balance {classes} classes over {n_per_domain} samples")
     y = np.arange(n_per_domain, dtype=np.int64) % classes
+    u = np.linspace(-1.0, 1.0, side)
+    uu, vv = np.meshgrid(u, u, indexing="ij")
+    theta = [2.0 * math.pi * c / classes for c in range(classes)]
+    cx = np.array([0.45 * math.cos(t) for t in theta])[y]
+    cy = np.array([0.45 * math.sin(t) for t in theta])[y]
     domains = []
     for d in range(n_domains):
-        texture = _domain_texture(side, d)
-        X = np.empty((n_per_domain, side * side))
+        draws = np.empty((n_per_domain, 2 + side * side))
         for idx in range(n_per_domain):
             srng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(d, idx)))
-            jitter = srng.normal(0.0, 0.05, size=2)
-            grid = _class_mask(side, int(y[idx]), classes, jitter) + texture
-            grid += srng.normal(0.0, 0.05, size=(side, side))
-            X[idx] = grid.ravel()
-        domains.append(DomainDataset(d, X, y.copy()))
+            draws[idx] = srng.normal(0.0, 0.05, size=2 + side * side)
+        X = _class_mask(uu, vv, cx + draws[:, 0], cy + draws[:, 1]) + _domain_texture(side, d)
+        X += draws[:, 2:].reshape(n_per_domain, side, side)
+        domains.append(DomainDataset(d, X.reshape(n_per_domain, side * side), y.copy()))
     return domains
+
+
+def _mix_spectra(f1: np.ndarray, a1: np.ndarray, a2: np.ndarray, weight) -> np.ndarray:
+    """The real grids whose spectra have amplitude ``(1 - weight) * a1 + weight * a2``
+    and the phase of ``f1``; ``a1`` is ``abs(f1)``. An imaginary residual above
+    1e-9 is a ShapeError naming the first row of a stack that has one."""
+    amp = (1.0 - weight) * a1 + weight * a2
+    mixed = np.fft.ifft2(amp * np.exp(1j * np.angle(f1)))
+    residual = np.abs(mixed.imag).max(axis=(-2, -1))
+    bad = np.flatnonzero(residual > 1e-9)
+    if bad.size:
+        where = f" in row {bad[0]}" if residual.ndim else ""
+        raise ShapeError(
+            f"amplitude_mix: imaginary residual {residual.flat[bad[0]]:.3e}{where} exceeds 1e-9"
+        )
+    return mixed.real
 
 
 def mix_amplitude(x1: np.ndarray, x2: np.ndarray, weight) -> np.ndarray:
@@ -187,24 +212,18 @@ def mix_amplitude(x1: np.ndarray, x2: np.ndarray, weight) -> np.ndarray:
     (``(n, 1, 1)``). Each row of a stack gets the same bytes as mixing it
     alone, so one call on an epoch gives the bytes of one call per batch,
     and an imaginary residual above 1e-9 is reported for the first row of
-    the stack that has one.
+    the stack that has one. Inputs of fewer than two dims are a ShapeError.
+    ``augment`` mixes through the same spectrum-to-grid step, on the
+    spectrum of its rows taken once.
     """
     x1 = as_tensor(x1)
     x2 = as_tensor(x2)
     if x1.shape != x2.shape:
         raise ShapeError(f"amplitude_mix: dims {x1.shape} and {x2.shape} differ")
+    if x1.ndim < 2:
+        raise ShapeError(f"amplitude_mix: needs grids of at least 2 dims, got shape {x1.shape}")
     f1 = np.fft.fft2(x1)
-    f2 = np.fft.fft2(x2)
-    amp = (1.0 - weight) * np.abs(f1) + weight * np.abs(f2)
-    mixed = np.fft.ifft2(amp * np.exp(1j * np.angle(f1)))
-    residual = np.abs(mixed.imag).max(axis=(-2, -1))
-    bad = np.flatnonzero(residual > 1e-9)
-    if bad.size:
-        where = f" in row {bad[0]}" if residual.ndim else ""
-        raise ShapeError(
-            f"amplitude_mix: imaginary residual {residual.flat[bad[0]]:.3e}{where} exceeds 1e-9"
-        )
-    return mixed.real
+    return _mix_spectra(f1, np.abs(f1), np.abs(np.fft.fft2(x2)), weight)
 
 
 def amplitude_mix(x1: np.ndarray, x2: np.ndarray, eta: float, rng: np.random.Generator) -> np.ndarray:
@@ -223,8 +242,9 @@ def augment(X: np.ndarray, spec: AugmentationSpec, rng: np.random.Generator, bat
     leaves ``rng`` in the state of one call per batch on the same generator:
     noise and rotation angles are drawn for all rows in one call, and
     ``amplitude_mix`` pairs each row with another row of its own batch,
-    drawing partner and weight row by row, and mixes all rows in one
-    ``mix_amplitude`` call.
+    drawing partner and weight row by row, takes one forward FFT of all
+    rows and mixes every row against its partner's row of that spectrum,
+    with the bytes of one ``mix_amplitude`` per row.
     """
     X = as_tensor(X)
     if batch is not None and batch < 1:
@@ -261,8 +281,10 @@ def augment(X: np.ndarray, spec: AugmentationSpec, rng: np.random.Generator, bat
             partners[start + i] = start + (j + 1 if j >= i else j)
             weights[start + i] = rng.uniform(0.0, spec.eta_max)
         start += rows
-    grids = X.reshape(n, side, side)
-    mixed = mix_amplitude(grids, grids[partners], weights[:, None, None])
+    # a partner's amplitude is a row of the call's one spectrum, the bytes of transforming it alone
+    f = np.fft.fft2(X.reshape(n, side, side))
+    a = np.abs(f)
+    mixed = _mix_spectra(f, a, a[partners], weights[:, None, None])
     return np.ascontiguousarray(mixed.reshape(n, side * side))
 
 

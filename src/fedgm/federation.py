@@ -155,28 +155,45 @@ class _Recorded:
 
     The recording gives the step its structure and its recorded constants
     (the snapshot heads), which every client of the call shares and which
-    are stacked k times once; ``run`` calls the compiled step with the
-    stacked parameter and feed values it is given, in ``fed`` order, and
-    stacks the feeds of a group of lanes (the batch and its augmented view)
-    on axis 1 into their one argument; ``check`` holds a run's slice 0
-    against ``backward`` on the recording.
+    are stacked k times once; ``run`` calls the compiled step on one batch
+    of the stacked parameter and epoch feed values it is given, in ``fed``
+    order; ``check`` holds a run's slice 0 against ``backward`` on the
+    recording.
     """
 
     def __init__(self, tape: Tape, k: int, fed: list[int], loss: int, stat_nodes: dict[str, int]):
         self.tape, self.loss, self.stat_nodes = tape, loss, stat_nodes
         self.step = compile_step(tape, k, loss, list(stat_nodes.values()), fed)
-        # each fed argument's slot, and the positions of its leaves among the fed values
+        # each fed argument's slot, the positions of its leaves among the fed
+        # values, and whether it is a batch feed (not a parameter)
         self.feeds = [
-            (slot, [fed.index(nid) for nid in ids]) for slot, ids in enumerate(self.step.leaves) if ids[0] in fed
+            (slot, tuple(fed.index(nid) for nid in ids), ids[0] not in tape.params)
+            for slot, ids in enumerate(self.step.leaves)
+            if ids[0] in fed
         ]
         # np.stack keeps each copy's memory order in its slice (a transposed
         # snapshot head stays transposed), and BLAS rounds by it; a group of
         # lanes stacks its leaves once more, on axis 1
         self.args = [None if ids[0] in fed else _stacked(tape, k, ids) for ids in self.step.leaves]
 
-    def run(self, values):
-        for slot, pos in self.feeds:
-            self.args[slot] = values[pos[0]] if len(pos) == 1 else np.stack([values[q] for q in pos], axis=1)
+    def run(self, values, rows: slice, lanes: dict):
+        """The compiled step on ``values``, in ``fed`` order: the parameters,
+        (k, *shape), and the batch feeds of a whole epoch, (k, N, ...), of
+        which the step takes ``rows``. ``lanes`` holds the epoch's feeds of
+        each group of lanes (the batch and its augmented view) stacked on
+        axis 1, (k, S, N, ...), by their positions; a group not in it yet is
+        stacked there, so one stack serves every batch of the epoch.
+        """
+        # batch feeds are C-ordered copies of their rows, as BLAS rounding depends on memory order
+        for slot, pos, batched in self.feeds:
+            if not batched:
+                self.args[slot] = values[pos[0]]
+            elif len(pos) == 1:
+                self.args[slot] = np.ascontiguousarray(values[pos[0]][:, rows])
+            else:
+                if pos not in lanes:
+                    lanes[pos] = np.stack([values[q] for q in pos], axis=1)
+                self.args[slot] = np.ascontiguousarray(lanes[pos][:, :, rows])
         return self.step(*self.args)
 
     def check(self, outs, grads) -> None:
@@ -212,11 +229,12 @@ def local_train(
     the epoch's batch order, and ``step_loss.feeds`` runs once on them, so
     augmentation draws and the label-range check cover the whole epoch
     before its first step; every batch's feeds are a row slice of the
-    clients' stacked epoch feeds. The first batch of each feed shape records
-    ``step_loss`` once, on client 0's parameters and feeds, which gives the
-    step its structure and the recorded constants all clients share, and
-    compiles that tape into one step for all k clients; every batch of that
-    shape, the first included,
+    clients' stacked epoch feeds, and the batch and its view, which the
+    step takes as one argument, are stacked together once per epoch. The
+    first batch of each feed shape records ``step_loss`` once, on client 0's
+    parameters and feeds, which gives the step its structure and the
+    recorded constants all clients share, and compiles that tape into one
+    step for all k clients; every batch of that shape, the first included,
     runs all clients at once through it on the stacked feeds and parameters,
     which gives every client the bytes of its own eager step. On that first
     batch ``backward`` differentiates the tape and an OracleError is raised
@@ -293,19 +311,19 @@ def local_train(
                 failed.setdefault(i, err)
                 per_client.append(per_client[0])
         fed = [np.stack(col, dtype=np.float64) for col in zip(*per_client)]
+        lanes = {}  # the epoch's stacks of lane groups, filled by the first batch
         for start in range(0, n, hp.batch):
-            # C-ordered copies, as BLAS rounding depends on memory order
-            values = [np.ascontiguousarray(f[:, start : start + hp.batch]) for f in fed]
-            shapes = tuple(v.shape[1:] for v in values)
+            rows = slice(start, start + hp.batch)
+            shapes = tuple(f[0, rows].shape for f in fed)
             rec = records.get(shapes)
             fresh = rec is None
             if fresh:  # client 0's recording gives the step its structure and recorded constants
                 tape = Tape()
                 staged = stage_params(tape, clients[0])
-                feeds = [tape.constant(v[0]) for v in values]
+                feeds = [tape.constant(f[0, rows]) for f in fed]  # C-contiguous views
                 loss, stat_nodes = losses[0].record(tape, staged, *feeds)
                 rec = records[shapes] = _Recorded(tape, k, staged.all_ids() + feeds, loss, stat_nodes)
-            outs, grads = rec.run([*stacked, *values])
+            outs, grads = rec.run([*stacked, *fed], rows, lanes)
             total = outs[list(rec.stat_nodes).index("total")]
             if not np.isfinite(total).all():
                 for i in np.flatnonzero(~np.isfinite(total)):

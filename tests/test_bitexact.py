@@ -12,8 +12,9 @@ from dataclasses import replace
 
 import pytest
 
+from fedgm import rng as streams
 from fedgm.config import Config, DataSpec
-from fedgm.data import AugmentationSpec
+from fedgm.data import AugmentationSpec, gen_textured_domains
 from fedgm.federation import HyperParams, run_da, run_dg
 
 
@@ -97,3 +98,12 @@ def test_metrics_file_digest_pinned(case, tmp_path):
     table.write_csv(path)
     assert len(table.rows) == n_rows
     assert hashlib.sha256(path.read_bytes()).hexdigest() == expected
+
+
+def test_swap_workload_data_digest_pinned():
+    """The textured grids of the augmentation-swap configuration for seed 1."""
+    h = hashlib.sha256()
+    for d in gen_textured_domains(4, 8, 250, streams.subseed(1, streams.DATA), 3):
+        h.update(d.X.tobytes())
+        h.update(d.y.tobytes())
+    assert h.hexdigest() == "5787fa038ae5312962ace499fe17cd6c9abb9cd8e0c8335984d9e6d18de3254f"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -84,6 +86,48 @@ def test_textured_side_bounds():
         gen_textured_domains(1, 7, 10, seed=0)
     with pytest.raises(UsageError):
         gen_textured_domains(1, 33, 10, seed=0)
+
+
+@pytest.mark.parametrize("classes", [0, -1])
+def test_generators_reject_fewer_than_one_class(classes):
+    with pytest.raises(UsageError, match="classes must be >= 1"):
+        gen_textured_domains(1, 8, 10, seed=0, classes=classes)
+    with pytest.raises(UsageError, match="classes must be >= 1"):
+        gen_rotated_domains([0.0], 10, 0.1, seed=0, classes=classes)
+
+
+def _textured_sample(side, label, classes, seed, d, idx):
+    """Sample ``idx`` of domain ``d`` built alone: its bump, its domain's
+    texture and its noise, from its own generator (the per-sample reference)."""
+    srng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(d, idx)))
+    jitter = srng.normal(0.0, 0.05, size=2)
+    u = np.linspace(-1.0, 1.0, side)
+    uu, vv = np.meshgrid(u, u, indexing="ij")
+    freq, orient, phase = 1.5 + 0.75 * d, math.radians(35.0 * d), 0.9 * d
+    texture = 0.45 * np.sin(2.0 * math.pi * freq * (uu * math.cos(orient) + vv * math.sin(orient)) + phase)
+    theta = 2.0 * math.pi * label / classes
+    cx = 0.45 * math.cos(theta) + jitter[0]
+    cy = 0.45 * math.sin(theta) + jitter[1]
+    grid = 2.0 * np.exp(-((uu - cx) ** 2 + (vv - cy) ** 2) / (2.0 * 0.35**2)) + texture
+    grid += srng.normal(0.0, 0.05, size=(side, side))
+    return grid.ravel()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    side=st.integers(8, 32),
+    classes=st.integers(2, 5),
+    n_domains=st.integers(1, 3),
+    extra=st.integers(0, 20),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_textured_domains_match_per_sample_reference(side, classes, n_domains, extra, seed):
+    n = classes + extra
+    domains = gen_textured_domains(n_domains, side, n, seed, classes)
+    for d, ds in enumerate(domains):
+        ref = np.stack([_textured_sample(side, int(ds.y[i]), classes, seed, d, i) for i in range(n)])
+        assert ds.X.tobytes() == ref.tobytes() and ds.X.strides == ref.strides
+        assert ds.y.tobytes() == (np.arange(n, dtype=np.int64) % classes).tobytes()
 
 
 def test_augment_identity_bitwise():
@@ -177,6 +221,13 @@ def test_amplitude_mix_dim_mismatch():
         mix_amplitude(np.ones((8, 8)), np.ones((8, 9)), 0.5)
 
 
+def test_mix_amplitude_needs_grids():
+    with pytest.raises(ShapeError, match="at least 2 dims"):
+        mix_amplitude(np.ones(8), np.ones(8), 0.5)
+    with pytest.raises(ShapeError, match="at least 2 dims"):
+        mix_amplitude(np.float64(1.0), np.float64(2.0), 0.5)
+
+
 def _dataset(n=10):
     X = np.arange(n * 2, dtype=float).reshape(n, 2)
     y = np.arange(n) % 2
@@ -246,6 +297,30 @@ def test_mix_amplitude_names_first_row_over_residual():
     grids[2] *= 1e9  # residuals scale with the amplitude mixed in
     with pytest.raises(ShapeError, match=r"residual .* in row 1 exceeds 1e-9"):
         mix_amplitude(grids, grids[[1, 2, 0]], np.full((3, 1, 1), 0.5))
+
+
+@pytest.mark.parametrize("row", [0, 2, 6])
+def test_augment_names_the_epoch_row_over_residual(row):
+    # batches of 2 rows pair each row with its batch-mate, so the rows that
+    # mix in the huge row's amplitude are that row and its mate after it
+    X = np.random.default_rng(1).normal(0.0, 1.0, (8, 64))
+    X[row] *= 1e9
+    with pytest.raises(ShapeError, match=rf"residual .* in row {row} exceeds 1e-9"):
+        augment(X, AugmentationSpec.amplitude_mix(0.5), np.random.default_rng(2), 2)
+
+
+def test_augment_amplitude_mix_takes_one_forward_fft_per_call(monkeypatch):
+    calls = []
+    fft2 = np.fft.fft2
+
+    def spy(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return fft2(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft2", spy)
+    X = np.random.default_rng(3).normal(0.0, 1.0, (21, 64))
+    augment(X, AugmentationSpec.amplitude_mix(0.7), np.random.default_rng(4), 8)  # batches of 8, 8 and 5 rows
+    assert calls == [(21, 8, 8)]
 
 
 _EPOCH_SPECS = {

@@ -52,7 +52,7 @@ def _compiled(rec, params, clients):
     """Each client's stats and gradients of the recorded step ``rec`` run
     compiled on the clients' values ``clients``, as bytes."""
     stacked = [np.stack([a] * len(clients)) for a in params.arrays()]
-    outs, grads = rec.run([*stacked, *(np.stack(col) for col in zip(*clients))])
+    outs, grads = rec.run([*stacked, *(np.stack(col) for col in zip(*clients))], slice(None), {})
     return [
         (np.array([float(v[i]) for v in outs]).tobytes(), [np.asarray(g[i]).tobytes() for g in grads])
         for i in range(len(clients))
@@ -427,6 +427,23 @@ def test_feeds_are_built_once_per_client_and_epoch():
     assert calls == {"augment": [(10, hp.batch)] * 6, "one_hot": [10] * 6}
 
 
+def test_the_view_pair_is_stacked_once_per_epoch(monkeypatch):
+    stacks = []
+    real_stack = np.stack
+
+    def spy(arrays, axis=0, **kwargs):
+        arrays = list(arrays)
+        if axis == 1:
+            stacks.append(arrays[0].shape)
+        return real_stack(arrays, axis=axis, **kwargs)
+
+    initial, datasets, heads, hp, _, aug = _lockstep_call(3)
+    monkeypatch.setattr(np, "stack", spy)
+    local_train(initial, datasets, heads, hp, 1, aug)  # round 1: no snapshot heads to group
+    # the batch and its view of 3 clients, for a whole epoch of 10 rows, once in each of 2 epochs
+    assert stacks == [(3, 10, 2)] * 2
+
+
 def test_stacked_constants_keep_their_memory_order():
     # BLAS rounds a one-row product by the memory order of its operands, and
     # snapshot heads are recorded transposed
@@ -626,7 +643,7 @@ def test_a_bias_add_on_two_fed_leaves_matches_backward(k, rows, monkeypatch):
     assert (fed[2], fed[3]) in rec.step.leaves
     # one add of the bias for both batches
     assert sum(f"v{fed[1]}.reshape" in ln for ln in _forward_lines(rec.step.source)) == 1
-    (total,), grads = rec.run([np.stack(col) for col in zip(*clients)])
+    (total,), grads = rec.run([np.stack(col) for col in zip(*clients)], slice(None), {})
     for i, values in enumerate(clients):
         tape_i, loss_i, _ = _bias_chain(*values)
         by_id = backward(tape_i, loss_i)
