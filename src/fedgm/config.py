@@ -8,6 +8,7 @@ JSON parser and the round protocol both call it.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 from .data import AugmentationSpec, _n_test
@@ -45,6 +46,8 @@ class HyperParams:
             raise UsageError(f"hp.weight_decay must be >= 0, got {self.weight_decay}")
         if self.rounds < 1 or self.local_epochs < 1 or self.batch < 1 or self.min_votes < 1:
             raise UsageError("rounds, local_epochs, batch and min_votes must all be >= 1")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise UsageError(f"hp.seed must be an integer >= 0, got {self.seed!r}")
 
 
 @dataclass

@@ -144,56 +144,51 @@ def _sgd_step(flat, grad, velocity, lr, hp):
     flat -= lr * velocity + lr * hp.weight_decay * flat
 
 
-def _stacked(tape: Tape, k: int, ids: tuple[int, ...]) -> np.ndarray:
-    """Leaf values stacked k times for the clients, and the lanes of a group on axis 1."""
-    per_leaf = [np.stack([tape.vals[nid]] * k) for nid in ids]
-    return per_leaf[0] if len(ids) == 1 else np.stack(per_leaf, axis=1)
+def _stacked(lanes: list[list[np.ndarray]]) -> np.ndarray:
+    """One step argument from each of its leaves' k client values: (k, *shape)
+    for one leaf, and a group's lanes stacked on axis 1, (k, S, *shape).
+    np.stack keeps each value's memory order in its slice (a transposed
+    snapshot head stays transposed), and BLAS rounds by it."""
+    per_leaf = [np.stack(values, dtype=np.float64) for values in lanes]
+    return per_leaf[0] if len(per_leaf) == 1 else np.stack(per_leaf, axis=1)
 
 
 class _Recorded:
     """Client 0's recording of one feed shape, compiled into one step for k clients.
 
     The recording gives the step its structure and its recorded constants
-    (the snapshot heads), which every client of the call shares and which
-    are stacked k times once; ``run`` calls the compiled step on one batch
-    of the stacked parameter and epoch feed values it is given, in ``fed``
-    order; ``check`` holds a run's slice 0 against ``backward`` on the
-    recording.
+    (the snapshot heads), which every client shares and which are stacked k
+    times once. The call's (k, *shape) ``params``, which training moves in
+    place, are bound once; ``run`` feeds the ``fed`` leaves of one batch,
+    and ``check`` holds a run's slice 0 against ``backward`` on the recording.
     """
 
-    def __init__(self, tape: Tape, k: int, fed: list[int], loss: int, stat_nodes: dict[str, int]):
+    def __init__(self, tape: Tape, params: list[np.ndarray], fed: list[int], loss: int, stat_nodes: dict[str, int]):
         self.tape, self.loss, self.stat_nodes = tape, loss, stat_nodes
-        self.step = compile_step(tape, k, loss, list(stat_nodes.values()), fed)
+        k = len(params[0])
+        self.step = compile_step(tape, k, loss, list(stat_nodes.values()), [*tape.params, *fed])
         # each fed argument's slot, the positions of its leaves among the fed
-        # values, and whether it is a batch feed (not a parameter)
+        # leaves, and the index of its leading axes: the clients' and any lanes'
         self.feeds = [
-            (slot, tuple(fed.index(nid) for nid in ids), ids[0] not in tape.params)
-            for slot, ids in enumerate(self.step.leaves)
-            if ids[0] in fed
+            (slot, tuple(map(fed.index, ids)), (slice(None),) * (1 + (len(ids) > 1)))
+            for slot, ids in enumerate(self.step.leaves) if ids[0] in fed
         ]
-        # np.stack keeps each copy's memory order in its slice (a transposed
-        # snapshot head stays transposed), and BLAS rounds by it; a group of
-        # lanes stacks its leaves once more, on axis 1
-        self.args = [None if ids[0] in fed else _stacked(tape, k, ids) for ids in self.step.leaves]
+        given = dict(zip(tape.params, params)) | dict.fromkeys(fed)  # fed slots: filled by run
+        self.args = [
+            given[ids[0]] if ids[0] in given else _stacked([[tape.vals[nid]] * k for nid in ids])
+            for ids in self.step.leaves
+        ]
 
-    def run(self, values, rows: slice, lanes: dict):
-        """The compiled step on ``values``, in ``fed`` order: the parameters,
-        (k, *shape), and the batch feeds of a whole epoch, (k, N, ...), of
-        which the step takes ``rows``. ``lanes`` holds the epoch's feeds of
-        each group of lanes (the batch and its augmented view) stacked on
-        axis 1, (k, S, N, ...), by their positions; a group not in it yet is
-        stacked there, so one stack serves every batch of the epoch.
+    def run(self, per_client: list, rows: slice, stacks: dict):
+        """The compiled step on ``rows`` of each client's epoch values of the
+        fed leaves, ``per_client``. ``stacks`` holds the epoch's stack of each
+        fed argument by its leaves' positions, stacked by the first run on it.
         """
         # batch feeds are C-ordered copies of their rows, as BLAS rounding depends on memory order
-        for slot, pos, batched in self.feeds:
-            if not batched:
-                self.args[slot] = values[pos[0]]
-            elif len(pos) == 1:
-                self.args[slot] = np.ascontiguousarray(values[pos[0]][:, rows])
-            else:
-                if pos not in lanes:
-                    lanes[pos] = np.stack([values[q] for q in pos], axis=1)
-                self.args[slot] = np.ascontiguousarray(lanes[pos][:, :, rows])
+        for slot, pos, lead in self.feeds:
+            if pos not in stacks:
+                stacks[pos] = _stacked([[feeds[q] for feeds in per_client] for q in pos])
+            self.args[slot] = np.ascontiguousarray(stacks[pos][(*lead, rows)])
         return self.step(*self.args)
 
     def check(self, outs, grads) -> None:
@@ -228,24 +223,24 @@ def local_train(
     up. At the start of every epoch each client's rows are gathered once, in
     the epoch's batch order, and ``step_loss.feeds`` runs once on them, so
     augmentation draws and the label-range check cover the whole epoch
-    before its first step; every batch's feeds are a row slice of the
-    clients' stacked epoch feeds, and the batch and its view, which the
-    step takes as one argument, are stacked together once per epoch. The
-    first batch of each feed shape records ``step_loss`` once, on client 0's
-    parameters and feeds, which gives the step its structure and the
-    recorded constants all clients share, and compiles that tape into one
-    step for all k clients; every batch of that shape, the first included,
-    runs all clients at once through it on the stacked feeds and parameters,
-    which gives every client the bytes of its own eager step. On that first
-    batch ``backward`` differentiates the tape and an OracleError is raised
-    unless the compiled slice 0 matches it bit for bit. The stats are
-    averaged over the steps. The default step loss is the gradient-matched
-    source objective on the batch and its ``aug`` view against ``heads``,
-    which only it reads, with each client's own augmentation stream; an
-    explicit ``step_loss`` serves every client.
-    Round 1 has no previous heads, so the inter term is skipped there
-    regardless of what was passed. Momentum buffers start at zero every
-    round because the client restarts from the broadcast global model.
+    before its first step. Each argument of the step the feeds give (the
+    batch and its view are one) is stacked from the clients' epoch feeds
+    once per epoch, and a batch takes a row slice of it. The first batch of
+    each feed shape records ``step_loss`` once, on client 0's parameters and
+    feeds, which gives the step its structure and the recorded constants all
+    clients share, and compiles that tape into one step for all k clients,
+    their parameters bound to it once; every batch of that shape, the first
+    included, runs all clients at once through it, which gives every client
+    the bytes of its own eager step. On that first batch ``backward``
+    differentiates the tape and an OracleError is raised unless the compiled
+    slice 0 matches it bit for bit. The stats are averaged over the steps.
+    The default step loss is the gradient-matched source objective on the
+    batch and its ``aug`` view against ``heads``, which only it reads, with
+    each client's own augmentation stream; an explicit ``step_loss`` serves
+    every client. Round 1 has no previous heads, so the inter term is
+    skipped there regardless of what was passed. Momentum buffers start at
+    zero every round because the client restarts from the broadcast global
+    model.
 
     A client's failure (a bad label, a non-finite loss) is its own, as the
     clients' slices are independent: each client's first failure is recorded,
@@ -310,20 +305,19 @@ def local_train(
                     raise
                 failed.setdefault(i, err)
                 per_client.append(per_client[0])
-        fed = [np.stack(col, dtype=np.float64) for col in zip(*per_client)]
-        lanes = {}  # the epoch's stacks of lane groups, filled by the first batch
+        stacks = {}  # the epoch's stack of each fed argument, filled by the first batch
         for start in range(0, n, hp.batch):
             rows = slice(start, start + hp.batch)
-            shapes = tuple(f[0, rows].shape for f in fed)
+            shapes = tuple(f[rows].shape for f in per_client[0])
             rec = records.get(shapes)
             fresh = rec is None
             if fresh:  # client 0's recording gives the step its structure and recorded constants
                 tape = Tape()
                 staged = stage_params(tape, clients[0])
-                feeds = [tape.constant(f[0, rows]) for f in fed]  # C-contiguous views
+                feeds = [tape.constant(np.ascontiguousarray(f[rows], dtype=np.float64)) for f in per_client[0]]
                 loss, stat_nodes = losses[0].record(tape, staged, *feeds)
-                rec = records[shapes] = _Recorded(tape, k, staged.all_ids() + feeds, loss, stat_nodes)
-            outs, grads = rec.run([*stacked, *fed], rows, lanes)
+                rec = records[shapes] = _Recorded(tape, stacked, feeds, loss, stat_nodes)
+            outs, grads = rec.run(per_client, rows, stacks)
             total = outs[list(rec.stat_nodes).index("total")]
             if not np.isfinite(total).all():
                 for i in np.flatnonzero(~np.isfinite(total)):
@@ -474,10 +468,13 @@ def _adapt_target(
         return None, coverage, float("nan")
     precision = float(np.mean(pool.y[voted.indices] == voted.labels))
     pseudo = DomainDataset(pool.domain_id, pool.X[voted.indices].copy(), voted.labels.copy())
-    (update,) = local_train(
-        global_params, [pseudo], [], hp, round_t, AugmentationSpec.identity(), plain_ce_loss
-    )
-    return update, coverage, precision
+    return _train_plain_ce(global_params, pseudo, hp, round_t), coverage, precision
+
+
+def _train_plain_ce(global_params: ModelParams, pseudo: DomainDataset, hp: HyperParams, round_t: int) -> ClientUpdate:
+    """The target's fine-tune: plain cross-entropy on its pseudo-labeled rows, from the global model."""
+    (update,) = local_train(global_params, [pseudo], [], hp, round_t, AugmentationSpec.identity(), plain_ce_loss)
+    return update
 
 
 def run_dg(config: Config) -> MetricsTable:

@@ -22,9 +22,6 @@ from fedgm.federation import HyperParams, _matching_loss
 from fedgm.model import HeadSnapshot, init_params, stage_params
 
 ROOT = Path(__file__).resolve().parent.parent
-# the span target the benchmark is known to miss since the target trainer
-# folded into local_train
-KNOWN_MISSING = {("fedgm.federation", "_train_plain_ce")}
 
 
 def _load(name):
@@ -41,7 +38,7 @@ def test_span_targets_resolve():
         (mod, attr)
         for slots in tracing.SPAN_TARGETS.values()
         for mod, attr in slots
-        if (mod, attr) not in KNOWN_MISSING and not hasattr(importlib.import_module(mod), attr)
+        if not hasattr(importlib.import_module(mod), attr)
     ]
     assert missing == []
 

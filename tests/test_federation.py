@@ -400,6 +400,18 @@ def test_run_dg_held_out_must_be_valid():
         run_dg(_config(held_out=7))
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True], ids=["negative", "float", "bool"])
+def test_run_dg_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    config = _config(rounds=1)
+    config.hp.seed = seed
+    with pytest.raises(UsageError, match=r"hp.seed must be an integer >= 0"):
+        run_dg(config)
+
+
+def test_a_numpy_integer_seed_is_valid():
+    HyperParams(seed=np.int64(3)).validate()
+
+
 def test_run_dg_deterministic():
     t1 = run_dg(_config(rounds=2))
     t2 = run_dg(_config(rounds=2))

@@ -12,6 +12,7 @@ gradients of that client's step recorded afresh on the same values, bit for
 bit, and the checks of a recorded step must still run on it.
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -50,9 +51,10 @@ def _fresh(step, params, values):
 
 def _compiled(rec, params, clients):
     """Each client's stats and gradients of the recorded step ``rec`` run
-    compiled on the clients' values ``clients``, as bytes."""
-    stacked = [np.stack([a] * len(clients)) for a in params.arrays()]
-    outs, grads = rec.run([*stacked, *(np.stack(col) for col in zip(*clients))], slice(None), {})
+    compiled on ``params`` and the clients' values ``clients``, as bytes."""
+    for nid, arr in zip(rec.tape.params, params.arrays()):  # move the bound parameters in place, as SGD does
+        rec.args[rec.step.leaves.index((nid,))][:] = arr
+    outs, grads = rec.run(clients, slice(None), {})
     return [
         (np.array([float(v[i]) for v in outs]).tobytes(), [np.asarray(g[i]).tobytes() for g in grads])
         for i in range(len(clients))
@@ -62,8 +64,8 @@ def _compiled(rec, params, clients):
 def _recorded(step, params, clients):
     """The recording of the first client values in ``clients``, compiled for
     all of them, as local_train keeps it."""
-    tape, staged, leaves, loss, stat_nodes = _record(step, params, clients[0])
-    return _Recorded(tape, len(clients), staged.all_ids() + leaves, loss, stat_nodes)
+    tape, _, leaves, loss, stat_nodes = _record(step, params, clients[0])
+    return _Recorded(tape, [np.stack([a] * len(clients)) for a in params.arrays()], leaves, loss, stat_nodes)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -444,6 +446,29 @@ def test_the_view_pair_is_stacked_once_per_epoch(monkeypatch):
     assert stacks == [(3, 10, 2)] * 2
 
 
+def test_an_epoch_holds_its_view_pair_twice_not_three_times(monkeypatch):
+    # the clients' epoch feeds, and the step's stack of the batch and its view
+    k, n, d = 3, 400, 256
+    rng = np.random.default_rng(16)
+    datasets = [DomainDataset(i, rng.normal(0.0, 1.0, (n, d)), np.arange(n) % 2) for i in range(k)]
+    alive = []
+    real_run = _Recorded.run
+
+    def spy(rec, *args):
+        alive.append(tracemalloc.get_traced_memory()[0] - base)
+        return real_run(rec, *args)
+
+    monkeypatch.setattr(_Recorded, "run", spy)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        local_train(init_params([d, 4], 2, 0), datasets, [], HyperParams(batch=100), 1, AugmentationSpec.gaussian_noise(0.1))
+    finally:
+        tracemalloc.stop()
+    pair = 2 * k * n * d * 8  # bytes of the clients' epoch rows and their augmented views
+    assert len(alive) == 4 and max(alive[1:]) < 2.75 * pair
+
+
 def test_stacked_constants_keep_their_memory_order():
     # BLAS rounds a one-row product by the memory order of its operands, and
     # snapshot heads are recorded transposed
@@ -534,7 +559,7 @@ def _two_lane_tape(first, second, chained=False):
 def _compiled_matches_eager(tape, loss, fed=()):
     step = compile_step(tape, 1, loss, [loss], fed)
     leaves = [nid for nid, kind in enumerate(tape.ops) if kind == ad.LEAF]
-    (total,), grads = step(*(federation._stacked(tape, 1, ids) for ids in step.leaves))
+    (total,), grads = step(*(federation._stacked([[tape.vals[nid]] for nid in ids]) for ids in step.leaves))
     assert total[0].tobytes() == tape.value(loss).tobytes()
     assert [g[0].tobytes() for g in grads] == [g.tobytes() for g in backward(tape, loss).values()]
     assert sorted(n for ids in step.leaves for n in ids) == leaves
@@ -588,8 +613,8 @@ def _views_step(snaps, gm_enabled=True):
     step = _matching_loss(snaps, HyperParams(lam=0.5, gm_enabled=gm_enabled), AugmentationSpec.gaussian_noise(0.2), rng)
     params = init_params([3, 6], 2, 1)
     clients = [step.feeds(rng.normal(0.0, 1.0, (5, 3)), rng.integers(0, 2, 5), 2) for _ in range(3)]
-    tape, staged, leaves, loss, stat_nodes = _record(step, params, clients[0])
-    rec = _Recorded(tape, len(clients), staged.all_ids() + leaves, loss, stat_nodes)
+    tape, _, leaves, loss, stat_nodes = _record(step, params, clients[0])
+    rec = _Recorded(tape, [np.stack([a] * len(clients)) for a in params.arrays()], leaves, loss, stat_nodes)
     assert _compiled(rec, params, clients) == [_fresh(step, params, values) for values in clients]
     return rec, leaves
 
@@ -639,11 +664,11 @@ def test_a_bias_add_on_two_fed_leaves_matches_backward(k, rows, monkeypatch):
         for _ in range(k)
     ]
     tape, loss, fed = _bias_chain(*clients[0])
-    rec = _Recorded(tape, k, fed, loss, {"total": loss})
+    rec = _Recorded(tape, [np.stack(col) for col in list(zip(*clients))[:2]], fed[2:], loss, {"total": loss})
     assert (fed[2], fed[3]) in rec.step.leaves
     # one add of the bias for both batches
     assert sum(f"v{fed[1]}.reshape" in ln for ln in _forward_lines(rec.step.source)) == 1
-    (total,), grads = rec.run([np.stack(col) for col in zip(*clients)], slice(None), {})
+    (total,), grads = rec.run([values[2:] for values in clients], slice(None), {})
     for i, values in enumerate(clients):
         tape_i, loss_i, _ = _bias_chain(*values)
         by_id = backward(tape_i, loss_i)
