@@ -1,6 +1,7 @@
 """Experiment configuration: the data, model and optimizer settings of a run.
 
-``Config.validate`` checks the class count, the domain size, the grid side,
+``Config.validate`` checks the data kind, that every count, size, index and
+seed is an integer, then the class count, the domain size, the grid side,
 the domain count, the held-out index, the input width, the noise level, the
 augmentation, the hyperparameters and, for adaptation, the vote quorum; the
 JSON parser and the round protocol both call it.
@@ -13,6 +14,15 @@ from dataclasses import dataclass, field
 
 from .data import AugmentationSpec, _n_test
 from .errors import UsageError
+
+
+def _require_integer(name: str, value, minimum: int | None = None) -> None:
+    """Raise UsageError unless ``value`` is an integer (a numpy integer is one,
+    a bool or a float is not) and, if ``minimum`` is given, at least that."""
+    integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not integer or (minimum is not None and value < minimum):
+        at_least = "" if minimum is None else f" >= {minimum}"
+        raise UsageError(f"{name} must be an integer{at_least}, got {value!r}")
 
 
 @dataclass
@@ -44,15 +54,15 @@ class HyperParams:
             raise UsageError(f"hp.momentum must lie in [0, 1), got {self.momentum}")
         if not self.weight_decay >= 0.0:
             raise UsageError(f"hp.weight_decay must be >= 0, got {self.weight_decay}")
-        if self.rounds < 1 or self.local_epochs < 1 or self.batch < 1 or self.min_votes < 1:
-            raise UsageError("rounds, local_epochs, batch and min_votes must all be >= 1")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise UsageError(f"hp.seed must be an integer >= 0, got {self.seed!r}")
+        for name, minimum in (("seed", 0), ("rounds", 1), ("local_epochs", 1), ("batch", 1), ("min_votes", 1)):
+            _require_integer(f"hp.{name}", getattr(self, name), minimum)
 
 
 @dataclass
 class DataSpec:
     """Generator choice plus its parameters."""
+
+    KINDS = ("rotated_moons", "textured")
 
     kind: str
     angles: list[float] = field(default_factory=list)
@@ -80,10 +90,16 @@ class Config:
     seeds: list[int]
 
     def validate(self) -> None:
-        """Raise UsageError unless the class count, domain size (a train split
-        of at least one row per class), grid side,
-        domain count, held-out index, input width, noise level, augmentation
-        and hp fit, and in adaptation mode enough sources can vote."""
+        """Raise UsageError unless the data kind is known, the integer settings
+        are integers, and the class count, domain size (a train split of at
+        least one row per class), grid side, domain count, held-out index,
+        input width, noise level, augmentation and hp fit, and in adaptation
+        mode enough sources can vote."""
+        if self.data.kind not in DataSpec.KINDS:
+            raise UsageError(f"data.kind: unknown generator '{self.data.kind}'")
+        _require_integer("held_out", self.held_out)
+        for name in ("n_per_domain", "n_domains", "side", "classes"):
+            _require_integer(f"data.{name}", getattr(self.data, name))
         if self.data.classes < 2:
             raise UsageError(f"data.classes must be >= 2, got {self.data.classes}")
         # every domain's train split (all of one size) must be able to hold every class

@@ -57,17 +57,18 @@ log = logging.getLogger(__name__)
 class StepLoss(NamedTuple):
     """A client's loss on one batch, in two parts so a recorded step can be compiled.
 
-    ``feeds(X, y, classes, batch=None)`` returns the per-step leaf values
-    of the rows ``X`` and labels ``y``, which are consecutive batches of
-    ``batch`` rows (``None``: one batch), and draws any augmentation
-    randomness as one call per batch would. Every value it returns is per
-    row, with the row axis first, so a batch's values are a row slice of
-    the values of its epoch; ``local_train`` calls it once per client and
-    epoch. ``record(tape, staged, *leaves)`` records the loss on one
-    batch's values, staged as leaves in the same order, and returns the
-    loss node and the node of each reported stat, "total" among them.
-    Everything else it records may depend only on the leaves' shapes and on
-    settings that all clients of one ``local_train`` call share: one
+    ``feeds(X, y, classes, batch=None, rng=None)`` returns the per-step
+    leaf values of the rows ``X`` and labels ``y``, which are consecutive
+    batches of ``batch`` rows (``None``: one batch), and draws any
+    augmentation randomness from ``rng``, the client's augmentation stream,
+    as one call per batch would. Every value it returns is per row, with
+    the row axis first, so a batch's values are a row slice of the values
+    of its epoch; ``local_train`` calls it once per client and epoch.
+    ``record(tape, staged, *leaves)`` records the loss on one batch's
+    values, staged as leaves in the same order, and returns the loss node
+    and the node of each reported stat, "total" among them. Everything else
+    it records may depend only on the leaves' shapes and on the loss's own
+    settings, which every client of one ``local_train`` call shares: one
     recording, client 0's, runs compiled for every client and every batch
     of those shapes.
     """
@@ -210,35 +211,32 @@ class _Recorded:
 def local_train(
     initial: ModelParams,
     datasets: list[DomainDataset],
-    heads: list[HeadSnapshot],
+    step_loss: StepLoss,
     hp: HyperParams,
     round_t: int,
-    aug: AugmentationSpec,
-    step_loss: StepLoss | None = None,
 ) -> list[ClientUpdate]:
     """Mini-batch SGD with momentum and decoupled L2 decay, for k clients in lockstep.
 
-    Every client starts from ``initial`` and trains on its own dataset; the
-    datasets must have equal sizes and widths, so the clients' batches line
-    up. At the start of every epoch each client's rows are gathered once, in
-    the epoch's batch order, and ``step_loss.feeds`` runs once on them, so
-    augmentation draws and the label-range check cover the whole epoch
-    before its first step. Each argument of the step the feeds give (the
-    batch and its view are one) is stacked from the clients' epoch feeds
-    once per epoch, and a batch takes a row slice of it. The first batch of
-    each feed shape records ``step_loss`` once, on client 0's parameters and
-    feeds, which gives the step its structure and the recorded constants all
-    clients share, and compiles that tape into one step for all k clients,
-    their parameters bound to it once; every batch of that shape, the first
-    included, runs all clients at once through it, which gives every client
-    the bytes of its own eager step. On that first batch ``backward``
-    differentiates the tape and an OracleError is raised unless the compiled
-    slice 0 matches it bit for bit. The stats are averaged over the steps.
-    The default step loss is the gradient-matched source objective on the
-    batch and its ``aug`` view against ``heads``, which only it reads, with
-    each client's own augmentation stream; an explicit ``step_loss`` serves
-    every client. Round 1 has no previous heads, so the inter term is
-    skipped there regardless of what was passed. Momentum buffers start at
+    Every client starts from ``initial`` and trains on its own dataset with
+    ``step_loss``; the datasets must have equal sizes and widths, so the
+    clients' batches line up. Both of a client's random streams are derived
+    here from the seed and its domain id: its batch order, keyed by the
+    epoch, and its augmentation stream, keyed by the round. At the start of
+    every epoch each client's rows are gathered once, in the epoch's batch
+    order, and ``step_loss.feeds`` runs once on them with the client's
+    augmentation stream, so augmentation draws and the label-range check
+    cover the whole epoch before its first step. Each argument of the step
+    the feeds give (the batch and its view are one) is stacked from the
+    clients' epoch feeds once per epoch, and a batch takes a row slice of
+    it. The first batch of each feed shape records ``step_loss`` once, on
+    client 0's parameters and feeds, which gives the step its structure and
+    the recorded constants all clients share, and compiles that tape into
+    one step for all k clients, their parameters bound to it once; every
+    batch of that shape, the first included, runs all clients at once
+    through it, which gives every client the bytes of its own eager step.
+    On that first batch ``backward`` differentiates the tape and an
+    OracleError is raised unless the compiled slice 0 matches it bit for
+    bit. The stats are averaged over the steps. Momentum buffers start at
     zero every round because the client restarts from the broadcast global
     model.
 
@@ -265,14 +263,6 @@ def local_train(
     if hp.local_epochs < 1 or datasets[0].N == 0:
         raise UsageError(f"no training steps: {hp.local_epochs} epochs over {datasets[0].N} rows")
     k = len(datasets)
-    if step_loss is None:
-        snapshots = [] if round_t == 1 else list(heads)
-        losses = [
-            _matching_loss(snapshots, hp, aug, streams.substream(hp.seed, streams.AUG, ds.domain_id, round_t))
-            for ds in datasets
-        ]
-    else:
-        losses = [step_loss] * k
     # one (k, P) buffer of every client's flat parameters; stacked holds a
     # (k, *shape) view of it per parameter, in the order of staged.all_ids(),
     # as the compiled step takes them, and client i's model is views of row i
@@ -287,6 +277,7 @@ def local_train(
     velocity = np.zeros_like(flat)
     lr = cosine_lr(round_t, hp)
     batch_seed = streams.subseed(hp.seed, streams.CLIENT)
+    aug_rngs = [streams.substream(hp.seed, streams.AUG, ds.domain_id, round_t) for ds in datasets]
     records: dict[tuple, _Recorded] = {}  # by feed shapes
     failed: dict[int, UsageError | DivergenceError] = {}  # each failing client's first failure
     sums = None
@@ -295,11 +286,11 @@ def local_train(
     epoch_base = (round_t - 1) * hp.local_epochs
     for e in range(hp.local_epochs):
         per_client = []
-        for i, (loss_i, ds) in enumerate(zip(losses, datasets)):
+        for i, (ds, aug_rng) in enumerate(zip(datasets, aug_rngs)):
             # the epoch's rows in batch order: its permutation, as one batch of all rows
             X, y = next(batch_iter(ds, n, batch_seed, epoch_base + e))
             try:
-                per_client.append(loss_i.feeds(X, y, initial.classes, hp.batch))
+                per_client.append(step_loss.feeds(X, y, initial.classes, hp.batch, aug_rng))
             except UsageError as err:
                 if i == 0:
                     raise
@@ -315,7 +306,7 @@ def local_train(
                 tape = Tape()
                 staged = stage_params(tape, clients[0])
                 feeds = [tape.constant(np.ascontiguousarray(f[rows], dtype=np.float64)) for f in per_client[0]]
-                loss, stat_nodes = losses[0].record(tape, staged, *feeds)
+                loss, stat_nodes = step_loss.record(tape, staged, *feeds)
                 rec = records[shapes] = _Recorded(tape, stacked, feeds, loss, stat_nodes)
             outs, grads = rec.run(per_client, rows, stacks)
             total = outs[list(rec.stat_nodes).index("total")]
@@ -341,11 +332,12 @@ def local_train(
     ]
 
 
-def _matching_loss(snapshots, hp: HyperParams, aug: AugmentationSpec, aug_rng) -> StepLoss:
-    """A source client's step loss: local_loss on a batch and its augmented view."""
+def _matching_loss(snapshots: list[HeadSnapshot], hp: HyperParams, aug: AugmentationSpec) -> StepLoss:
+    """A source client's step loss: local_loss on a batch and its ``aug`` view,
+    matched against ``snapshots`` (none: no inter-domain term)."""
 
-    def feeds(X, y, classes, batch=None):
-        return X, augment(X, aug, aug_rng, batch), one_hot(y, classes)
+    def feeds(X, y, classes, batch=None, rng=None):
+        return X, augment(X, aug, rng, batch), one_hot(y, classes)
 
     def record(tape, staged, x, x_aug, y_mat):
         loss, bd = local_loss(
@@ -371,7 +363,7 @@ def _plain_ce_record(tape: Tape, staged: ParamNodes, x: int, y_mat: int) -> tupl
 
 
 # The target client's step loss: cross-entropy on the un-augmented batch.
-plain_ce_loss = StepLoss(lambda X, y, classes, batch=None: (X, one_hot(y, classes)), _plain_ce_record)
+plain_ce_loss = StepLoss(lambda X, y, classes, batch=None, rng=None: (X, one_hot(y, classes)), _plain_ce_record)
 
 
 def aggregate(updates: list[ClientUpdate]) -> ModelParams:
@@ -473,7 +465,7 @@ def _adapt_target(
 
 def _train_plain_ce(global_params: ModelParams, pseudo: DomainDataset, hp: HyperParams, round_t: int) -> ClientUpdate:
     """The target's fine-tune: plain cross-entropy on its pseudo-labeled rows, from the global model."""
-    (update,) = local_train(global_params, [pseudo], [], hp, round_t, AugmentationSpec.identity(), plain_ce_loss)
+    (update,) = local_train(global_params, [pseudo], plain_ce_loss, hp, round_t)
     return update
 
 
@@ -526,8 +518,9 @@ def _run_rounds(config: Config) -> MetricsTable:
     for t in range(1, hp.rounds + 1):
         # sources are independent until aggregation, so they train in
         # lockstep; their train splits are equal, as every domain has
-        # n_per_domain rows
-        updates = local_train(global_params, [train_sets[did] for did in source_ids], heads, hp, t, config.augmentation)
+        # n_per_domain rows. Round 1 has no heads, so no inter-domain term.
+        step_loss = _matching_loss(heads, hp, config.augmentation)
+        updates = local_train(global_params, [train_sets[did] for did in source_ids], step_loss, hp, t)
         target = None
         if adapt:
             target, coverage, precision = _adapt_target(t, global_params, updates, target_pool, hp)

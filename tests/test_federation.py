@@ -1,5 +1,7 @@
+import functools
 import hashlib
 import itertools
+import re
 from unittest import mock
 
 import numpy as np
@@ -19,6 +21,7 @@ from fedgm.federation import (
     cosine_lr,
     evaluate,
     knowledge_vote,
+    _matching_loss,
     local_train,
     plain_ce_loss,
     run_da,
@@ -49,8 +52,9 @@ def _tiny_dataset(n=8, margin=2.0, seed=0):
 
 def test_local_train_zero_epochs_forbidden():
     hp = HyperParams(local_epochs=0)
+    step_loss = _matching_loss([], hp, AugmentationSpec.identity())
     with pytest.raises(UsageError):
-        local_train(init_params([2, 4], 2, 0), [_tiny_dataset()], [], hp, 1, AugmentationSpec.identity())
+        local_train(init_params([2, 4], 2, 0), [_tiny_dataset()], step_loss, hp, 1)
 
 
 @pytest.mark.parametrize(
@@ -67,13 +71,13 @@ def test_local_train_empty_split_has_no_training_steps(aug, width):
     # an empty epoch fails as such, not in the feeds it would build
     empty = DomainDataset(0, np.zeros((0, width)), np.zeros(0, dtype=np.int64))
     with pytest.raises(UsageError, match="no training steps"):
-        local_train(init_params([width, 4], 2, 0), [empty], [], HyperParams(), 1, aug)
+        local_train(init_params([width, 4], 2, 0), [empty], _matching_loss([], HyperParams(), aug), HyperParams(), 1)
 
 
 def test_local_train_zero_lr_is_identity():
     hp = HyperParams(lr0=0.0, lr1=0.0, local_epochs=1, batch=4, seed=3)
     initial = init_params([2, 4], 2, seed=1)
-    (update,) = local_train(initial, [_tiny_dataset()], [], hp, 1, AugmentationSpec.identity())
+    (update,) = local_train(initial, [_tiny_dataset()], _matching_loss([], hp, AugmentationSpec.identity()), hp, 1)
     assert flatten(update.params).tobytes() == flatten(initial).tobytes()
     assert update.n_samples == 8
 
@@ -82,15 +86,9 @@ def test_local_train_converges_on_separable_batch():
     # 200 full-batch steps of plain gradient-matched training
     hp = HyperParams(lam=1.0, rounds=1, local_epochs=200, batch=8, lr0=0.1, lr1=0.05, seed=4)
     ds = _tiny_dataset()
-    (update,) = local_train(init_params([2, 8], 2, seed=2), [ds], [], hp, 1, AugmentationSpec.identity())
+    step_loss = _matching_loss([], hp, AugmentationSpec.identity())
+    (update,) = local_train(init_params([2, 8], 2, seed=2), [ds], step_loss, hp, 1)
     assert evaluate(update.params, ds) == 1.0
-
-
-def test_local_train_round_one_skips_inter():
-    heads = [HeadSnapshot(1, np.zeros((2, 4)), np.zeros(2))]
-    hp = HyperParams(lam=0.5, local_epochs=1, batch=4, lr0=0.01, lr1=0.01, rounds=1, seed=5)
-    (update,) = local_train(init_params([2, 4], 2, 0), [_tiny_dataset()], heads, hp, 1, AugmentationSpec.identity())
-    assert update.train_stats["inter"] == 0.0
 
 
 def test_local_train_target_style_matches_recorded_bytes():
@@ -102,9 +100,7 @@ def test_local_train_target_style_matches_recorded_bytes():
     y = (np.arange(10) % 2).astype(np.int64)
     X[:, 0] += np.where(y == 0, -1.0, 1.0)
     hp = HyperParams(rounds=3, local_epochs=2, batch=4, lr0=0.05, lr1=0.01, seed=7)
-    (update,) = local_train(
-        init_params([2, 6], 2, seed=3), [DomainDataset(2, X, y)], [], hp, 2, AugmentationSpec.identity(), plain_ce_loss
-    )
+    (update,) = local_train(init_params([2, 6], 2, seed=3), [DomainDataset(2, X, y)], plain_ce_loss, hp, 2)
     digest = hashlib.sha256(flatten(update.params).tobytes()).hexdigest()
     assert digest == "4853d1037e107bbefeba5fd8f74a2ff7432bed4bc8fb942556fd58a7217c453b"
     assert update.train_stats == {"ce_orig": 1.3161356648080431, "total": 1.3161356648080431}
@@ -129,7 +125,7 @@ def _overflowing(domain_id, hp, round_t, step):
 
 def _divergence(datasets, hp):
     with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
-        local_train(init_params([2, 4], 2, 0), datasets, [], hp, 2, AugmentationSpec.identity())
+        local_train(init_params([2, 4], 2, 0), datasets, _matching_loss([], hp, AugmentationSpec.identity()), hp, 2)
     return str(info.value)
 
 
@@ -144,14 +140,15 @@ def test_lockstep_divergence_is_the_first_clients_first_error():
     assert _divergence([_overflowing(0, hp, 2, None), early], hp) == alone[1]
 
 
-@pytest.mark.parametrize("step_loss", [None, plain_ce_loss], ids=["matching", "plain"])
-def test_a_bad_label_fails_its_epoch_before_its_first_step(step_loss):
+@pytest.mark.parametrize("plain", [False, True], ids=["matching", "plain"])
+def test_a_bad_label_fails_its_epoch_before_its_first_step(plain):
     hp = HyperParams(batch=4, lr0=0.05, lr1=0.01)
+    step_loss = plain_ce_loss if plain else _matching_loss([], hp, AugmentationSpec.identity())
     ds = _overflowing(0, hp, 2, 0)
     ds.y[_row_in_step(ds, hp, 2, 1)] = 7  # a bad label in the batch after the one that overflows
     # the epoch's labels are checked when its feeds are built, before step 0 can diverge
     with np.errstate(all="ignore"), pytest.raises(UsageError, match=r"label 7 at index \d+ outside \[0, 2\)"):
-        local_train(init_params([2, 4], 2, 0), [ds], [], hp, 2, AugmentationSpec.identity(), step_loss)
+        local_train(init_params([2, 4], 2, 0), [ds], step_loss, hp, 2)
     # in lockstep client 1's bad label is its own, and client 0's divergence is raised
     assert _divergence([_overflowing(1, hp, 2, 0), ds], hp) == "non-finite loss nan at round 2, step 0"
 
@@ -196,10 +193,9 @@ def test_client_0_bad_label_outranks_client_1_divergence():
     hp = HyperParams(batch=4, lr0=0.05, lr1=0.01)
     bad_label = _overflowing(0, hp, 2, None)
     bad_label.y[_row_in_step(bad_label, hp, 2, 2)] = 7
+    step_loss = _matching_loss([], hp, AugmentationSpec.identity())
     with np.errstate(all="ignore"), pytest.raises(UsageError, match=r"label 7 at index \d+ outside \[0, 2\)"):
-        local_train(
-            init_params([2, 4], 2, 0), [bad_label, _overflowing(1, hp, 2, 0)], [], hp, 2, AugmentationSpec.identity()
-        )
+        local_train(init_params([2, 4], 2, 0), [bad_label, _overflowing(1, hp, 2, 0)], step_loss, hp, 2)
 
 
 
@@ -211,7 +207,7 @@ def test_a_client_keeps_its_first_bad_label():
     errors = []
     for datasets in ([bad_label], [_overflowing(0, hp, 2, None), bad_label]):
         with pytest.raises(UsageError) as info:
-            local_train(init_params([2, 4], 2, 0), datasets, [], hp, 2, AugmentationSpec.identity())
+            local_train(init_params([2, 4], 2, 0), datasets, _matching_loss([], hp, AugmentationSpec.identity()), hp, 2)
         errors.append(str(info.value))
     assert errors[1] == errors[0]
 
@@ -224,9 +220,10 @@ def test_client_0_divergence_stops_the_call():
 
 def test_local_train_rejects_clients_of_unequal_size():
     hp = HyperParams(batch=4)
+    step_loss = _matching_loss([], hp, AugmentationSpec.identity())
     for other in (_tiny_dataset(n=10), DomainDataset(1, np.zeros((8, 3)), np.arange(8) % 2)):
         with pytest.raises(ContractError, match="datasets of one size and width"):
-            local_train(init_params([2, 4], 2, 0), [_tiny_dataset(), other], [], hp, 1, AugmentationSpec.identity())
+            local_train(init_params([2, 4], 2, 0), [_tiny_dataset(), other], step_loss, hp, 1)
 
 
 def test_consecutive_local_train_calls_return_models_that_share_no_memory():
@@ -235,9 +232,9 @@ def test_consecutive_local_train_calls_return_models_that_share_no_memory():
     hp = HyperParams(batch=4, lr0=0.05, lr1=0.01)
     datasets = [_tiny_dataset(), DomainDataset(1, _tiny_dataset().X + 0.5, _tiny_dataset().y)]
     initial = init_params([2, 4], 2, 0)
-    first = local_train(initial, datasets, [], hp, 1, AugmentationSpec.identity())
+    first = local_train(initial, datasets, _matching_loss([], hp, AugmentationSpec.identity()), hp, 1)
     kept = [flatten(u.params) for u in first]
-    second = local_train(initial, datasets, [], hp, 1, AugmentationSpec.identity())
+    second = local_train(initial, datasets, _matching_loss([], hp, AugmentationSpec.identity()), hp, 1)
     assert [flatten(u.params).tobytes() for u in first] == [f.tobytes() for f in kept]
     for a, b in itertools.product(first, second):
         assert not any(np.shares_memory(x, y) for x in a.params.arrays() for y in b.params.arrays())
@@ -296,7 +293,8 @@ def test_aggregate_rejects_empty_and_mismatched():
 def test_evaluate_perfect_and_flipped():
     ds = _tiny_dataset(n=20, margin=3.0)
     hp = HyperParams(lam=1.0, rounds=1, local_epochs=150, batch=20, lr0=0.1, lr1=0.05, seed=6)
-    trained = local_train(init_params([2, 8], 2, 1), [ds], [], hp, 1, AugmentationSpec.identity())[0].params
+    step_loss = _matching_loss([], hp, AugmentationSpec.identity())
+    trained = local_train(init_params([2, 8], 2, 1), [ds], step_loss, hp, 1)[0].params
     acc = evaluate(trained, ds)
     assert acc == 1.0
     flipped = DomainDataset(0, ds.X, 1 - ds.y)
@@ -400,11 +398,38 @@ def test_run_dg_held_out_must_be_valid():
         run_dg(_config(held_out=7))
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, True], ids=["negative", "float", "bool"])
-def test_run_dg_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        pytest.param("hp.seed", -1, id="negative"),
+        pytest.param("hp.seed", 1.5, id="float"),
+        pytest.param("hp.seed", True, id="bool"),
+        ("hp.rounds", True),
+        ("hp.rounds", 2.0),
+        ("hp.local_epochs", True),
+        ("hp.local_epochs", 1.0),
+        ("hp.batch", True),
+        ("hp.batch", 16.0),
+        ("hp.min_votes", 1.5),
+        ("held_out", True),
+        ("data.n_per_domain", 120.0),
+        ("data.classes", 2.0),
+    ],
+)
+def test_run_dg_rejects_a_seed_that_is_not_a_non_negative_integer(field, value):
+    # every integer setting, the seed among them, must be an integer: a bool
+    # or a float of integral value is refused, not run
     config = _config(rounds=1)
-    config.hp.seed = seed
-    with pytest.raises(UsageError, match=r"hp.seed must be an integer >= 0"):
+    *path, name = field.split(".")
+    setattr(functools.reduce(getattr, path, config), name, value)
+    with pytest.raises(UsageError, match=rf"^{re.escape(field)} must be an integer( >= \d)?, got {value!r}$"):
+        run_dg(config)
+
+
+def test_run_dg_names_an_unknown_data_kind():
+    config = _config(rounds=1)
+    config.data = DataSpec(kind="foo", n_per_domain=120)
+    with pytest.raises(UsageError, match="^data.kind: unknown generator 'foo'$"):
         run_dg(config)
 
 

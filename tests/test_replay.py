@@ -90,12 +90,12 @@ def test_replayed_steps_match_fresh_recordings(widths, classes, batch, n_snaps, 
         for j in range(n_snaps)
     ]
     hp = HyperParams(lam=lam, gm_enabled=gm_enabled)
-    step = plain_ce_loss if plain else _matching_loss(snaps, hp, AugmentationSpec.gaussian_noise(0.3), rng)
+    step = plain_ce_loss if plain else _matching_loss(snaps, hp, AugmentationSpec.gaussian_noise(0.3))
     records = {}
     compiled = 0
     for epoch in range(2):
         for X, y in batch_iter(ds, batch, seed, epoch):
-            values = [ad.as_tensor(v) for v in step.feeds(X, y, classes)]
+            values = [ad.as_tensor(v) for v in step.feeds(X, y, classes, rng=rng)]
             shapes = tuple(v.shape for v in values)
             fresh = _fresh(step, params, values)
             if shapes in records:
@@ -137,7 +137,7 @@ def test_zero_norm_subgradient_decided_per_step(recorded, compiled, monkeypatch)
     monkeypatch.setattr(ad, "_STEP_CACHE", {})  # compile from this recording
     params = _saturating_params()
     snaps = [HeadSnapshot(1, np.array([[100.0, 0.0], [0.0, 0.0]]), np.zeros(2))]
-    step = _matching_loss(snaps, HyperParams(lam=0.5), AugmentationSpec.identity(), None)
+    step = _matching_loss(snaps, HyperParams(lam=0.5), AugmentationSpec.identity())
     # the matched head gradients vanish exactly on the saturated batch only
     assert min(_l2_norms(step, params, _SATURATED)) == 0.0
     assert min(_l2_norms(step, params, _UNIFORM)) > 0.0
@@ -152,7 +152,7 @@ def test_zero_norm_subgradient_taken_by_one_slice_only(monkeypatch):
     monkeypatch.setattr(ad, "_STEP_CACHE", {})
     params = _saturating_params()
     snaps = [HeadSnapshot(1, np.array([[100.0, 0.0], [0.0, 0.0]]), np.zeros(2))]
-    step = _matching_loss(snaps, HyperParams(lam=0.5), AugmentationSpec.identity(), None)
+    step = _matching_loss(snaps, HyperParams(lam=0.5), AugmentationSpec.identity())
     rec = _recorded(step, params, [step.feeds(X, _LABELS, 2) for X in (_UNIFORM, _UNIFORM)])
     # one client's head-gradient norms vanish, the other's do not, in one call
     for batches in ((_SATURATED, _UNIFORM), (_UNIFORM, _SATURATED)):
@@ -171,7 +171,7 @@ def test_calls_share_one_compiled_step_with_their_own_snapshot_heads():
     steps = []
     for call in range(2):
         snaps = [HeadSnapshot(j, rng.normal(0.0, 0.7, (3, 5)), rng.normal(0.0, 0.3, 3)) for j in range(2)]
-        step = _matching_loss(snaps, hp, AugmentationSpec.identity(), None)
+        step = _matching_loss(snaps, hp, AugmentationSpec.identity())
         values = step.feeds(X, y, 3)
         rec = _recorded(step, params, [values])
         (got,) = _compiled(rec, params, [values])
@@ -181,7 +181,7 @@ def test_calls_share_one_compiled_step_with_their_own_snapshot_heads():
     assert steps[0] is steps[1]
     assert results[0] != results[1]  # the snapshot heads are arguments, not baked in
     # scale constants such as lambda are baked in, so another lambda compiles anew
-    step = _matching_loss(snaps, HyperParams(lam=0.7), AugmentationSpec.identity(), None)
+    step = _matching_loss(snaps, HyperParams(lam=0.7), AugmentationSpec.identity())
     rec = _recorded(step, params, [values])
     assert _compiled(rec, params, [values]) == [_fresh(step, params, values)]
     assert rec.step is not steps[0]
@@ -194,7 +194,7 @@ def test_local_train_calls_share_compiled_steps(monkeypatch):
     hp = HyperParams(batch=4, lr0=0.05, lr1=0.01)
     for t in (2, 3):
         heads = [HeadSnapshot(1, rng.normal(0.0, 0.5, (2, 4)), rng.normal(0.0, 0.1, 2))]
-        local_train(init_params([2, 4], 2, 0), [ds], heads, hp, t, AugmentationSpec.identity())
+        local_train(init_params([2, 4], 2, 0), [ds], _matching_loss(heads, hp, AugmentationSpec.identity()), hp, t)
     assert len(ad._STEP_CACHE) == 1  # one batch shape, one tape structure
 
 
@@ -252,9 +252,9 @@ def test_replayed_step_rejects_out_of_range_label(plain, second):
     hp = HyperParams(batch=4, lr0=0.05, lr1=0.01)
     ds = _two_batch_dataset(hp.batch)
     ds.y[_batch_row(ds, hp, 2, second)] = 7  # only one batch is bad
-    step = plain_ce_loss if plain else None
+    step = plain_ce_loss if plain else _matching_loss([], hp, AugmentationSpec.identity())
     with pytest.raises(UsageError, match=r"label 7 at index \d+ outside \[0, 2\)"):
-        local_train(init_params([2, 4], 2, 0), [ds], [], hp, 2, AugmentationSpec.identity(), step)
+        local_train(init_params([2, 4], 2, 0), [ds], step, hp, 2)
 
 
 @pytest.mark.parametrize("plain, second", _BAD_BATCH)
@@ -262,10 +262,10 @@ def test_replayed_step_rejects_non_finite_loss(plain, second):
     hp = HyperParams(batch=4, lr0=0.05, lr1=0.01)
     ds = _two_batch_dataset(hp.batch)
     ds.X[_batch_row(ds, hp, 2, second)] = 1e308  # only one batch overflows
-    step = plain_ce_loss if plain else None
+    step = plain_ce_loss if plain else _matching_loss([], hp, AugmentationSpec.identity())
     # the divergence check runs before the oracle check, so a bad first batch diverges too
     with np.errstate(all="ignore"), pytest.raises(DivergenceError, match=f"at round 2, step {int(second)}"):
-        local_train(init_params([2, 4], 2, 0), [ds], [], hp, 2, AugmentationSpec.identity(), step)
+        local_train(init_params([2, 4], 2, 0), [ds], step, hp, 2)
 
 
 def _lockstep_call(k):
@@ -274,7 +274,7 @@ def _lockstep_call(k):
     datasets = [DomainDataset(d, rng.normal(0.0, 1.0, (10, 2)), np.arange(10) % 2) for d in range(k)]
     heads = [HeadSnapshot(j, rng.normal(0.0, 0.5, (2, 4)), rng.normal(0.0, 0.1, 2)) for j in range(3)]
     hp = HyperParams(batch=4, local_epochs=2, lr0=0.05, lr1=0.01)
-    return init_params([2, 4], 2, 0), datasets, heads, hp, 2, AugmentationSpec.gaussian_noise(0.1)
+    return init_params([2, 4], 2, 0), datasets, _matching_loss(heads, hp, AugmentationSpec.gaussian_noise(0.1)), hp, 2
 
 
 @pytest.mark.parametrize("k", [1, 3])
@@ -290,10 +290,10 @@ def test_backward_runs_once_per_feed_shape_on_client_0(k):
         recordings.append(tape)
         return real_loss(tape, *args, **kwargs)
 
-    initial, datasets, heads, hp, round_t, aug = _lockstep_call(k)
+    initial, datasets, step_loss, hp, round_t = _lockstep_call(k)
     with mock.patch.object(federation, "backward", spy), mock.patch.object(federation, "local_loss", spy_loss):
         for call in range(2):
-            local_train(initial, datasets, heads, hp, round_t, aug)
+            local_train(initial, datasets, step_loss, hp, round_t)
             # two feed shapes (batches of 4 and 2 rows), each recorded and
             # checked once, whatever the number of clients
             assert len(calls) == len(recordings) == 2 * (call + 1)
@@ -353,6 +353,7 @@ def test_lockstep_clients_match_separate_eager_steps(k, widths, classes, batch, 
     ]
     hp = HyperParams(lam=lam, gm_enabled=gm_enabled, local_epochs=2, batch=batch, lr0=0.05, lr1=0.01, seed=seed)
     aug = AugmentationSpec.gaussian_noise(0.3)
+    step = plain_ce_loss if plain else _matching_loss(heads, hp, aug)
     round_t = 2
     # the optimizer sees every step's (k, P) gradient buffer and ends with the momentum
     steps, compiles = [], []
@@ -372,19 +373,18 @@ def test_lockstep_clients_match_separate_eager_steps(k, widths, classes, batch, 
         return compile_fn(*args)
 
     with mock.patch.object(federation, "_sgd_step", spy_sgd), mock.patch.object(federation, "compile_step", spy_compile):
-        updates = local_train(initial, datasets, heads, hp, round_t, aug, plain_ce_loss if plain else None)
+        updates = local_train(initial, datasets, step, hp, round_t)
     assert compiles == [k, k]  # the full and the short batch each compiled once, when first recorded
     velocity_end = steps[-1][1]
     # the oracle: each client alone, every step recorded afresh
     for i, ds in enumerate(datasets):
         aug_rng = streams.substream(hp.seed, streams.AUG, ds.domain_id, round_t)
-        step = plain_ce_loss if plain else _matching_loss(heads, hp, aug, aug_rng)
         params = initial.copy()
         velocity = [np.zeros_like(a) for a in params.arrays()]
         sums, count = {}, 0
         for epoch in (2, 3):
             for X, y in batch_iter(ds, batch, streams.subseed(hp.seed, streams.CLIENT), epoch):
-                tape, staged, _, loss, stat_nodes = _record(step, params, step.feeds(X, y, classes))
+                tape, staged, _, loss, stat_nodes = _record(step, params, step.feeds(X, y, classes, rng=aug_rng))
                 by_id = backward(tape, loss)
                 grads = [by_id[nid] for nid in staged.all_ids()]
                 assert [g.tobytes() for g in grads] == per_param(steps[count][0], i)
@@ -421,9 +421,9 @@ def test_feeds_are_built_once_per_client_and_epoch():
         calls["one_hot"].append(len(y))
         return real_one_hot(y, classes)
 
-    initial, datasets, heads, hp, round_t, aug = _lockstep_call(3)
+    initial, datasets, step_loss, hp, round_t = _lockstep_call(3)
     with mock.patch.object(federation, "augment", spy_augment), mock.patch.object(federation, "one_hot", spy_one_hot):
-        local_train(initial, datasets, heads, hp, round_t, aug)
+        local_train(initial, datasets, step_loss, hp, round_t)
     # 3 clients x 2 epochs, each call on a client's whole epoch of 10 rows;
     # one call per batch would be 3 clients x 2 epochs x 3 batches
     assert calls == {"augment": [(10, hp.batch)] * 6, "one_hot": [10] * 6}
@@ -439,9 +439,10 @@ def test_the_view_pair_is_stacked_once_per_epoch(monkeypatch):
             stacks.append(arrays[0].shape)
         return real_stack(arrays, axis=axis, **kwargs)
 
-    initial, datasets, heads, hp, _, aug = _lockstep_call(3)
+    initial, datasets, _, hp, _ = _lockstep_call(3)
     monkeypatch.setattr(np, "stack", spy)
-    local_train(initial, datasets, heads, hp, 1, aug)  # round 1: no snapshot heads to group
+    step_loss = _matching_loss([], hp, AugmentationSpec.gaussian_noise(0.1))  # round 1: no snapshot heads to group
+    local_train(initial, datasets, step_loss, hp, 1)
     # the batch and its view of 3 clients, for a whole epoch of 10 rows, once in each of 2 epochs
     assert stacks == [(3, 10, 2)] * 2
 
@@ -462,7 +463,9 @@ def test_an_epoch_holds_its_view_pair_twice_not_three_times(monkeypatch):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        local_train(init_params([d, 4], 2, 0), datasets, [], HyperParams(batch=100), 1, AugmentationSpec.gaussian_noise(0.1))
+        hp = HyperParams(batch=100)
+        step_loss = _matching_loss([], hp, AugmentationSpec.gaussian_noise(0.1))
+        local_train(init_params([d, 4], 2, 0), datasets, step_loss, hp, 1)
     finally:
         tracemalloc.stop()
     pair = 2 * k * n * d * 8  # bytes of the clients' epoch rows and their augmented views
@@ -474,7 +477,7 @@ def test_stacked_constants_keep_their_memory_order():
     # snapshot heads are recorded transposed
     rng = np.random.default_rng(2)
     snaps = [HeadSnapshot(j, rng.normal(0.0, 0.7, (3, 8)), rng.normal(0.0, 0.3, 3)) for j in range(2)]
-    step = _matching_loss(snaps, HyperParams(lam=0.3), AugmentationSpec.identity(), None)
+    step = _matching_loss(snaps, HyperParams(lam=0.3), AugmentationSpec.identity())
     params = init_params([3, 8], 3, 0)
     clients = [step.feeds(rng.normal(0.0, 1.0, (1, 3)), [c], 3) for c in range(2)]
     rec = _recorded(step, params, clients)
@@ -527,9 +530,9 @@ def test_snapshot_blocks_run_as_one_group_of_lanes(monkeypatch):
     monkeypatch.setattr(ad, "_STEP_CACHE", {})
     rng = np.random.default_rng(9)
     snaps = [HeadSnapshot(j, rng.normal(0.0, 0.7, (2, 6)), rng.normal(0.0, 0.3, 2)) for j in range(3)]
-    step = _matching_loss(snaps, HyperParams(lam=0.5), AugmentationSpec.gaussian_noise(0.2), rng)
+    step = _matching_loss(snaps, HyperParams(lam=0.5), AugmentationSpec.gaussian_noise(0.2))
     params = init_params([3, 6], 2, 1)
-    clients = [step.feeds(rng.normal(0.0, 1.0, (5, 3)), rng.integers(0, 2, 5), 2) for _ in range(3)]
+    clients = [step.feeds(rng.normal(0.0, 1.0, (5, 3)), rng.integers(0, 2, 5), 2, rng=rng) for _ in range(3)]
     rec = _recorded(step, params, clients)
     assert _compiled(rec, params, clients) == [_fresh(step, params, values) for values in clients]
     tape = rec.tape
@@ -610,9 +613,9 @@ def test_a_lane_read_by_lane_0_is_read_lane_by_lane(monkeypatch):
 def _views_step(snaps, gm_enabled=True):
     """A source client's recorded step on 5 rows, compiled for 3 clients, checked against fresh recordings."""
     rng = np.random.default_rng(12)
-    step = _matching_loss(snaps, HyperParams(lam=0.5, gm_enabled=gm_enabled), AugmentationSpec.gaussian_noise(0.2), rng)
+    step = _matching_loss(snaps, HyperParams(lam=0.5, gm_enabled=gm_enabled), AugmentationSpec.gaussian_noise(0.2))
     params = init_params([3, 6], 2, 1)
-    clients = [step.feeds(rng.normal(0.0, 1.0, (5, 3)), rng.integers(0, 2, 5), 2) for _ in range(3)]
+    clients = [step.feeds(rng.normal(0.0, 1.0, (5, 3)), rng.integers(0, 2, 5), 2, rng=rng) for _ in range(3)]
     tape, _, leaves, loss, stat_nodes = _record(step, params, clients[0])
     rec = _Recorded(tape, [np.stack([a] * len(clients)) for a in params.arrays()], leaves, loss, stat_nodes)
     assert _compiled(rec, params, clients) == [_fresh(step, params, values) for values in clients]
