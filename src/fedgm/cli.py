@@ -2,8 +2,10 @@
 
 Configs are strict JSON: unknown keys are errors so typos cannot silently
 fall back to defaults, and numbers a float cannot hold (Infinity, NaN, 1e400)
-are rejected. All randomness in a run flows from one root seed, so
-identical invocations write identical metrics files.
+are rejected. The reader only maps keys onto the config dataclasses;
+``Config.validate`` checks every value, as it does for a config built in
+Python. All randomness in a run flows from one root seed, so identical
+invocations write identical metrics files.
 """
 
 from __future__ import annotations
@@ -29,11 +31,20 @@ from .files import parse_json, write_atomic
 from .model import HeadSnapshot, flatten, init_params, save_checkpoint, stage_params, unflatten
 from .objective import cross_entropy, head_grad, local_loss
 
-# config key of the hp object -> HyperParams field: every field but seed,
-# which config.seeds sets; "lambda" sets lam. Each key's default and type
-# come from HyperParams.
+# config key of the hp object -> HyperParams field, whose default it takes:
+# every field but seed, which config.seeds sets; "lambda" sets lam.
 HP_KEYS = {
     ("lambda" if f.name == "lam" else f.name): f.name for f in fields(HyperParams) if f.name != "seed"
+}
+
+# kind -> (required, optional) keys of the data and augmentation objects
+DATA_KEYS = {
+    "rotated_moons": (("angles", "n_per_domain"), ("noise_sigma", "classes")),
+    "textured": (("n_domains", "side", "n_per_domain"), ("classes",)),
+}
+AUGMENTATION_KEYS = {
+    "identity": ((), ()), "gaussian_noise": (("sigma",), ()),
+    "input_rotation": (("max_degrees",), ()), "amplitude_mix": (("eta_max",), ()),
 }
 
 
@@ -49,122 +60,78 @@ def _expect(obj, path, keys_required, keys_optional):
             raise ParseError(f"{path}.{key}: missing required key")
 
 
-def _typed(obj, path, key, types, default=None, required=False):
-    if key not in obj:
-        if required:
-            raise ParseError(f"{path}.{key}: missing required key")
-        return default
-    value = obj[key]
-    if isinstance(value, bool) and bool not in (types if isinstance(types, tuple) else (types,)):
-        raise ParseError(f"{path}.{key}: expected {types}, got a boolean")
-    if not isinstance(value, types):
-        raise ParseError(f"{path}.{key}: expected {types}, got {type(value).__name__}")
-    return value
+def _kind(raw: dict, path: str, keys_by_kind: dict, what: str) -> str:
+    """The object's kind, once its keys are those of that kind."""
+    if "kind" not in raw:
+        raise ParseError(f"{path}.kind: missing required key")
+    kind = raw["kind"]
+    for name, (required, optional) in keys_by_kind.items():
+        if kind == name:
+            _expect(raw, path, ("kind", *required), optional)
+            return kind
+    raise ParseError(f"{path}.kind: unknown {what} '{kind}'")
 
 
-def _float(value, where: str) -> float:
-    """float() of a JSON number; an integer too large for a float is a ParseError."""
+def _widen(value, where: str):
+    """A JSON integer for a float setting as a float; any other value as is."""
+    if type(value) is not int:
+        return value
     try:
         return float(value)
     except OverflowError:
         raise ParseError(f"{where}: integer too large for a float") from None
 
 
-def _parse_data(raw) -> DataSpec:
-    kind = _typed(raw, "data", "kind", str, required=True)
+def _parse_data(raw: dict) -> DataSpec:
+    kind = _kind(raw, "data", DATA_KEYS, "generator")
+    values = dict(raw)
     if kind == "rotated_moons":
-        _expect(raw, "data", ("kind", "angles", "n_per_domain"), ("noise_sigma", "classes"))
-        angles = _typed(raw, "data", "angles", list, required=True)
-        if not angles or not all(isinstance(a, (int, float)) and not isinstance(a, bool) for a in angles):
-            raise ParseError("data.angles: expected a non-empty list of numbers")
-        return DataSpec(
-            kind=kind,
-            angles=[_float(a, f"data.angles[{i}]") for i, a in enumerate(angles)],
-            n_per_domain=_typed(raw, "data", "n_per_domain", int, required=True),
-            noise_sigma=_float(_typed(raw, "data", "noise_sigma", (int, float), default=0.1), "data.noise_sigma"),
-            classes=_typed(raw, "data", "classes", int, default=2),
-        )
-    if kind == "textured":
-        _expect(raw, "data", ("kind", "n_domains", "side", "n_per_domain"), ("classes",))
-        return DataSpec(
-            kind=kind,
-            n_domains=_typed(raw, "data", "n_domains", int, required=True),
-            side=_typed(raw, "data", "side", int, required=True),
-            n_per_domain=_typed(raw, "data", "n_per_domain", int, required=True),
-            classes=_typed(raw, "data", "classes", int, default=2),
-        )
-    raise ParseError(f"data.kind: unknown generator '{kind}'")
+        if not isinstance(raw["angles"], list):
+            raise ParseError("data.angles: expected a list")
+        values["angles"] = [_widen(a, f"data.angles[{i}]") for i, a in enumerate(raw["angles"])]
+        values["noise_sigma"] = _widen(raw.get("noise_sigma", 0.1), "data.noise_sigma")
+    return DataSpec(**values)
 
 
-def _number(raw, path: str, key: str) -> float:
-    return _float(_typed(raw, path, key, (int, float), required=True), f"{path}.{key}")
-
-
-def _parse_augmentation(raw) -> AugmentationSpec:
-    kind = _typed(raw, "augmentation", "kind", str, required=True)
+def _parse_augmentation(raw: dict) -> AugmentationSpec:
+    _kind(raw, "augmentation", AUGMENTATION_KEYS, "kind")
     try:
-        if kind == "identity":
-            _expect(raw, "augmentation", ("kind",), ())
-            return AugmentationSpec.identity()
-        if kind == "gaussian_noise":
-            _expect(raw, "augmentation", ("kind", "sigma"), ())
-            return AugmentationSpec.gaussian_noise(_number(raw, "augmentation", "sigma"))
-        if kind == "input_rotation":
-            _expect(raw, "augmentation", ("kind", "max_degrees"), ())
-            return AugmentationSpec.input_rotation(_number(raw, "augmentation", "max_degrees"))
-        if kind == "amplitude_mix":
-            _expect(raw, "augmentation", ("kind", "eta_max"), ())
-            return AugmentationSpec.amplitude_mix(_number(raw, "augmentation", "eta_max"))
+        return AugmentationSpec(**{key: _widen(value, f"augmentation.{key}") for key, value in raw.items()})
     except UsageError as e:
         raise ParseError(f"augmentation: {e}") from None
-    raise ParseError(f"augmentation.kind: unknown kind '{kind}'")
 
 
-def _parse_hp(raw, n_sources: int) -> HyperParams:
+def _parse_hp(raw: dict, min_votes: int) -> HyperParams:
     _expect(raw, "hp", (), HP_KEYS)
-    # one vote suffices when only two sources can vote
-    defaults = HyperParams(min_votes=2 if n_sources >= 3 else 1)
-    values = {}
-    for key, name in HP_KEYS.items():
-        default = getattr(defaults, name)
-        kind = type(default)
-        value = _typed(raw, "hp", key, (int, float) if kind is float else kind, default=default)
-        values[name] = _float(value, f"hp.{key}") if kind is float else kind(value)
-    return HyperParams(**values)
+    hp = HyperParams(min_votes=min_votes)
+    for key, value in raw.items():
+        name = HP_KEYS[key]
+        setattr(hp, name, _widen(value, f"hp.{key}") if isinstance(getattr(hp, name), float) else value)
+    return hp
 
 
 def parse_config_dict(raw: dict) -> Config:
-    _expect(
-        raw,
-        "config",
-        ("experiment", "mode", "data", "held_out", "arch", "seeds"),
-        ("augmentation", "hp", "out_dir"),
-    )
-    mode = _typed(raw, "config", "mode", str, required=True)
-    if mode not in ("dg", "da"):
-        raise ParseError(f"mode: expected 'dg' or 'da', got '{mode}'")
-    data = _parse_data(_typed(raw, "config", "data", dict, required=True))
-    arch = _typed(raw, "config", "arch", list, required=True)
-    if not arch or not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in arch):
-        raise ParseError("arch: expected a non-empty list of positive integers")
-    seeds = _typed(raw, "config", "seeds", list, required=True)
-    if not seeds or not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in seeds):
-        raise ParseError("seeds: expected a non-empty list of non-negative integers")
-    repeated = next((s for i, s in enumerate(seeds) if s in seeds[:i]), None)
-    if repeated is not None:
-        raise ParseError(f"seeds: seed {repeated} is listed more than once")
-    aug_raw = _typed(raw, "config", "augmentation", dict, default={"kind": "identity"})
-    experiment = _typed(raw, "config", "experiment", str, required=True)
+    """The config a JSON object describes: the reader checks its keys, and
+    ``Config.validate``'s UsageError on a value is re-raised as a ParseError."""
+    required = ("experiment", "mode", "data", "held_out", "arch", "seeds")
+    _expect(raw, "config", required, ("augmentation", "hp", "out_dir"))
+    for key in ("data", "augmentation", "hp"):
+        if not isinstance(raw.get(key, {}), dict):
+            raise ParseError(f"config.{key}: expected an object")
+    data = _parse_data(raw["data"])
+    # one vote suffices when only two sources can vote (a domain count that
+    # is not an integer fails validate, whatever the default)
+    n_domains = data.domain_count
     config = Config(
-        experiment=experiment,
-        mode=mode,
+        experiment=raw["experiment"],
+        mode=raw["mode"],
         data=data,
-        held_out=_typed(raw, "config", "held_out", int, required=True),
-        arch=[int(d) for d in arch],
-        augmentation=_parse_augmentation(aug_raw),
-        hp=_parse_hp(raw.get("hp", {}), n_sources=data.domain_count - 1),
-        out_dir=_typed(raw, "config", "out_dir", str, default=f"runs/{experiment}"),
-        seeds=[int(s) for s in seeds],
+        held_out=raw["held_out"],
+        arch=raw["arch"],
+        augmentation=_parse_augmentation(raw.get("augmentation", {"kind": "identity"})),
+        hp=_parse_hp(raw.get("hp", {}), min_votes=2 if isinstance(n_domains, int) and n_domains >= 4 else 1),
+        out_dir=raw.get("out_dir", f"runs/{raw['experiment']}"),
+        seeds=raw["seeds"],
     )
     try:
         config.validate()
@@ -461,10 +428,10 @@ def _load_run_config(args) -> Config:
     raw = _read_json(args.config)
     if args.override:
         raw = apply_overrides(raw, args.override)
+    if args.seed and isinstance(raw, dict) and isinstance(raw.get("seeds"), list):
+        # the flag's seeds join the config's before the parse, so they pass the same checks
+        raw = dict(raw, seeds=raw["seeds"] + [s for s in args.seed if s not in raw["seeds"]])
     config = parse_config_dict(raw)
-    if args.seed:
-        # parsed again so the flag's seeds pass the same checks as the config's
-        config = parse_config_dict(dict(raw, seeds=config.seeds + [s for s in args.seed if s not in config.seeds]))
     if args.out is not None:
         config = replace(config, out_dir=args.out)
     return config

@@ -1,10 +1,9 @@
 """Experiment configuration: the data, model and optimizer settings of a run.
 
-``Config.validate`` checks the data kind, that every count, size, index and
-seed is an integer, then the class count, the domain size, the grid side,
-the domain count, the held-out index, the input width, the noise level, the
-augmentation, the hyperparameters and, for adaptation, the vote quorum; the
-JSON parser and the round protocol both call it.
+``Config.validate`` is the one check of a config's values: the type of
+every field first, then every range and cross-field rule. The JSON reader
+and the round protocol both call it, so a config built in Python gets the
+check, and the messages, of one read from a file.
 """
 
 from __future__ import annotations
@@ -12,17 +11,24 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass, field
 
-from .data import AugmentationSpec, _n_test
+from .data import AugmentationSpec, _n_test, finite_number
 from .errors import UsageError
 
 
+def _integer(value) -> bool:
+    """Whether ``value`` is an integer; a numpy integer is one, a bool is not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _require(ok: bool, name: str, what: str, value) -> None:
+    """Raise UsageError, naming the setting and its value, unless ``ok``."""
+    if not ok:
+        raise UsageError(f"{name} must be {what}, got {value!r}")
+
+
 def _require_integer(name: str, value, minimum: int | None = None) -> None:
-    """Raise UsageError unless ``value`` is an integer (a numpy integer is one,
-    a bool or a float is not) and, if ``minimum`` is given, at least that."""
-    integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-    if not integer or (minimum is not None and value < minimum):
-        at_least = "" if minimum is None else f" >= {minimum}"
-        raise UsageError(f"{name} must be an integer{at_least}, got {value!r}")
+    at_least = "" if minimum is None else f" >= {minimum}"
+    _require(_integer(value) and (minimum is None or value >= minimum), name, f"an integer{at_least}", value)
 
 
 @dataclass
@@ -44,6 +50,11 @@ class HyperParams:
     gm_enabled: bool = True
 
     def validate(self) -> None:
+        for name in ("lam", "lr0", "lr1", "momentum", "weight_decay", "tau"):
+            value = getattr(self, name)
+            _require(finite_number(value), f"hp.{'lambda' if name == 'lam' else name}", "a finite number", value)
+        for name in ("inter_normalize", "gm_enabled"):
+            _require(isinstance(getattr(self, name), bool), f"hp.{name}", "true or false", getattr(self, name))
         if not 0.0 <= self.lam <= 1.0:
             raise UsageError(f"hp.lambda must lie in [0, 1], got {self.lam}")
         if not self.lr0 >= self.lr1 > 0.0:
@@ -90,16 +101,31 @@ class Config:
     seeds: list[int]
 
     def validate(self) -> None:
-        """Raise UsageError unless the data kind is known, the integer settings
-        are integers, and the class count, domain size (a train split of at
-        least one row per class), grid side, domain count, held-out index,
-        input width, noise level, augmentation and hp fit, and in adaptation
-        mode enough sources can vote."""
+        """Raise UsageError unless the data kind is known, every field has its
+        type, and the class count, domain size (a train split of at least one
+        row per class), grid side, noise level, domain count, held-out index,
+        input width, augmentation and hp fit, and in mode "da" enough sources
+        can vote."""
         if self.data.kind not in DataSpec.KINDS:
             raise UsageError(f"data.kind: unknown generator '{self.data.kind}'")
+        _require(self.mode in ("dg", "da"), "mode", "'dg' or 'da'", self.mode)
+        for name in ("experiment", "out_dir"):
+            _require(isinstance(getattr(self, name), str), name, "a string", getattr(self, name))
+        arch, seeds = self.arch, self.seeds
+        widths = isinstance(arch, list) and arch and all(_integer(d) and d >= 1 for d in arch)
+        _require(widths, "arch", "a non-empty list of positive integers", arch)
+        valid_seeds = isinstance(seeds, list) and seeds and all(_integer(s) and s >= 0 for s in seeds)
+        _require(valid_seeds, "seeds", "a non-empty list of non-negative integers", seeds)
+        repeated = next((s for i, s in enumerate(seeds) if s in seeds[:i]), None)
+        if repeated is not None:
+            raise UsageError(f"seeds: seed {repeated} is listed more than once")
         _require_integer("held_out", self.held_out)
         for name in ("n_per_domain", "n_domains", "side", "classes"):
             _require_integer(f"data.{name}", getattr(self.data, name))
+        angles, noise = self.data.angles, self.data.noise_sigma
+        numbers_only = isinstance(angles, list) and all(map(finite_number, angles))
+        _require(numbers_only, "data.angles", "a list of finite numbers", angles)
+        _require(finite_number(noise), "data.noise_sigma", "a finite number", noise)
         if self.data.classes < 2:
             raise UsageError(f"data.classes must be >= 2, got {self.data.classes}")
         # every domain's train split (all of one size) must be able to hold every class
@@ -118,10 +144,9 @@ class Config:
             raise UsageError(f"data: need at least 2 domains, one held out and one source, got {n_domains}")
         if not 0 <= self.held_out < n_domains:
             raise UsageError(f"held_out: index {self.held_out} outside the {n_domains} configured domains")
-        d_in = self.arch[0] if self.arch else 0
         width = 2 if self.data.kind == "rotated_moons" else self.data.side * self.data.side
-        if d_in != width:
-            raise UsageError(f"arch: input width {d_in} does not match the data width {width}")
+        if self.arch[0] != width:
+            raise UsageError(f"arch: input width {self.arch[0]} does not match the data width {width}")
         kind = self.augmentation.kind
         if kind == "input_rotation" and width != 2:
             raise UsageError(f"augmentation: input_rotation needs 2-d rows, got width {width}")

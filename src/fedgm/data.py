@@ -10,6 +10,7 @@ not.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -36,6 +37,11 @@ class DomainDataset:
         return DomainDataset(self.domain_id, self.X[idx].copy(), self.y[idx].copy())
 
 
+def finite_number(value) -> bool:
+    """Whether ``value`` is a finite real; a numpy float is one, a bool is not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class AugmentationSpec:
     """Tagged, label-preserving augmentation applied rowwise to a batch."""
@@ -50,12 +56,12 @@ class AugmentationSpec:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise UsageError(f"unknown augmentation kind '{self.kind}'")
-        if self.sigma < 0.0:
-            raise UsageError(f"gaussian_noise sigma must be >= 0, got {self.sigma}")
-        if not 0.0 <= self.max_degrees <= 180.0:
-            raise UsageError(f"input_rotation max_degrees must lie in [0, 180], got {self.max_degrees}")
-        if not 0.0 <= self.eta_max <= 1.0:
-            raise UsageError(f"amplitude_mix eta_max must lie in [0, 1], got {self.eta_max}")
+        if not (finite_number(self.sigma) and self.sigma >= 0.0):
+            raise UsageError(f"gaussian_noise sigma must be a finite number >= 0, got {self.sigma!r}")
+        if not (finite_number(self.max_degrees) and 0.0 <= self.max_degrees <= 180.0):
+            raise UsageError(f"input_rotation max_degrees must lie in [0, 180], got {self.max_degrees!r}")
+        if not (finite_number(self.eta_max) and 0.0 <= self.eta_max <= 1.0):
+            raise UsageError(f"amplitude_mix eta_max must lie in [0, 1], got {self.eta_max!r}")
 
     @classmethod
     def identity(cls) -> "AugmentationSpec":

@@ -4,11 +4,12 @@ import json
 import re
 from dataclasses import fields, replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from fedgm import cli, experiments
+from fedgm import cli, experiments, federation
 from fedgm.cli import (
     apply_overrides,
     cmd_grad_check,
@@ -18,7 +19,8 @@ from fedgm.cli import (
     parse_config_dict,
 )
 from fedgm.errors import DivergenceError, ParseError, UsageError
-from fedgm.federation import HyperParams, MetricsTable, run_da
+from fedgm.config import Config, DataSpec
+from fedgm.federation import HyperParams, MetricsTable, run_da, run_dg
 from fedgm.model import init_params, save_checkpoint
 
 BASE = {
@@ -243,6 +245,90 @@ def test_parse_arch_width_checked(tmp_path):
     payload = dict(BASE, arch=[3, 8])
     with pytest.raises(ParseError, match="arch"):
         parse_config(_write(tmp_path, payload))
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def _set(node, key, value):
+    """Set the dotted ``key`` on a raw config dict or on a Config."""
+    *path, name = key.split(".")
+    for part in path:
+        node = node[part] if isinstance(node, dict) else getattr(node, part)
+    if isinstance(node, dict):
+        node[name] = value
+    else:
+        setattr(node, cli.HP_KEYS[name] if path == ["hp"] else name, value)
+
+
+# each value is refused with the same message whether the config is read
+# from JSON or built in Python; before Config.validate checked every field,
+# the Python-built ones ran as the wrong arm, raised TypeError or diverged
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("hp.lambda", True, "hp.lambda must be a finite number, got True"),
+        ("hp.tau", True, "hp.tau must be a finite number, got True"),
+        ("hp.momentum", False, "hp.momentum must be a finite number, got False"),
+        ("hp.gm_enabled", "no", "hp.gm_enabled must be true or false, got 'no'"),
+        ("hp.inter_normalize", 1, "hp.inter_normalize must be true or false, got 1"),
+        ("arch", [2, True, 32], "arch must be a non-empty list of positive integers, got [2, True, 32]"),
+        ("arch", [2, 32.0, 32], "arch must be a non-empty list of positive integers, got [2, 32.0, 32]"),
+        ("hp.lambda", "0.5", "hp.lambda must be a finite number, got '0.5'"),
+        ("data.angles", [0.0, "30", 60.0], "data.angles must be a list of finite numbers, got [0.0, '30', 60.0]"),
+        ("hp.lr0", INF, "hp.lr0 must be a finite number, got inf"),
+        ("data.noise_sigma", INF, "data.noise_sigma must be a finite number, got inf"),
+        ("data.angles", [0.0, NAN, 60.0], "data.angles must be a list of finite numbers, got [0.0, nan, 60.0]"),
+        ("seeds", [0, 0], "seeds: seed 0 is listed more than once"),
+        ("mode", "dga", "mode must be 'dg' or 'da', got 'dga'"),
+        ("arch", [], "arch must be a non-empty list of positive integers, got []"),
+        ("arch", [2, 0], "arch must be a non-empty list of positive integers, got [2, 0]"),
+        ("arch", "2,8", "arch must be a non-empty list of positive integers, got '2,8'"),
+        ("seeds", [], "seeds must be a non-empty list of non-negative integers, got []"),
+        ("seeds", [-1], "seeds must be a non-empty list of non-negative integers, got [-1]"),
+        ("seeds", [True], "seeds must be a non-empty list of non-negative integers, got [True]"),
+        ("data.angles", [], "data: need at least 2 domains, one held out and one source, got 0"),
+    ],
+)
+def test_json_and_python_configs_get_one_check(monkeypatch, key, value, message):
+    raw = json.loads(json.dumps(BASE))
+    _set(raw, key, value)
+    with pytest.raises(ParseError) as parsed:
+        parse_config_dict(raw)
+    assert str(parsed.value) == message
+    config = parse_config_dict(json.loads(json.dumps(BASE)))
+    _set(config, key, json.loads(json.dumps(value)))
+    monkeypatch.setattr(federation, "local_train", mock.Mock(side_effect=AssertionError("trained")))
+    runner = {"dg": run_dg, "da": run_da}.get(config.mode, Config.validate)
+    with pytest.raises(UsageError) as built:
+        runner(config)
+    assert str(built.value) == message
+
+
+# a value of a type no field takes, and one of a wrong type for each annotation
+WRONG_TYPE = {"str": 1, "int": 2.0, "float": "0.5", "bool": 1, "list[int]": (2, 8), "list[float]": "0"}
+
+
+@pytest.mark.parametrize(
+    "prefix, owner, name",
+    [
+        (prefix, owner, f.name)
+        for prefix, owner in (("", Config), ("data.", DataSpec), ("hp.", HyperParams))
+        for f in fields(owner)
+        if f.name not in ("data", "augmentation", "hp")
+    ],
+)
+@pytest.mark.parametrize("wrong", ["annotated", None])
+def test_validate_checks_the_type_of_every_field(prefix, owner, name, wrong):
+    # a field added without a check in Config.validate fails here
+    annotation = {f.name: f.type for f in fields(owner)}[name]
+    value = WRONG_TYPE[annotation] if wrong == "annotated" else None
+    config = parse_config_dict(json.loads(json.dumps(BASE)))
+    node = {Config: config, DataSpec: config.data, HyperParams: config.hp}[owner]
+    setattr(node, name, value)
+    key = "lambda" if name == "lam" else name
+    with pytest.raises(UsageError, match=rf"^{re.escape(prefix + key)}\b"):
+        config.validate()
 
 
 def test_overrides_dotted_paths():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -185,6 +186,28 @@ def test_augmentation_spec_validation():
         AugmentationSpec("amplitude_mix", eta_max=1.5)
     with pytest.raises(UsageError):
         AugmentationSpec("cutout")
+
+
+@pytest.mark.parametrize(
+    "build, value",
+    [
+        (AugmentationSpec.gaussian_noise, math.nan),
+        (AugmentationSpec.gaussian_noise, math.inf),
+        (AugmentationSpec.gaussian_noise, "x"),
+        (AugmentationSpec.gaussian_noise, True),
+        (AugmentationSpec.input_rotation, math.nan),
+        (AugmentationSpec.input_rotation, "30"),
+        (AugmentationSpec.input_rotation, True),
+        (AugmentationSpec.amplitude_mix, math.nan),
+        (AugmentationSpec.amplitude_mix, "0.5"),
+        (AugmentationSpec.amplitude_mix, False),
+    ],
+)
+def test_augmentation_spec_rejects_a_parameter_that_is_not_a_finite_number(build, value):
+    # NaN fails every comparison, so a check written as "sigma < 0" let it
+    # through, and the run diverged at round 1; a string raised TypeError
+    with pytest.raises(UsageError, match=f"got {re.escape(repr(value))}$"):
+        build(value)
 
 
 def test_amplitude_mix_eta_zero_is_identity():

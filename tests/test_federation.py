@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import itertools
+import math
 import re
 from unittest import mock
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from fedgm.cli import Config, DataSpec
 from fedgm import federation
 from fedgm import rng as streams
-from fedgm.data import AugmentationSpec, DomainDataset, batch_iter, gen_rotated_domains
+from fedgm.data import AugmentationSpec, DomainDataset, batch_iter, gen_rotated_domains, train_test_split
 from fedgm.errors import ContractError, DivergenceError, UsageError
 from fedgm.federation import (
     ClientUpdate,
@@ -529,6 +530,28 @@ def test_run_dg_amplitude_mix_one_row_batch_rejected_up_front():
         run_dg(_textured_amix_config(241, 16))
     with pytest.raises(UsageError, match=r"batch 1 .* domain 1"):
         run_dg(_textured_amix_config(60, 1))
+
+
+def test_run_dg_trains_a_split_that_misses_a_class():
+    # label skew across clients is ordinary in federated learning: a source
+    # whose train split lacks a class still trains, and the run finishes
+    config = Config(
+        experiment="unit",
+        mode="dg",
+        data=DataSpec(kind="textured", n_domains=3, side=8, n_per_domain=5, classes=3),
+        held_out=0,
+        arch=[64, 8],
+        augmentation=AugmentationSpec.gaussian_noise(0.1),
+        hp=HyperParams(rounds=2, batch=2, seed=1),
+        out_dir="unused",
+        seeds=[1],
+    )
+    split_seed = streams.subseed(1, streams.SPLIT)
+    train = {ds.domain_id: train_test_split(ds, split_seed)[0] for ds in federation.build_domains(config)}
+    assert 2 not in train[2].y and all(2 in train[d].y for d in (0, 1))
+    table = run_dg(config)
+    assert len(table.rows) == 26
+    assert all(math.isfinite(value) for *_, value in table.rows)
 
 
 def _vote_per_sample(models, X, tau, min_votes):
