@@ -5,6 +5,10 @@ the op tag, the input node ids, the forward value, and whatever the backward
 rule needs. Node ids are list indices, so inputs always precede outputs and a
 single reverse sweep visits each node exactly once.
 
+Each op tag is defined once, as one entry of ``_OPS``: its eager forward and
+backward rules, and the source templates ``compile_step`` builds from. The
+eager rules are the reference; a template issues the kernels of its rule.
+
 Graphs are built eagerly (define-by-run), one op at a time, and ``backward``
 differentiates a freshly recorded tape. A step whose graph depends only on
 shapes and configuration can also be compiled: ``compile_step`` turns one
@@ -26,7 +30,8 @@ Tensors are plain ``numpy.ndarray`` values in float64, row-major. Scalars are
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+import operator
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,36 +70,17 @@ def _require_2d(kind: str, a: Array) -> None:
 # diagnostics on the failure path.
 
 
-def _fw_add(vals, const):
-    a, b = vals
-    try:
-        return a + b, None
-    except ValueError:
-        raise ShapeError(f"add: dims {a.shape} and {b.shape} are not conformable") from None
+def _fw_elementwise(kind: str, fn: Callable) -> Callable:
+    """The forward rule of ``kind``, the broadcasting binary operator ``fn``."""
 
+    def rule(vals, const):
+        a, b = vals
+        try:
+            return fn(a, b), None
+        except ValueError:
+            raise ShapeError(f"{kind}: dims {a.shape} and {b.shape} are not conformable") from None
 
-def _fw_sub(vals, const):
-    a, b = vals
-    try:
-        return a - b, None
-    except ValueError:
-        raise ShapeError(f"sub: dims {a.shape} and {b.shape} are not conformable") from None
-
-
-def _fw_mul(vals, const):
-    a, b = vals
-    try:
-        return a * b, None
-    except ValueError:
-        raise ShapeError(f"elementwise-mul: dims {a.shape} and {b.shape} are not conformable") from None
-
-
-def _fw_div(vals, const):
-    a, b = vals
-    try:
-        return a / b, None
-    except ValueError:
-        raise ShapeError(f"div: dims {a.shape} and {b.shape} are not conformable") from None
+    return rule
 
 
 def _fw_scale(vals, const):
@@ -157,25 +143,6 @@ def _fw_l2_norm(vals, const):
 
 def _fw_flatten_concat(vals, const):
     return np.concatenate([v.ravel() for v in vals]), [v.shape for v in vals]
-
-
-_FORWARD: dict[str, Callable] = {
-    "add": _fw_add,
-    "sub": _fw_sub,
-    "elementwise-mul": _fw_mul,
-    "div": _fw_div,
-    "scale-by-constant": _fw_scale,
-    "matmul": _fw_matmul,
-    "transpose": _fw_transpose,
-    "relu": _fw_relu,
-    "exp": _fw_exp,
-    "log-softmax-rows": _fw_log_softmax,
-    "reduce-sum": _fw_reduce_sum,
-    "reduce-mean": _fw_reduce_mean,
-    "dot": _fw_dot,
-    "l2-norm": _fw_l2_norm,
-    "flatten-concat": _fw_flatten_concat,
-}
 
 
 # --- backward rules ---------------------------------------------------------
@@ -280,25 +247,75 @@ def _bw_flatten_concat(g, vals, out, saved, needs):
     return tuple(grads)
 
 
-_BACKWARD: dict[str, Callable] = {
-    "add": _bw_add,
-    "sub": _bw_sub,
-    "elementwise-mul": _bw_mul,
-    "div": _bw_div,
-    "scale-by-constant": _bw_scale,
-    "matmul": _bw_matmul,
-    "transpose": _bw_transpose,
-    "relu": _bw_relu,
-    "exp": _bw_exp,
-    "log-softmax-rows": _bw_log_softmax,
-    "reduce-sum": _bw_reduce_sum,
-    "reduce-mean": _bw_reduce_mean,
-    "dot": _bw_dot,
-    "l2-norm": _bw_l2_norm,
-    "flatten-concat": _bw_flatten_concat,
+class _Op(NamedTuple):
+    """One op tag's entry: its eager rules, the reference, and their templates
+    for ``compile_step``: ``fw_src`` the forward's source lines, ``bw_src`` one
+    adjoint expression per input, so the op takes ``len(bw_src)`` inputs
+    (flatten-concat takes one or more, and ``_grad_exprs`` builds its slices).
+    """
+
+    forward: Callable  # (input values, const) -> (output value, saved)
+    backward: Callable  # (adjoint, input values, output value, saved, needs) -> grads
+    fw_src: list[str]
+    bw_src: tuple[str, ...]
+
+
+# Templates run an op for k clients at once: every value has a leading client
+# axis, a group of S lanes (see _lanes) has (k, S). {a} and {b} name the inputs
+# shaped to broadcast as the rule's operands, {A}/{B} unshaped with leading
+# dims {ka}/{kb}; {o} is the output, {g} its adjoint, {n} the node, {lead} its
+# leading dims, {c} the constant, and {ra}/{rb} reshape a scalar to broadcast
+# against {a}/{b}. Each kernel gives a slice the bytes the rule gives that
+# client alone: matmul and transposes per slice, reductions only over the
+# rule's axes, dot and l2-norm as (1, n) @ (n, 1).
+
+_OPS: dict[str, _Op] = {
+    "add": _Op(_fw_elementwise("add", operator.add), _bw_add, ["{o} = {a} + {b}"], ("{g}", "{g}")),
+    "sub": _Op(_fw_elementwise("sub", operator.sub), _bw_sub, ["{o} = {a} - {b}"], ("{g}", "(-{g})")),
+    "elementwise-mul": _Op(
+        _fw_elementwise("elementwise-mul", operator.mul), _bw_mul,
+        ["{o} = {a} * {b}"], ("({g} * {b})", "({g} * {a})"),
+    ),
+    "div": _Op(
+        _fw_elementwise("div", operator.truediv), _bw_div,
+        ["{o} = {a} / {b}"], ("({g} / {b})", "(-{g} * {a} / ({b} * {b}))"),
+    ),
+    "scale-by-constant": _Op(_fw_scale, _bw_scale, ["{o} = {a} * {c}"], ("{g} * {c}",)),
+    "matmul": _Op(
+        _fw_matmul, _bw_matmul, ["{o} = {a} @ {b}"], ("{g} @ {b}.swapaxes(-1, -2)", "{a}.swapaxes(-1, -2) @ {g}")
+    ),
+    "transpose": _Op(_fw_transpose, _bw_transpose, ["{o} = {a}.swapaxes(-1, -2)"], ("{g}.swapaxes(-1, -2)",)),
+    "relu": _Op(_fw_relu, _bw_relu, ["{o} = maximum({a}, 0.0)", "m{n} = {a} > 0.0"], ("{g} * m{n}",)),
+    "exp": _Op(_fw_exp, _bw_exp, ["{o} = exp({a})"], ("{g} * {o}",)),
+    "log-softmax-rows": _Op(
+        _fw_log_softmax, _bw_log_softmax,
+        [
+            "s{n} = {a} - {a}.max(axis=-1, keepdims=True)",
+            "{o} = s{n} - log(exp(s{n}).sum(axis=-1, keepdims=True))",
+            "m{n} = exp({o})",
+        ],
+        ("{g} - m{n} * {g}.sum(axis=-1, keepdims=True)",),
+    ),
+    "reduce-sum": _Op(_fw_reduce_sum, _bw_reduce_sum, ["{o} = {a}.sum(axis={rest})"], ("full_like({a}, {g}{ra})",)),
+    "reduce-mean": _Op(
+        _fw_reduce_mean, _bw_reduce_mean, ["{o} = {a}.mean(axis={rest})"], ("full_like({a}, ({g} / {size}){ra})",)
+    ),
+    "dot": _Op(
+        _fw_dot, _bw_dot,
+        ["{o} = ({A}.reshape({ka}, 1, -1) @ {B}.reshape({kb}, -1, 1)).reshape({lead})"],
+        ("({g}{rb} * {b}).reshape({shape_a})", "({g}{ra} * {a}).reshape({shape_b})"),
+    ),
+    # the zero-norm subgradient depends on each client's value, so it is
+    # selected per slice (and the division never sees that zero)
+    "l2-norm": _Op(
+        _fw_l2_norm, _bw_l2_norm,
+        ["{o} = sqrt(({A}.reshape({ka}, 1, -1) @ {A}.reshape({ka}, -1, 1)).reshape({lead}))"],
+        ("where({o}{ra} == 0.0, 0.0, {a} * ({g} / where({o} == 0.0, 1.0, {o})){ra})",),
+    ),
+    "flatten-concat": _Op(_fw_flatten_concat, _bw_flatten_concat, ["{o} = concatenate([{rows}], axis=-1)"], ()),
 }
 
-OP_TAGS = tuple(_FORWARD)
+OP_TAGS = tuple(_OPS)
 
 
 class Tape:
@@ -343,11 +360,16 @@ def op_apply(tape: Tape, kind: str, inputs, const: float | None = None) -> int:
     ``inputs`` is a node id or a sequence of node ids. ``const`` is only
     meaningful for scale-by-constant.
     """
-    fw = _FORWARD.get(kind)
-    if fw is None:
+    op = _OPS.get(kind)
+    if op is None:
         raise UsageError(f"unknown op tag '{kind}'")
-    ids = (inputs,) if isinstance(inputs, int) else tuple(inputs)
-    out, saved = fw([tape.vals[i] for i in ids], const)
+    ids = (inputs,) if isinstance(inputs, (int, np.integer)) else tuple(inputs)
+    if (len(ids) != len(op.bw_src)) if op.bw_src else not ids:
+        raise UsageError(f"{kind}: wrong number of inputs: expected {len(op.bw_src) or 'one or more'}, got {len(ids)}")
+    for i in ids:  # a loop, not all(): this runs on every recorded op
+        if not ((type(i) is int or isinstance(i, np.integer)) and 0 <= i < len(tape.ops)):
+            raise UsageError(f"{kind}: inputs must be node ids in [0, {len(tape.ops)}), got {ids}")
+    out, saved = op.forward([tape.vals[i] for i in ids], const)
     tape.ops.append(kind)
     tape.inputs.append(ids)
     tape.vals.append(out)
@@ -397,7 +419,7 @@ def backward(tape: Tape, loss: int) -> dict[int, Array]:
         if g is None:
             continue
         in_ids = inputs[nid]
-        grads = _BACKWARD[ops[nid]](g, [vals[i] for i in in_ids], vals[nid], saved[nid], in_needs)
+        grads = _OPS[ops[nid]].backward(g, [vals[i] for i in in_ids], vals[nid], saved[nid], in_needs)
         for iid, ig in zip(in_ids, grads):
             if ig is None:
                 continue
@@ -411,56 +433,6 @@ def backward(tape: Tape, loss: int) -> dict[int, Array]:
 
 
 # --- compiled steps -----------------------------------------------------------
-# Source templates of the rules above, run for k clients at once: every value
-# has a leading client axis, a group of S lanes (see _lanes) has (k, S). {a}
-# and {b} name the inputs shaped to broadcast as the rule's operands, {A}/{B}
-# unshaped with leading dims {ka}/{kb}; {o} is the output, {g} its adjoint,
-# {n} the node, {lead} its leading dims, {c} the constant, and {ra}/{rb}
-# reshape a scalar to broadcast against {a}/{b}. Each kernel gives a slice the
-# bytes the rule gives that client alone: matmul and transposes per slice,
-# reductions only over the rule's axes, dot and l2-norm as (1, n) @ (n, 1).
-
-_FW_SRC = {
-    "add": ["{o} = {a} + {b}"],
-    "sub": ["{o} = {a} - {b}"],
-    "elementwise-mul": ["{o} = {a} * {b}"],
-    "div": ["{o} = {a} / {b}"],
-    "scale-by-constant": ["{o} = {a} * {c}"],
-    "matmul": ["{o} = {a} @ {b}"],
-    "transpose": ["{o} = {a}.swapaxes(-1, -2)"],
-    "relu": ["{o} = maximum({a}, 0.0)", "m{n} = {a} > 0.0"],
-    "exp": ["{o} = exp({a})"],
-    "log-softmax-rows": [
-        "s{n} = {a} - {a}.max(axis=-1, keepdims=True)",
-        "{o} = s{n} - log(exp(s{n}).sum(axis=-1, keepdims=True))",
-        "m{n} = exp({o})",
-    ],
-    "reduce-sum": ["{o} = {a}.sum(axis={rest})"],
-    "reduce-mean": ["{o} = {a}.mean(axis={rest})"],
-    "dot": ["{o} = ({A}.reshape({ka}, 1, -1) @ {B}.reshape({kb}, -1, 1)).reshape({lead})"],
-    "l2-norm": ["{o} = sqrt(({A}.reshape({ka}, 1, -1) @ {A}.reshape({ka}, -1, 1)).reshape({lead}))"],
-    "flatten-concat": ["{o} = concatenate([{rows}], axis=-1)"],
-}
-
-# one adjoint expression per input; flatten-concat's slices are built apart
-_BW_SRC = {
-    "add": ("{g}", "{g}"),
-    "sub": ("{g}", "(-{g})"),
-    "elementwise-mul": ("({g} * {b})", "({g} * {a})"),
-    "div": ("({g} / {b})", "(-{g} * {a} / ({b} * {b}))"),
-    "scale-by-constant": ("{g} * {c}",),
-    "matmul": ("{g} @ {b}.swapaxes(-1, -2)", "{a}.swapaxes(-1, -2) @ {g}"),
-    "transpose": ("{g}.swapaxes(-1, -2)",),
-    "relu": ("{g} * m{n}",),
-    "exp": ("{g} * {o}",),
-    "log-softmax-rows": ("{g} - m{n} * {g}.sum(axis=-1, keepdims=True)",),
-    "reduce-sum": ("full_like({a}, {g}{ra})",),
-    "reduce-mean": ("full_like({a}, ({g} / {size}){ra})",),
-    "dot": ("({g}{rb} * {b}).reshape({shape_a})", "({g}{ra} * {a}).reshape({shape_b})"),
-    # the zero-norm subgradient depends on each client's value, so it is
-    # selected per slice (and the division never sees that zero)
-    "l2-norm": ("where({o}{ra} == 0.0, 0.0, {a} * ({g} / where({o} == 0.0, 1.0, {o})){ra})",),
-}
 
 _ELEMENTWISE = ("add", "sub", "elementwise-mul", "div")
 
@@ -527,7 +499,7 @@ def _grad_exprs(tape: Tape, nid: int, in_needs: tuple[bool, ...], names: dict) -
             exprs.append(f"{names['g']}[..., {offset}:{offset + size}].reshape({names['lead_shape'] + shape!r})")
             offset += size
     else:
-        exprs = [t.format(**names) for t in _BW_SRC[kind]]
+        exprs = [t.format(**names) for t in _OPS[kind].bw_src]
         if kind in _ELEMENTWISE:
             out_shape = tape.vals[nid].shape
             lead = len(names["lead_shape"])
@@ -697,7 +669,7 @@ def compile_step(tape: Tape, k: int, loss: int, outs: Sequence[int], fed: Sequen
             if ops[nid] == "exp" and ops[i] == "log-softmax-rows" and (i in lane) == (nid in lane):
                 body.append(f"{nm['o']} = m{nm['A'] if nid in lane else i}")  # the softmax it saved
             else:
-                body.extend(t.format(**nm) for t in _FW_SRC[ops[nid]])
+                body.extend(t.format(**nm) for t in _OPS[ops[nid]].fw_src)
         if nid in lane and nid not in tails:
             g = groups[lane[nid][0]]
             body.extend(f"v{m} = L{g[0]}[:, {j}]" for j, m in enumerate(g) if m in alone)

@@ -30,6 +30,7 @@ from .federation import MetricsTable, build_domains, run_da, run_dg
 from .files import parse_json, write_atomic
 from .model import HeadSnapshot, flatten, init_params, save_checkpoint, stage_params, unflatten
 from .objective import cross_entropy, head_grad, local_loss
+from .rng import substream
 
 # config key of the hp object -> HyperParams field, whose default it takes:
 # every field but seed, which config.seeds sets; "lambda" sets lam.
@@ -257,7 +258,7 @@ def grad_check_instances(arch, trials, seed):
     exactly on the kink, where the loss is one-sided and a central
     difference is not a valid oracle.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = substream(seed)
     lams = [0.0, 0.3, 0.5, 1.0]
     for trial in range(trials):
         depth = int(rng.integers(1, len(arch)))
@@ -322,7 +323,7 @@ def head_gradient_deviation(trials: int, seed: int) -> float:
     gradient of the cross-entropy over the head leaves, on ``trials`` random
     instances drawn from ``seed + 1``."""
     worst = 0.0
-    rng = np.random.default_rng(np.random.SeedSequence(seed + 1))
+    rng = substream(seed + 1)
     for _ in range(trials):
         batch = int(rng.integers(1, 9))
         d_h = int(rng.integers(2, 9))

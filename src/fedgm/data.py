@@ -18,6 +18,7 @@ import numpy as np
 
 from .autodiff import as_tensor
 from .errors import ShapeError, UsageError
+from .rng import substream
 
 
 @dataclass
@@ -125,7 +126,9 @@ def gen_rotated_domains(
         raise UsageError(f"classes must be >= 1, got {classes}")
     if classes > n_per_domain:
         raise UsageError(f"cannot balance {classes} classes over {n_per_domain} samples")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    if not (finite_number(noise_sigma) and noise_sigma >= 0.0):
+        raise UsageError(f"noise_sigma must be a finite number >= 0, got {noise_sigma!r}")
+    rng = substream(seed)
     base, y = _base_plane_points(n_per_domain, classes, rng)
     noise = rng.normal(0.0, noise_sigma, size=(n_per_domain, 2)) if noise_sigma > 0 else np.zeros((n_per_domain, 2))
     domains = []
@@ -185,7 +188,7 @@ def gen_textured_domains(
     for d in range(n_domains):
         draws = np.empty((n_per_domain, 2 + side * side))
         for idx in range(n_per_domain):
-            srng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(d, idx)))
+            srng = substream(seed, d, idx)
             draws[idx] = srng.normal(0.0, 0.05, size=2 + side * side)
         X = _class_mask(uu, vv, cx + draws[:, 0], cy + draws[:, 1]) + _domain_texture(side, d)
         X += draws[:, 2:].reshape(n_per_domain, side, side)
@@ -303,9 +306,7 @@ def batch_iter(
     """
     if batch < 1:
         raise UsageError(f"batch size must be >= 1, got {batch}")
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(dataset.domain_id, epoch))
-    )
+    rng = substream(seed, dataset.domain_id, epoch)
     perm = rng.permutation(dataset.N)
     for start in range(0, dataset.N, batch):
         idx = perm[start : start + batch]
@@ -322,7 +323,7 @@ def _n_test(n: int) -> int:
 
 def train_test_split(dataset: DomainDataset, seed: int) -> tuple[DomainDataset, DomainDataset]:
     """Deterministic 80/20 split keyed by (seed, domain)."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(dataset.domain_id,)))
+    rng = substream(seed, dataset.domain_id)
     perm = rng.permutation(dataset.N)
     n_test = _n_test(dataset.N)
     return dataset.subset(perm[n_test:]), dataset.subset(perm[:n_test])

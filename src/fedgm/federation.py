@@ -44,6 +44,7 @@ from .model import (
     flatten,
     forward,
     init_params,
+    param_views,
     predict_logits,
     predict_proba,
     stage_params,
@@ -267,10 +268,7 @@ def local_train(
     # (k, *shape) view of it per parameter, in the order of staged.all_ids(),
     # as the compiled step takes them, and client i's model is views of row i
     flat = np.stack([flatten(initial)] * k)
-    ends = np.cumsum([arr.size for arr in initial.arrays()])
-    stacked = [
-        flat[:, end - arr.size : end].reshape(k, *arr.shape) for arr, end in zip(initial.arrays(), ends)
-    ]
+    stacked = param_views(initial.arch, initial.classes, flat)
     clients = [
         ModelParams.from_arrays(initial.arch, initial.classes, [arr[i] for arr in stacked]) for i in range(k)
     ]

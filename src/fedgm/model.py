@@ -8,6 +8,7 @@ arbitrary stack of dense layers.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ from .errors import (
     UsageError,
 )
 from .files import parse_json, write_atomic
+from .rng import substream
 
 CHECKPOINT_VERSION = 1
 
@@ -102,7 +104,7 @@ def init_params(arch: list[int], classes: int, seed: int) -> ModelParams:
         raise UsageError(f"init_params: layer widths must be >= 1, got {arch}")
     if classes < 2:
         raise UsageError(f"init_params: need at least 2 classes, got {classes}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = substream(seed)
     feature = []
     for d_in, d_out in zip(arch[:-1], arch[1:]):
         w = rng.normal(0.0, np.sqrt(2.0 / d_in), size=(d_out, d_in))
@@ -168,9 +170,24 @@ def predict_proba(params: ModelParams, X) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _shapes(arch: list[int], classes: int) -> list[tuple[int, ...]]:
+    """Every parameter's shape, in the one order (see ``_ordered``)."""
+    return _ordered([((o, i), (o,)) for i, o in zip(arch[:-1], arch[1:])], (classes, arch[-1]), (classes,))
+
+
 def param_count(arch: list[int], classes: int) -> int:
-    n = sum(o * i + o for i, o in zip(arch[:-1], arch[1:]))
-    return n + classes * arch[-1] + classes
+    return sum(math.prod(shape) for shape in _shapes(arch, classes))
+
+
+def param_views(arch: list[int], classes: int, flat: np.ndarray) -> list[np.ndarray]:
+    """Every parameter, in the one order, as a view of consecutive slices of
+    ``flat``'s last axis, which holds ``param_count`` values: (*lead, *shape)
+    for a ``flat`` of dims (*lead, P)."""
+    views, end = [], 0
+    for shape in _shapes(arch, classes):
+        start, end = end, end + math.prod(shape)
+        views.append(flat[..., start:end].reshape(*flat.shape[:-1], *shape))
+    return views
 
 
 def flatten(params: ModelParams) -> np.ndarray:
@@ -186,10 +203,7 @@ def unflatten(arch: list[int], classes: int, flat) -> ModelParams:
             f"unflatten: flat length {flat.size} does not match arch {arch}, "
             f"classes {classes} (expected {expected})"
         )
-    shapes = _ordered([((o, i), (o,)) for i, o in zip(arch[:-1], arch[1:])], (classes, arch[-1]), (classes,))
-    ends = np.cumsum([int(np.prod(shape)) for shape in shapes])
-    parts = np.split(flat, ends[:-1])
-    return ModelParams.from_arrays(arch, classes, [p.reshape(shape).copy() for p, shape in zip(parts, shapes)])
+    return ModelParams.from_arrays(arch, classes, param_views(arch, classes, flat.copy()))
 
 
 def save_checkpoint(params: ModelParams, path) -> None:

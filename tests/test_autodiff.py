@@ -54,6 +54,48 @@ def test_shape_error_names_op_and_dims():
         ad.matmul(t, a, b)
 
 
+@pytest.mark.parametrize(
+    "kind, inputs",
+    [
+        ("exp", lambda w, v: (w, v)),  # a second input its rules never read
+        ("add", lambda w, v: (w,)),
+        ("flatten-concat", lambda w, v: ()),
+        ("exp", lambda w, v: -1),
+        ("exp", lambda w, v: (v + 1,)),  # past the end of the tape
+        ("exp", lambda w, v: (True,)),
+        ("exp", lambda w, v: (1.0,)),
+    ],
+    ids=["exp-two-inputs", "add-one-input", "concat-no-input", "negative", "past-end", "bool", "float"],
+)
+def test_op_apply_takes_the_node_ids_its_rules_read(kind, inputs):
+    t = Tape()
+    w = t.leaf([1.0, 2.0], param=True)
+    v = t.leaf([3.0, 4.0], param=True)
+    with pytest.raises(UsageError, match=rf"^{kind}: "):
+        op_apply(t, kind, inputs(w, v))
+    assert len(t) == 2
+
+
+def test_op_apply_takes_numpy_integer_ids():
+    t = Tape()
+    w = t.leaf([1.0, 2.0], param=True)
+    a = op_apply(t, "exp", np.int64(w))
+    b = op_apply(t, "add", (np.int32(a), np.int64(w)))
+    c = op_apply(t, "flatten-concat", np.array([a, b]))
+    assert t.inputs[1:] == [(w,), (a, w), (a, b)]
+    assert np.array_equal(backward(t, ad.reduce_sum(t, c))[w], 2.0 * np.exp([1.0, 2.0]) + 1.0)
+
+
+@pytest.mark.parametrize("kind", ["add", "sub", "elementwise-mul", "div"])
+def test_elementwise_shape_error_names_the_tag(kind):
+    t = Tape()
+    a = t.constant(np.ones((2, 3)))
+    b = t.constant(np.ones((4, 5)))
+    with pytest.raises(ShapeError) as err:
+        op_apply(t, kind, (a, b))
+    assert str(err.value) == f"{kind}: dims (2, 3) and (4, 5) are not conformable"
+
+
 def test_backward_dot_self():
     t = Tape()
     w = t.leaf([1.0, 2.0], param=True)

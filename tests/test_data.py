@@ -56,6 +56,12 @@ def test_rotated_rejects_bad_args():
         gen_rotated_domains([0.0], 2, 0.1, seed=0, classes=3)
 
 
+@pytest.mark.parametrize("sigma", [-0.1, math.nan, math.inf])
+def test_rotated_rejects_a_noise_sigma_that_is_not_a_finite_number_at_least_zero(sigma):
+    with pytest.raises(UsageError, match=r"^noise_sigma must be a finite number >= 0, got "):
+        gen_rotated_domains([0.0], 20, sigma, seed=0)
+
+
 def test_textured_samples_deterministic():
     a = gen_textured_domains(2, 8, 12, seed=3)
     b = gen_textured_domains(2, 8, 12, seed=3)

@@ -127,6 +127,15 @@ def test_unflatten_wrong_length():
         unflatten([2, 3], 2, np.zeros(16))
 
 
+def test_unflatten_copies_into_c_contiguous_views():
+    p = init_params([4, 6, 5], 3, seed=21)
+    flat = flatten(p)
+    q = unflatten(p.arch, p.classes, flat)
+    flat[:] = 0.0
+    assert flatten(q).tobytes() == flatten(p).tobytes()
+    assert all(a.flags.c_contiguous and a.shape == b.shape for a, b in zip(q.arrays(), p.arrays()))
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     arch=st.lists(st.integers(1, 6), min_size=1, max_size=3),
