@@ -376,7 +376,7 @@ def cmd_gen_data(config: Config, out: str) -> int:
     for ds in build_domains(cfg):
         path = out_dir / f"domain_{ds.domain_id}.csv"
         header = "domain_id,y," + ",".join(f"x{i}" for i in range(ds.X.shape[1])) + "\n"
-        rows = (f"{ds.domain_id},{label}," + ",".join(repr(v) for v in row) + "\n" for row, label in zip(ds.X, ds.y))
+        rows = (f"{ds.domain_id},{label}," + ",".join(repr(float(v)) for v in row) + "\n" for row, label in zip(ds.X, ds.y))
         write_atomic(path, itertools.chain([header], rows))
         print(f"wrote {path} ({ds.N} rows)")
     return 0

@@ -18,7 +18,7 @@ import numpy as np
 
 from .autodiff import as_tensor
 from .errors import ShapeError, UsageError
-from .rng import substream
+from .rng import substream, substreams
 
 
 @dataclass
@@ -169,6 +169,9 @@ def gen_textured_domains(
     generator, seeded by ``SeedSequence(entropy=seed, spawn_key=(d, idx))``;
     the first two draws jitter the centre of its class's bump (the class's
     angle on a circle of radius 0.45), the rest are its additive pixel noise.
+    A domain's generators come from one ``rng.substreams(seed, d, n=...)``
+    call, which derives the same streams as that spawn key in one array
+    pass, so ``rng.substream(seed, d, idx)`` still rebuilds any sample alone.
     The draws are the generators' only per-sample work; the bumps of a
     domain's samples are one array expression over the grid.
     """
@@ -187,8 +190,7 @@ def gen_textured_domains(
     domains = []
     for d in range(n_domains):
         draws = np.empty((n_per_domain, 2 + side * side))
-        for idx in range(n_per_domain):
-            srng = substream(seed, d, idx)
+        for idx, srng in enumerate(substreams(seed, d, n=n_per_domain)):
             draws[idx] = srng.normal(0.0, 0.05, size=2 + side * side)
         X = _class_mask(uu, vv, cx + draws[:, 0], cy + draws[:, 1]) + _domain_texture(side, d)
         X += draws[:, 2:].reshape(n_per_domain, side, side)

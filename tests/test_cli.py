@@ -481,6 +481,20 @@ def test_gen_data_writes_csvs(tmp_path):
     assert len(lines) == 81
 
 
+@pytest.mark.parametrize("name", ["dg_moons.json", "dg_textured.json"])
+def test_gen_data_cells_read_back_to_the_generated_bytes(tmp_path, name):
+    out = tmp_path / "data"
+    assert main(["gen-data", "--config", str(CONFIGS / name), "--out", str(out)]) == 0
+    config = parse_config(CONFIGS / name)
+    for ds in federation.build_domains(replace(config, hp=replace(config.hp, seed=config.seeds[0]))):
+        cells = [line.split(",") for line in (out / f"domain_{ds.domain_id}.csv").read_text().splitlines()[1:]]
+        assert [c[0] for c in cells] == [str(ds.domain_id)] * ds.N
+        y = np.array([int(c[1]) for c in cells], dtype=np.int64)
+        X = np.array([[float(v) for v in c[2:]] for c in cells])
+        assert y.tobytes() == ds.y.tobytes()
+        assert X.tobytes() == ds.X.tobytes()
+
+
 def test_gen_data_rerun_identical(tmp_path):
     cfg_path = _write(tmp_path, BASE)
     assert main(["gen-data", "--config", str(cfg_path), "--out", str(tmp_path / "d1")]) == 0

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fedgm.data import (
@@ -126,8 +126,11 @@ def _textured_sample(side, label, classes, seed, d, idx):
     classes=st.integers(2, 5),
     n_domains=st.integers(1, 3),
     extra=st.integers(0, 20),
-    seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**64 - 1),
 )
+@example(side=8, classes=2, n_domains=2, extra=3, seed=0)
+@example(side=8, classes=3, n_domains=2, extra=3, seed=2**32)
+@example(side=8, classes=3, n_domains=2, extra=3, seed=2**64 - 1)
 def test_textured_domains_match_per_sample_reference(side, classes, n_domains, extra, seed):
     n = classes + extra
     domains = gen_textured_domains(n_domains, side, n, seed, classes)
