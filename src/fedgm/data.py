@@ -18,7 +18,7 @@ import numpy as np
 
 from .autodiff import as_tensor
 from .errors import ShapeError, UsageError
-from .rng import substream, substreams
+from .rng import mix_draws, substream, substreams
 
 
 @dataclass
@@ -253,11 +253,18 @@ def augment(X: np.ndarray, spec: AugmentationSpec, rng: np.random.Generator, bat
     leaves ``rng`` in the state of one call per batch on the same generator:
     noise and rotation angles are drawn for all rows in one call, and
     ``amplitude_mix`` pairs each row with another row of its own batch,
-    drawing partner and weight row by row, takes one forward FFT of all
-    rows and mixes every row against its partner's row of that spectrum,
-    with the bytes of one ``mix_amplitude`` per row.
+    takes one forward FFT of all rows and mixes every row against its
+    partner's row of that spectrum, with the bytes of one ``mix_amplitude``
+    per row. Its partners and weights come from one ``rng.mix_draws`` call:
+    the values and the final generator state of drawing
+    ``integers(0, rows - 1)`` then ``uniform(0.0, eta_max)`` row by row,
+    a rare rejected bounded draw included, so ``rng`` must be a PCG64
+    generator, as every ``substream`` is. ``X`` must be 2-d; zero rows
+    give an empty copy.
     """
     X = as_tensor(X)
+    if X.ndim != 2:
+        raise ShapeError(f"augment needs a 2-d array of rows, got dims {X.shape}")
     if batch is not None and batch < 1:
         raise UsageError(f"batch size must be >= 1, got {batch}")
     if spec.kind == "identity":
@@ -276,22 +283,21 @@ def augment(X: np.ndarray, spec: AugmentationSpec, rng: np.random.Generator, bat
         return out
     # amplitude_mix: pair each row with a random other row of its batch
     n = X.shape[0]
-    sizes = [n] if batch is None else [min(batch, n - start) for start in range(0, n, batch)]
-    if min(sizes, default=2) < 2:
-        raise UsageError("amplitude_mix needs a batch of at least 2 rows")
     side = math.isqrt(X.shape[1])
     if side * side != X.shape[1]:
         raise UsageError(f"amplitude_mix needs square grids, got width {X.shape[1]}")
-    # draw partner and weight row by row, in the order of one amplitude_mix per row
-    partners = np.empty(n, dtype=np.int64)
-    weights = np.empty(n)
-    start = 0
-    for rows in sizes:
-        for i in range(rows):
-            j = int(rng.integers(0, rows - 1))
-            partners[start + i] = start + (j + 1 if j >= i else j)
-            weights[start + i] = rng.uniform(0.0, spec.eta_max)
-        start += rows
+    if n == 0:  # zero rows are zero batches
+        return X.copy()
+    size = n if batch is None else batch
+    starts = np.arange(0, n, size)
+    sizes = np.minimum(size, n - starts)
+    if sizes.min() < 2:
+        raise UsageError("amplitude_mix needs a batch of at least 2 rows")
+    # each row's batch start and its index in the batch; a draw j among the
+    # batch's other rows names row j, or j + 1 at or past the row itself
+    row_starts = np.repeat(starts, sizes)
+    j, weights = mix_draws(rng, np.repeat(sizes - 1, sizes), spec.eta_max)
+    partners = row_starts + j + (j >= np.arange(n) - row_starts)
     # a partner's amplitude is a row of the call's one spectrum, the bytes of transforming it alone
     f = np.fft.fft2(X.reshape(n, side, side))
     a = np.abs(f)

@@ -14,6 +14,15 @@ about 0.4 ms (2-core Xeon, numpy 2.4). It costs about 300 µs whatever the
 number of keys, some 15 times ``substream`` for one key, so scalar keys
 stay on ``SeedSequence``, which is also the reference that ``substreams``
 is tested against.
+
+``mix_draws`` gives the draws of ``amplitude_mix``'s per-row loop,
+``[(g.integers(0, m), g.uniform(0.0, high)) for m in highs]``, from one
+``random_raw`` call decoded as arrays: the same values and the same final
+``bit_generator.state`` as those calls, the 32-bit buffer included. It
+reproduces numpy's PCG64 draws, so it takes PCG64 generators only, which
+is what ``substream`` gives. A bounded draw that numpy would reject and
+redraw (probability below (m - 1) / 2**32 per row) is drawn by the scalar
+calls, the rows around it by the array pass.
 """
 
 from __future__ import annotations
@@ -142,3 +151,88 @@ def substreams(seed: int, *prefix: int, n: int) -> list[np.random.Generator]:
     entropy[:, seed_words:-1] = prefix
     entropy[:, -1] = np.arange(n, dtype=np.uint32)
     return [np.random.Generator(np.random.PCG64(_PCG64Seed(words))) for words in _pcg64_states(entropy)]
+
+
+def _mix_pass(
+    bitgen: np.random.PCG64, state: dict, highs: np.ndarray, high: float
+) -> tuple[np.ndarray | None, np.ndarray | None, int | None]:
+    """The draws of ``mix_draws`` over ``highs`` from ``bitgen`` in
+    ``state``, its current state, taken from one ``random_raw`` call, and the
+    index of the first row whose bounded draw numpy would reject (None if no
+    row's is). ``bitgen`` is left where the scalar calls would leave it only
+    when none is rejected.
+
+    Each row with ``m > 1`` takes one 32-bit value: the buffered half if
+    there is one, else the low half of a fresh word, whose high half is
+    buffered. The value is ``(u * m) >> 32``, rejected while its low 32 bits
+    fall below ``2**32 mod m``. A row with ``m = 1`` draws nothing. Every
+    row's ``uniform`` then takes one fresh word and leaves the buffer alone.
+    """
+    buffered = state["has_uint32"]
+    bounded = highs > 1
+    # draw c takes a fresh word's low half when c + buffered is even
+    fresh = bounded & ((np.cumsum(bounded) - bounded + buffered) % 2 == 0)
+    offsets = np.cumsum(fresh) + np.arange(len(highs)) - fresh
+    words = bitgen.random_raw(len(highs) + int(np.count_nonzero(fresh)))
+    weights = 0.0 + high * ((words[offsets + fresh] >> np.uint64(11)) * 2.0**-53)
+
+    # the 32-bit values in the order they are handed out: the buffered half
+    # if any, then each fresh word's low and high halves
+    fresh_words = words[offsets[fresh]]
+    halves = np.empty(buffered + 2 * len(fresh_words), dtype=np.uint64)
+    halves[:buffered] = state["uinteger"]
+    halves[buffered::2] = fresh_words & np.uint64(_MASK32)
+    halves[buffered + 1 :: 2] = fresh_words >> np.uint64(32)
+    m = highs[bounded]
+    scaled = halves[: len(m)] * m
+    rejected = np.flatnonzero((scaled & np.uint64(_MASK32)) < np.uint64(2**32) % m)
+    if len(rejected):
+        return None, None, int(np.flatnonzero(bounded)[rejected[0]])
+    draws = np.zeros(len(highs), dtype=np.int64)
+    draws[bounded] = scaled >> np.uint64(32)
+    # numpy leaves a used buffered half in place, so the last half buffered
+    # stays in ``uinteger`` whether or not it was handed out
+    after = bitgen.state
+    after["has_uint32"] = (buffered + len(m)) % 2
+    after["uinteger"] = int(halves[-1]) if len(halves) else state["uinteger"]
+    bitgen.state = after
+    return draws, weights, None
+
+
+def mix_draws(generator: np.random.Generator, highs, high: float) -> tuple[np.ndarray, np.ndarray]:
+    """``[(generator.integers(0, m), generator.uniform(0.0, high)) for m in
+    highs]`` as an int64 and a float64 array, with the same bytes, leaving
+    ``generator.bit_generator.state`` where those calls would, its 32-bit
+    buffer included.
+
+    The rows are drawn by array passes. On the first row whose bounded draw
+    numpy would reject, the generator is rewound, the rows before it are
+    drawn again by the array pass, that row by the scalar calls, and the
+    pass resumes after it. Only ``PCG64`` generators are taken, and every
+    ``m`` must lie in ``[1, 2**32)``, where numpy uses a 32-bit draw.
+    """
+    bitgen = generator.bit_generator
+    if not isinstance(bitgen, np.random.PCG64):
+        raise UsageError(f"mix_draws reproduces PCG64's draws only, got a {type(bitgen).__name__} generator")
+    highs = np.asarray(highs)
+    if highs.ndim != 1 or (highs.size and highs.dtype.kind not in "iu"):
+        raise UsageError(f"highs must be a 1-d array of integers, got {highs.dtype} of shape {highs.shape}")
+    if highs.size and not (highs.min() >= 1 and highs.max() <= _MASK32):
+        raise UsageError(f"each high must lie in [1, 2**32), got {highs.min()} to {highs.max()}")
+    highs = highs.astype(np.uint64)
+    draws = np.zeros(len(highs), dtype=np.int64)
+    weights = np.empty(len(highs))
+    start = 0
+    while start < len(highs):
+        saved = bitgen.state
+        rows_draws, rows_weights, rejected = _mix_pass(bitgen, saved, highs[start:], high)
+        if rejected is None:
+            draws[start:], weights[start:] = rows_draws, rows_weights
+            break
+        bitgen.state = saved
+        end = start + rejected
+        draws[start:end], weights[start:end], _ = _mix_pass(bitgen, saved, highs[start:end], high)
+        draws[end] = generator.integers(0, int(highs[end]))
+        weights[end] = generator.uniform(0.0, high)
+        start = end + 1
+    return draws, weights

@@ -60,6 +60,18 @@ def _textured_amix():
     )
 
 
+def _textured_amix_odd_batches():
+    """Each 47-row training split ends in a 2-row batch, whose partner draw
+    has one value and draws nothing, and the second local epoch starts on a
+    buffered 32-bit half, since the first draws 45 bounded values."""
+    base = _textured_amix()
+    return replace(
+        base,
+        data=replace(base.data, n_per_domain=59),
+        hp=replace(base.hp, batch=15, local_epochs=2),
+    )
+
+
 CASES = {
     "dg-gm": (
         lambda: run_dg(_moons("dg", True, 120)),
@@ -86,6 +98,11 @@ CASES = {
         lambda: run_dg(_textured_amix()),
         26,
         "e4a3e585b5be6f6bad351ff655623aae93f992e16fd0bde434e59c94dd2bd8ae",
+    ),
+    "dg-textured-amix-odd-batches": (
+        lambda: run_dg(_textured_amix_odd_batches()),
+        26,
+        "2a2735e34792268269b6710bf4a1c30f14a7d92e9001fe95488dda08ce88e9a4",
     ),
 }
 

@@ -178,6 +178,35 @@ def test_augment_amplitude_mix_batch_contract():
         augment(np.ones((3, 60)), AugmentationSpec.amplitude_mix(0.5), np.random.default_rng(0))
 
 
+@pytest.mark.parametrize(
+    "spec, X",
+    [
+        (AugmentationSpec.amplitude_mix(0.5), np.ones(64)),
+        (AugmentationSpec.input_rotation(10.0), np.ones(2)),
+        (AugmentationSpec.gaussian_noise(0.1), np.ones((2, 2, 2))),
+    ],
+)
+def test_augment_needs_a_2d_array_of_rows(spec, X):
+    with pytest.raises(ShapeError, match=re.escape(f"got dims {X.shape}")):
+        augment(X, spec, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("batch", [None, 16])
+def test_augment_amplitude_mix_of_no_rows_is_an_empty_copy(batch):
+    X = np.ones((0, 64))
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    out = augment(X, AugmentationSpec.amplitude_mix(0.5), rng, batch)
+    assert out.shape == (0, 64) and out is not X
+    assert rng.bit_generator.state == before
+
+
+def test_augment_amplitude_mix_takes_pcg64_generators_only():
+    X = np.random.default_rng(0).normal(0.0, 1.0, (4, 64))
+    with pytest.raises(UsageError, match="PCG64"):
+        augment(X, AugmentationSpec.amplitude_mix(0.5), np.random.Generator(np.random.MT19937(0)))
+
+
 def test_augment_amplitude_mix_shape_preserved():
     rng = np.random.default_rng(2)
     X = rng.normal(0, 1, (4, 64))
