@@ -16,12 +16,12 @@ recorded tape into one straight-line Python function that runs its step for
 k clients at once, on every leaf's values stacked on a leading client axis.
 It issues the forward rules' and ``backward``'s kernels in the same order,
 each giving every client's slice the bytes of that client's own eager step,
-with every shape decision resolved when the source is generated; isomorphic
-copies of one block (the two views' forward and head-gradient chains, the
-inter term's per-snapshot ops) run as one kernel per op. Every batch of the
-recorded shapes, the recorded one included, calls that function, and tapes
-with the same structure share one compiled function; ``backward`` on the
-recorded tape checks it.
+with every shape decision resolved when the source is generated. Copies of
+one block that the recorder declares as lanes (``Tape.lane``: the two views'
+forward and head-gradient chains, the inter term's per-snapshot ops) run as
+one kernel per op. Every batch of the recorded shapes, the recorded one
+included, calls that function, and tapes with the same structure share one
+compiled function; ``backward`` on the recorded tape checks it.
 
 Tensors are plain ``numpy.ndarray`` values in float64, row-major. Scalars are
 0-d arrays.
@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Callable, NamedTuple, Sequence
+from contextlib import contextmanager
+from typing import Callable, Hashable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -261,7 +262,7 @@ class _Op(NamedTuple):
 
 
 # Templates run an op for k clients at once: every value has a leading client
-# axis, a group of S lanes (see _lanes) has (k, S). {a} and {b} name the inputs
+# axis, a group of S lanes (see _declared) has (k, S). {a} and {b} name the inputs
 # shaped to broadcast as the rule's operands, {A}/{B} unshaped with leading
 # dims {ka}/{kb}; {o} is the output, {g} its adjoint, {n} the node, {lead} its
 # leading dims, {c} the constant, and {ra}/{rb} reshape a scalar to broadcast
@@ -324,7 +325,7 @@ class Tape:
     Single-threaded by design; use one Tape per concurrent unit of work.
     """
 
-    __slots__ = ("ops", "inputs", "vals", "saved", "params")
+    __slots__ = ("ops", "inputs", "vals", "saved", "params", "lanes")
 
     def __init__(self) -> None:
         self.ops: list[str] = []
@@ -332,6 +333,7 @@ class Tape:
         self.vals: list[Array] = []
         self.saved: list = []
         self.params: list[int] = []
+        self.lanes: list[tuple[Hashable, int, int, int]] = []  # see lane; only compile_step reads them
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -352,6 +354,14 @@ class Tape:
 
     def value(self, nid: int) -> Array:
         return self.vals[nid]
+
+    @contextmanager
+    def lane(self, group: Hashable, j: int):
+        """Declare the nodes recorded inside as lane ``j`` of ``group``, kept as (group, j, start, stop):
+        a copy of its other lanes' block, which ``compile_step`` runs with them as one kernel per op."""
+        start = len(self.ops)
+        yield
+        self.lanes.append((group, j, start, len(self.ops)))
 
 
 def op_apply(tape: Tape, kind: str, inputs, const: float | None = None) -> int:
@@ -510,107 +520,94 @@ def _grad_exprs(tape: Tape, nid: int, in_needs: tuple[bool, ...], names: dict) -
 def _structure(tape: Tape, loss: int, outs: tuple[int, ...], fed: tuple[int, ...]) -> tuple:
     """What a compiled step depends on: ops, inputs, leaf shapes, scale
     constants (by ``repr``, so 0.0 and -0.0 differ), params, loss, outs, the
-    fed leaves, and the strides of the other leaves (lanes share a layout)."""
+    fed leaves, the strides of the other leaves, and the declared lanes."""
     shapes = tuple(v.shape for v, kind in zip(tape.vals, tape.ops) if kind == LEAF)
     consts = tuple(repr(s) for s, kind in zip(tape.saved, tape.ops) if kind == "scale-by-constant")
     params = set(tape.params)
     orders = tuple(v.strides for nid, v in enumerate(tape.vals) if tape.ops[nid] == LEAF and nid not in params)
-    return (tuple(tape.ops), tuple(tape.inputs), shapes, consts, tuple(tape.params), loss, outs, fed, orders)
+    lanes = tuple(tape.lanes)
+    return (tuple(tape.ops), tuple(tape.inputs), shapes, consts, tuple(tape.params), loss, outs, fed, orders, lanes)
 
 
-def _lanes(tape: Tape, loss: int, last: int, fed: set[int], has_adjoint: set[int]):
-    """Groups of S >= 2 isomorphic, mutually independent nodes (lanes), in
-    ascending id order, that one (k, S, ...) kernel per op computes at once.
+def _declared(tape: Tape, loss: int, fed: set[int], has_adjoint: set[int]):
+    """The groups of lanes ``tape`` declares, checked, and which inputs of each group are lanes.
 
-    Seeds are the leaves that are not parameters, of one shape, memory order
-    and use, either all fed or all constant: the batch and its augmented view,
-    and the frozen snapshot heads. A group grows, through any input position
-    that takes lane 0 of a group, to the nodes that take that group's lanes
-    there, with one tag, scale constant, shape and adjoint need, whose every
-    other input is, for all members, either one shared node (even a lane of
-    another group) or the same lane of one other group of S lanes. Ops that
-    combine lanes (the sum over snapshots, the mean of the two views' losses)
-    or concatenate a shared input stay single. Also returns which inputs of
-    each group are lanes.
+    Lane j of a group is the nodes recorded under ``tape.lane(group, j)``, j in
+    0..S-1; the n-th nodes of S >= 2 lanes make one group, which one (k, S, ...)
+    kernel per op computes. A group's lanes come in lane order and agree in
+    ``sig``; none is the loss or a parameter. Each input column is one shared
+    node or one group's lanes in order (distinct leaves in no group, the fed
+    batch and its view, become a group), so no lane reads its twin; a group of
+    ops reads lanes, a flatten-concat group only lanes. Else: ContractError.
     """
     ops, inputs, vals = tape.ops, tape.inputs, tape.vals
-    users: list[list[tuple[int, int]]] = [[] for _ in range(last + 1)]
-    for nid in range(last + 1):
-        for p, i in enumerate(inputs[nid]):
-            users[i].append((nid, p))
-    params = set(tape.params)
-    buckets: dict[tuple, list[int]] = {}
-    for nid in range(last + 1):
-        if ops[nid] == LEAF and nid not in params:
-            use = tuple((ops[c], p) for c, p in users[nid])
-            buckets.setdefault((nid in fed, vals[nid].shape, vals[nid].strides, use), []).append(nid)
-    groups = [g for g in buckets.values() if len(g) > 1]
-    flags: list[tuple[bool, ...]] = [()] * len(groups)
+    declared: dict = {}
+    for name, j, start, stop in tape.lanes:
+        declared.setdefault(name, {}).setdefault(j, []).extend(range(start, stop))
+    groups: list[list[int]] = []
+    for name, by_lane in declared.items():
+        lanes = [by_lane[j] for j in sorted(by_lane)]
+        if sorted(by_lane) != list(range(len(lanes))) or len(set(map(len, lanes))) > 1:
+            counts = [len(nodes) for nodes in lanes]
+            raise ContractError(
+                f"lane group {name!r}: lanes {sorted(by_lane)} of {counts} nodes, not lanes 0..S-1 of one length"
+            )
+        if len(lanes) > 1:
+            groups += map(list, zip(*lanes))
     lane = {m: (gi, j) for gi, g in enumerate(groups) for j, m in enumerate(g)}
+    if len(lane) < sum(map(len, groups)):
+        raise ContractError("a node is declared in two lanes")
+    fields = ("tag", "input count", "scale constant", "shape", "memory order", "adjoint need", "feeding")
 
-    def sig(nid):
-        const = repr(tape.saved[nid]) if ops[nid] == "scale-by-constant" else None
-        return ops[nid], const, vals[nid].shape, nid in has_adjoint
+    def sig(m):
+        const = repr(tape.saved[m]) if ops[m] == "scale-by-constant" else None
+        return ops[m], len(inputs[m]), const, vals[m].shape, vals[m].strides, m in has_adjoint, m in fed
 
-    def first(i):  # the group whose first lane node i is, else None
-        return lane[i][0] if i in lane and lane[i][1] == 0 else None
-
-    def joins(c0, c, j):  # c may take lane j where c0 takes lane 0
-        return c not in lane and sig(c) == sig(c0) and all(
-            x == y or (first(x) is not None and lane.get(y) == (first(x), j)) for x, y in zip(inputs[c0], inputs[c])
-        )
-
-    def split(members):  # per input: lanes (True) or shared (False), the same for every member; None if neither
-        out = []
-        for col in zip(*(inputs[m] for m in members)):
-            gi = first(col[0])
+    flags: list[tuple[bool, ...]] = []
+    for gi, g in enumerate(groups):  # grows by the groups of leaves the columns make
+        where = f"lane group {g}"
+        if loss in g or set(g) & set(tape.params):
+            raise ContractError(f"{where}: the loss and the parameters are never lanes")
+        if g != sorted(g):
+            raise ContractError(f"{where}: lanes must be recorded in lane order")
+        differ = [what for what, *col in zip(fields, *map(sig, g)) if len(set(col)) > 1]
+        if differ:
+            raise ContractError(f"{where}: lanes differ in {', '.join(differ)}")
+        f = []
+        for p, col in enumerate(map(list, zip(*(inputs[m] for m in g)))):
             if len(set(col)) == 1:
-                out.append(False)
-            elif gi is not None and len(groups[gi]) == len(members) and all(
-                lane.get(i) == (gi, j) for j, i in enumerate(col)
-            ):
-                out.append(True)
-            else:
-                return None
-        return tuple(out)
-
-    for nid in range(last + 1):
-        if nid in lane or nid == loss:
-            continue
-        for p, i in enumerate(inputs[nid]):
-            if first(i) is None:
+                f.append(False)
                 continue
-            members = [nid]
-            for j, m in enumerate(groups[first(i)][1:], 1):
-                c = next((c for c, q in users[m] if q == p and c > members[-1] and joins(nid, c, j)), None)
-                if c is None:
-                    break
-                members.append(c)
-            else:
-                f = split(members)
-                if f is not None and (ops[nid] != "flatten-concat" or all(f)):
-                    lane.update((m, (len(groups), j)) for j, m in enumerate(members))
-                    groups.append(members)
-                    flags.append(f)
-                    break
-    used = {lane[inputs[g[0]][q]][0] for g, f in zip(groups, flags) for q, is_lane in enumerate(f) if is_lane}
-    keep = [gi for gi, g in enumerate(groups) if ops[g[0]] != LEAF or gi in used]
-    return [groups[gi] for gi in keep], [flags[gi] for gi in keep]
+            if len(set(col)) == len(col) and all(ops[i] == LEAF and i not in lane for i in col):
+                lane.update((i, (len(groups), j)) for j, i in enumerate(col))
+                groups.append(col)
+            if lane.get(col[0], (0, 1))[1] != 0 or groups[lane[col[0]][0]] != col:
+                twin = any(lane.get(i, (-1,))[0] == gi for i in col)
+                what = "its twin" if twin else "neither one shared node nor one group's lanes"
+                raise ContractError(f"{where}: input {p} reads {col}, {what}")
+            f.append(True)
+        if ops[g[0]] != LEAF and not any(f):
+            raise ContractError(f"{where}: reads no lane, so its lanes would be one value")
+        if ops[g[0]] == "flatten-concat" and not all(f):
+            raise ContractError(f"{where}: a flatten-concat group reads a shared input")
+        flags.append(tuple(f))
+    return groups, flags
 
 
 def compile_step(tape: Tape, k: int, loss: int, outs: Sequence[int], fed: Sequence[int] = ()) -> Callable:
     """One straight-line function for the forward and backward of ``tape``'s step for k clients at once.
 
     ``tape`` gives the step's structure (ops, inputs, leaf shapes, scale
-    constants, params, the memory order of the other leaves); ``fed`` names
-    the leaves the caller passes anew on every call. The function takes a value
-    of every leaf per client, constants included, in tape order, stacked on
-    a leading client axis, (k, *recorded shape), except that the leaves
-    seeding a group of S lanes (see ``_lanes``: the snapshot heads, or a fed
-    batch and its augmented view) come as one argument, also stacked on
-    axis 1, (k, S, *recorded shape); its ``leaves`` attribute
-    lists each argument's leaves, and a ShapeError names the first argument
-    that differs. It returns the values of ``outs`` and one gradient per
+    constants, params, the memory order of the other leaves, the declared
+    lanes); ``fed`` names the leaves the caller passes anew on every call. The
+    function takes a value of every leaf per client, constants included, in
+    tape order, stacked on a leading client axis, (k, *recorded shape),
+    except that the leaves of a group of S lanes (see ``_declared``: the
+    snapshot heads, or a fed batch and its augmented view) come as one
+    argument, also stacked on axis 1, (k, S, *recorded shape); a declaration
+    that breaks a rule of ``_declared`` raises ContractError. Its ``leaves``
+    attribute lists each argument's leaves, and a ShapeError names the first
+    argument that differs. It returns the values of ``outs`` and one gradient per
     parameter leaf, in ``tape.params`` order, with the client axis in front.
     Slice i equals bit for bit what recording the step on client i's values
     and calling ``backward`` would give, as long as those values keep the
@@ -638,7 +635,7 @@ def compile_step(tape: Tape, k: int, loss: int, outs: Sequence[int], fed: Sequen
                 if need:
                     terms.setdefault(iid, []).append((nid, p))
                     has_adjoint.add(iid)
-    groups, flags = _lanes(tape, loss, last, set(fed), has_adjoint)
+    groups, flags = _declared(tape, loss, set(fed), has_adjoint)
     lane = {m: (gi, j) for gi, g in enumerate(groups) for j, m in enumerate(g)}
     tails = {m for g in groups for m in g[1:]}  # lanes computed along with their group's first
     leaves = [nid for nid, kind in enumerate(ops) if kind == LEAF and nid not in tails]

@@ -251,7 +251,8 @@ def augment(X: np.ndarray, spec: AugmentationSpec, rng: np.random.Generator, bat
     possibly shorter (``None``: one batch of all rows), so one call can
     augment a client's whole epoch in batch order. It gives the bytes and
     leaves ``rng`` in the state of one call per batch on the same generator:
-    noise and rotation angles are drawn for all rows in one call, and
+    noise and rotation angles are drawn for all rows in one call, each row
+    is rotated by one stacked matmul, and
     ``amplitude_mix`` pairs each row with another row of its own batch,
     takes one forward FFT of all rows and mixes every row against its
     partner's row of that spectrum, with the bytes of one ``mix_amplitude``
@@ -276,11 +277,11 @@ def augment(X: np.ndarray, spec: AugmentationSpec, rng: np.random.Generator, bat
     if spec.kind == "input_rotation":
         if X.shape[1] != 2:
             raise UsageError(f"input_rotation needs 2-d rows, got width {X.shape[1]}")
-        out = np.empty_like(X)
-        degrees = rng.uniform(-spec.max_degrees, spec.max_degrees, size=X.shape[0])
-        for i, deg in enumerate(degrees):
-            out[i] = X[i] @ _rotation_matrix(deg).T
-        return out
+        rad = np.radians(rng.uniform(-spec.max_degrees, spec.max_degrees, size=X.shape[0]))
+        c, s = np.cos(rad), np.sin(rad)
+        rotations = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)  # each row's _rotation_matrix
+        # one (1, 2) @ (2, 2) product per row, with the bytes of X[i] @ _rotation_matrix(deg).T
+        return (X[:, None, :] @ rotations.swapaxes(1, 2))[:, 0]
     # amplitude_mix: pair each row with a random other row of its batch
     n = X.shape[0]
     side = math.isqrt(X.shape[1])

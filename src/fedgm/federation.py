@@ -338,7 +338,7 @@ def _matching_loss(snapshots: list[HeadSnapshot], hp: HyperParams, aug: Augmenta
         return X, augment(X, aug, rng, batch), one_hot(y, classes)
 
     def record(tape, staged, x, x_aug, y_mat):
-        loss, bd = local_loss(
+        return local_loss(
             tape,
             staged,
             snapshots,
@@ -349,7 +349,6 @@ def _matching_loss(snapshots: list[HeadSnapshot], hp: HyperParams, aug: Augmenta
             inter_normalize=hp.inter_normalize,
             gm_enabled=hp.gm_enabled,
         )
-        return loss, bd.nodes
 
     return StepLoss(feeds, record)
 

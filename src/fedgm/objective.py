@@ -21,8 +21,7 @@ snapshot from the previous round.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,22 +33,6 @@ from .model import HeadSnapshot, ModelParams, ParamNodes, forward, stage_params
 COSINE_EPS = 1e-12
 # the terms of the local objective, in the order a client reports them
 TRAIN_METRICS = ("ce_orig", "ce_aug", "intra", "inter", "total")
-
-
-@dataclass
-class LossBreakdown:
-    """Scalar values of every term in one local-loss evaluation.
-
-    ``nodes`` maps each of the TRAIN_METRICS to its tape node, so a compiled
-    step can report the terms; a skipped term's node is a zero constant.
-    """
-
-    ce_orig: float
-    ce_aug: float
-    intra: float
-    inter: float
-    total: float
-    nodes: dict[str, int] = field(default_factory=dict, repr=False, compare=False)
 
 
 def one_hot(y, classes: int) -> np.ndarray:
@@ -151,10 +134,11 @@ def _mismatch(tape: Tape, a: _Anchor, v: int) -> int:
 
 
 def _inter(tape: Tape, lab: _Labels, a: _Anchor, h_orig: int, snapshots, normalize: bool) -> int:
-    """``inter_gm_loss`` on the nodes its batch shares."""
+    """``inter_gm_loss`` on the nodes its batch shares; snapshot j's block is lane j of the heads group."""
     total = None
-    for snap in snapshots:
-        term = _mismatch(tape, a, _frozen_head_grad(tape, lab, h_orig, snap.weight, snap.bias))
+    for j, snap in enumerate(snapshots):
+        with tape.lane("heads", j):
+            term = _mismatch(tape, a, _frozen_head_grad(tape, lab, h_orig, snap.weight, snap.bias))
         total = term if total is None else ad.add(tape, total, term)
     if normalize:
         total = ad.scale(tape, total, 1.0 / len(snapshots))
@@ -184,6 +168,16 @@ def inter_gm_loss(
     return _inter(tape, lab, _anchor(tape, g_aug), h_orig, snapshots, normalize)
 
 
+def _views(tape: Tape, record: Callable, *args) -> list:
+    """``record`` on the batch's and then the view's entry of each of ``args``,
+    declared as lanes 0 and 1 of the views group."""
+    outs = []
+    for j, view_args in enumerate(zip(*args)):
+        with tape.lane("views", j):
+            outs.append(record(*view_args))
+    return outs
+
+
 def local_loss(
     tape: Tape,
     params: ModelParams | ParamNodes,
@@ -195,8 +189,9 @@ def local_loss(
     *,
     inter_normalize: bool = False,
     gm_enabled: bool = True,
-) -> tuple[int, LossBreakdown]:
-    """Combined local objective; returns (total node, scalar breakdown).
+) -> tuple[int, dict[str, int]]:
+    """Combined local objective; returns the total node and the node of each
+    of the TRAIN_METRICS (a skipped term's node is a zero constant).
 
     ``X`` and ``X_aug`` are batches or their nodes, ``y`` is the labels or
     the node of their one-hot matrix. With no snapshots (round 1) the inter
@@ -214,24 +209,21 @@ def local_loss(
     if isinstance(params, ModelParams):
         params = stage_params(tape, params)
     y_mat = _one_hot_node(tape, y, tape.value(params.head_w).shape[0])
-    h_orig, z_orig = forward(tape, params, x)
-    h_aug, z_aug = forward(tape, params, x_aug)
-    logp_o = ad.log_softmax_rows(tape, z_orig)
-    logp_a = ad.log_softmax_rows(tape, z_aug)
-    ce_o = _ce_from_log_probs(tape, logp_o, y_mat)
-    ce_a = _ce_from_log_probs(tape, logp_a, y_mat)
+    # the two views record one block each, step by step, as two lanes
+    (h_orig, z_orig), (h_aug, z_aug) = _views(tape, lambda v: forward(tape, params, v), (x, x_aug))
+    logp_o, logp_a = _views(tape, lambda z: ad.log_softmax_rows(tape, z), (z_orig, z_aug))
+    ce_o, ce_a = _views(tape, lambda logp: _ce_from_log_probs(tape, logp, y_mat), (logp_o, logp_a))
     total = ad.scale(tape, ad.add(tape, ce_o, ce_a), 0.5)
     # a skipped term reads a zero constant
     intra = inter = None if gm_enabled and snapshots else tape.constant(0.0)
     if gm_enabled:
         # the live-head gradients reuse the forward log-probabilities
         lab = _labels(tape, y_mat)
-        g = _head_grad(tape, lab, h_orig, logp_o)
-        anchor = _anchor(tape, _head_grad(tape, lab, h_aug, logp_a))
+        g, g_aug = _views(tape, lambda h, logp: _head_grad(tape, lab, h, logp), (h_orig, h_aug), (logp_o, logp_a))
+        anchor = _anchor(tape, g_aug)
         intra = _mismatch(tape, anchor, g)
         total = ad.add(tape, total, ad.scale(tape, intra, lam))
         if snapshots:
             inter = _inter(tape, lab, anchor, h_orig, snapshots, inter_normalize)
             total = ad.add(tape, total, ad.scale(tape, inter, 1.0 - lam))
-    nodes = dict(zip(TRAIN_METRICS, (ce_o, ce_a, intra, inter, total)))
-    return total, LossBreakdown(**{m: float(tape.value(nid)) for m, nid in nodes.items()}, nodes=nodes)
+    return total, dict(zip(TRAIN_METRICS, (ce_o, ce_a, intra, inter, total)))

@@ -10,6 +10,7 @@ import importlib
 import importlib.util
 import inspect
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -53,6 +54,14 @@ def test_listed_op_tags_exist():
     assert tags and set(tags) <= set(OP_TAGS)
 
 
+def test_op_apply_and_tape_keep_the_signatures_the_tracer_copies():
+    # tracing.counted wraps op_apply as (tape, kind, inputs, const=None), and
+    # tracing._frozen_copy rebuilds a tape as type(tape)()
+    assert list(inspect.signature(autodiff.op_apply).parameters) == ["tape", "kind", "inputs", "const"]
+    assert inspect.signature(autodiff.op_apply).parameters["const"].default is None
+    assert list(inspect.signature(Tape).parameters) == []
+
+
 def test_tape_layout_and_floor_step():
     tape = Tape()
     assert [tape.ops, tape.inputs, tape.vals, tape.saved, tape.params] == [[]] * 5
@@ -75,3 +84,20 @@ def test_tape_layout_and_floor_step():
 
 def test_workloads_import():
     assert set(_load("workloads").WORKLOADS) == {"dg-moons-gm", "dg-moons-fedavg", "da-moons", "swap-textured-amix"}
+
+
+def _refuse(constant):
+    raise ValueError(f"a result line holds {constant}")
+
+
+def test_the_traced_benchmark_ends_with_a_correct_result_line():
+    # every workload, traced, for one second each: the run must exit 0 and its
+    # last line must be the combined result, in strict JSON
+    cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "all"]
+    proc = subprocess.run(
+        [*cmd, "--seed", "0", "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=600, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.rstrip("\n").splitlines()[-1], parse_constant=_refuse)
+    assert result["correct"] is True and result["failed"] == 0

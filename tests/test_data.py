@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fedgm.data import (
     AugmentationSpec,
+    _rotation_matrix,
     DomainDataset,
     amplitude_mix,
     augment,
@@ -164,6 +165,24 @@ def test_augment_rotation_zero_degrees():
     X = np.random.default_rng(0).normal(0, 1, (5, 2))
     out = augment(X, AugmentationSpec.input_rotation(0.0), np.random.default_rng(1))
     assert np.abs(out - X).max() <= 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    rows=st.integers(0, 40),
+    max_degrees=st.floats(0.0, 180.0),
+    scale=st.floats(1e-3, 1e3),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(rows=200, max_degrees=180.0, scale=1.0, seed=0)
+def test_augment_rotation_matches_one_product_per_row(rows, max_degrees, scale, seed):
+    X = np.random.default_rng(seed).normal(0.0, scale, (rows, 2))
+    rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+    out = augment(X, AugmentationSpec.input_rotation(max_degrees), rng)
+    degrees = oracle.uniform(-max_degrees, max_degrees, size=rows)
+    want = np.array([X[i] @ _rotation_matrix(d).T for i, d in enumerate(degrees)]).reshape(rows, 2)
+    assert out.shape == X.shape and out.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == oracle.bit_generator.state
 
 
 def test_augment_rotation_requires_planar_rows():

@@ -271,22 +271,27 @@ def _instance(seed=0, batch=4, arch=(3, 5, 4), classes=3, n_snaps=2, x_scale=1.5
     return params, snaps, X, X_aug, y
 
 
+def _terms(tape, nodes):
+    """The value of each term local_loss returned the node of."""
+    return {m: float(tape.value(nid)) for m, nid in nodes.items()}
+
+
 def test_local_loss_lambda_one_ignores_snapshots():
     params, snaps, X, X_aug, y = _instance(seed=5)
     t1 = Tape()
-    _, bd1 = local_loss(t1, params, snaps, X, X_aug, y, 1.0)
+    bd1 = _terms(t1, local_loss(t1, params, snaps, X, X_aug, y, 1.0)[1])
     t2 = Tape()
-    _, bd2 = local_loss(t2, params, [], X, X_aug, y, 1.0)
-    assert bd1.total == bd2.total
+    bd2 = _terms(t2, local_loss(t2, params, [], X, X_aug, y, 1.0)[1])
+    assert bd1["total"] == bd2["total"]
 
 
 def test_local_loss_lambda_zero_identity_aug_live_copy():
     params, _, X, _, y = _instance(seed=6)
     snap = HeadSnapshot(0, params.head_w.copy(), params.head_b.copy())
     t = Tape()
-    _, bd = local_loss(t, params, [snap], X, X, y, 0.0)
-    assert bd.ce_aug == bd.ce_orig
-    assert abs(bd.total - bd.ce_orig) <= 1e-9
+    bd = _terms(t, local_loss(t, params, [snap], X, X, y, 0.0)[1])
+    assert bd["ce_aug"] == bd["ce_orig"]
+    assert abs(bd["total"] - bd["ce_orig"]) <= 1e-9
 
 
 def test_local_loss_breakdown_recomposition():
@@ -294,20 +299,20 @@ def test_local_loss_breakdown_recomposition():
         params, snaps, X, X_aug, y = _instance(seed=seed)
         lam = [0.0, 0.3, 0.5, 0.8, 1.0][seed]
         t = Tape()
-        _, bd = local_loss(t, params, snaps, X, X_aug, y, lam)
-        recomposed = 0.5 * (bd.ce_orig + bd.ce_aug) + lam * bd.intra + (1 - lam) * bd.inter
-        assert abs(bd.total - recomposed) <= 1e-12
-        assert 0.0 <= bd.intra <= 2.0
-        assert 0.0 <= bd.inter <= 2.0 * len(snaps)
+        bd = _terms(t, local_loss(t, params, snaps, X, X_aug, y, lam)[1])
+        recomposed = 0.5 * (bd["ce_orig"] + bd["ce_aug"]) + lam * bd["intra"] + (1 - lam) * bd["inter"]
+        assert abs(bd["total"] - recomposed) <= 1e-12
+        assert 0.0 <= bd["intra"] <= 2.0
+        assert 0.0 <= bd["inter"] <= 2.0 * len(snaps)
 
 
 def test_local_loss_empty_snapshots_round_one_rule():
     params, _, X, X_aug, y = _instance(seed=7)
     t = Tape()
-    _, bd = local_loss(t, params, [], X, X_aug, y, 0.3)
-    assert bd.inter == 0.0
-    expected = 0.5 * (bd.ce_orig + bd.ce_aug) + 0.3 * bd.intra
-    assert abs(bd.total - expected) <= 1e-12
+    bd = _terms(t, local_loss(t, params, [], X, X_aug, y, 0.3)[1])
+    assert bd["inter"] == 0.0
+    expected = 0.5 * (bd["ce_orig"] + bd["ce_aug"]) + 0.3 * bd["intra"]
+    assert abs(bd["total"] - expected) <= 1e-12
 
 
 def test_local_loss_lambda_range_checked():
@@ -328,7 +333,7 @@ def test_standalone_terms_give_local_loss_bits(normalize):
     # give the very bytes local_loss records for it
     params, snaps, X, X_aug, y = _instance(seed=12, n_snaps=3)
     t = Tape()
-    _, bd = local_loss(t, params, snaps, X, X_aug, y, 0.3, inter_normalize=normalize)
+    _, nodes = local_loss(t, params, snaps, X, X_aug, y, 0.3, inter_normalize=normalize)
     # local_loss's head gradients in recording order: g, g_aug, then one per snapshot
     recorded = [t.value(nid) for nid, op in enumerate(t.ops) if op == "flatten-concat"]
     s = Tape()
@@ -346,8 +351,8 @@ def test_standalone_terms_give_local_loss_bits(normalize):
         "inter": inter_gm_loss(s, g_aug, snaps, h_orig, y, normalize=normalize),
     }
     for m, nid in terms.items():
-        assert s.value(nid).tobytes() == t.value(bd.nodes[m]).tobytes()
-        assert float(s.value(nid)) == getattr(bd, m)
+        assert s.value(nid).tobytes() == t.value(nodes[m]).tobytes()
+        assert float(s.value(nid)) == float(t.value(nodes[m]))
 
 
 def test_head_grad_equals_autodiff_cross_entropy_gradient():
@@ -377,16 +382,16 @@ def test_head_grad_equals_autodiff_cross_entropy_gradient():
 def _total_gradient(params, snaps, X, X_aug, y, lam):
     t = Tape()
     staged = stage_params(t, params)
-    loss, bd = local_loss(t, staged, snaps, X, X_aug, y, lam)
+    loss, _ = local_loss(t, staged, snaps, X, X_aug, y, lam)
     grads = backward(t, loss)
-    return np.concatenate([grads[nid].ravel() for nid in staged.all_ids()]), bd
+    return np.concatenate([grads[nid].ravel() for nid in staged.all_ids()])
 
 
 def test_local_loss_gradient_matches_finite_differences():
     # differentiation *through* the head-gradient expressions
     for seed, lam in [(1, 0.0), (2, 0.3), (3, 1.0)]:
         params, snaps, X, X_aug, y = _instance(seed=seed)
-        g_ad, _ = _total_gradient(params, snaps, X, X_aug, y, lam)
+        g_ad = _total_gradient(params, snaps, X, X_aug, y, lam)
 
         def f(theta):
             t = Tape()
@@ -408,8 +413,9 @@ def test_identity_augmentation_null():
     # nothing to the total gradient (difference of lambda=1 vs lambda=0
     # gradients with the inter term disabled)
     params, _, X, _, y = _instance(seed=11, x_scale=2.5)
-    _, bd = local_loss(Tape(), params, [], X, X, y, 1.0)
-    assert bd.intra <= 1e-12
-    g1, _ = _total_gradient(params, [], X, X, y, 1.0)
-    g0, _ = _total_gradient(params, [], X, X, y, 0.0)
+    t = Tape()
+    bd = _terms(t, local_loss(t, params, [], X, X, y, 1.0)[1])
+    assert bd["intra"] <= 1e-12
+    g1 = _total_gradient(params, [], X, X, y, 1.0)
+    g0 = _total_gradient(params, [], X, X, y, 0.0)
     assert np.linalg.norm(g1 - g0) <= 1e-8

@@ -25,7 +25,7 @@ from fedgm import federation
 from fedgm import rng as streams
 from fedgm.autodiff import Tape, backward, compile_step
 from fedgm.data import AugmentationSpec, DomainDataset, batch_iter
-from fedgm.errors import DivergenceError, OracleError, ShapeError, UsageError
+from fedgm.errors import ContractError, DivergenceError, OracleError, ShapeError, UsageError
 from fedgm.federation import HyperParams, _matching_loss, _Recorded, cosine_lr, local_train, plain_ce_loss
 from fedgm.model import HeadSnapshot, ModelParams, flatten, init_params, stage_params
 
@@ -544,19 +544,27 @@ def test_snapshot_blocks_run_as_one_group_of_lanes(monkeypatch):
 
 
 def _two_lane_tape(first, second, chained=False):
-    """Two heads applied to one parameter block: each lane is (h @ W_j)**2 summed,
-    or, ``chained``, the second head's add reads the first's."""
+    """Two heads applied to one parameter block: each lane, declared, is
+    (h @ W_j)**2 summed, or, ``chained``, the second head's add reads the first's."""
     rng = np.random.default_rng(4)
     tape = Tape()
     h = tape.leaf(rng.normal(size=(4, 3)), param=True)
     w1, w2 = tape.constant(first), tape.constant(second)
     if chained:
-        a = ad.add(tape, h, w1)
-        loss = ad.reduce_sum(tape, ad.mul(tape, ad.add(tape, a, w2), a))
-        return tape, loss
-    z1, z2 = ad.matmul(tape, h, w1), ad.matmul(tape, h, w2)
-    s1, s2 = ad.reduce_sum(tape, ad.mul(tape, z1, z1)), ad.reduce_sum(tape, ad.mul(tape, z2, z2))
-    return tape, ad.add(tape, s1, s2)
+        with tape.lane("heads", 0):
+            a = ad.add(tape, h, w1)
+        with tape.lane("heads", 1):
+            b = ad.add(tape, a, w2)
+        return tape, ad.reduce_sum(tape, ad.mul(tape, b, a))
+    z = []
+    for j, w in enumerate((w1, w2)):
+        with tape.lane("heads", j):
+            z.append(ad.matmul(tape, h, w))
+    s = []
+    for j in range(2):
+        with tape.lane("heads", j):
+            s.append(ad.reduce_sum(tape, ad.mul(tape, z[j], z[j])))
+    return tape, ad.add(tape, *s)
 
 
 def _compiled_matches_eager(tape, loss, fed=()):
@@ -576,21 +584,25 @@ def test_lanes_need_one_memory_order(contiguous, monkeypatch):
     w1, w2 = rng.normal(size=(2, 3)).T, rng.normal(size=(2, 3)).T  # transposed, as snapshot heads are
     if contiguous:
         w2 = np.ascontiguousarray(w2)
+        # one transposed and one contiguous head: BLAS would round a shared
+        # kernel differently for one of them, so they cannot be lanes
+        tape, loss = _two_lane_tape(w1, w2)
+        with pytest.raises(ContractError, match=r"lane group \[1, 2\]: lanes differ in memory order"):
+            compile_step(tape, 1, loss, [loss])
+        return
     step = _compiled_matches_eager(*_two_lane_tape(w1, w2))
     grouped = [ids for ids in step.leaves if len(ids) > 1]
     matmuls = [ln for ln in _forward_lines(step.source) if " @ " in ln]
-    # one transposed and one contiguous head: BLAS would round a shared kernel
-    # differently for one of them, so each keeps its own matmul
-    assert (grouped, len(matmuls)) == (([], 2) if contiguous else ([(1, 2)], 1))
+    assert (grouped, len(matmuls)) == ([(1, 2)], 1)
 
 
 def test_an_op_that_consumes_its_isomorphic_twin_is_not_a_lane(monkeypatch):
     monkeypatch.setattr(ad, "_STEP_CACHE", {})
     rng = np.random.default_rng(8)
-    # both adds take one seed at position 1, but the second also takes the first
-    step = _compiled_matches_eager(*_two_lane_tape(rng.normal(size=(4, 3)), rng.normal(size=(4, 3)), chained=True))
-    assert all(len(ids) == 1 for ids in step.leaves)
-    assert not any(ln.lstrip().startswith("L") for ln in step.source.splitlines())  # no group's value
+    # both adds take one head at position 1, but the second also takes the first
+    tape, loss = _two_lane_tape(rng.normal(size=(4, 3)), rng.normal(size=(4, 3)), chained=True)
+    with pytest.raises(ContractError, match=r"lane group \[3, 4\]: input 0 reads \[0, 3\], its twin"):
+        compile_step(tape, 1, loss, [loss])
 
 
 def test_a_lane_read_by_lane_0_is_read_lane_by_lane(monkeypatch):
@@ -601,13 +613,15 @@ def test_a_lane_read_by_lane_0_is_read_lane_by_lane(monkeypatch):
     g = [tape.constant(rng.normal(size=(2, 2))) for _ in range(3)]
     h = [tape.constant(rng.normal(size=(2, 2))) for _ in range(3)]
     # the second product reads h[0] where its lane's h would be h[1], the third its own h[2]
-    products = [ad.mul(tape, g[0], h[0]), ad.mul(tape, g[1], h[0]), ad.mul(tape, g[2], h[2])]
-    products += [ad.mul(tape, w, h[1]), ad.mul(tape, w, h[1]), ad.mul(tape, w, h[2])]
+    products = []
+    for j, hj in enumerate((h[0], h[0], h[2])):
+        with tape.lane("products", j):
+            products.append(ad.mul(tape, g[j], hj))
     loss = ad.reduce_sum(tape, ad.mul(tape, w, products[0]))
     for z in products[1:]:
         loss = ad.add(tape, loss, ad.reduce_sum(tape, ad.mul(tape, w, z)))
-    step = _compiled_matches_eager(tape, loss)
-    assert all(len(ids) == 1 for ids in step.leaves)
+    with pytest.raises(ContractError, match=r"input 1 reads \[4, 4, 6\], neither one shared node nor one group"):
+        compile_step(tape, 1, loss, [loss])
 
 
 def _views_step(snaps, gm_enabled=True):
@@ -647,12 +661,16 @@ def test_gm_step_holds_the_view_pair_and_the_snapshot_heads(monkeypatch):
 
 
 def _bias_chain(W, b, x1, x2):
-    """relu(x_j @ W + b) for two fed batches x_j, then sum(h1 * h1) + sum(h2):
-    the shared bias takes one term from each lane."""
+    """relu(x_j @ W + b) for two fed batches x_j, declared as lanes, then
+    sum(h1 * h1) + sum(h2): the shared bias takes one term from each lane."""
     tape = Tape()
     w, bias = tape.leaf(W, param=True), tape.leaf(b, param=True)
     xs = [tape.constant(x1), tape.constant(x2)]
-    h1, h2 = (ad.relu(tape, ad.add(tape, ad.matmul(tape, x, w), bias)) for x in xs)
+    hs = []
+    for j, x in enumerate(xs):
+        with tape.lane("batches", j):
+            hs.append(ad.relu(tape, ad.add(tape, ad.matmul(tape, x, w), bias)))
+    h1, h2 = hs
     loss = ad.add(tape, ad.reduce_sum(tape, ad.mul(tape, h1, h1)), ad.reduce_sum(tape, h2))
     return tape, loss, [w, bias, *xs]
 
@@ -680,12 +698,16 @@ def test_a_bias_add_on_two_fed_leaves_matches_backward(k, rows, monkeypatch):
 
 
 def _two_fed_tape(x1, x2, b_uses=1, constant=False):
-    """Two batches multiplied by one parameter; the second is a constant, not
-    fed, when ``constant``, and is read once more when ``b_uses`` is 2."""
+    """Two batches multiplied by one parameter, declared as lanes; the second is
+    a constant, not fed, when ``constant``, and is read once more when ``b_uses`` is 2."""
     tape = Tape()
     w = tape.leaf(np.ones((3, 2)), param=True)
     a, b = tape.constant(x1), tape.constant(x2)
-    loss = ad.add(tape, ad.reduce_sum(tape, ad.matmul(tape, a, w)), ad.reduce_sum(tape, ad.matmul(tape, b, w)))
+    sums = []
+    for j, x in enumerate((a, b)):
+        with tape.lane("batches", j):
+            sums.append(ad.reduce_sum(tape, ad.matmul(tape, x, w)))
+    loss = ad.add(tape, *sums)
     if b_uses == 2:
         loss = ad.add(tape, loss, ad.reduce_sum(tape, b))
     return tape, loss, (w, a) if constant else (w, a, b)
@@ -700,6 +722,124 @@ def test_fed_leaves_group_only_with_fed_leaves_of_one_shape_and_use(rows, b_uses
     monkeypatch.setattr(ad, "_STEP_CACHE", {})
     rng = np.random.default_rng(15)
     tape, loss, fed = _two_fed_tape(rng.normal(size=(4, 3)), rng.normal(size=(rows, 3)), b_uses, constant)
+    if rows != 4 or constant:  # lanes of two shapes, or of a fed and a constant batch
+        with pytest.raises(ContractError, match="lanes differ in " + ("shape" if rows != 4 else "feeding")):
+            compile_step(tape, 1, loss, [loss], fed)
+        return
+    # a lane leaf read on its own too is bound as a view of the group's argument
     step = _compiled_matches_eager(tape, loss, fed)
-    grouped = [ids for ids in step.leaves if len(ids) > 1]
-    assert grouped == ([(1, 2)] if (rows, b_uses, constant) == (4, 1, False) else [])
+    assert [ids for ids in step.leaves if len(ids) > 1] == [(1, 2)]
+
+
+def _pair(tape, first, second, lanes=(0, 1)):
+    """``first()`` and ``second()`` recorded as two declared lanes of one group."""
+    outs = []
+    for j, record in zip(lanes, (first, second)):
+        with tape.lane("pair", j):
+            outs.append(record())
+    return outs
+
+
+def _summed(tape, *nodes):
+    loss = ad.reduce_sum(tape, nodes[0])
+    for z in nodes[1:]:
+        loss = ad.add(tape, loss, ad.reduce_sum(tape, z))
+    return loss
+
+
+def _nested(t, w, x0, x1):
+    outs = []
+    for j, x in enumerate((x0, x1)):
+        with t.lane("outer", j), t.lane("inner", j):
+            outs.append(ad.mul(t, x, w))
+    return _summed(t, *outs)
+
+
+# each case: a loss over w (a parameter) and two constant rows x0, x1, whose
+# declared lanes break one rule, and the ContractError that names it
+_BROKEN_LANES = {
+    "lengths": (
+        lambda t, w, x0, x1: _summed(t, *_pair(t, lambda: ad.mul(t, x0, w), lambda: ad.exp(t, ad.mul(t, x1, w)))),
+        r"lane group 'pair': lanes \[0, 1\] of \[1, 2\] nodes, not lanes 0..S-1 of one length",
+    ),
+    "numbering": (
+        lambda t, w, x0, x1: _summed(t, *_pair(t, lambda: ad.mul(t, x0, w), lambda: ad.mul(t, x1, w), (0, 2))),
+        r"lanes \[0, 2\] of \[1, 1\] nodes",
+    ),
+    "nested": (_nested, "a node is declared in two lanes"),
+    "loss": (
+        lambda t, w, x0, x1: _pair(t, lambda: ad.dot(t, x0, w), lambda: ad.dot(t, x1, w))[1],
+        "the loss and the parameters are never lanes",
+    ),
+    "parameter": (
+        lambda t, w, x0, x1: _summed(t, *_pair(t, *[lambda: t.leaf(np.ones(3), param=True)] * 2)),
+        "the loss and the parameters are never lanes",
+    ),
+    "order": (
+        lambda t, w, x0, x1: _summed(t, *_pair(t, lambda: ad.mul(t, x0, w), lambda: ad.mul(t, x1, w), (1, 0))),
+        r"lane group \[4, 3\]: lanes must be recorded in lane order",
+    ),
+    "tag": (
+        lambda t, w, x0, x1: _summed(t, *_pair(t, lambda: ad.mul(t, x0, w), lambda: ad.add(t, x1, w))),
+        "lanes differ in tag$",
+    ),
+    "constant": (
+        lambda t, w, x0, x1: _summed(t, *_pair(t, lambda: ad.scale(t, x0, 2.0), lambda: ad.scale(t, x1, -2.0)), w),
+        "lanes differ in scale constant$",
+    ),
+    "adjoint": (
+        lambda t, w, x0, x1: _summed(t, _pair(t, lambda: ad.mul(t, x0, w), lambda: ad.mul(t, x1, w))[0]),
+        "lanes differ in adjoint need$",
+    ),
+    "no-lane-input": (
+        lambda t, w, x0, x1: _summed(t, *_pair(t, lambda: ad.mul(t, x0, w), lambda: ad.mul(t, x0, w))),
+        "reads no lane, so its lanes would be one value",
+    ),
+    "concat-shared": (
+        lambda t, w, x0, x1: _summed(
+            t, *_pair(t, lambda: ad.flatten_concat(t, (x0, w)), lambda: ad.flatten_concat(t, (x1, w)))
+        ),
+        "a flatten-concat group reads a shared input",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_BROKEN_LANES))
+def test_a_declaration_that_breaks_a_rule_is_a_contract_error(case):
+    build, message = _BROKEN_LANES[case]
+    tape = Tape()
+    w = tape.leaf(np.arange(1.0, 4.0), param=True)
+    loss = build(tape, w, tape.constant(np.full(3, 0.5)), tape.constant(np.full(3, -1.5)))
+    backward(tape, loss)  # the eager tape ignores the declarations
+    with pytest.raises(ContractError, match=message):
+        compile_step(tape, 1, loss, [loss])
+
+
+def test_declarations_are_part_of_the_step_cache_key(monkeypatch):
+    monkeypatch.setattr(ad, "_STEP_CACHE", {})
+    steps = []
+    for declare in (False, True):
+        tape = Tape()
+        w = tape.leaf(np.arange(1.0, 4.0), param=True)
+        x0, x1 = tape.constant(np.full(3, 0.5)), tape.constant(np.full(3, -1.5))
+        if declare:
+            loss = _summed(tape, *_pair(tape, lambda: ad.mul(tape, x0, w), lambda: ad.mul(tape, x1, w)))
+        else:
+            loss = _summed(tape, ad.mul(tape, x0, w), ad.mul(tape, x1, w))
+        steps.append(_compiled_matches_eager(tape, loss))
+    assert [step.leaves for step in steps] == [((0,), (1,), (2,)), ((0,), (1, 2))]
+
+
+def test_a_linear_model_runs_both_views_as_lanes_beside_the_snapshot_heads(monkeypatch):
+    # with no hidden layer the features are the batch itself, which every
+    # snapshot head reads too: the view group still forms
+    monkeypatch.setattr(ad, "_STEP_CACHE", {})
+    rng = np.random.default_rng(17)
+    snaps = [HeadSnapshot(j, rng.normal(0.0, 0.7, (2, 3)), rng.normal(0.0, 0.3, 2)) for j in range(3)]
+    step = _matching_loss(snaps, HyperParams(lam=0.5), AugmentationSpec.gaussian_noise(0.2))
+    params = init_params([3], 2, 1)
+    clients = [step.feeds(rng.normal(0.0, 1.0, (5, 3)), rng.integers(0, 2, 5), 2, rng=rng) for _ in range(3)]
+    rec = _recorded(step, params, clients)
+    assert _compiled(rec, params, clients) == [_fresh(step, params, values) for values in clients]
+    x, x_aug = (nid for nid, kind in enumerate(rec.tape.ops) if kind == ad.LEAF and rec.tape.value(nid).shape == (5, 3))
+    assert (x, x_aug) in rec.step.leaves
