@@ -29,8 +29,10 @@ Tensors are plain ``numpy.ndarray`` values in float64, row-major. Scalars are
 
 from __future__ import annotations
 
+import ast
 import math
 import operator
+import re
 from contextlib import contextmanager
 from typing import Callable, Hashable, NamedTuple, Sequence
 
@@ -306,12 +308,17 @@ _OPS: dict[str, _Op] = {
         ["{o} = ({A}.reshape({ka}, 1, -1) @ {B}.reshape({kb}, -1, 1)).reshape({lead})"],
         ("({g}{rb} * {b}).reshape({shape_a})", "({g}{ra} * {a}).reshape({shape_b})"),
     ),
-    # the zero-norm subgradient depends on each client's value, so it is
-    # selected per slice (and the division never sees that zero)
+    # the zero-norm subgradient depends on each client's value, so when any
+    # norm is zero (-0.0 included) it is selected per slice and the division
+    # never sees that zero; when none is, both forms give the same bytes and
+    # the plain quotient runs alone
     "l2-norm": _Op(
         _fw_l2_norm, _bw_l2_norm,
         ["{o} = sqrt(({A}.reshape({ka}, 1, -1) @ {A}.reshape({ka}, -1, 1)).reshape({lead}))"],
-        ("where({o}{ra} == 0.0, 0.0, {a} * ({g} / where({o} == 0.0, 1.0, {o})){ra})",),
+        (
+            "({a} * ({g} / {o}){ra} if {o}.all() else "
+            "where({o}{ra} == 0.0, 0.0, {a} * ({g} / where({o} == 0.0, 1.0, {o})){ra}))",
+        ),
     ),
     "flatten-concat": _Op(_fw_flatten_concat, _bw_flatten_concat, ["{o} = concatenate([{rows}], axis=-1)"], ()),
 }
@@ -449,8 +456,8 @@ _ELEMENTWISE = ("add", "sub", "elementwise-mul", "div")
 
 _KERNELS = {
     "concatenate": np.concatenate, "exp": np.exp, "full_like": np.full_like, "log": np.log,
-    "maximum": np.maximum, "ones_like": np.ones_like, "sqrt": np.sqrt, "stack": np.stack,
-    "where": np.where, "zeros_like": np.zeros_like, "inf": math.inf, "nan": math.nan,
+    "maximum": np.maximum, "ones_like": np.ones_like, "sqrt": np.sqrt, "where": np.where,
+    "zeros_like": np.zeros_like, "inf": math.inf, "nan": math.nan,
 }
 
 _STEP_CACHE: dict[tuple, Callable] = {}
@@ -515,6 +522,49 @@ def _grad_exprs(tape: Tape, nid: int, in_needs: tuple[bool, ...], names: dict) -
             lead = len(names["lead_shape"])
             exprs = [_unbroadcast_src(e, out_shape, s, lead) for e, s in zip(exprs, shapes)]
     return [e if need else None for e, need in zip(exprs, in_needs)]
+
+
+_SHAPE_ONLY = ("ones_like", "full_like")  # kernels that read their first argument for its shape and order alone
+_NAME = re.compile(r"(?<![.\w])[A-Za-z_]\w*")
+
+
+def _fold(lines: list[str], placeholder: Callable[[str], Array]) -> tuple[list[str], dict[str, Array]]:
+    """Evaluate, in order, the lines ``x = expr`` of a step's backward that read no runtime value, and drop them.
+
+    Such a line reads only kernels and earlier folded lines' targets, besides the first
+    argument of ``ones_like`` or ``full_like``, which takes ``placeholder(name)``: the loss
+    seed and what ``add``, ``sub``, ``scale-by-constant``, ``transpose``, the reductions,
+    flatten-concat slices and lane stacks and slices make of it. Each value is bound
+    read-only as the constant ``K<x>``, under which the kept lines read it. Returns the
+    kept lines and the constants by name.
+    """
+    consts: dict[str, Array] = {}
+    folded: dict[str, str] = {}  # variable -> the constant that holds its value now
+    rename = lambda text: _NAME.sub(lambda m: folded.get(m[0], m[0]), text)  # noqa: E731
+    kept = []
+    for line in lines:
+        target, eq, expr = line.partition(" = ")
+        if not eq:
+            kept.append(rename(line))
+            continue
+        tree = ast.parse(expr, mode="eval")
+        shaped = {
+            id(n) for c in ast.walk(tree)
+            if isinstance(c, ast.Call) and getattr(c.func, "id", None) in _SHAPE_ONLY
+            for n in ast.walk(c.args[0])
+        }
+        names = [n for n in ast.walk(tree) if isinstance(n, ast.Name)]
+        reads = {n.id for n in names if id(n) not in shaped} - _KERNELS.keys()
+        if reads <= folded.keys():
+            env = {**_KERNELS, **{n.id: placeholder(n.id) for n in names if id(n) in shaped}}
+            env.update((x, consts[folded[x]]) for x in reads)
+            value = eval(compile(tree, "<folded adjoint>", "eval"), env)
+            value.flags.writeable = False
+            consts[f"K{target}"], folded[target] = value, f"K{target}"
+            continue
+        kept.append(f"{target} = {rename(expr)}")
+        folded.pop(target, None)
+    return kept, consts
 
 
 def _structure(tape: Tape, loss: int, outs: tuple[int, ...], fed: tuple[int, ...]) -> tuple:
@@ -615,9 +665,17 @@ def compile_step(tape: Tape, k: int, loss: int, outs: Sequence[int], fed: Sequen
     and ``backward``'s sweep, one kernel per group of lanes, adds every
     adjoint's terms in ``backward``'s order (a shared input's terms from a
     group lane by lane, an unbroadcast one included), and resolves the
-    ``needs`` masks, unbroadcasts and flatten-concat slices once. Functions
-    are cached by structure and k; the generated source is the function's
-    ``source`` attribute.
+    ``needs`` masks, unbroadcasts and flatten-concat slices once. The
+    backward's lines that read no runtime value (the loss seed, and what
+    add, sub, scale-by-constant, transpose, the reductions' fills,
+    flatten-concat slices and lane stacks make of it alone) are evaluated
+    here, once, by the same expressions on stand-ins of the recorded values'
+    shapes and memory order, and bound as read-only constants
+    (``_fold``); a parameter gradient that is one is returned as that
+    read-only array. An l2-norm's adjoint takes its zero-norm subgradient
+    only on a call where some slice's norm is zero. Functions are cached by
+    structure and k; the generated source, whose backward starts at its
+    ``# backward`` line, is the function's ``source`` attribute.
     """
     outs, fed = tuple(outs), tuple(fed)
     key = (k, *_structure(tape, loss, outs, fed))
@@ -670,7 +728,8 @@ def compile_step(tape: Tape, k: int, loss: int, outs: Sequence[int], fed: Sequen
         if nid in lane and nid not in tails:
             g = groups[lane[nid][0]]
             body.extend(f"v{m} = L{g[0]}[:, {j}]" for j, m in enumerate(g) if m in alone)
-    body.append(f"g{loss} = ones_like(v{loss})")
+    start = len(body)
+    body += ["# backward", f"g{loss} = ones_like(v{loss})"]
 
     # Every adjoint adds its terms in backward's order, each once it is ready.
     # A group's adjoint is one (k, S, ...) array when each lane's terms come
@@ -707,7 +766,7 @@ def compile_step(tape: Tape, k: int, loss: int, outs: Sequence[int], fed: Sequen
             continue
         gi = lane[nid][0]
         if gi not in whole:
-            body.append(f"G{nid} = stack([{', '.join(f'g{m}' for m in groups[gi])}], axis=1)")
+            body.append(f"G{nid} = concatenate([{', '.join(f'g{m}[:, None]' for m in groups[gi])}], axis=1)")
         for p, expr in enumerate(exprs):
             if expr is not None and flags[gi][p] and lane[inputs[nid][p]][0] in whole:
                 offer(nid, p, expr)
@@ -717,6 +776,13 @@ def compile_step(tape: Tape, k: int, loss: int, outs: Sequence[int], fed: Sequen
                     offer(m, p, f"C{nid}_{p}[:, {j}]")
     grads = "".join(f"g{p}, " if p in has_adjoint else f"zeros_like(v{p}), " for p in tape.params)
     body.append(f"return ({''.join(f'v{nid}, ' for nid in outs)}), ({grads})")
+
+    def placeholder(name):  # a stand-in for the runtime value ``name`` of the recorded shapes and memory order
+        ids = groups[lane[int(name[1:])][0]] if name[0] == "L" else [int(name[1:])]
+        per_lane = [np.stack([np.zeros_like(tape.vals[m])] * k) for m in ids]
+        return per_lane[0] if name[0] == "v" else np.concatenate([p[:, None] for p in per_lane], axis=1)
+
+    body[start:], consts = _fold(body[start:], placeholder)
     source = f"def step({', '.join(arg_names)}):\n" + "".join(f"    {line}\n" for line in body)
 
     def shape_error(values):
@@ -725,7 +791,7 @@ def compile_step(tape: Tape, k: int, loss: int, outs: Sequence[int], fed: Sequen
                 what = f"leaf {ids[0]}" if len(ids) == 1 else f"lanes of leaves {ids}"
                 raise ShapeError(f"compiled step: {what} was recorded with dims {shape}, got {value.shape}")
 
-    namespace = {**_KERNELS, "shapes": shapes, "shape_error": shape_error}
+    namespace = {**_KERNELS, **consts, "shapes": shapes, "shape_error": shape_error}
     exec(compile(source, "<compiled step>", "exec"), namespace)
     step = namespace["step"]
     step.source, step.leaves = source, args

@@ -12,6 +12,7 @@ gradients of that client's step recorded afresh on the same values, bit for
 bit, and the checks of a recorded step must still run on it.
 """
 
+import re
 import tracemalloc
 from unittest import mock
 
@@ -160,6 +161,23 @@ def test_zero_norm_subgradient_taken_by_one_slice_only(monkeypatch):
         got = _compiled(rec, params, clients)
         assert got == [_fresh(step, params, values) for values in clients]
         assert all(np.isfinite(np.frombuffer(g)).all() for client in got for g in client[1])
+
+
+@pytest.mark.parametrize("zero", [(), (1,), (0, 1, 2)], ids=["none", "one", "all"])
+def test_zero_norm_fast_path_matches_each_clients_recording(zero, monkeypatch):
+    """The l2-norm adjoint takes the plain quotient only when no slice's norm is zero."""
+    monkeypatch.setattr(ad, "_STEP_CACHE", {})
+    params = _saturating_params()
+    snaps = [HeadSnapshot(1, np.array([[100.0, 0.0], [0.0, 0.0]]), np.zeros(2))]
+    step = _matching_loss(snaps, HyperParams(lam=0.5), AugmentationSpec.identity())
+    batches = [_SATURATED if i in zero else _UNIFORM for i in range(3)]
+    assert [min(_l2_norms(step, params, X)) == 0.0 for X in batches] == [i in zero for i in range(3)]
+    clients = [step.feeds(X, _LABELS, 2) for X in batches]
+    rec = _recorded(step, params, clients)
+    assert rec.step.source.count(".all() else where(") == len(_l2_norms(step, params, _UNIFORM))
+    got = _compiled(rec, params, clients)
+    assert got == [_fresh(step, params, values) for values in clients]
+    assert all(np.isfinite(np.frombuffer(g)).all() for client in got for g in client[1])
 
 
 def test_calls_share_one_compiled_step_with_their_own_snapshot_heads():
@@ -523,7 +541,7 @@ def test_every_op_compiles_to_each_clients_eager_bytes():
 
 
 def _forward_lines(source):
-    return source[: source.index("ones_like")].splitlines()
+    return source[: source.index("# backward")].splitlines()
 
 
 def test_snapshot_blocks_run_as_one_group_of_lanes(monkeypatch):
@@ -658,6 +676,51 @@ def test_gm_step_holds_the_view_pair_and_the_snapshot_heads(monkeypatch):
     # the view group takes in the hidden features, which the snapshot heads
     # still read as one shared input of their group
     assert (x, x_aug) in rec.step.leaves and heads in rec.step.leaves
+
+
+def test_gm_step_folds_its_value_free_adjoints(monkeypatch):
+    monkeypatch.setattr(ad, "_STEP_CACHE", {})
+    rng = np.random.default_rng(13)
+    snaps = [HeadSnapshot(j, rng.normal(0.0, 0.7, (2, 6)), rng.normal(0.0, 0.3, 2)) for j in range(3)]
+    rec, _ = _views_step(snaps)
+    source = rec.step.source
+    # the loss seed, the cross-entropies' fill and the lane stacks of the seed's
+    # adjoints are constants of the step; the stacks that read values remain
+    assert "ones_like" not in source and "full_like" not in source and "stack(" not in source
+    stacks = [ln for ln in source.splitlines() if "concatenate([" in ln and "[:, None]" in ln]
+    assert len(stacks) == 2 and all(" = concatenate([g" in ln for ln in stacks)
+    read = set(re.findall(r"\bK\w+", source))
+    consts = {name: value for name, value in rec.step.__globals__.items() if name.startswith("K")}
+    assert read and read <= consts.keys()
+    assert not any(value.flags.writeable for value in consts.values())
+
+
+def _constant_gradient_tape(b_val, w_val, x_val):
+    """sum(w * x) + (sum(3 b) + mean(b)): b's gradient, 3 + 1/6 everywhere,
+    reads no value, so the compiled step returns a constant it computed once."""
+    tape = Tape()
+    b, w = tape.leaf(b_val, param=True), tape.leaf(w_val, param=True)
+    x = tape.constant(x_val)
+    data = ad.reduce_sum(tape, ad.mul(tape, w, x))
+    return tape, ad.add(tape, data, ad.add(tape, ad.reduce_sum(tape, ad.scale(tape, b, 3.0)), ad.reduce_mean(tape, b)))
+
+
+def test_a_folded_parameter_gradient_is_read_only_and_matches_backward():
+    rng = np.random.default_rng(21)
+    b, w = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
+    tape, loss = _constant_gradient_tape(b, w, rng.normal(size=(2, 3)))
+    step = compile_step(tape, 2, loss, [loss])
+    for _ in range(2):  # two calls in a row, each on fresh batches
+        tapes = [_constant_gradient_tape(b, w, rng.normal(size=(2, 3)))[0] for _ in range(2)]
+        (total,), grads = step(*(np.stack([t.value(nid) for t in tapes]) for nid in (0, 1, 2)))
+        for i, t in enumerate(tapes):
+            by_id = backward(t, loss)
+            assert total[i].tobytes() == t.value(loss).tobytes()
+            assert [g[i].tobytes() for g in grads] == [by_id[p].tobytes() for p in t.params]
+        # b's gradient is the step's folded constant: a caller cannot write into it
+        assert not grads[0].flags.writeable and grads[1].flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            grads[0][:] = 0.0
 
 
 def _bias_chain(W, b, x1, x2):
