@@ -23,8 +23,9 @@ one kernel per op. Every batch of the recorded shapes, the recorded one
 included, calls that function, and tapes with the same structure share one
 compiled function; ``backward`` on the recorded tape checks it.
 
-Tensors are plain ``numpy.ndarray`` values in float64, row-major. Scalars are
-0-d arrays.
+Tensors are plain ``numpy.ndarray`` values in float64. Every leaf is stored
+row-major, so a transposed layout only comes from a ``transpose`` op, whose
+value is a view. Scalars are 0-d arrays.
 """
 
 from __future__ import annotations
@@ -346,10 +347,11 @@ class Tape:
         return len(self.ops)
 
     def leaf(self, value, *, param: bool = False) -> int:
-        """Register an input tensor; ``param=True`` marks it for gradients."""
+        """Register an input tensor, stored row-major (a copy only if it is not), so a transpose
+        is always an op; ``param=True`` marks it for gradients."""
         self.ops.append(LEAF)
         self.inputs.append(())
-        self.vals.append(as_tensor(value))
+        self.vals.append(np.asarray(value, dtype=np.float64, order="C"))
         self.saved.append(None)
         nid = len(self.ops) - 1
         if param:
@@ -526,6 +528,14 @@ def _grad_exprs(tape: Tape, nid: int, in_needs: tuple[bool, ...], names: dict) -
 
 _SHAPE_ONLY = ("ones_like", "full_like")  # kernels that read their first argument for its shape and order alone
 _NAME = re.compile(r"(?<![.\w])[A-Za-z_]\w*")
+_SHAPE_ARG = re.compile(r"\b(?:ones_like|full_like)\((\w+)")  # the variable a shape-only first argument names
+_FIXED = frozenset(_KERNELS) | {"axis", "keepdims", "True", "None", "if", "else"}  # names no step assigns
+
+
+def _may_fold(expr: str, folded) -> bool:
+    """False when ``expr`` names anything besides kernels, template keywords, ``folded``
+    targets and shape-only arguments: then it reads a runtime value, seen without a parse."""
+    return _FIXED.union(folded, _SHAPE_ARG.findall(expr)).issuperset(_NAME.findall(expr))
 
 
 def _fold(lines: list[str], placeholder: Callable[[str], Array]) -> tuple[list[str], dict[str, Array]]:
@@ -535,8 +545,8 @@ def _fold(lines: list[str], placeholder: Callable[[str], Array]) -> tuple[list[s
     argument of ``ones_like`` or ``full_like``, which takes ``placeholder(name)``: the loss
     seed and what ``add``, ``sub``, ``scale-by-constant``, ``transpose``, the reductions,
     flatten-concat slices and lane stacks and slices make of it. Each value is bound
-    read-only as the constant ``K<x>``, under which the kept lines read it. Returns the
-    kept lines and the constants by name.
+    read-only as the constant ``K<x>``, under which the kept lines read it. Only a line
+    that ``_may_fold`` passes is parsed. Returns the kept lines and the constants by name.
     """
     consts: dict[str, Array] = {}
     folded: dict[str, str] = {}  # variable -> the constant that holds its value now
@@ -547,21 +557,22 @@ def _fold(lines: list[str], placeholder: Callable[[str], Array]) -> tuple[list[s
         if not eq:
             kept.append(rename(line))
             continue
-        tree = ast.parse(expr, mode="eval")
-        shaped = {
-            id(n) for c in ast.walk(tree)
-            if isinstance(c, ast.Call) and getattr(c.func, "id", None) in _SHAPE_ONLY
-            for n in ast.walk(c.args[0])
-        }
-        names = [n for n in ast.walk(tree) if isinstance(n, ast.Name)]
-        reads = {n.id for n in names if id(n) not in shaped} - _KERNELS.keys()
-        if reads <= folded.keys():
-            env = {**_KERNELS, **{n.id: placeholder(n.id) for n in names if id(n) in shaped}}
-            env.update((x, consts[folded[x]]) for x in reads)
-            value = eval(compile(tree, "<folded adjoint>", "eval"), env)
-            value.flags.writeable = False
-            consts[f"K{target}"], folded[target] = value, f"K{target}"
-            continue
+        if _may_fold(expr, folded):
+            tree = ast.parse(expr, mode="eval")
+            shaped = {
+                id(n) for c in ast.walk(tree)
+                if isinstance(c, ast.Call) and getattr(c.func, "id", None) in _SHAPE_ONLY
+                for n in ast.walk(c.args[0])
+            }
+            names = [n for n in ast.walk(tree) if isinstance(n, ast.Name)]
+            reads = {n.id for n in names if id(n) not in shaped} - _KERNELS.keys()
+            if reads <= folded.keys():
+                env = {**_KERNELS, **{n.id: placeholder(n.id) for n in names if id(n) in shaped}}
+                env.update((x, consts[folded[x]]) for x in reads)
+                value = eval(compile(tree, "<folded adjoint>", "eval"), env)
+                value.flags.writeable = False
+                consts[f"K{target}"], folded[target] = value, f"K{target}"
+                continue
         kept.append(f"{target} = {rename(expr)}")
         folded.pop(target, None)
     return kept, consts
@@ -570,13 +581,10 @@ def _fold(lines: list[str], placeholder: Callable[[str], Array]) -> tuple[list[s
 def _structure(tape: Tape, loss: int, outs: tuple[int, ...], fed: tuple[int, ...]) -> tuple:
     """What a compiled step depends on: ops, inputs, leaf shapes, scale
     constants (by ``repr``, so 0.0 and -0.0 differ), params, loss, outs, the
-    fed leaves, the strides of the other leaves, and the declared lanes."""
+    fed leaves and the declared lanes. Every leaf is row-major, so its shape fixes its layout."""
     shapes = tuple(v.shape for v, kind in zip(tape.vals, tape.ops) if kind == LEAF)
     consts = tuple(repr(s) for s, kind in zip(tape.saved, tape.ops) if kind == "scale-by-constant")
-    params = set(tape.params)
-    orders = tuple(v.strides for nid, v in enumerate(tape.vals) if tape.ops[nid] == LEAF and nid not in params)
-    lanes = tuple(tape.lanes)
-    return (tuple(tape.ops), tuple(tape.inputs), shapes, consts, tuple(tape.params), loss, outs, fed, orders, lanes)
+    return (tuple(tape.ops), tuple(tape.inputs), shapes, consts, tuple(tape.params), loss, outs, fed, tuple(tape.lanes))
 
 
 def _declared(tape: Tape, loss: int, fed: set[int], has_adjoint: set[int]):
@@ -607,11 +615,11 @@ def _declared(tape: Tape, loss: int, fed: set[int], has_adjoint: set[int]):
     lane = {m: (gi, j) for gi, g in enumerate(groups) for j, m in enumerate(g)}
     if len(lane) < sum(map(len, groups)):
         raise ContractError("a node is declared in two lanes")
-    fields = ("tag", "input count", "scale constant", "shape", "memory order", "adjoint need", "feeding")
+    fields = ("tag", "input count", "scale constant", "shape", "adjoint need", "feeding")
 
     def sig(m):
         const = repr(tape.saved[m]) if ops[m] == "scale-by-constant" else None
-        return ops[m], len(inputs[m]), const, vals[m].shape, vals[m].strides, m in has_adjoint, m in fed
+        return ops[m], len(inputs[m]), const, vals[m].shape, m in has_adjoint, m in fed
 
     flags: list[tuple[bool, ...]] = []
     for gi, g in enumerate(groups):  # grows by the groups of leaves the columns make
@@ -648,10 +656,10 @@ def compile_step(tape: Tape, k: int, loss: int, outs: Sequence[int], fed: Sequen
     """One straight-line function for the forward and backward of ``tape``'s step for k clients at once.
 
     ``tape`` gives the step's structure (ops, inputs, leaf shapes, scale
-    constants, params, the memory order of the other leaves, the declared
-    lanes); ``fed`` names the leaves the caller passes anew on every call. The
-    function takes a value of every leaf per client, constants included, in
-    tape order, stacked on a leading client axis, (k, *recorded shape),
+    constants, params, the declared lanes); ``fed`` names the leaves the
+    caller passes anew on every call. The function takes a value of every
+    leaf per client, constants included, in tape order, stacked on a
+    leading client axis, (k, *recorded shape),
     except that the leaves of a group of S lanes (see ``_declared``: the
     snapshot heads, or a fed batch and its augmented view) come as one
     argument, also stacked on axis 1, (k, S, *recorded shape); a declaration
@@ -660,18 +668,17 @@ def compile_step(tape: Tape, k: int, loss: int, outs: Sequence[int], fed: Sequen
     argument that differs. It returns the values of ``outs`` and one gradient per
     parameter leaf, in ``tape.params`` order, with the client axis in front.
     Slice i equals bit for bit what recording the step on client i's values
-    and calling ``backward`` would give, as long as those values keep the
-    recorded constants' memory order: it issues the forward rules' kernels
-    and ``backward``'s sweep, one kernel per group of lanes, adds every
-    adjoint's terms in ``backward``'s order (a shared input's terms from a
+    and calling ``backward`` would give, each slice being row-major as the
+    tape's leaves are: it issues the forward rules' kernels and
+    ``backward``'s sweep, one kernel per group of lanes, adds every adjoint's terms in ``backward``'s order (a shared input's terms from a
     group lane by lane, an unbroadcast one included), and resolves the
     ``needs`` masks, unbroadcasts and flatten-concat slices once. The
     backward's lines that read no runtime value (the loss seed, and what
     add, sub, scale-by-constant, transpose, the reductions' fills,
     flatten-concat slices and lane stacks make of it alone) are evaluated
-    here, once, by the same expressions on stand-ins of the recorded values'
-    shapes and memory order, and bound as read-only constants
-    (``_fold``); a parameter gradient that is one is returned as that
+    here, once, by the same expressions on zero stand-ins laid out as the
+    recorded values (an op's value may be a transposed view), and bound as
+    read-only constants (``_fold``); a parameter gradient that is one is returned as that
     read-only array. An l2-norm's adjoint takes its zero-norm subgradient
     only on a call where some slice's norm is zero. Functions are cached by
     structure and k; the generated source, whose backward starts at its
@@ -777,7 +784,7 @@ def compile_step(tape: Tape, k: int, loss: int, outs: Sequence[int], fed: Sequen
     grads = "".join(f"g{p}, " if p in has_adjoint else f"zeros_like(v{p}), " for p in tape.params)
     body.append(f"return ({''.join(f'v{nid}, ' for nid in outs)}), ({grads})")
 
-    def placeholder(name):  # a stand-in for the runtime value ``name`` of the recorded shapes and memory order
+    def placeholder(name):  # a stand-in for the runtime value ``name``, laid out as the recorded values
         ids = groups[lane[int(name[1:])][0]] if name[0] == "L" else [int(name[1:])]
         per_lane = [np.stack([np.zeros_like(tape.vals[m])] * k) for m in ids]
         return per_lane[0] if name[0] == "v" else np.concatenate([p[:, None] for p in per_lane], axis=1)

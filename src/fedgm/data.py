@@ -237,13 +237,6 @@ def mix_amplitude(x1: np.ndarray, x2: np.ndarray, weight) -> np.ndarray:
     return _mix_spectra(f1, np.abs(f1), np.abs(np.fft.fft2(x2)), weight)
 
 
-def amplitude_mix(x1: np.ndarray, x2: np.ndarray, eta: float, rng: np.random.Generator) -> np.ndarray:
-    """Amplitude blend with a mixing weight drawn uniform in [0, eta]."""
-    if not 0.0 <= eta <= 1.0:
-        raise UsageError(f"eta must lie in [0, 1], got {eta}")
-    return mix_amplitude(x1, x2, rng.uniform(0.0, eta))
-
-
 def augment(X: np.ndarray, spec: AugmentationSpec, rng: np.random.Generator, batch: int | None = None) -> np.ndarray:
     """Apply one augmentation rowwise; labels are untouched by contract.
 

@@ -148,9 +148,7 @@ def _sgd_step(flat, grad, velocity, lr, hp):
 
 def _stacked(lanes: list[list[np.ndarray]]) -> np.ndarray:
     """One step argument from each of its leaves' k client values: (k, *shape)
-    for one leaf, and a group's lanes stacked on axis 1, (k, S, *shape).
-    np.stack keeps each value's memory order in its slice (a transposed
-    snapshot head stays transposed), and BLAS rounds by it."""
+    for one leaf, and a group's lanes stacked on axis 1, (k, S, *shape)."""
     per_leaf = [np.stack(values, dtype=np.float64) for values in lanes]
     return per_leaf[0] if len(per_leaf) == 1 else np.stack(per_leaf, axis=1)
 
@@ -186,11 +184,11 @@ class _Recorded:
         fed leaves, ``per_client``. ``stacks`` holds the epoch's stack of each
         fed argument by its leaves' positions, stacked by the first run on it.
         """
-        # batch feeds are C-ordered copies of their rows, as BLAS rounding depends on memory order
+        # a row slice of a stack is row-major in each client's slice, as the step needs
         for slot, pos, lead in self.feeds:
             if pos not in stacks:
                 stacks[pos] = _stacked([[feeds[q] for feeds in per_client] for q in pos])
-            self.args[slot] = np.ascontiguousarray(stacks[pos][(*lead, rows)])
+            self.args[slot] = stacks[pos][(*lead, rows)]
         return self.step(*self.args)
 
     def check(self, outs, grads) -> None:
@@ -303,7 +301,7 @@ def local_train(
             if fresh:  # client 0's recording gives the step its structure and recorded constants
                 tape = Tape()
                 staged = stage_params(tape, clients[0])
-                feeds = [tape.constant(np.ascontiguousarray(f[rows], dtype=np.float64)) for f in per_client[0]]
+                feeds = [tape.constant(f[rows]) for f in per_client[0]]
                 loss, stat_nodes = step_loss.record(tape, staged, *feeds)
                 rec = records[shapes] = _Recorded(tape, stacked, feeds, loss, stat_nodes)
             outs, grads = rec.run(per_client, rows, stacks)

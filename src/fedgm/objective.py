@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, as_tensor
+from .autodiff import Tape
 from .errors import ContractError, ShapeError, UsageError
 from .model import HeadSnapshot, ModelParams, ParamNodes, forward, stage_params
 
@@ -66,7 +66,7 @@ def cross_entropy(tape: Tape, z: int, y) -> int:
 def _as_node(tape: Tape, value_or_node) -> int:
     if isinstance(value_or_node, (int, np.integer)):
         return int(value_or_node)
-    return tape.constant(as_tensor(value_or_node))
+    return tape.constant(value_or_node)
 
 
 def _one_hot_node(tape: Tape, y, classes: int) -> int:
@@ -95,17 +95,17 @@ def _head_grad(tape: Tape, lab: _Labels, h: int, logp: int) -> int:
 
 
 def _frozen_head_grad(tape: Tape, lab: _Labels, h: int, weight: np.ndarray, bias: np.ndarray) -> int:
-    """``_head_grad`` under a head staged pre-transposed as constants: no adjoint reaches it."""
-    z = ad.add(tape, ad.matmul(tape, h, tape.constant(weight.T)), tape.constant(bias))
+    """``_head_grad`` under a head staged as constants, transposed by an op as the live one: no adjoint reaches it."""
+    z = ad.add(tape, ad.matmul(tape, h, ad.transpose(tape, tape.constant(weight))), tape.constant(bias))
     return _head_grad(tape, lab, h, ad.log_softmax_rows(tape, z))
 
 
 def head_grad(tape: Tape, h: int, y, head_w, head_b) -> int:
     """Closed-form head gradient of the batch-mean cross-entropy under a frozen
-    head: ``head_w``/``head_b`` are arrays staged as constants, so adjoints
-    reach the features ``h`` but never the head."""
-    head_w = as_tensor(head_w)
-    lab = _labels(tape, _one_hot_node(tape, y, head_w.shape[0]))
+    head: ``head_w``/``head_b`` are arrays staged as constants (``head_w`` as
+    it is, then a ``transpose`` op), so adjoints reach the features ``h`` but
+    never the head."""
+    lab = _labels(tape, _one_hot_node(tape, y, np.shape(head_w)[0]))
     return _frozen_head_grad(tape, lab, h, head_w, head_b)
 
 

@@ -10,7 +10,6 @@ from fedgm.data import (
     AugmentationSpec,
     _rotation_matrix,
     DomainDataset,
-    amplitude_mix,
     augment,
     batch_iter,
     gen_rotated_domains,
@@ -265,6 +264,14 @@ def test_augmentation_spec_rejects_a_parameter_that_is_not_a_finite_number(build
     # through, and the run diverged at round 1; a string raised TypeError
     with pytest.raises(UsageError, match=f"got {re.escape(repr(value))}$"):
         build(value)
+
+
+def amplitude_mix(x1: np.ndarray, x2: np.ndarray, eta: float, rng: np.random.Generator) -> np.ndarray:
+    """One pair's amplitude blend with a mixing weight drawn uniform in [0, eta]:
+    the reference ``augment`` is held against, one row at a time."""
+    if not 0.0 <= eta <= 1.0:
+        raise UsageError(f"eta must lie in [0, 1], got {eta}")
+    return mix_amplitude(x1, x2, rng.uniform(0.0, eta))
 
 
 def test_amplitude_mix_eta_zero_is_identity():

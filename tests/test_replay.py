@@ -449,20 +449,20 @@ def test_feeds_are_built_once_per_client_and_epoch():
 
 def test_the_view_pair_is_stacked_once_per_epoch(monkeypatch):
     stacks = []
-    real_stack = np.stack
+    real_stacked = federation._stacked
 
-    def spy(arrays, axis=0, **kwargs):
-        arrays = list(arrays)
-        if axis == 1:
-            stacks.append(arrays[0].shape)
-        return real_stack(arrays, axis=axis, **kwargs)
+    def spy(lanes):
+        out = real_stacked(lanes)
+        if len(lanes) > 1:  # a group of lanes: here only the batch and its view
+            stacks.append(out.shape)
+        return out
 
     initial, datasets, _, hp, _ = _lockstep_call(3)
-    monkeypatch.setattr(np, "stack", spy)
+    monkeypatch.setattr(federation, "_stacked", spy)
     step_loss = _matching_loss([], hp, AugmentationSpec.gaussian_noise(0.1))  # round 1: no snapshot heads to group
     local_train(initial, datasets, step_loss, hp, 1)
     # the batch and its view of 3 clients, for a whole epoch of 10 rows, once in each of 2 epochs
-    assert stacks == [(3, 10, 2)] * 2
+    assert stacks == [(3, 2, 10, 2)] * 2
 
 
 def test_an_epoch_holds_its_view_pair_twice_not_three_times(monkeypatch):
@@ -490,54 +490,68 @@ def test_an_epoch_holds_its_view_pair_twice_not_three_times(monkeypatch):
     assert len(alive) == 4 and max(alive[1:]) < 2.75 * pair
 
 
-def test_stacked_constants_keep_their_memory_order():
-    # BLAS rounds a one-row product by the memory order of its operands, and
-    # snapshot heads are recorded transposed
-    rng = np.random.default_rng(2)
-    snaps = [HeadSnapshot(j, rng.normal(0.0, 0.7, (3, 8)), rng.normal(0.0, 0.3, 3)) for j in range(2)]
-    step = _matching_loss(snaps, HyperParams(lam=0.3), AugmentationSpec.identity())
-    params = init_params([3, 8], 3, 0)
-    clients = [step.feeds(rng.normal(0.0, 1.0, (1, 3)), [c], 3) for c in range(2)]
-    rec = _recorded(step, params, clients)
-    assert _compiled(rec, params, clients) == [_fresh(step, params, values) for values in clients]
-    # the two snapshot heads, stacked for the compiled step as the two lanes of
-    # one argument, are still transposed per client and lane
-    tape = rec.tape
-    constants = [nid for nid, kind in enumerate(tape.ops) if kind == ad.LEAF and nid not in tape.params]
-    ids = tuple(nid for nid in constants if tape.value(nid).shape == (8, 3))
-    heads = rec.args[rec.step.leaves.index(ids)]
-    assert [heads[i, j].strides for i in range(2) for j in range(2)] == [(8, 64)] * 4
-
-
-def _every_op_tape(w_val, s_val, x_val):
+def _every_op_tape(w_val, s_val, x_val, r_val, c_val):
     """A scalar loss that uses every op tag, with a matrix-plus-scalar and a
-    matrix-minus-row broadcast, on a (3, 4) weight, a scalar and a (5, 4) batch."""
+    matrix-minus-row broadcast, on a (3, 4) weight, a scalar and a (5, 4) batch;
+    and add, sub, elementwise-mul and div each broadcasting a (1, 3) row ``r``
+    or a (5, 1) column ``c`` parameter, whose adjoints sum over that axis."""
     tape = Tape()
     w, s = tape.leaf(w_val, param=True), tape.leaf(s_val, param=True)
     x = tape.constant(x_val)
+    r, c = tape.leaf(r_val, param=True), tape.leaf(c_val, param=True)
     h = ad.relu(tape, ad.matmul(tape, x, ad.transpose(tape, w)))
     z = ad.sub(tape, ad.add(tape, h, ad.scale(tape, s, 2.0)), tape.constant(np.arange(3.0)))
     e = ad.exp(tape, ad.log_softmax_rows(tape, z))
     f = ad.flatten_concat(tape, (e, w))
     q = ad.div(tape, ad.dot(tape, f, f), ad.add(tape, ad.l2_norm(tape, f), s))
     m = ad.reduce_mean(tape, ad.mul(tape, e, h))
-    return tape, ad.add(tape, ad.add(tape, q, m), ad.reduce_sum(tape, ad.mul(tape, z, z)))
+    rc = ad.div(tape, ad.mul(tape, ad.sub(tape, c, ad.add(tape, r, e)), r), c)
+    loss = ad.add(tape, ad.add(tape, q, m), ad.reduce_sum(tape, ad.mul(tape, z, z)))
+    return tape, ad.add(tape, loss, ad.reduce_sum(tape, rc))
 
 
-def test_every_op_compiles_to_each_clients_eager_bytes():
+def _every_op_values(rng):
+    return (
+        rng.normal(size=(3, 4)), rng.uniform(0.5, 1.0), rng.normal(size=(5, 4)),
+        rng.normal(size=(1, 3)), rng.uniform(0.5, 1.5, size=(5, 1)),
+    )
+
+
+def test_every_op_compiles_to_each_clients_eager_bytes(monkeypatch):
+    monkeypatch.setattr(ad, "_STEP_CACHE", {})
     rng = np.random.default_rng(11)
-    recorded = [_every_op_tape(rng.normal(size=(3, 4)), rng.uniform(0.5, 1.0), rng.normal(size=(5, 4))) for _ in range(2)]
+    recorded = [_every_op_tape(*_every_op_values(rng)) for _ in range(3)]
     tapes, loss = [t for t, _ in recorded], recorded[0][1]
     assert set(tapes[0].ops) == {ad.LEAF, *ad.OP_TAGS}
-    # compiled from one tape, the step takes each client's own value of every
-    # leaf, the constants included
-    step = compile_step(tapes[0], 2, loss, [loss])
     leaves = [nid for nid, kind in enumerate(tapes[0].ops) if kind == ad.LEAF]
-    (total,), grads = step(*(np.stack([t.value(nid) for t in tapes]) for nid in leaves))
-    for i, tape in enumerate(tapes):
-        by_id = backward(tape, loss)
-        assert total[i].tobytes() == tape.value(loss).tobytes()
-        assert [g[i].tobytes() for g in grads] == [by_id[p].tobytes() for p in tape.params]
+    for k in (1, 2, 3):
+        # compiled from one tape, the step takes each client's own value of
+        # every leaf, the constants included
+        step = compile_step(tapes[0], k, loss, [loss])
+        (total,), grads = step(*(np.stack([t.value(nid) for t in tapes[:k]]) for nid in leaves))
+        for i, tape in enumerate(tapes[:k]):
+            by_id = backward(tape, loss)
+            assert total[i].tobytes() == tape.value(loss).tobytes()
+            assert [g[i].tobytes() for g in grads] == [by_id[p].tobytes() for p in tape.params]
+    # the row's and the column's adjoints are summed down with keepdims
+    assert "keepdims=True)" in step.source.partition("# backward")[2]
+
+
+def test_every_op_gradients_match_finite_differences():
+    rng = np.random.default_rng(12)
+    w, s, x, r, c = _every_op_values(rng)
+    tape, loss = _every_op_tape(w, s, x, r, c)
+    by_id = backward(tape, loss)
+    g_ad = np.concatenate([by_id[p].ravel() for p in tape.params])
+    ends = np.cumsum([w.size, 1, r.size])
+
+    def f(theta):
+        tw, ts, tr, tc = np.split(theta, ends)
+        t, t_loss = _every_op_tape(tw.reshape(w.shape), ts[0], x, tr.reshape(r.shape), tc.reshape(c.shape))
+        return float(t.value(t_loss))
+
+    g_fd = ad.finite_diff_grad(f, np.concatenate([w.ravel(), [s], r.ravel(), c.ravel()]), 1e-5)
+    np.testing.assert_allclose(g_ad, g_fd, rtol=1e-5, atol=1e-7)
 
 
 def _forward_lines(source):
@@ -554,10 +568,13 @@ def test_snapshot_blocks_run_as_one_group_of_lanes(monkeypatch):
     rec = _recorded(step, params, clients)
     assert _compiled(rec, params, clients) == [_fresh(step, params, values) for values in clients]
     tape = rec.tape
-    heads = tuple(nid for nid, kind in enumerate(tape.ops) if kind == ad.LEAF and tape.value(nid).shape == (6, 2))
+    constants = [nid for nid, kind in enumerate(tape.ops) if kind == ad.LEAF and nid not in tape.params]
+    heads = tuple(nid for nid in constants if tape.value(nid).shape == (2, 6))
     assert len(heads) == 3 and heads in rec.step.leaves  # the heads are the lanes of one argument
-    # one matmul by the stacked snapshot heads, not one per snapshot
-    matmuls = [ln for ln in _forward_lines(rec.step.source) if " @ " in ln and any(f"{v}{h}" in ln for h in heads for v in "vL")]
+    # one matmul by the stacked snapshot heads' transposes, not one per snapshot
+    heads_t = [nid for nid, kind in enumerate(tape.ops) if kind == "transpose" and tape.inputs[nid][0] in heads]
+    forward = _forward_lines(rec.step.source)
+    matmuls = [ln for ln in forward if " @ " in ln and any(f"L{t} " in f"{ln} " for t in heads_t)]
     assert len(matmuls) == 1
 
 
@@ -595,23 +612,51 @@ def _compiled_matches_eager(tape, loss, fed=()):
     return step
 
 
-@pytest.mark.parametrize("contiguous", [False, True])
-def test_lanes_need_one_memory_order(contiguous, monkeypatch):
+def test_a_leaf_is_stored_row_major(monkeypatch):
     monkeypatch.setattr(ad, "_STEP_CACHE", {})
     rng = np.random.default_rng(6)
-    w1, w2 = rng.normal(size=(2, 3)).T, rng.normal(size=(2, 3)).T  # transposed, as snapshot heads are
-    if contiguous:
-        w2 = np.ascontiguousarray(w2)
-        # one transposed and one contiguous head: BLAS would round a shared
-        # kernel differently for one of them, so they cannot be lanes
-        tape, loss = _two_lane_tape(w1, w2)
-        with pytest.raises(ContractError, match=r"lane group \[1, 2\]: lanes differ in memory order"):
-            compile_step(tape, 1, loss, [loss])
-        return
-    step = _compiled_matches_eager(*_two_lane_tape(w1, w2))
-    grouped = [ids for ids in step.leaves if len(ids) > 1]
-    matmuls = [ln for ln in _forward_lines(step.source) if " @ " in ln]
-    assert (grouped, len(matmuls)) == ([(1, 2)], 1)
+    # per client: a transposed head and a contiguous one, two lanes of one group
+    heads = [(rng.normal(size=(2, 3)).T, rng.normal(size=(3, 2))) for _ in range(3)]
+    assert not heads[0][0].flags.c_contiguous
+    tapes = [_two_lane_tape(*pair) for pair in heads]
+    tape, loss = tapes[0]
+    assert all(tape.value(nid).flags.c_contiguous for nid in (1, 2))
+    assert [tape.value(1).tobytes(), tape.value(2).tobytes()] == [np.ascontiguousarray(w).tobytes() for w in heads[0]]
+    for k in (1, 2, 3):
+        step = compile_step(tape, k, loss, [loss])
+        grouped = [ids for ids in step.leaves if len(ids) > 1]
+        matmuls = [ln for ln in _forward_lines(step.source) if " @ " in ln]
+        assert (grouped, len(matmuls)) == ([(1, 2)], 1)
+        args = [federation._stacked([[t.vals[nid] for t, _ in tapes[:k]] for nid in ids]) for ids in step.leaves]
+        (total,), grads = step(*args)
+        for i, (t, t_loss) in enumerate(tapes[:k]):
+            assert total[i].tobytes() == t.value(t_loss).tobytes()
+            assert [g[i].tobytes() for g in grads] == [g.tobytes() for g in backward(t, t_loss).values()]
+
+
+def test_recorded_steps_hold_only_row_major_leaves(monkeypatch):
+    tapes = []
+    real = federation.compile_step
+
+    def spy(tape, *args):
+        tapes.append(tape)
+        return real(tape, *args)
+
+    initial, datasets, step_loss, hp, round_t = _lockstep_call(3)  # round 2, three snapshot heads
+    fedavg = _matching_loss([], HyperParams(batch=4, gm_enabled=False), AugmentationSpec.gaussian_noise(0.1))
+    monkeypatch.setattr(federation, "compile_step", spy)
+    for loss in (step_loss, fedavg):
+        local_train(initial, datasets, loss, hp, round_t)
+    assert len(tapes) == 4  # a full and a short batch of each step
+    for tape in tapes:
+        leaves = [nid for nid, kind in enumerate(tape.ops) if kind == ad.LEAF]
+        assert all(tape.value(nid).flags.c_contiguous for nid in leaves)
+    # the snapshot heads enter the GM steps as leaves of their own shape, each transposed by an op
+    gm = tapes[0]
+    constants = {nid for nid, kind in enumerate(gm.ops) if kind == ad.LEAF and nid not in gm.params}
+    transposed = [gm.inputs[nid][0] for nid, kind in enumerate(gm.ops) if kind == "transpose"]
+    heads = [nid for nid in transposed if nid in constants]
+    assert [gm.value(nid).shape for nid in heads] == [(2, 4)] * 3
 
 
 def test_an_op_that_consumes_its_isomorphic_twin_is_not_a_lane(monkeypatch):
@@ -671,7 +716,7 @@ def test_gm_step_holds_the_view_pair_and_the_snapshot_heads(monkeypatch):
     rec, (x, x_aug, y_mat) = _views_step(snaps)
     tape = rec.tape
     constants = [nid for nid, kind in enumerate(tape.ops) if kind == ad.LEAF and nid not in tape.params]
-    heads = tuple(nid for nid in constants if tape.value(nid).shape == (6, 2))
+    heads = tuple(nid for nid in constants if tape.value(nid).shape == (2, 6))
     assert len(heads) == 3
     # the view group takes in the hidden features, which the snapshot heads
     # still read as one shared input of their group
@@ -693,6 +738,22 @@ def test_gm_step_folds_its_value_free_adjoints(monkeypatch):
     consts = {name: value for name, value in rec.step.__globals__.items() if name.startswith("K")}
     assert read and read <= consts.keys()
     assert not any(value.flags.writeable for value in consts.values())
+
+
+def test_the_name_scan_keeps_every_source_the_parse_gives(monkeypatch):
+    """``_fold`` skips the parse of a line that names a runtime value; parsing every line folds the same lines."""
+    rng = np.random.default_rng(13)
+    snaps = [HeadSnapshot(j, rng.normal(0.0, 0.7, (2, 6)), rng.normal(0.0, 0.3, 2)) for j in range(3)]
+    sources = []
+    for scan in (True, False):
+        monkeypatch.setattr(ad, "_STEP_CACHE", {})
+        if not scan:
+            monkeypatch.setattr(ad, "_may_fold", lambda expr, folded: True)
+        every_op, every_loss = _every_op_tape(*_every_op_values(rng))
+        steps = [_views_step(snaps)[0].step, _views_step([])[0].step, _views_step([], gm_enabled=False)[0].step]
+        steps.append(compile_step(every_op, 2, every_loss, [every_loss]))
+        sources.append([step.source for step in steps])
+    assert sources[0] == sources[1]
 
 
 def _constant_gradient_tape(b_val, w_val, x_val):
