@@ -490,6 +490,27 @@ def test_an_epoch_holds_its_view_pair_twice_not_three_times(monkeypatch):
     assert len(alive) == 4 and max(alive[1:]) < 2.75 * pair
 
 
+def test_stacked_constants_keep_their_memory_order():
+    # BLAS rounds a one-row product by the memory order of its operands: the
+    # snapshot heads are recorded row-major and transposed by an op, and their
+    # stack keeps each client's and lane's head row-major
+    rng = np.random.default_rng(2)
+    snaps = [HeadSnapshot(j, rng.normal(0.0, 0.7, (3, 8)), rng.normal(0.0, 0.3, 3)) for j in range(2)]
+    step = _matching_loss(snaps, HyperParams(lam=0.3), AugmentationSpec.identity())
+    params = init_params([3, 8], 3, 0)
+    clients = [step.feeds(rng.normal(0.0, 1.0, (1, 3)), [c], 3) for c in range(2)]
+    rec = _recorded(step, params, clients)
+    assert _compiled(rec, params, clients) == [_fresh(step, params, values) for values in clients]
+    # the two snapshot heads, stacked for the compiled step as the two lanes of
+    # one argument, are row-major per client and lane
+    tape = rec.tape
+    constants = [nid for nid, kind in enumerate(tape.ops) if kind == ad.LEAF and nid not in tape.params]
+    ids = tuple(nid for nid in constants if tape.value(nid).shape == (3, 8))
+    heads = rec.args[rec.step.leaves.index(ids)]
+    assert [heads[i, j].strides for i in range(2) for j in range(2)] == [(64, 8)] * 4
+    assert [heads[0, j].tobytes() for j in range(2)] == [tape.value(nid).tobytes() for nid in ids]
+
+
 def _every_op_tape(w_val, s_val, x_val, r_val, c_val):
     """A scalar loss that uses every op tag, with a matrix-plus-scalar and a
     matrix-minus-row broadcast, on a (3, 4) weight, a scalar and a (5, 4) batch;
@@ -612,12 +633,16 @@ def _compiled_matches_eager(tape, loss, fed=()):
     return step
 
 
-def test_a_leaf_is_stored_row_major(monkeypatch):
+@pytest.mark.parametrize("contiguous", [False, True])
+def test_lanes_need_one_memory_order(contiguous, monkeypatch):
+    # Tape.leaf stores every leaf row-major, so two heads given in different
+    # memory orders still share one: they are two lanes of one group
     monkeypatch.setattr(ad, "_STEP_CACHE", {})
     rng = np.random.default_rng(6)
-    # per client: a transposed head and a contiguous one, two lanes of one group
-    heads = [(rng.normal(size=(2, 3)).T, rng.normal(size=(3, 2))) for _ in range(3)]
-    assert not heads[0][0].flags.c_contiguous
+    # per client: a transposed head and, ``contiguous``, a contiguous one, else a second transposed one
+    second = (lambda: rng.normal(size=(3, 2))) if contiguous else (lambda: rng.normal(size=(2, 3)).T)
+    heads = [(rng.normal(size=(2, 3)).T, second()) for _ in range(3)]
+    assert not heads[0][0].flags.c_contiguous and heads[0][1].flags.c_contiguous == contiguous
     tapes = [_two_lane_tape(*pair) for pair in heads]
     tape, loss = tapes[0]
     assert all(tape.value(nid).flags.c_contiguous for nid in (1, 2))
