@@ -362,6 +362,10 @@ class Tape:
         return self.leaf(value, param=False)
 
     def value(self, nid: int) -> Array:
+        """The value of node ``nid``; anything but a node id of this tape is a UsageError."""
+        if not _is_node(self, nid):
+            got = nid if isinstance(nid, (int, np.integer)) else type(nid).__name__
+            raise UsageError(f"expected a node id in [0, {len(self.ops)}), got {got}")
         return self.vals[nid]
 
     @contextmanager
@@ -371,6 +375,10 @@ class Tape:
         start = len(self.ops)
         yield
         self.lanes.append((group, j, start, len(self.ops)))
+
+
+def _is_node(tape: Tape, nid) -> bool:
+    return (type(nid) is int or isinstance(nid, np.integer)) and 0 <= nid < len(tape.ops)
 
 
 def op_apply(tape: Tape, kind: str, inputs, const: float | None = None) -> int:
@@ -386,7 +394,7 @@ def op_apply(tape: Tape, kind: str, inputs, const: float | None = None) -> int:
     if (len(ids) != len(op.bw_src)) if op.bw_src else not ids:
         raise UsageError(f"{kind}: wrong number of inputs: expected {len(op.bw_src) or 'one or more'}, got {len(ids)}")
     for i in ids:  # a loop, not all(): this runs on every recorded op
-        if not ((type(i) is int or isinstance(i, np.integer)) and 0 <= i < len(tape.ops)):
+        if not _is_node(tape, i):
             raise UsageError(f"{kind}: inputs must be node ids in [0, {len(tape.ops)}), got {ids}")
     out, saved = op.forward([tape.vals[i] for i in ids], const)
     tape.ops.append(kind)
@@ -814,8 +822,8 @@ def finite_diff_grad(f: Callable[[Array], float], theta, h: float) -> Array:
     ``f`` maps a flat parameter vector to a scalar; the step ``h`` is applied
     one coordinate at a time: (f(t + h e_k) - f(t - h e_k)) / (2h).
     """
-    if h <= 0.0:
-        raise UsageError(f"finite_diff_grad: step must be positive, got {h}")
+    if not (math.isfinite(h) and h > 0.0):
+        raise UsageError(f"finite_diff_grad: step must be finite and positive, got {h}")
     theta = as_tensor(theta).ravel()
     grad = np.empty_like(theta)
     for k in range(theta.size):

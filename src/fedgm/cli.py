@@ -21,16 +21,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tape, backward, finite_diff_grad
 from .config import Config, DataSpec, HyperParams  # Config and DataSpec are re-exported here
 from .data import AugmentationSpec
 from .errors import DivergenceError, ParseError, UsageError
 from .federation import MetricsTable, build_domains, run_da, run_dg
 from .files import parse_json, write_atomic
-from .model import HeadSnapshot, flatten, init_params, save_checkpoint, stage_params, unflatten
-from .objective import cross_entropy, head_grad, local_loss
-from .rng import substream
+from .model import save_checkpoint
+from .objective import finite_difference_errors, head_gradient_deviation
 
 # config key of the hp object -> HyperParams field, whose default it takes:
 # every field but seed, which config.seeds sets; "lambda" sets lam.
@@ -240,110 +237,6 @@ def cmd_run(config: Config) -> int:
         summary["diverged"] = diverged
     write_atomic(out_dir / "summary.json", [json.dumps(summary, indent=2, sort_keys=True), "\n"])
     return 2 if diverged else 0
-
-
-def _flat_loss_fn(arch, classes, snapshots, X, X_aug, y, lam):
-    def f(theta):
-        tape = Tape()
-        loss, _ = local_loss(tape, unflatten(arch, classes, theta), snapshots, X, X_aug, y, lam)
-        return float(tape.value(loss))
-
-    return f
-
-
-def grad_check_instances(arch, trials, seed):
-    """Random full-objective instances for gradient verification.
-
-    Biases are jittered away from zero so no relu pre-activation sits
-    exactly on the kink, where the loss is one-sided and a central
-    difference is not a valid oracle.
-    """
-    rng = substream(seed)
-    lams = [0.0, 0.3, 0.5, 1.0]
-    for trial in range(trials):
-        depth = int(rng.integers(1, len(arch)))
-        dims = [int(rng.integers(min(2, d), d + 1)) for d in arch[: depth + 1]]
-        classes = int(rng.integers(2, 5))
-        batch = int(rng.integers(1, 9))
-        params = init_params(dims, classes, int(rng.integers(0, 2**31)))
-        for _, b in params.feature:
-            b += rng.normal(0.0, 0.2, size=b.shape)
-        params.head_b += rng.normal(0.0, 0.2, size=classes)
-        X = rng.normal(0.0, 1.5, size=(batch, dims[0]))
-        X_aug = X + rng.normal(0.0, 0.3, size=X.shape)
-        y = rng.integers(0, classes, size=batch)
-        n_snaps = int(rng.integers(1, 4))
-        snapshots = [
-            HeadSnapshot(j, rng.normal(0.0, 0.7, size=params.head_w.shape), rng.normal(0.0, 0.3, size=classes))
-            for j in range(n_snaps)
-        ]
-        lam = lams[trial % len(lams)]
-        yield params, snapshots, X, X_aug, y, lam
-
-
-def total_loss_gradient(params, snapshots, X, X_aug, y, lam):
-    """Reverse-mode gradient of the combined loss in flat parameter order."""
-    tape = Tape()
-    staged = stage_params(tape, params)
-    loss, _ = local_loss(tape, staged, snapshots, X, X_aug, y, lam)
-    grads = backward(tape, loss)
-    return np.concatenate([grads[nid].ravel() for nid in staged.all_ids()])
-
-
-def finite_difference_errors(arch, trials: int, seed: int) -> tuple[float, tuple[int, int], float]:
-    """Worst deviations of reverse-mode gradients from central differences
-    (h = 1e-5) over ``grad_check_instances(arch, trials, seed)``.
-
-    Returns the worst relative error over coordinates whose difference
-    quotient exceeds 1e-6 in magnitude, its (trial, coordinate), and the
-    worst absolute error over the others. A NaN gradient entry counts as an
-    infinite error.
-    """
-    worst_rel = 0.0
-    worst_abs = 0.0
-    worst_coord = (0, 0)
-    for trial, (params, snapshots, X, X_aug, y, lam) in enumerate(grad_check_instances(arch, trials, seed)):
-        g_ad = total_loss_gradient(params, snapshots, X, X_aug, y, lam)
-        f = _flat_loss_fn(params.arch, params.classes, snapshots, X, X_aug, y, lam)
-        g_fd = finite_diff_grad(f, flatten(params), 1e-5)
-        errs = np.abs(g_ad - g_fd)
-        errs[np.isnan(errs)] = np.inf  # NaN compares false with every bound
-        for k, err in enumerate(errs):
-            if abs(g_fd[k]) > 1e-6:
-                rel = err / abs(g_fd[k])
-                if rel > worst_rel:
-                    worst_rel, worst_coord = rel, (trial, k)
-            elif err > worst_abs:
-                worst_abs = err
-    return worst_rel, worst_coord, worst_abs
-
-
-def head_gradient_deviation(trials: int, seed: int) -> float:
-    """Worst deviation of the closed-form head gradient from the reverse-mode
-    gradient of the cross-entropy over the head leaves, on ``trials`` random
-    instances drawn from ``seed + 1``."""
-    worst = 0.0
-    rng = substream(seed + 1)
-    for _ in range(trials):
-        batch = int(rng.integers(1, 9))
-        d_h = int(rng.integers(2, 9))
-        classes = int(rng.integers(2, 6))
-        H = rng.normal(0.0, 1.0, size=(batch, d_h))
-        w = rng.normal(0.0, 0.8, size=(classes, d_h))
-        b = rng.normal(0.0, 0.3, size=classes)
-        y = rng.integers(0, classes, size=batch)
-        tape = Tape()
-        w_id = tape.leaf(w, param=True)
-        b_id = tape.leaf(b, param=True)
-        h_id = tape.constant(H)
-        z = ad.add(tape, ad.matmul(tape, h_id, ad.transpose(tape, w_id)), b_id)
-        grads = backward(tape, cross_entropy(tape, z, y))
-        ad_flat = np.concatenate([grads[w_id].ravel(), grads[b_id].ravel()])
-        tape2 = Tape()
-        h2 = tape2.constant(H)
-        closed = tape2.value(head_grad(tape2, h2, y, w, b))
-        worst = max(worst, float(np.abs(closed - ad_flat).max()))
-    return worst
 
 
 def cmd_grad_check(arch: list[int], trials: int, tolerance: float, seed: int) -> int:

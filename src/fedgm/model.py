@@ -131,23 +131,18 @@ def stage_params(tape: Tape, params: ModelParams) -> ParamNodes:
     )
 
 
-def forward(tape: Tape, params: ModelParams | ParamNodes, X) -> tuple[int, int]:
-    """Record the forward pass; returns (features node, logits node).
-
-    Accepts raw ModelParams (staged as fresh trainable leaves) or an
-    already-staged ParamNodes, so one set of leaves can serve several
-    forward passes on the same tape. ``X`` is a batch of rows or the node
-    of one.
+def forward(tape: Tape, params: ParamNodes, x: int) -> tuple[int, int]:
+    """Record the forward pass of the batch node ``x`` through staged
+    parameters (``stage_params``), so one set of leaves can serve several
+    forward passes on the same tape; returns (features node, logits node).
     """
-    if isinstance(params, ModelParams):
-        params = stage_params(tape, params)
-    h = int(X) if isinstance(X, (int, np.integer)) else tape.constant(X)
-    X = tape.value(h)
+    X = tape.value(x)
     if X.ndim != 2:
         raise ShapeError(f"forward: expected a batch of rows, got dims {X.shape}")
     d_in = tape.value(params.feature[0][0]).shape[1] if params.feature else tape.value(params.head_w).shape[1]
     if X.shape[1] != d_in:
         raise ShapeError(f"forward: input width {X.shape[1]} does not match model width {d_in}")
+    h = x
     for (_, b_id), wt_id in zip(params.feature, params.feature_wt):
         h = ad.relu(tape, ad.add(tape, ad.matmul(tape, h, wt_id), b_id))
     z = ad.add(tape, ad.matmul(tape, h, params.head_wt), params.head_b)
@@ -206,14 +201,19 @@ def unflatten(arch: list[int], classes: int, flat) -> ModelParams:
     return ModelParams.from_arrays(arch, classes, param_views(arch, classes, flat.copy()))
 
 
+def _float_text(v: float) -> str:
+    text = format(v, ".17g")
+    return "-0.0" if text == "-0" else text
+
+
 def save_checkpoint(params: ModelParams, path) -> None:
     """Write a single-object JSON checkpoint.
 
     Floats are serialized at 17 significant digits so the decimal text
-    round-trips every float64 exactly.
+    round-trips every float64 exactly; a negative zero is written ``-0.0``,
+    since JSON reads ``-0`` as the integer 0.
     """
-    flat = flatten(params)
-    body = ", ".join(format(v, ".17g") for v in flat)
+    body = ", ".join(_float_text(v) for v in flatten(params))
     text = (
         '{"version": %d, "arch": %s, "classes": %d, "flat": [%s]}\n'
         % (CHECKPOINT_VERSION, json.dumps(list(params.arch)), params.classes, body)

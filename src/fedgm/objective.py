@@ -17,6 +17,10 @@ where ``intra`` matches head gradients between the original and augmented
 batch under the live head, and ``inter`` sums 1 - cosine between the
 augmented-batch gradient and the gradient computed under each frozen head
 snapshot from the previous round.
+
+Every recording function takes nodes: staged parameters, batches, and one-hot
+labels (``one_hot``). The gradient oracles at the end check the objective
+against central differences and the closed form against reverse mode.
 """
 
 from __future__ import annotations
@@ -26,9 +30,10 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape
+from .autodiff import Tape, backward, finite_diff_grad
 from .errors import ContractError, ShapeError, UsageError
-from .model import HeadSnapshot, ModelParams, ParamNodes, forward, stage_params
+from .model import HeadSnapshot, ModelParams, ParamNodes, flatten, forward, init_params, stage_params, unflatten
+from .rng import substream
 
 COSINE_EPS = 1e-12
 # the terms of the local objective, in the order a client reports them
@@ -51,27 +56,13 @@ def _ce_from_log_probs(tape: Tape, logp: int, y_mat: int) -> int:
     return ad.scale(tape, picked, -1.0 / tape.value(y_mat).shape[0])
 
 
-def cross_entropy(tape: Tape, z: int, y) -> int:
-    """Batch-mean negative log-likelihood of the true classes.
-
-    ``y`` is the labels, or the node of their one-hot matrix.
-    """
+def cross_entropy(tape: Tape, z: int, y_mat: int) -> int:
+    """Batch-mean negative log-likelihood of the true classes, from the
+    logits' node ``z`` and the node ``y_mat`` of the one-hot labels."""
     zval = tape.value(z)
     if zval.ndim != 2:
         raise ShapeError(f"cross_entropy: logits must be 2-d, got dims {zval.shape}")
-    y_mat = _one_hot_node(tape, y, zval.shape[1])
     return _ce_from_log_probs(tape, ad.log_softmax_rows(tape, z), y_mat)
-
-
-def _as_node(tape: Tape, value_or_node) -> int:
-    if isinstance(value_or_node, (int, np.integer)):
-        return int(value_or_node)
-    return tape.constant(value_or_node)
-
-
-def _one_hot_node(tape: Tape, y, classes: int) -> int:
-    """Stage the one-hot matrix of labels ``y``, unless ``y`` is already its node."""
-    return _as_node(tape, y if isinstance(y, (int, np.integer)) else one_hot(y, classes))
 
 
 class _Labels(NamedTuple):
@@ -100,13 +91,12 @@ def _frozen_head_grad(tape: Tape, lab: _Labels, h: int, weight: np.ndarray, bias
     return _head_grad(tape, lab, h, ad.log_softmax_rows(tape, z))
 
 
-def head_grad(tape: Tape, h: int, y, head_w, head_b) -> int:
-    """Closed-form head gradient of the batch-mean cross-entropy under a frozen
-    head: ``head_w``/``head_b`` are arrays staged as constants (``head_w`` as
-    it is, then a ``transpose`` op), so adjoints reach the features ``h`` but
-    never the head."""
-    lab = _labels(tape, _one_hot_node(tape, y, np.shape(head_w)[0]))
-    return _frozen_head_grad(tape, lab, h, head_w, head_b)
+def head_grad(tape: Tape, h: int, y_mat: int, head_w, head_b) -> int:
+    """Closed-form head gradient of the batch-mean cross-entropy of nodes ``h``
+    and ``y_mat`` under a frozen head: ``head_w``/``head_b`` are arrays staged
+    as constants (``head_w`` as it is, then a ``transpose`` op), so adjoints
+    reach the features ``h`` but never the head."""
+    return _frozen_head_grad(tape, _labels(tape, y_mat), h, head_w, head_b)
 
 
 class _Anchor(NamedTuple):
@@ -156,16 +146,15 @@ def intra_gm_loss(tape: Tape, g: int, g_aug: int) -> int:
 
 
 def inter_gm_loss(
-    tape: Tape, g_aug: int, snapshots: Sequence[HeadSnapshot], h_orig: int, y, *, normalize: bool = False
+    tape: Tape, g_aug: int, snapshots: Sequence[HeadSnapshot], h_orig: int, y_mat: int, *, normalize: bool = False
 ) -> int:
     """Sum over snapshots of 1 - cosine(g_aug, snapshot-head gradient), divided
     by the snapshot count if ``normalize``. Snapshot gradients are taken on
-    ``h_orig`` under each frozen head: adjoints reach the features and g_aug
-    but never the snapshots."""
+    nodes ``h_orig`` and ``y_mat`` under each frozen head: adjoints reach the
+    features and g_aug but never the snapshots."""
     if not snapshots:
         raise ContractError("inter_gm_loss: empty snapshot list (skip the term instead)")
-    lab = _labels(tape, _one_hot_node(tape, y, snapshots[0].weight.shape[0]))
-    return _inter(tape, lab, _anchor(tape, g_aug), h_orig, snapshots, normalize)
+    return _inter(tape, _labels(tape, y_mat), _anchor(tape, g_aug), h_orig, snapshots, normalize)
 
 
 def _views(tape: Tape, record: Callable, *args) -> list:
@@ -180,11 +169,11 @@ def _views(tape: Tape, record: Callable, *args) -> list:
 
 def local_loss(
     tape: Tape,
-    params: ModelParams | ParamNodes,
+    params: ParamNodes,
     snapshots: Sequence[HeadSnapshot],
-    X,
-    X_aug,
-    y,
+    x: int,
+    x_aug: int,
+    y_mat: int,
     lam: float,
     *,
     inter_normalize: bool = False,
@@ -193,22 +182,17 @@ def local_loss(
     """Combined local objective; returns the total node and the node of each
     of the TRAIN_METRICS (a skipped term's node is a zero constant).
 
-    ``X`` and ``X_aug`` are batches or their nodes, ``y`` is the labels or
-    the node of their one-hot matrix. With no snapshots (round 1) the inter
-    term is skipped. ``gm_enabled=False`` skips both matching terms, leaving
-    the plain averaged cross-entropy of the federated-averaging baseline.
+    ``x``, ``x_aug`` and ``y_mat`` are the nodes of the batch, its view and
+    its one-hot labels. With no snapshots (round 1) the inter term is
+    skipped. ``gm_enabled=False`` skips both matching terms, leaving the
+    plain averaged cross-entropy of the federated-averaging baseline.
     """
     if not 0.0 <= lam <= 1.0:
         raise UsageError(f"lambda must lie in [0, 1], got {lam}")
-    x = _as_node(tape, X)
-    x_aug = _as_node(tape, X_aug)
     if tape.value(x).shape != tape.value(x_aug).shape:
         raise ShapeError(
             f"original batch {tape.value(x).shape} and augmented batch {tape.value(x_aug).shape} differ"
         )
-    if isinstance(params, ModelParams):
-        params = stage_params(tape, params)
-    y_mat = _one_hot_node(tape, y, tape.value(params.head_w).shape[0])
     # the two views record one block each, step by step, as two lanes
     (h_orig, z_orig), (h_aug, z_aug) = _views(tape, lambda v: forward(tape, params, v), (x, x_aug))
     logp_o, logp_a = _views(tape, lambda z: ad.log_softmax_rows(tape, z), (z_orig, z_aug))
@@ -227,3 +211,110 @@ def local_loss(
             inter = _inter(tape, lab, anchor, h_orig, snapshots, inter_normalize)
             total = ad.add(tape, total, ad.scale(tape, inter, 1.0 - lam))
     return total, dict(zip(TRAIN_METRICS, (ce_o, ce_a, intra, inter, total)))
+
+
+def _recorded_loss(params: ModelParams, snapshots, X, X_aug, y, lam) -> tuple[Tape, ParamNodes, int]:
+    """``local_loss`` of one instance on a fresh tape, its parameters staged as
+    leaves and its batches and one-hot labels as constants."""
+    tape = Tape()
+    staged = stage_params(tape, params)
+    x, x_aug, y_mat = (tape.constant(a) for a in (X, X_aug, one_hot(y, params.classes)))
+    return tape, staged, local_loss(tape, staged, snapshots, x, x_aug, y_mat, lam)[0]
+
+
+def _flat_loss_fn(params: ModelParams, snapshots, X, X_aug, y, lam) -> Callable:
+    def f(theta):
+        tape, _, loss = _recorded_loss(unflatten(params.arch, params.classes, theta), snapshots, X, X_aug, y, lam)
+        return float(tape.value(loss))
+
+    return f
+
+
+def grad_check_instances(arch, trials, seed):
+    """Random full-objective instances for gradient verification.
+
+    Biases are jittered away from zero so no relu pre-activation sits
+    exactly on the kink, where the loss is one-sided and a central
+    difference is not a valid oracle.
+    """
+    rng = substream(seed)
+    lams = [0.0, 0.3, 0.5, 1.0]
+    for trial in range(trials):
+        depth = int(rng.integers(1, len(arch)))
+        dims = [int(rng.integers(min(2, d), d + 1)) for d in arch[: depth + 1]]
+        classes = int(rng.integers(2, 5))
+        batch = int(rng.integers(1, 9))
+        params = init_params(dims, classes, int(rng.integers(0, 2**31)))
+        for _, b in params.feature:
+            b += rng.normal(0.0, 0.2, size=b.shape)
+        params.head_b += rng.normal(0.0, 0.2, size=classes)
+        X = rng.normal(0.0, 1.5, size=(batch, dims[0]))
+        X_aug = X + rng.normal(0.0, 0.3, size=X.shape)
+        y = rng.integers(0, classes, size=batch)
+        n_snaps = int(rng.integers(1, 4))
+        snapshots = [
+            HeadSnapshot(j, rng.normal(0.0, 0.7, size=params.head_w.shape), rng.normal(0.0, 0.3, size=classes))
+            for j in range(n_snaps)
+        ]
+        lam = lams[trial % len(lams)]
+        yield params, snapshots, X, X_aug, y, lam
+
+
+def total_loss_gradient(params, snapshots, X, X_aug, y, lam):
+    """Reverse-mode gradient of the combined loss in flat parameter order."""
+    tape, staged, loss = _recorded_loss(params, snapshots, X, X_aug, y, lam)
+    grads = backward(tape, loss)
+    return np.concatenate([grads[nid].ravel() for nid in staged.all_ids()])
+
+
+def finite_difference_errors(arch, trials: int, seed: int) -> tuple[float, tuple[int, int], float]:
+    """Worst deviations of reverse-mode gradients from central differences
+    (h = 1e-5) over ``grad_check_instances(arch, trials, seed)``.
+
+    Returns the worst relative error over coordinates whose difference
+    quotient exceeds 1e-6 in magnitude, its (trial, coordinate), and the
+    worst absolute error over the others. A NaN gradient entry counts as an
+    infinite error.
+    """
+    worst_rel = 0.0
+    worst_abs = 0.0
+    worst_coord = (0, 0)
+    for trial, instance in enumerate(grad_check_instances(arch, trials, seed)):
+        g_ad = total_loss_gradient(*instance)
+        g_fd = finite_diff_grad(_flat_loss_fn(*instance), flatten(instance[0]), 1e-5)
+        errs = np.abs(g_ad - g_fd)
+        errs[np.isnan(errs)] = np.inf  # NaN compares false with every bound
+        for k, err in enumerate(errs):
+            if abs(g_fd[k]) > 1e-6:
+                rel = err / abs(g_fd[k])
+                if rel > worst_rel:
+                    worst_rel, worst_coord = rel, (trial, k)
+            elif err > worst_abs:
+                worst_abs = err
+    return worst_rel, worst_coord, worst_abs
+
+
+def head_gradient_deviation(trials: int, seed: int) -> float:
+    """Worst deviation of the closed-form head gradient from the reverse-mode
+    gradient of the cross-entropy over the head leaves, on ``trials`` random
+    instances drawn from ``seed + 1``."""
+    worst = 0.0
+    rng = substream(seed + 1)
+    for _ in range(trials):
+        batch = int(rng.integers(1, 9))
+        d_h = int(rng.integers(2, 9))
+        classes = int(rng.integers(2, 6))
+        H = rng.normal(0.0, 1.0, size=(batch, d_h))
+        w = rng.normal(0.0, 0.8, size=(classes, d_h))
+        b = rng.normal(0.0, 0.3, size=classes)
+        y = rng.integers(0, classes, size=batch)
+        # the head alone: a model with no feature layer
+        tape = Tape()
+        staged = stage_params(tape, ModelParams([d_h], classes, [], w, b))
+        h, y_mat = tape.constant(H), tape.constant(one_hot(y, classes))
+        _, z = forward(tape, staged, h)
+        grads = backward(tape, cross_entropy(tape, z, y_mat))
+        auto = np.concatenate([grads[nid].ravel() for nid in staged.all_ids()])
+        closed = tape.value(head_grad(tape, h, y_mat, w, b))
+        worst = max(worst, float(np.abs(closed - auto).max()))
+    return worst

@@ -18,10 +18,17 @@ import pytest
 import fedgm.federation
 from fedgm import experiments
 from fedgm.autodiff import Tape, backward
-from fedgm.cli import finite_difference_errors, head_gradient_deviation, main
+from fedgm.cli import main
 from fedgm.federation import ClientUpdate, aggregate, knowledge_vote, run_dg
-from fedgm.model import flatten, init_params, unflatten
-from fedgm.objective import cosine_sim, cross_entropy, local_loss
+from fedgm.model import flatten, init_params, stage_params, unflatten
+from fedgm.objective import (
+    cosine_sim,
+    cross_entropy,
+    finite_difference_errors,
+    head_gradient_deviation,
+    local_loss,
+    one_hot,
+)
 
 RESULTS = json.loads((Path(__file__).resolve().parents[1] / "results" / "directional.json").read_text())
 
@@ -71,15 +78,15 @@ def test_identity_augmentation_contributes_nothing():
         X = rng.normal(0.0, 4.0, (6, 3))
         y = rng.integers(0, 3, 6)
         t = Tape()
-        _, nodes = local_loss(t, params, [], X, X, y, 1.0)
+        x, y_mat = t.constant(X), t.constant(one_hot(y, 3))
+        _, nodes = local_loss(t, stage_params(t, params), [], x, x, y_mat, 1.0)
         assert float(t.value(nodes["intra"])) <= 1e-12
 
         def grad_at(lam):
             t = Tape()
-            from fedgm.model import stage_params
-
             staged = stage_params(t, params)
-            loss, _ = local_loss(t, staged, [], X, X, y, lam)
+            x, y_mat = t.constant(X), t.constant(one_hot(y, 3))
+            loss, _ = local_loss(t, staged, [], x, x, y_mat, lam)
             grads = backward(t, loss)
             return np.concatenate([grads[nid].ravel() for nid in staged.all_ids()])
 
@@ -242,7 +249,7 @@ def test_uniform_cross_entropy_and_cosine_bounds():
     for classes in (2, 5, 10):
         t = Tape()
         z = t.constant(np.zeros((3, classes)))
-        ce = float(t.value(cross_entropy(t, z, [0, classes - 1, classes // 2])))
+        ce = float(t.value(cross_entropy(t, z, t.constant(one_hot([0, classes - 1, classes // 2], classes)))))
         assert abs(ce - math.log(classes)) <= 1e-12
     rng = np.random.default_rng(123)
     for i in range(1000):

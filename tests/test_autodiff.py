@@ -183,15 +183,18 @@ def test_finite_diff_constant_function():
 
 
 def test_finite_diff_rejects_bad_step_and_nonfinite():
-    with pytest.raises(UsageError):
-        finite_diff_grad(lambda th: 0.0, [1.0], 0.0)
+    # a NaN or infinite step is named as the step, not blamed on the function
+    # (and a function that stays finite at infinity would give zeros)
+    for h in (0.0, float("nan"), float("inf")):
+        with pytest.raises(UsageError, match="step"):
+            finite_diff_grad(lambda th: 0.0, [1.0], h)
     with pytest.raises(OracleError, match="coordinate 0"):
         finite_diff_grad(lambda th: float("nan"), [1.0], 1e-5)
 
 
 def test_finite_diff_cross_entropy_fixed_batch():
     # the oracle agrees with backward on a fixed 2-class batch
-    from fedgm.objective import cross_entropy
+    from fedgm.objective import cross_entropy, one_hot
 
     X = np.array([[0.8, -0.4], [-1.1, 0.6], [0.2, 2.0]])
     y = [0, 1, 1]
@@ -201,7 +204,7 @@ def test_finite_diff_cross_entropy_fixed_batch():
         t = Tape()
         w_id = t.leaf(w, param=True)
         z = ad.matmul(t, t.constant(X), ad.transpose(t, w_id))
-        return t, w_id, cross_entropy(t, z, y)
+        return t, w_id, cross_entropy(t, z, t.constant(one_hot(y, 2)))
 
     t, w_id, loss = run(w0)
     g_ad = backward(t, loss)[w_id].ravel()

@@ -9,7 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from fedgm import cli, experiments, federation
+from fedgm import cli, experiments, federation, objective
 from fedgm.cli import (
     apply_overrides,
     cmd_grad_check,
@@ -455,8 +455,8 @@ def test_grad_check_cli_reproducible(capsys):
 
 
 def test_grad_check_fails_a_nan_gradient(monkeypatch, capsys):
-    real = cli.total_loss_gradient
-    monkeypatch.setattr(cli, "total_loss_gradient", lambda *args: real(*args) * np.nan)
+    real = objective.total_loss_gradient
+    monkeypatch.setattr(objective, "total_loss_gradient", lambda *args: real(*args) * np.nan)
     assert main(["grad-check", "--trials", "2"]) == 3
     assert "worst relative error (|g| > 1e-6): inf" in capsys.readouterr().out
 

@@ -15,6 +15,7 @@ from fedgm.model import (
     param_count,
     predict_logits,
     save_checkpoint,
+    stage_params,
     unflatten,
 )
 
@@ -57,10 +58,15 @@ def _zeroed(arch, classes):
     return p
 
 
+def _forward(t, p, X):
+    """forward with ``p`` staged as leaves and the batch ``X`` as a constant."""
+    return forward(t, stage_params(t, p), t.constant(X))
+
+
 def test_forward_all_zero_params():
     p = _zeroed([2, 4], 3)
     t = Tape()
-    h, z = forward(t, p, [[1.0, -2.0], [0.5, 0.5]])
+    h, z = _forward(t, p, [[1.0, -2.0], [0.5, 0.5]])
     assert np.array_equal(t.value(h), np.zeros((2, 4)))
     assert np.array_equal(t.value(z), np.zeros((2, 3)))
 
@@ -70,7 +76,7 @@ def test_forward_identity_layer_passthrough():
     p.feature[0] = (np.eye(3), np.zeros(3))
     X = np.array([[0.0, 1.0, 2.0], [3.0, 0.5, 0.25]])
     t = Tape()
-    h, _ = forward(t, p, X)
+    h, _ = _forward(t, p, X)
     assert np.array_equal(t.value(h), X)
 
 
@@ -78,7 +84,7 @@ def test_forward_rowwise_map():
     p = init_params([2, 5, 4], 3, seed=3)
     X = np.array([[0.3, -0.7], [1.0, 2.0], [0.3, -0.7]])
     t = Tape()
-    h, z = forward(t, p, X)
+    h, z = _forward(t, p, X)
     assert np.array_equal(t.value(h)[0], t.value(h)[2])
     assert np.array_equal(t.value(z)[0], t.value(z)[2])
 
@@ -86,7 +92,7 @@ def test_forward_rowwise_map():
 def test_forward_shape_error():
     p = init_params([2, 4], 2, seed=0)
     with pytest.raises(ShapeError, match="width"):
-        forward(Tape(), p, np.ones((3, 5)))
+        _forward(Tape(), p, np.ones((3, 5)))
 
 
 def test_batch_forward_equals_rowwise():
@@ -94,11 +100,11 @@ def test_batch_forward_equals_rowwise():
     rng = np.random.default_rng(1)
     X = rng.normal(0, 1, (5, 3))
     t = Tape()
-    _, z = forward(t, p, X)
+    _, z = _forward(t, p, X)
     batch = t.value(z)
     for i in range(5):
         ti = Tape()
-        _, zi = forward(ti, p, X[i : i + 1])
+        _, zi = _forward(ti, p, X[i : i + 1])
         assert np.abs(batch[i] - ti.value(zi)[0]).max() <= 1e-12
 
 
@@ -106,7 +112,7 @@ def test_predict_matches_tape_forward():
     p = init_params([2, 7, 3], 4, seed=5)
     X = np.random.default_rng(2).normal(0, 1, (6, 2))
     t = Tape()
-    _, z = forward(t, p, X)
+    _, z = _forward(t, p, X)
     assert np.abs(predict_logits(p, X) - t.value(z)).max() <= 1e-12
 
 
@@ -150,12 +156,15 @@ def test_flatten_bijection_property(arch, classes, seed):
 
 
 def test_checkpoint_roundtrip_exact(tmp_path):
-    p = init_params([2, 5, 4], 3, seed=13)
-    path = tmp_path / "model.json"
-    save_checkpoint(p, path)
-    q = load_checkpoint(path)
-    assert q.arch == p.arch and q.classes == p.classes
-    assert flatten(q).tobytes() == flatten(p).tobytes()
+    # a negative zero keeps its sign bit (JSON reads "-0" as the integer 0)
+    signed_zero = init_params([2, 3], 2, seed=0)
+    signed_zero.head_b[:] = [-0.0, 0.0]
+    for p in (init_params([2, 5, 4], 3, seed=13), signed_zero):
+        path = tmp_path / "model.json"
+        save_checkpoint(p, path)
+        q = load_checkpoint(path)
+        assert q.arch == p.arch and q.classes == p.classes
+        assert flatten(q).tobytes() == flatten(p).tobytes()
 
 
 def test_checkpoint_truncated_file(tmp_path):

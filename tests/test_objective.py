@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,12 +17,18 @@ from fedgm.objective import (
     inter_gm_loss,
     intra_gm_loss,
     local_loss,
+    one_hot,
 )
+
+
+def _y(t, y, classes):
+    """The node of labels ``y``'s one-hot matrix."""
+    return t.constant(one_hot(y, classes))
 
 
 def _ce_value(z, y):
     t = Tape()
-    return float(t.value(cross_entropy(t, t.constant(z), y)))
+    return float(t.value(cross_entropy(t, t.constant(z), _y(t, y, np.shape(z)[1]))))
 
 
 def test_cross_entropy_uniform_two_classes():
@@ -42,7 +49,7 @@ def test_cross_entropy_label_out_of_range():
     t = Tape()
     z = t.constant([[0.0, 0.0]])
     with pytest.raises(UsageError, match="index 0"):
-        cross_entropy(t, z, [2])
+        cross_entropy(t, z, _y(t, [2], 2))
 
 
 def test_head_grad_worked_example():
@@ -50,7 +57,7 @@ def test_head_grad_worked_example():
     # P = [0.5, 0.5]; grad_W = [[-0.5, 0], [0.5, 0]]; grad_b = [-0.5, 0.5]
     t = Tape()
     h = t.constant([[1.0, 0.0]])
-    g = t.value(head_grad(t, h, [0], np.zeros((2, 2)), np.zeros(2)))
+    g = t.value(head_grad(t, h, _y(t, [0], 2), np.zeros((2, 2)), np.zeros(2)))
     expected = np.array([-0.5, 0.0, 0.5, 0.0, -0.5, 0.5])
     assert np.abs(g - expected).max() <= 1e-15
 
@@ -65,11 +72,11 @@ def test_head_grad_matches_finite_differences_of_cross_entropy():
         t = Tape()
         h = t.constant(H)
         z = ad.add(t, ad.matmul(t, h, ad.transpose(t, t.constant(w))), t.constant(b))
-        return float(t.value(cross_entropy(t, z, y)))
+        return float(t.value(cross_entropy(t, z, _y(t, y, 2))))
 
     fd = finite_diff_grad(f, np.zeros(6), 1e-5)
     t = Tape()
-    g = t.value(head_grad(t, t.constant(H), y, np.zeros((2, 2)), np.zeros(2)))
+    g = t.value(head_grad(t, t.constant(H), _y(t, y, 2), np.zeros((2, 2)), np.zeros(2)))
     assert np.abs(g - fd).max() <= 1e-10
 
 
@@ -77,7 +84,7 @@ def test_head_grad_confident_correct_is_tiny():
     t = Tape()
     h = t.constant([[1.0, 0.0]])
     w = np.array([[30.0, 0.0], [0.0, 0.0]])
-    g = t.value(head_grad(t, h, [0], w, np.zeros(2)))
+    g = t.value(head_grad(t, h, _y(t, [0], 2), w, np.zeros(2)))
     assert np.linalg.norm(g) <= 1e-10
 
 
@@ -88,16 +95,16 @@ def test_head_grad_duplication_invariant():
     b = rng.normal(0, 0.2, 3)
     y = [0, 2, 1]
     t1 = Tape()
-    g1 = t1.value(head_grad(t1, t1.constant(H), y, w, b))
+    g1 = t1.value(head_grad(t1, t1.constant(H), _y(t1, y, 3), w, b))
     t2 = Tape()
-    g2 = t2.value(head_grad(t2, t2.constant(np.repeat(H, 2, axis=0)), np.repeat(y, 2), w, b))
+    g2 = t2.value(head_grad(t2, t2.constant(np.repeat(H, 2, axis=0)), _y(t2, np.repeat(y, 2), 3), w, b))
     assert np.abs(g1 - g2).max() <= 1e-14
 
 
 def test_head_grad_rejects_a_non_conformable_head():
     t = Tape()
     with pytest.raises(ShapeError):
-        head_grad(t, t.constant(np.ones((2, 3))), [0, 1], np.zeros((2, 4)), np.zeros(2))
+        head_grad(t, t.constant(np.ones((2, 3))), _y(t, [0, 1], 2), np.zeros((2, 4)), np.zeros(2))
 
 
 def test_head_grad_snapshot_receives_no_adjoint_but_features_do():
@@ -106,7 +113,7 @@ def test_head_grad_snapshot_receives_no_adjoint_but_features_do():
     h = t.leaf(rng.normal(0, 1, (2, 3)), param=True)
     w = rng.normal(0, 1, (2, 3))  # frozen head
     b = np.zeros(2)
-    g = head_grad(t, h, [0, 1], w, b)
+    g = head_grad(t, h, _y(t, [0, 1], 2), w, b)
     grads = backward(t, ad.dot(t, g, g))
     assert set(grads) == {h}
     assert np.linalg.norm(grads[h]) > 0
@@ -183,10 +190,10 @@ def _live_head_instance(seed=0, scale=2.5):
 def test_inter_loss_identical_snapshot_identity_augmentation():
     H, w, b, y = _live_head_instance()
     t = Tape()
-    h = t.constant(H)
-    g_aug = head_grad(t, h, y, w, b)  # identity augmentation: same batch
+    h, y_mat = t.constant(H), _y(t, y, 3)
+    g_aug = head_grad(t, h, y_mat, w, b)  # identity augmentation: same batch
     snap = HeadSnapshot(0, w.copy(), b.copy())
-    val = float(t.value(inter_gm_loss(t, g_aug, [snap], h, y)))
+    val = float(t.value(inter_gm_loss(t, g_aug, [snap], h, y_mat)))
     assert val <= 1e-9
 
 
@@ -200,12 +207,13 @@ def test_inter_loss_orthogonal_snapshots_sum_to_two():
     t = Tape()
     h_orig = t.constant([[1.0, 0.0]])
     h_aug = t.constant([[-1.0, 0.5]])
-    g_aug = head_grad(t, h_aug, y, w_live, b_live)
+    y_mat = _y(t, y, 2)
+    g_aug = head_grad(t, h_aug, y_mat, w_live, b_live)
     snaps = [
         HeadSnapshot(0, np.array([[0.3, 0.0], [-0.1, 0.2]]), np.zeros(2)),
         HeadSnapshot(1, np.array([[-0.6, 0.4], [0.2, 0.1]]), np.array([0.1, 0.0])),
     ]
-    val = float(t.value(inter_gm_loss(t, g_aug, snaps, h_orig, y)))
+    val = float(t.value(inter_gm_loss(t, g_aug, snaps, h_orig, y_mat)))
     assert abs(val - 2.0) <= 1e-12
 
 
@@ -221,15 +229,15 @@ def test_inter_loss_matches_independent_recomputation():
         for j in range(3)
     ]
     t = Tape()
-    h_o = t.constant(H_orig)
-    g_aug = head_grad(t, t.constant(H_aug), y, w, b)
-    combined = float(t.value(inter_gm_loss(t, g_aug, snaps, h_o, y)))
+    h_o, y_mat = t.constant(H_orig), _y(t, y, 3)
+    g_aug = head_grad(t, t.constant(H_aug), y_mat, w, b)
+    combined = float(t.value(inter_gm_loss(t, g_aug, snaps, h_o, y_mat)))
     # oracle: each term on its own tape
     total = 0.0
     g_aug_val = t.value(g_aug)
     for snap in snaps:
         ti = Tape()
-        g_j = ti.value(head_grad(ti, ti.constant(H_orig), y, snap.weight, snap.bias))
+        g_j = ti.value(head_grad(ti, ti.constant(H_orig), _y(ti, y, 3), snap.weight, snap.bias))
         ti2 = Tape()
         total += 1.0 - float(
             ti2.value(cosine_sim(ti2, ti2.constant(g_aug_val), ti2.constant(g_j)))
@@ -244,10 +252,10 @@ def test_inter_loss_normalize_divides_by_count():
     y = [0, 1, 0]
     snaps = [HeadSnapshot(j, rng.normal(0, 0.6, (2, 2)), np.zeros(2)) for j in range(4)]
     t = Tape()
-    h = t.constant(H)
-    g_aug = head_grad(t, h, y, w, np.zeros(2))
-    plain = float(t.value(inter_gm_loss(t, g_aug, snaps, h, y)))
-    normed = float(t.value(inter_gm_loss(t, g_aug, snaps, h, y, normalize=True)))
+    h, y_mat = t.constant(H), _y(t, y, 2)
+    g_aug = head_grad(t, h, y_mat, w, np.zeros(2))
+    plain = float(t.value(inter_gm_loss(t, g_aug, snaps, h, y_mat)))
+    normed = float(t.value(inter_gm_loss(t, g_aug, snaps, h, y_mat, normalize=True)))
     assert abs(normed - plain / 4.0) <= 1e-12
 
 
@@ -255,7 +263,7 @@ def test_inter_loss_empty_snapshots_rejected():
     t = Tape()
     g = t.constant([1.0, 0.0])
     with pytest.raises(ContractError):
-        inter_gm_loss(t, g, [], t.constant([[1.0, 0.0]]), [0])
+        inter_gm_loss(t, g, [], t.constant([[1.0, 0.0]]), _y(t, [0], 2))
 
 
 def _instance(seed=0, batch=4, arch=(3, 5, 4), classes=3, n_snaps=2, x_scale=1.5):
@@ -271,6 +279,13 @@ def _instance(seed=0, batch=4, arch=(3, 5, 4), classes=3, n_snaps=2, x_scale=1.5
     return params, snaps, X, X_aug, y
 
 
+def _loss(t, params, snaps, X, X_aug, y, lam, **kwargs):
+    """local_loss with ``params`` staged as leaves, the batches and the
+    one-hot labels as constants."""
+    staged = stage_params(t, params)
+    return local_loss(t, staged, snaps, t.constant(X), t.constant(X_aug), _y(t, y, params.classes), lam, **kwargs)
+
+
 def _terms(tape, nodes):
     """The value of each term local_loss returned the node of."""
     return {m: float(tape.value(nid)) for m, nid in nodes.items()}
@@ -279,9 +294,9 @@ def _terms(tape, nodes):
 def test_local_loss_lambda_one_ignores_snapshots():
     params, snaps, X, X_aug, y = _instance(seed=5)
     t1 = Tape()
-    bd1 = _terms(t1, local_loss(t1, params, snaps, X, X_aug, y, 1.0)[1])
+    bd1 = _terms(t1, _loss(t1, params, snaps, X, X_aug, y, 1.0)[1])
     t2 = Tape()
-    bd2 = _terms(t2, local_loss(t2, params, [], X, X_aug, y, 1.0)[1])
+    bd2 = _terms(t2, _loss(t2, params, [], X, X_aug, y, 1.0)[1])
     assert bd1["total"] == bd2["total"]
 
 
@@ -289,7 +304,7 @@ def test_local_loss_lambda_zero_identity_aug_live_copy():
     params, _, X, _, y = _instance(seed=6)
     snap = HeadSnapshot(0, params.head_w.copy(), params.head_b.copy())
     t = Tape()
-    bd = _terms(t, local_loss(t, params, [snap], X, X, y, 0.0)[1])
+    bd = _terms(t, _loss(t, params, [snap], X, X, y, 0.0)[1])
     assert bd["ce_aug"] == bd["ce_orig"]
     assert abs(bd["total"] - bd["ce_orig"]) <= 1e-9
 
@@ -299,7 +314,7 @@ def test_local_loss_breakdown_recomposition():
         params, snaps, X, X_aug, y = _instance(seed=seed)
         lam = [0.0, 0.3, 0.5, 0.8, 1.0][seed]
         t = Tape()
-        bd = _terms(t, local_loss(t, params, snaps, X, X_aug, y, lam)[1])
+        bd = _terms(t, _loss(t, params, snaps, X, X_aug, y, lam)[1])
         recomposed = 0.5 * (bd["ce_orig"] + bd["ce_aug"]) + lam * bd["intra"] + (1 - lam) * bd["inter"]
         assert abs(bd["total"] - recomposed) <= 1e-12
         assert 0.0 <= bd["intra"] <= 2.0
@@ -309,7 +324,7 @@ def test_local_loss_breakdown_recomposition():
 def test_local_loss_empty_snapshots_round_one_rule():
     params, _, X, X_aug, y = _instance(seed=7)
     t = Tape()
-    bd = _terms(t, local_loss(t, params, [], X, X_aug, y, 0.3)[1])
+    bd = _terms(t, _loss(t, params, [], X, X_aug, y, 0.3)[1])
     assert bd["inter"] == 0.0
     expected = 0.5 * (bd["ce_orig"] + bd["ce_aug"]) + 0.3 * bd["intra"]
     assert abs(bd["total"] - expected) <= 1e-12
@@ -318,13 +333,13 @@ def test_local_loss_empty_snapshots_round_one_rule():
 def test_local_loss_lambda_range_checked():
     params, snaps, X, X_aug, y = _instance(seed=8)
     with pytest.raises(UsageError, match="lambda"):
-        local_loss(Tape(), params, snaps, X, X_aug, y, 1.5)
+        _loss(Tape(), params, snaps, X, X_aug, y, 1.5)
 
 
 def test_local_loss_batch_shape_mismatch():
     params, snaps, X, X_aug, y = _instance(seed=9)
     with pytest.raises(ShapeError):
-        local_loss(Tape(), params, snaps, X, X_aug[:-1], y, 0.5)
+        _loss(Tape(), params, snaps, X, X_aug[:-1], y, 0.5)
 
 
 @pytest.mark.parametrize("normalize", [False, True])
@@ -333,22 +348,23 @@ def test_standalone_terms_give_local_loss_bits(normalize):
     # give the very bytes local_loss records for it
     params, snaps, X, X_aug, y = _instance(seed=12, n_snaps=3)
     t = Tape()
-    _, nodes = local_loss(t, params, snaps, X, X_aug, y, 0.3, inter_normalize=normalize)
+    _, nodes = _loss(t, params, snaps, X, X_aug, y, 0.3, inter_normalize=normalize)
     # local_loss's head gradients in recording order: g, g_aug, then one per snapshot
     recorded = [t.value(nid) for nid, op in enumerate(t.ops) if op == "flatten-concat"]
     s = Tape()
     staged = stage_params(s, params)
-    h_orig, _ = forward(s, staged, X)
-    h_aug, _ = forward(s, staged, X_aug)
-    g = head_grad(s, h_orig, y, params.head_w, params.head_b)
-    g_aug = head_grad(s, h_aug, y, params.head_w, params.head_b)
-    standalone = [g, g_aug] + [head_grad(s, h_orig, y, snap.weight, snap.bias) for snap in snaps]
+    y_mat = _y(s, y, params.classes)
+    h_orig, _ = forward(s, staged, s.constant(X))
+    h_aug, _ = forward(s, staged, s.constant(X_aug))
+    g = head_grad(s, h_orig, y_mat, params.head_w, params.head_b)
+    g_aug = head_grad(s, h_aug, y_mat, params.head_w, params.head_b)
+    standalone = [g, g_aug] + [head_grad(s, h_orig, y_mat, snap.weight, snap.bias) for snap in snaps]
     assert len(recorded) == len(standalone)
     for want, nid in zip(recorded, standalone):
         assert s.value(nid).shape == want.shape and s.value(nid).tobytes() == want.tobytes()
     terms = {
         "intra": intra_gm_loss(s, g, g_aug),
-        "inter": inter_gm_loss(s, g_aug, snaps, h_orig, y, normalize=normalize),
+        "inter": inter_gm_loss(s, g_aug, snaps, h_orig, y_mat, normalize=normalize),
     }
     for m, nid in terms.items():
         assert s.value(nid).tobytes() == t.value(nodes[m]).tobytes()
@@ -371,10 +387,10 @@ def test_head_grad_equals_autodiff_cross_entropy_gradient():
         b_id = t.leaf(b, param=True)
         h_id = t.constant(H)
         z = ad.add(t, ad.matmul(t, h_id, ad.transpose(t, w_id)), b_id)
-        grads = backward(t, cross_entropy(t, z, y))
+        grads = backward(t, cross_entropy(t, z, _y(t, y, classes)))
         auto = np.concatenate([grads[w_id].ravel(), grads[b_id].ravel()])
         t2 = Tape()
-        closed = t2.value(head_grad(t2, t2.constant(H), y, w, b))
+        closed = t2.value(head_grad(t2, t2.constant(H), _y(t2, y, classes), w, b))
         worst = max(worst, float(np.abs(closed - auto).max()))
     assert worst <= 1e-10
 
@@ -382,7 +398,7 @@ def test_head_grad_equals_autodiff_cross_entropy_gradient():
 def _total_gradient(params, snaps, X, X_aug, y, lam):
     t = Tape()
     staged = stage_params(t, params)
-    loss, _ = local_loss(t, staged, snaps, X, X_aug, y, lam)
+    loss, _ = local_loss(t, staged, snaps, t.constant(X), t.constant(X_aug), _y(t, y, params.classes), lam)
     grads = backward(t, loss)
     return np.concatenate([grads[nid].ravel() for nid in staged.all_ids()])
 
@@ -395,7 +411,7 @@ def test_local_loss_gradient_matches_finite_differences():
 
         def f(theta):
             t = Tape()
-            loss, _ = local_loss(
+            loss, _ = _loss(
                 t, unflatten(params.arch, params.classes, theta), snaps, X, X_aug, y, lam
             )
             return float(t.value(loss))
@@ -414,8 +430,53 @@ def test_identity_augmentation_null():
     # gradients with the inter term disabled)
     params, _, X, _, y = _instance(seed=11, x_scale=2.5)
     t = Tape()
-    bd = _terms(t, local_loss(t, params, [], X, X, y, 1.0)[1])
+    bd = _terms(t, _loss(t, params, [], X, X, y, 1.0)[1])
     assert bd["intra"] <= 1e-12
     g1 = _total_gradient(params, [], X, X, y, 1.0)
     g0 = _total_gradient(params, [], X, X, y, 0.0)
     assert np.linalg.norm(g1 - g0) <= 1e-8
+
+
+def _recording_inputs():
+    """Every node the recording functions take, on one tape, and the arrays and labels behind them."""
+    params, snaps, X, X_aug, y = _instance(seed=14)
+    t = Tape()
+    staged = stage_params(t, params)
+    x, x_aug, y_mat = t.constant(X), t.constant(X_aug), _y(t, y, params.classes)
+    h, z = forward(t, staged, x)
+    w, b = params.head_w, params.head_b
+    g_aug = head_grad(t, h, y_mat, w, b)
+    return SimpleNamespace(
+        t=t, params=params, staged=staged, snaps=snaps, X=X, x=x, x_aug=x_aug, y=list(y), y_mat=y_mat,
+        h=h, H=t.value(h).copy(), z=z, Z=t.value(z).copy(), w=w, b=b, g_aug=g_aug,
+    )
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda n: forward(n.t, n.staged, n.X), id="forward-batch-array"),
+        pytest.param(lambda n: forward(n.t, n.params, n.x), id="forward-unstaged-params"),
+        pytest.param(
+            lambda n: local_loss(n.t, n.staged, n.snaps, n.X, n.x_aug, n.y_mat, 0.5), id="local_loss-batch-array"
+        ),
+        pytest.param(lambda n: local_loss(n.t, n.staged, n.snaps, n.x, n.x_aug, n.y, 0.5), id="local_loss-label-list"),
+        pytest.param(
+            lambda n: local_loss(n.t, n.params, n.snaps, n.x, n.x_aug, n.y_mat, 0.5), id="local_loss-unstaged"
+        ),
+        pytest.param(lambda n: cross_entropy(n.t, n.Z, n.y_mat), id="cross_entropy-logit-array"),
+        pytest.param(lambda n: cross_entropy(n.t, n.z, n.y), id="cross_entropy-label-list"),
+        # labels whose entries are all node ids of the tape are still not nodes
+        pytest.param(lambda n: cross_entropy(n.t, n.z, [0]), id="cross_entropy-label-list-of-node-ids"),
+        pytest.param(lambda n: head_grad(n.t, n.H, n.y_mat, n.w, n.b), id="head_grad-feature-array"),
+        pytest.param(lambda n: head_grad(n.t, n.h, n.y, n.w, n.b), id="head_grad-label-list"),
+        pytest.param(lambda n: inter_gm_loss(n.t, n.g_aug, n.snaps, n.H, n.y_mat), id="inter_gm_loss-feature-array"),
+        pytest.param(lambda n: inter_gm_loss(n.t, n.g_aug, n.snaps, n.h, n.y), id="inter_gm_loss-label-list"),
+    ],
+)
+def test_recording_functions_take_nodes_only(call):
+    # one calling convention: an array or a label list where a node belongs is
+    # a usage error, never staged as a constant or read as labels
+    n = _recording_inputs()
+    with pytest.raises(UsageError, match="node id"):
+        call(n)
