@@ -30,10 +30,8 @@ value is a view. Scalars are 0-d arrays.
 
 from __future__ import annotations
 
-import ast
 import math
 import operator
-import re
 from contextlib import contextmanager
 from typing import Callable, Hashable, NamedTuple, Sequence
 
@@ -462,6 +460,8 @@ def backward(tape: Tape, loss: int) -> dict[int, Array]:
 # --- compiled steps -----------------------------------------------------------
 
 _ELEMENTWISE = ("add", "sub", "elementwise-mul", "div")
+# the ops whose adjoint templates read the incoming adjoint alone, and their input only for its shape
+_VALUE_FREE = frozenset(("add", "sub", "scale-by-constant", "transpose", "reduce-sum", "reduce-mean", "flatten-concat"))
 
 
 _KERNELS = {
@@ -532,58 +532,6 @@ def _grad_exprs(tape: Tape, nid: int, in_needs: tuple[bool, ...], names: dict) -
             lead = len(names["lead_shape"])
             exprs = [_unbroadcast_src(e, out_shape, s, lead) for e, s in zip(exprs, shapes)]
     return [e if need else None for e, need in zip(exprs, in_needs)]
-
-
-_SHAPE_ONLY = ("ones_like", "full_like")  # kernels that read their first argument for its shape and order alone
-_NAME = re.compile(r"(?<![.\w])[A-Za-z_]\w*")
-_SHAPE_ARG = re.compile(r"\b(?:ones_like|full_like)\((\w+)")  # the variable a shape-only first argument names
-_FIXED = frozenset(_KERNELS) | {"axis", "keepdims", "True", "None", "if", "else"}  # names no step assigns
-
-
-def _may_fold(expr: str, folded) -> bool:
-    """False when ``expr`` names anything besides kernels, template keywords, ``folded``
-    targets and shape-only arguments: then it reads a runtime value, seen without a parse."""
-    return _FIXED.union(folded, _SHAPE_ARG.findall(expr)).issuperset(_NAME.findall(expr))
-
-
-def _fold(lines: list[str], placeholder: Callable[[str], Array]) -> tuple[list[str], dict[str, Array]]:
-    """Evaluate, in order, the lines ``x = expr`` of a step's backward that read no runtime value, and drop them.
-
-    Such a line reads only kernels and earlier folded lines' targets, besides the first
-    argument of ``ones_like`` or ``full_like``, which takes ``placeholder(name)``: the loss
-    seed and what ``add``, ``sub``, ``scale-by-constant``, ``transpose``, the reductions,
-    flatten-concat slices and lane stacks and slices make of it. Each value is bound
-    read-only as the constant ``K<x>``, under which the kept lines read it. Only a line
-    that ``_may_fold`` passes is parsed. Returns the kept lines and the constants by name.
-    """
-    consts: dict[str, Array] = {}
-    folded: dict[str, str] = {}  # variable -> the constant that holds its value now
-    rename = lambda text: _NAME.sub(lambda m: folded.get(m[0], m[0]), text)  # noqa: E731
-    kept = []
-    for line in lines:
-        target, eq, expr = line.partition(" = ")
-        if not eq:
-            kept.append(rename(line))
-            continue
-        if _may_fold(expr, folded):
-            tree = ast.parse(expr, mode="eval")
-            shaped = {
-                id(n) for c in ast.walk(tree)
-                if isinstance(c, ast.Call) and getattr(c.func, "id", None) in _SHAPE_ONLY
-                for n in ast.walk(c.args[0])
-            }
-            names = [n for n in ast.walk(tree) if isinstance(n, ast.Name)]
-            reads = {n.id for n in names if id(n) not in shaped} - _KERNELS.keys()
-            if reads <= folded.keys():
-                env = {**_KERNELS, **{n.id: placeholder(n.id) for n in names if id(n) in shaped}}
-                env.update((x, consts[folded[x]]) for x in reads)
-                value = eval(compile(tree, "<folded adjoint>", "eval"), env)
-                value.flags.writeable = False
-                consts[f"K{target}"], folded[target] = value, f"K{target}"
-                continue
-        kept.append(f"{target} = {rename(expr)}")
-        folded.pop(target, None)
-    return kept, consts
 
 
 def _structure(tape: Tape, loss: int, outs: tuple[int, ...], fed: tuple[int, ...]) -> tuple:
@@ -680,15 +628,16 @@ def compile_step(tape: Tape, k: int, loss: int, outs: Sequence[int], fed: Sequen
     tape's leaves are: it issues the forward rules' kernels and
     ``backward``'s sweep, one kernel per group of lanes, adds every adjoint's terms in ``backward``'s order (a shared input's terms from a
     group lane by lane, an unbroadcast one included), and resolves the
-    ``needs`` masks, unbroadcasts and flatten-concat slices once. The
-    backward's lines that read no runtime value (the loss seed, and what
-    add, sub, scale-by-constant, transpose, the reductions' fills,
-    flatten-concat slices and lane stacks make of it alone) are evaluated
-    here, once, by the same expressions on zero stand-ins laid out as the
-    recorded values (an op's value may be a transposed view), and bound as
-    read-only constants (``_fold``); a parameter gradient that is one is returned as that
-    read-only array. An l2-norm's adjoint takes its zero-norm subgradient
-    only on a call where some slice's norm is zero. Functions are cached by
+    ``needs`` masks, unbroadcasts and flatten-concat slices once. Whether a
+    backward line reads a runtime value is decided as it is emitted: the
+    loss seed, and what the ``_VALUE_FREE`` ops (add, sub, scale-by-constant,
+    transpose, the reductions' fills, flatten-concat slices) and lane stacks
+    make of it alone, do not. Such a line is evaluated here, once, by the
+    same expression on zero stand-ins laid out as the recorded values (an
+    op's value may be a transposed view), and bound as a read-only constant
+    ``K<variable>``, which later lines name; a parameter gradient that is
+    one is returned as that read-only array. An l2-norm's adjoint takes its
+    zero-norm subgradient only on a call where some slice's norm is zero. Functions are cached by
     structure and k; the generated source, whose backward starts at its
     ``# backward`` line, is the function's ``source`` attribute.
     """
@@ -743,8 +692,32 @@ def compile_step(tape: Tape, k: int, loss: int, outs: Sequence[int], fed: Sequen
         if nid in lane and nid not in tails:
             g = groups[lane[nid][0]]
             body.extend(f"v{m} = L{g[0]}[:, {j}]" for j, m in enumerate(g) if m in alone)
-    start = len(body)
-    body += ["# backward", f"g{loss} = ones_like(v{loss})"]
+    body.append("# backward")
+
+    # a folded line's namespace: kernels, constants, and zeros laid out as the recorded values
+    # for a step variable it names, which a value-free template reads for its shape alone
+    class StandIns(dict):
+        def __missing__(self, name):
+            if name[0] not in "vL":
+                raise KeyError(name)
+            ids = groups[lane[int(name[1:])][0]] if name[0] == "L" else [int(name[1:])]
+            per_lane = [np.stack([np.zeros_like(tape.vals[m])] * k) for m in ids]
+            return per_lane[0] if name[0] == "v" else np.concatenate([p[:, None] for p in per_lane], axis=1)
+
+    consts: dict[str, Array] = {}  # the folded lines' values, by "K<variable>"
+    folded: set[str] = set()  # the variables whose value now is that constant
+    ref = lambda var: f"K{var}" if var in folded else var  # noqa: E731
+
+    def emit(var, expr, fold):  # a folded line is evaluated here, once, and bound read-only as K<var>
+        if fold:
+            value = consts[f"K{var}"] = eval(expr, StandIns(_KERNELS, **consts))
+            value.flags.writeable = False
+            folded.add(var)
+        else:
+            body.append(f"{var} = {expr}")
+            folded.discard(var)
+
+    emit(f"g{loss}", f"ones_like(v{loss})", True)
 
     # Every adjoint adds its terms in backward's order, each once it is ready.
     # A group's adjoint is one (k, S, ...) array when each lane's terms come
@@ -757,47 +730,43 @@ def compile_step(tape: Tape, k: int, loss: int, outs: Sequence[int], fed: Sequen
         )
 
     whole = {gi for gi, g in enumerate(groups) if aligned(g)}
-    ready, added = {}, {}  # term sources by (consumer, input); terms added so far by node
+    ready, added = {}, {}  # each term's source and whether it folds, by (consumer, input); terms added so far by node
 
-    def offer(c, p, expr):
+    def offer(c, p, expr, fold):
         t = inputs[c][p]
         var = f"G{t}" if t in lane and lane[t][0] in whole else f"g{t}"
-        ready[c, p] = expr
+        ready[c, p] = expr, fold
         n = added.get(t, 0)
         while n < len(terms[t]) and terms[t][n] in ready:
-            e = ready.pop(terms[t][n])
-            body.append(f"{var} = {var} + ({e})" if n else f"{var} = {e}")
+            e, f = ready.pop(terms[t][n])
+            emit(var, f"{ref(var)} + ({e})" if n else e, f and (not n or var in folded))
             n += 1
         added[t] = n
 
+    # The seed folds; so does a term whose op is value-free and whose consumer's adjoint is
+    # folded, an adjoint while all its terms so far do, and a lane stack whose lanes all do.
     for nid, in_needs in sweep:
         if nid not in has_adjoint or nid in tails:
             continue
-        exprs = _grad_exprs(tape, nid, in_needs, names(nid))
-        if nid not in lane:
-            for p, expr in enumerate(exprs):
-                if expr is not None:
-                    offer(nid, p, expr)
-            continue
-        gi = lane[nid][0]
-        if gi not in whole:
-            body.append(f"G{nid} = concatenate([{', '.join(f'g{m}[:, None]' for m in groups[gi])}], axis=1)")
-        for p, expr in enumerate(exprs):
-            if expr is not None and flags[gi][p] and lane[inputs[nid][p]][0] in whole:
-                offer(nid, p, expr)
-            elif expr is not None:
-                body.append(f"C{nid}_{p} = {expr}")
-                for j, m in enumerate(groups[gi]):
-                    offer(m, p, f"C{nid}_{p}[:, {j}]")
-    grads = "".join(f"g{p}, " if p in has_adjoint else f"zeros_like(v{p}), " for p in tape.params)
+        gi = lane.get(nid, (None,))[0]
+        if nid in lane and gi not in whole:
+            lanes = [f"g{m}" for m in groups[gi]]
+            stack = ", ".join(f"{ref(v)}[:, None]" for v in lanes)
+            emit(f"G{nid}", f"concatenate([{stack}], axis=1)", folded.issuperset(lanes))
+        nm = names(nid)
+        fold = ops[nid] in _VALUE_FREE and nm["g"] in folded
+        nm["g"] = ref(nm["g"])
+        for p, expr in enumerate(_grad_exprs(tape, nid, in_needs, nm)):
+            if expr is None:
+                continue
+            if nid not in lane or flags[gi][p] and lane[inputs[nid][p]][0] in whole:
+                offer(nid, p, expr, fold)
+                continue
+            emit(f"C{nid}_{p}", expr, fold)
+            for j, m in enumerate(groups[gi]):
+                offer(m, p, f"{ref(f'C{nid}_{p}')}[:, {j}]", fold)
+    grads = "".join(f"{ref(f'g{p}')}, " if p in has_adjoint else f"zeros_like(v{p}), " for p in tape.params)
     body.append(f"return ({''.join(f'v{nid}, ' for nid in outs)}), ({grads})")
-
-    def placeholder(name):  # a stand-in for the runtime value ``name``, laid out as the recorded values
-        ids = groups[lane[int(name[1:])][0]] if name[0] == "L" else [int(name[1:])]
-        per_lane = [np.stack([np.zeros_like(tape.vals[m])] * k) for m in ids]
-        return per_lane[0] if name[0] == "v" else np.concatenate([p[:, None] for p in per_lane], axis=1)
-
-    body[start:], consts = _fold(body[start:], placeholder)
     source = f"def step({', '.join(arg_names)}):\n" + "".join(f"    {line}\n" for line in body)
 
     def shape_error(values):

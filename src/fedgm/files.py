@@ -32,11 +32,12 @@ def write_atomic(path, chunks: Iterable[str]) -> None:
 
 
 def parse_json(data: bytes | str, where: str):
-    """``json.loads`` of UTF-8 ``data``, rejecting numbers a float cannot hold.
+    """``json.loads`` of UTF-8 ``data``, rejecting numbers a float cannot hold and repeated keys.
 
-    Bytes that are not UTF-8 and the numbers Infinity, NaN and 1e400 raise
-    ParseError naming ``where``. Malformed JSON raises json.JSONDecodeError,
-    which each caller reports or handles in its own way.
+    Bytes that are not UTF-8, the numbers Infinity, NaN and 1e400, and a key
+    an object repeats raise ParseError naming ``where``. Malformed JSON
+    raises json.JSONDecodeError, which each caller reports or handles in its
+    own way.
     """
     if isinstance(data, bytes):
         try:
@@ -51,4 +52,12 @@ def parse_json(data: bytes | str, where: str):
         value = float(token)
         return value if math.isfinite(value) else reject(token)
 
-    return json.loads(data, parse_float=number, parse_constant=reject)
+    def unique(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ParseError(f"{where}: repeated key {json.dumps(key)}")
+            obj[key] = value
+        return obj
+
+    return json.loads(data, parse_float=number, parse_constant=reject, object_pairs_hook=unique)

@@ -51,7 +51,15 @@ def one_hot(y, classes: int) -> np.ndarray:
     return out
 
 
+def _check_labels(tape: Tape, logp: int, y_mat: int) -> None:
+    """ShapeError unless the one-hot labels ``y_mat`` have the logits' shape, which ``mul`` would broadcast."""
+    y, z = tape.value(y_mat).shape, tape.value(logp).shape
+    if y != z:
+        raise ShapeError(f"one-hot labels of dims {y} do not match the logits' dims {z}")
+
+
 def _ce_from_log_probs(tape: Tape, logp: int, y_mat: int) -> int:
+    _check_labels(tape, logp, y_mat)
     picked = ad.reduce_sum(tape, ad.mul(tape, logp, y_mat))
     return ad.scale(tape, picked, -1.0 / tape.value(y_mat).shape[0])
 
@@ -78,6 +86,7 @@ def _labels(tape: Tape, y_mat: int) -> _Labels:
 
 def _head_grad(tape: Tape, lab: _Labels, h: int, logp: int) -> int:
     """The closed form from features ``h`` and their logits' log-softmax; weight row-major, then bias."""
+    _check_labels(tape, logp, lab.y_mat)
     batch = tape.value(h).shape[0]
     diff_t = ad.transpose(tape, ad.sub(tape, ad.exp(tape, logp), lab.y_mat))
     gw = ad.scale(tape, ad.matmul(tape, diff_t, h), 1.0 / batch)

@@ -188,6 +188,20 @@ def test_non_finite_numbers_rejected(tmp_path, capsys, number):
     assert not (tmp_path / "out").exists()
 
 
+def test_repeated_keys_rejected(tmp_path, capsys):
+    payload = dict(BASE, out_dir=str(tmp_path / "out"))
+    text = json.dumps(payload).replace('"lr0": 0.05', '"lr0": 0.05, "lambda": 0.2, "lambda": 0.9')
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert main(["run-dg", "--config", str(bad)]) == 1
+    assert f'config {bad}: repeated key "lambda"' in capsys.readouterr().err
+    good = _write(tmp_path, payload)
+    override = 'augmentation={"kind": "gaussian_noise", "sigma": 0.1, "sigma": 0.3}'
+    assert main(["run-dg", "--config", str(good), "--override", override]) == 1
+    assert f"override '{override}': repeated key \"sigma\"" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "override, field",
     [

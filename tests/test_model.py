@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -228,6 +229,14 @@ def _checkpoint_with_first_parameter(tmp_path, token: bytes):
 def test_checkpoint_non_finite_parameter_rejected(tmp_path, number):
     path = _checkpoint_with_first_parameter(tmp_path, number.encode())
     with pytest.raises(ParseError, match=f"non-finite number {number}"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_repeated_key_rejected(tmp_path):
+    # a second "flat" would otherwise replace the first without a word
+    path = _checkpoint_with_first_parameter(tmp_path, b"0.5")
+    path.write_bytes(path.read_bytes().replace(b'"flat"', b'"flat": [%s], "flat"' % b", ".join([b"0.25"] * 12)))
+    with pytest.raises(ParseError, match=f'checkpoint {re.escape(str(path))}: repeated key "flat"'):
         load_checkpoint(path)
 
 

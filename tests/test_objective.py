@@ -480,3 +480,21 @@ def test_recording_functions_take_nodes_only(call):
     n = _recording_inputs()
     with pytest.raises(UsageError, match="node id"):
         call(n)
+
+
+@pytest.mark.parametrize("wrong", ["column", "one-row"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda n, y: cross_entropy(n.t, n.z, y), id="cross_entropy"),
+        pytest.param(lambda n, y: local_loss(n.t, n.staged, n.snaps, n.x, n.x_aug, y, 0.5), id="local_loss"),
+        pytest.param(lambda n, y: head_grad(n.t, n.h, y, n.w, n.b), id="head_grad"),
+        pytest.param(lambda n, y: inter_gm_loss(n.t, n.g_aug, n.snaps, n.h, y), id="inter_gm_loss"),
+    ],
+)
+def test_one_hot_labels_must_have_the_logits_shape(call, wrong):
+    # a (B, 1) column or a one-row one-hot would broadcast against the logits in mul, giving a wrong loss
+    n = _recording_inputs()
+    y_val = np.ones((len(n.y), 1)) if wrong == "column" else one_hot(n.y[:1], n.params.classes)
+    with pytest.raises(ShapeError, match="one-hot labels of dims .* do not match the logits' dims"):
+        call(n, n.t.constant(y_val))

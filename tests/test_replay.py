@@ -12,7 +12,9 @@ gradients of that client's step recorded afresh on the same values, bit for
 bit, and the checks of a recorded step must still run on it.
 """
 
+import ast
 import re
+import string
 import tracemalloc
 from unittest import mock
 
@@ -765,20 +767,51 @@ def test_gm_step_folds_its_value_free_adjoints(monkeypatch):
     assert not any(value.flags.writeable for value in consts.values())
 
 
-def test_the_name_scan_keeps_every_source_the_parse_gives(monkeypatch):
-    """``_fold`` skips the parse of a line that names a runtime value; parsing every line folds the same lines."""
+def _reads_a_runtime_value(expr):
+    """Whether ``expr`` names a step variable besides the kernels, the folded constants ``K…``
+    and the first argument of ``full_like``/``ones_like``, which is read for its shape alone."""
+    tree = ast.parse(expr, mode="eval")
+    shaped = {
+        id(n) for c in ast.walk(tree)
+        if isinstance(c, ast.Call) and getattr(c.func, "id", None) in ("full_like", "ones_like")
+        for n in ast.walk(c.args[0])
+    }
+    return any(
+        isinstance(n, ast.Name) and id(n) not in shaped and n.id not in ad._KERNELS and not n.id.startswith("K")
+        for n in ast.walk(tree)
+    )
+
+
+def test_every_backward_line_a_step_keeps_reads_a_runtime_value(monkeypatch):
+    """The fold, decided as the lines are emitted, leaves no line it could have folded."""
+    monkeypatch.setattr(ad, "_STEP_CACHE", {})
+    assert not _reads_a_runtime_value("full_like(v3[:, None], (Kg5 / 4).reshape((2, 1, 1)))")
+    assert _reads_a_runtime_value("full_like(v3, g5)") and _reads_a_runtime_value("Kg5 * m3")
     rng = np.random.default_rng(13)
     snaps = [HeadSnapshot(j, rng.normal(0.0, 0.7, (2, 6)), rng.normal(0.0, 0.3, 2)) for j in range(3)]
-    sources = []
-    for scan in (True, False):
-        monkeypatch.setattr(ad, "_STEP_CACHE", {})
-        if not scan:
-            monkeypatch.setattr(ad, "_may_fold", lambda expr, folded: True)
-        every_op, every_loss = _every_op_tape(*_every_op_values(rng))
-        steps = [_views_step(snaps)[0].step, _views_step([])[0].step, _views_step([], gm_enabled=False)[0].step]
-        steps.append(compile_step(every_op, 2, every_loss, [every_loss]))
-        sources.append([step.source for step in steps])
-    assert sources[0] == sources[1]
+    every_op, every_loss = _every_op_tape(*_every_op_values(rng))
+    steps = [_views_step(snaps)[0].step, _views_step([])[0].step, _views_step([], gm_enabled=False)[0].step]
+    steps += [compile_step(every_op, k, every_loss, [every_loss]) for k in (1, 2, 3)]
+    for step in steps:
+        lines = [ln.strip().partition(" = ") for ln in step.source.partition("# backward\n")[2].splitlines()]
+        assert [f"{x} = {expr}" for x, eq, expr in lines if eq and not _reads_a_runtime_value(expr)] == []
+        assert any(eq for _, eq, _ in lines)
+
+
+def _template_fields(src):
+    """The fields a backward template fills in, but for a shape-only ``{a}``."""
+    src = re.sub(r"(full_like|ones_like)\(\{a\}", r"\1(", src)
+    return {name for _, name, _, _ in string.Formatter().parse(src) if name}
+
+
+def test_the_value_free_ops_are_those_whose_adjoints_read_no_value():
+    # an adjoint template of these reads the incoming adjoint, the scale constant, sizes and
+    # reshapes; flatten-concat has no template, and its slices read the adjoint alone
+    free = {
+        tag for tag, op in ad._OPS.items()
+        if op.bw_src and all(_template_fields(src) <= {"g", "c", "size", "ra", "rb"} for src in op.bw_src)
+    }
+    assert ad._VALUE_FREE == free | {"flatten-concat"}
 
 
 def _constant_gradient_tape(b_val, w_val, x_val):
