@@ -402,11 +402,25 @@ def op_apply(tape: Tape, kind: str, inputs, const: float | None = None) -> int:
     return len(tape.ops) - 1
 
 
-def _sweep(tape: Tape, loss: int) -> list[tuple[int, tuple[bool, ...]]]:
+_SWEEP_CACHE: dict[tuple, tuple] = {}
+_STEP_CACHE_SIZE = 32  # the entries _SWEEP_CACHE and _STEP_CACHE each keep
+
+
+def _remember(cache: dict, key: tuple, value) -> None:
+    """Store ``value`` under ``key``, first dropping the oldest entry of a full ``cache``."""
+    if len(cache) >= _STEP_CACHE_SIZE:
+        del cache[next(iter(cache))]
+    cache[key] = value
+
+
+def _sweep(tape: Tape, loss: int) -> tuple[tuple[int, tuple[bool, ...]], ...]:
     """Reverse schedule from a scalar ``loss``: (node, per-input needs) of
     every op that can reach a parameter, last first.
 
     A node ``needs`` an adjoint when a parameter leaf is among its ancestors.
+    The schedule depends on the ops, inputs, params and loss alone, so every
+    recording of one structure shares one, kept in ``_SWEEP_CACHE``; the
+    checks on ``tape`` and ``loss`` run on every call.
     """
     if len(tape) == 0:
         raise ContractError("backward on an empty tape")
@@ -414,6 +428,10 @@ def _sweep(tape: Tape, loss: int) -> list[tuple[int, tuple[bool, ...]]]:
     if val.size != 1:
         raise ContractError(f"backward needs a scalar loss, got dims {val.shape}")
     ops, inputs = tape.ops, tape.inputs
+    key = (tuple(ops), tuple(inputs), tuple(tape.params), loss)
+    sweep = _SWEEP_CACHE.get(key)
+    if sweep is not None:
+        return sweep
     needs = bytearray(loss + 1)
     for pid in tape.params:
         if pid <= loss:
@@ -421,11 +439,13 @@ def _sweep(tape: Tape, loss: int) -> list[tuple[int, tuple[bool, ...]]]:
     for nid in range(loss + 1):
         if ops[nid] != LEAF and any(needs[i] for i in inputs[nid]):
             needs[nid] = 1
-    return [
+    sweep = tuple(
         (nid, tuple(bool(needs[i]) for i in inputs[nid]))
         for nid in range(loss, -1, -1)
         if needs[nid] and ops[nid] != LEAF
-    ]
+    )
+    _remember(_SWEEP_CACHE, key, sweep)
+    return sweep
 
 
 def backward(tape: Tape, loss: int) -> dict[int, Array]:
@@ -471,7 +491,6 @@ _KERNELS = {
 }
 
 _STEP_CACHE: dict[tuple, Callable] = {}
-_STEP_CACHE_SIZE = 32
 
 
 def _unbroadcast_src(expr: str, grad_shape: tuple[int, ...], shape: tuple[int, ...], lead: int) -> str:
@@ -779,9 +798,7 @@ def compile_step(tape: Tape, k: int, loss: int, outs: Sequence[int], fed: Sequen
     exec(compile(source, "<compiled step>", "exec"), namespace)
     step = namespace["step"]
     step.source, step.leaves = source, args
-    if len(_STEP_CACHE) >= _STEP_CACHE_SIZE:
-        del _STEP_CACHE[next(iter(_STEP_CACHE))]  # the oldest entry
-    _STEP_CACHE[key] = step
+    _remember(_STEP_CACHE, key, step)
     return step
 
 

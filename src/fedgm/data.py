@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterator
+from functools import cached_property
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -36,6 +37,12 @@ class DomainDataset:
     def subset(self, indices) -> "DomainDataset":
         idx = np.asarray(indices, dtype=np.int64)
         return DomainDataset(self.domain_id, self.X[idx].copy(), self.y[idx].copy())
+
+    @cached_property
+    def spectra(self) -> "RowSpectra":
+        """``row_spectra`` of every row as a square grid, computed on first use and
+        kept as long as the dataset, so ``X`` must not change after it."""
+        return row_spectra(_grids(self.X))
 
 
 def finite_number(value) -> bool:
@@ -198,19 +205,49 @@ def gen_textured_domains(
     return domains
 
 
-def _mix_spectra(f1: np.ndarray, a1: np.ndarray, a2: np.ndarray, weight) -> np.ndarray:
-    """The real grids whose spectra have amplitude ``(1 - weight) * a1 + weight * a2``
-    and the phase of ``f1``; ``a1`` is ``abs(f1)``. An imaginary residual above
-    1e-9 is a ShapeError naming the first row of a stack that has one."""
-    amp = (1.0 - weight) * a1 + weight * a2
-    mixed = np.fft.ifft2(amp * np.exp(1j * np.angle(f1)))
+class RowSpectra(NamedTuple):
+    """Each grid's 2-d Fourier amplitude ``abs(f)`` and phase factor ``exp(1j * angle(f))``."""
+
+    amplitude: np.ndarray
+    phase: np.ndarray
+
+    def take(self, rows) -> "RowSpectra":
+        """The spectra of the grids ``rows`` names, in that order."""
+        return RowSpectra(self.amplitude[rows], self.phase[rows])
+
+
+def row_spectra(grids: np.ndarray) -> RowSpectra:
+    """The spectra of a grid, or of each grid of a stack (the last two axes).
+
+    Each grid's bytes are those of transforming it alone, so the spectra of
+    a stack's rows can be taken once and gathered in any order.
+    """
+    f = np.fft.fft2(grids)
+    return RowSpectra(np.abs(f), np.exp(1j * np.angle(f)))
+
+
+def _grids(X: np.ndarray) -> np.ndarray:
+    """2-d rows as square grids, a UsageError unless their width is a square."""
+    side = math.isqrt(X.shape[1])
+    if side * side != X.shape[1]:
+        raise UsageError(f"amplitude_mix needs square grids, got width {X.shape[1]}")
+    return X.reshape(X.shape[0], side, side)
+
+
+def _mix_spectra(amplitude: np.ndarray, phase: np.ndarray, partner: np.ndarray, weight) -> np.ndarray:
+    """The real grids whose spectra have amplitude ``(1 - weight) * amplitude +
+    weight * partner`` and the phase factor ``phase``. Unless a grid's
+    imaginary residual is at most 1e-9, a ShapeError names the first row of a
+    stack that fails: its residual, or that its mixed grid is not finite."""
+    mixed = np.fft.ifft2(((1.0 - weight) * amplitude + weight * partner) * phase)
     residual = np.abs(mixed.imag).max(axis=(-2, -1))
-    bad = np.flatnonzero(residual > 1e-9)
+    bad = np.flatnonzero(~(residual <= 1e-9))  # NaN fails every comparison
     if bad.size:
+        value = residual.flat[bad[0]]
         where = f" in row {bad[0]}" if residual.ndim else ""
-        raise ShapeError(
-            f"amplitude_mix: imaginary residual {residual.flat[bad[0]]:.3e}{where} exceeds 1e-9"
-        )
+        if not math.isfinite(value):
+            raise ShapeError(f"amplitude_mix: the mixed grid{where} is not finite")
+        raise ShapeError(f"amplitude_mix: imaginary residual {value:.3e}{where} exceeds 1e-9")
     return mixed.real
 
 
@@ -221,11 +258,11 @@ def mix_amplitude(x1: np.ndarray, x2: np.ndarray, weight) -> np.ndarray:
     grid per row of a leading axis (a batch, or a whole epoch of batches);
     for a stack, ``weight`` may hold one weight per row, shaped to broadcast
     (``(n, 1, 1)``). Each row of a stack gets the same bytes as mixing it
-    alone, so one call on an epoch gives the bytes of one call per batch,
-    and an imaginary residual above 1e-9 is reported for the first row of
-    the stack that has one. Inputs of fewer than two dims are a ShapeError.
-    ``augment`` mixes through the same spectrum-to-grid step, on the
-    spectrum of its rows taken once.
+    alone, so one call on an epoch gives the bytes of one call per batch. A
+    row whose imaginary residual is not at most 1e-9 (a non-finite row
+    included) is a ShapeError naming the first such row of the stack.
+    Inputs of fewer than two dims are a ShapeError. ``augment`` mixes
+    through the same ``row_spectra`` and spectrum-to-grid step.
     """
     x1 = as_tensor(x1)
     x2 = as_tensor(x2)
@@ -233,11 +270,17 @@ def mix_amplitude(x1: np.ndarray, x2: np.ndarray, weight) -> np.ndarray:
         raise ShapeError(f"amplitude_mix: dims {x1.shape} and {x2.shape} differ")
     if x1.ndim < 2:
         raise ShapeError(f"amplitude_mix: needs grids of at least 2 dims, got shape {x1.shape}")
-    f1 = np.fft.fft2(x1)
-    return _mix_spectra(f1, np.abs(f1), np.abs(np.fft.fft2(x2)), weight)
+    s1 = row_spectra(x1)
+    return _mix_spectra(s1.amplitude, s1.phase, row_spectra(x2).amplitude, weight)
 
 
-def augment(X: np.ndarray, spec: AugmentationSpec, rng: np.random.Generator, batch: int | None = None) -> np.ndarray:
+def augment(
+    X: np.ndarray,
+    spec: AugmentationSpec,
+    rng: np.random.Generator,
+    batch: int | None = None,
+    spectra: Callable[[], RowSpectra] | None = None,
+) -> np.ndarray:
     """Apply one augmentation rowwise; labels are untouched by contract.
 
     The rows are consecutive batches of ``batch`` rows, the last one
@@ -246,10 +289,14 @@ def augment(X: np.ndarray, spec: AugmentationSpec, rng: np.random.Generator, bat
     leaves ``rng`` in the state of one call per batch on the same generator:
     noise and rotation angles are drawn for all rows in one call, each row
     is rotated by one stacked matmul, and
-    ``amplitude_mix`` pairs each row with another row of its own batch,
-    takes one forward FFT of all rows and mixes every row against its
-    partner's row of that spectrum, with the bytes of one ``mix_amplitude``
-    per row. Its partners and weights come from one ``rng.mix_draws`` call:
+    ``amplitude_mix`` pairs each row with another row of its own batch and
+    mixes every row's spectrum against its partner's amplitude, with the
+    bytes of one ``mix_amplitude`` per row. The spectra are ``row_spectra``
+    of the rows as square grids, taken once per call, or, when ``spectra``
+    is given, what it returns: the spectra of ``X``'s rows in ``X``'s order,
+    which ``local_train`` gathers from those its dataset computed once per
+    run. Only ``amplitude_mix`` calls it, after its own checks. Its
+    partners and weights come from one ``rng.mix_draws`` call:
     the values and the final generator state of drawing
     ``integers(0, rows - 1)`` then ``uniform(0.0, eta_max)`` row by row,
     a rare rejected bounded draw included, so ``rng`` must be a PCG64
@@ -277,9 +324,7 @@ def augment(X: np.ndarray, spec: AugmentationSpec, rng: np.random.Generator, bat
         return (X[:, None, :] @ rotations.swapaxes(1, 2))[:, 0]
     # amplitude_mix: pair each row with a random other row of its batch
     n = X.shape[0]
-    side = math.isqrt(X.shape[1])
-    if side * side != X.shape[1]:
-        raise UsageError(f"amplitude_mix needs square grids, got width {X.shape[1]}")
+    grids = _grids(X)
     if n == 0:  # zero rows are zero batches
         return X.copy()
     size = n if batch is None else batch
@@ -292,11 +337,21 @@ def augment(X: np.ndarray, spec: AugmentationSpec, rng: np.random.Generator, bat
     row_starts = np.repeat(starts, sizes)
     j, weights = mix_draws(rng, np.repeat(sizes - 1, sizes), spec.eta_max)
     partners = row_starts + j + (j >= np.arange(n) - row_starts)
-    # a partner's amplitude is a row of the call's one spectrum, the bytes of transforming it alone
-    f = np.fft.fft2(X.reshape(n, side, side))
-    a = np.abs(f)
-    mixed = _mix_spectra(f, a, a[partners], weights[:, None, None])
-    return np.ascontiguousarray(mixed.reshape(n, side * side))
+    s = row_spectra(grids) if spectra is None else spectra()
+    if s.amplitude.shape != grids.shape:
+        raise ShapeError(f"amplitude_mix: spectra of dims {s.amplitude.shape} for rows as grids {grids.shape}")
+    mixed = _mix_spectra(s.amplitude, s.phase, s.amplitude[partners], weights[:, None, None])
+    return np.ascontiguousarray(mixed.reshape(X.shape))
+
+
+def epoch_order(dataset: DomainDataset, seed: int, epoch: int) -> np.ndarray:
+    """The order ``batch_iter`` visits ``dataset``'s rows in: a permutation keyed by (seed, domain, epoch)."""
+    return substream(seed, dataset.domain_id, epoch).permutation(dataset.N)
+
+
+def epoch_spectra(dataset: DomainDataset, seed: int, epoch: int) -> RowSpectra:
+    """The spectra of ``dataset``'s rows in the epoch's order, gathered from ``dataset.spectra``."""
+    return dataset.spectra.take(epoch_order(dataset, seed, epoch))
 
 
 def batch_iter(
@@ -308,8 +363,7 @@ def batch_iter(
     """
     if batch < 1:
         raise UsageError(f"batch size must be >= 1, got {batch}")
-    rng = substream(seed, dataset.domain_id, epoch)
-    perm = rng.permutation(dataset.N)
+    perm = epoch_order(dataset, seed, epoch)
     for start in range(0, dataset.N, batch):
         idx = perm[start : start + batch]
         yield dataset.X[idx], dataset.y[idx]

@@ -15,6 +15,7 @@ number of accepted samples.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -31,6 +32,7 @@ from .data import (
     DomainDataset,
     augment,
     batch_iter,
+    epoch_spectra,
     gen_rotated_domains,
     gen_textured_domains,
     train_test_split,
@@ -58,13 +60,16 @@ log = logging.getLogger(__name__)
 class StepLoss(NamedTuple):
     """A client's loss on one batch, in two parts so a recorded step can be compiled.
 
-    ``feeds(X, y, classes, batch=None, rng=None)`` returns the per-step
-    leaf values of the rows ``X`` and labels ``y``, which are consecutive
-    batches of ``batch`` rows (``None``: one batch), and draws any
-    augmentation randomness from ``rng``, the client's augmentation stream,
-    as one call per batch would. Every value it returns is per row, with
-    the row axis first, so a batch's values are a row slice of the values
-    of its epoch; ``local_train`` calls it once per client and epoch.
+    ``feeds(X, y, classes, batch=None, rng=None, spectra=None)`` returns the
+    per-step leaf values of the rows ``X`` and labels ``y``, which are
+    consecutive batches of ``batch`` rows (``None``: one batch), and draws
+    any augmentation randomness from ``rng``, the client's augmentation
+    stream, as one call per batch would. ``spectra``, if given, returns the
+    ``row_spectra`` of ``X``'s rows on demand, for ``augment``; a loss that
+    needs none never calls it, so nothing is transformed. Every value it
+    returns is per row, with the row axis first, so a batch's values are a
+    row slice of the values of its epoch; ``local_train`` calls it once per
+    client and epoch.
     ``record(tape, staged, *leaves)`` records the loss on one batch's
     values, staged as leaves in the same order, and returns the loss node
     and the node of each reported stat, "total" among them. Everything else
@@ -224,10 +229,12 @@ def local_train(
     every epoch each client's rows are gathered once, in the epoch's batch
     order, and ``step_loss.feeds`` runs once on them with the client's
     augmentation stream, so augmentation draws and the label-range check
-    cover the whole epoch before its first step. Each argument of the step
-    the feeds give (the batch and its view are one) is stacked from the
-    clients' epoch feeds once per epoch, and a batch takes a row slice of
-    it. The first batch of each feed shape records ``step_loss`` once, on
+    cover the whole epoch before its first step. The ``spectra`` it gets
+    gathers the rows' spectra in the same order from the dataset's
+    ``spectra``, which the dataset computes on the first such call and keeps
+    as long as it lives. Each argument of the step the feeds give (the batch
+    and its view are one) is stacked from the clients' epoch feeds once per
+    epoch, and a batch takes a row slice of it. The first batch of each feed shape records ``step_loss`` once, on
     client 0's parameters and feeds, which gives the step its structure and
     the recorded constants all clients share, and compiles that tape into
     one step for all k clients, their parameters bound to it once; every
@@ -283,10 +290,12 @@ def local_train(
     for e in range(hp.local_epochs):
         per_client = []
         for i, (ds, aug_rng) in enumerate(zip(datasets, aug_rngs)):
-            # the epoch's rows in batch order: its permutation, as one batch of all rows
+            # the epoch's rows in batch order: its permutation, as one batch of all
+            # rows; their spectra, on demand, gathered in that order from the dataset's
             X, y = next(batch_iter(ds, n, batch_seed, epoch_base + e))
+            spectra = functools.partial(epoch_spectra, ds, batch_seed, epoch_base + e)
             try:
-                per_client.append(step_loss.feeds(X, y, initial.classes, hp.batch, aug_rng))
+                per_client.append(step_loss.feeds(X, y, initial.classes, hp.batch, aug_rng, spectra))
             except UsageError as err:
                 if i == 0:
                     raise
@@ -332,8 +341,8 @@ def _matching_loss(snapshots: list[HeadSnapshot], hp: HyperParams, aug: Augmenta
     """A source client's step loss: local_loss on a batch and its ``aug`` view,
     matched against ``snapshots`` (none: no inter-domain term)."""
 
-    def feeds(X, y, classes, batch=None, rng=None):
-        return X, augment(X, aug, rng, batch), one_hot(y, classes)
+    def feeds(X, y, classes, batch=None, rng=None, spectra=None):
+        return X, augment(X, aug, rng, batch, spectra), one_hot(y, classes)
 
     def record(tape, staged, x, x_aug, y_mat):
         return local_loss(
@@ -358,7 +367,9 @@ def _plain_ce_record(tape: Tape, staged: ParamNodes, x: int, y_mat: int) -> tupl
 
 
 # The target client's step loss: cross-entropy on the un-augmented batch.
-plain_ce_loss = StepLoss(lambda X, y, classes, batch=None, rng=None: (X, one_hot(y, classes)), _plain_ce_record)
+plain_ce_loss = StepLoss(
+    lambda X, y, classes, batch=None, rng=None, spectra=None: (X, one_hot(y, classes)), _plain_ce_record
+)
 
 
 def aggregate(updates: list[ClientUpdate]) -> ModelParams:

@@ -151,6 +151,46 @@ def test_backward_requires_scalar_loss():
         backward(t, out)
 
 
+def _two_layer(x, w_param=True, v_param=True):
+    t = Tape()
+    w = t.leaf(np.linspace(-1, 1, 6).reshape(3, 2), param=w_param)
+    v = t.leaf(np.arange(2.0).reshape(2, 1), param=v_param)
+    h = ad.relu(t, ad.matmul(t, t.constant(x), w))
+    out = ad.matmul(t, h, v)
+    return t, out, ad.reduce_sum(t, out), ad.reduce_mean(t, h)
+
+
+def test_backward_schedule_is_shared_by_structure(monkeypatch):
+    monkeypatch.setattr(ad, "_SWEEP_CACHE", {})
+    t1, _, loss, mean = _two_layer(np.ones((4, 3)))
+    first = ad._sweep(t1, loss)
+    t2, *_ = _two_layer(np.full((4, 3), -2.0))  # other values, one structure
+    assert ad._sweep(t2, loss) is first and len(ad._SWEEP_CACHE) == 1
+    monkeypatch.setattr(ad, "_SWEEP_CACHE", {})
+    assert ad._sweep(t2, loss) == first  # a hit gives what a fresh sweep gives
+    # another loss, or another set of params, gets its own schedule
+    assert ad._sweep(t1, mean) != first
+    frozen_v, *_ = _two_layer(np.ones((4, 3)), v_param=False)
+    assert ad._sweep(frozen_v, loss) != first
+    assert len(ad._SWEEP_CACHE) == 3
+    assert backward(frozen_v, loss).keys() == {0}
+    for k in range(ad._STEP_CACHE_SIZE + 3):  # k constants before the parameter: k structures
+        t = Tape()
+        for _ in range(k):
+            t.constant(1.0)
+        ad._sweep(t, ad.reduce_sum(t, t.leaf(np.ones(2), param=True)))
+    assert len(ad._SWEEP_CACHE) == ad._STEP_CACHE_SIZE
+
+
+def test_backward_checks_its_loss_on_a_cached_schedule(monkeypatch):
+    monkeypatch.setattr(ad, "_SWEEP_CACHE", {})
+    t1, out, *_ = _two_layer(np.ones((1, 3)))
+    backward(t1, out)  # a (1, 1) loss is a scalar
+    t2, out, *_ = _two_layer(np.ones((4, 3)))  # the same structure, a (4, 1) loss
+    with pytest.raises(ContractError, match="scalar"):
+        backward(t2, out)
+
+
 def test_backward_zero_for_unreachable_leaves():
     t = Tape()
     w = t.leaf([1.0, 2.0], param=True)

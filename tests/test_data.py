@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 
@@ -6,18 +7,22 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from fedgm import data
 from fedgm.data import (
     AugmentationSpec,
     _rotation_matrix,
     DomainDataset,
     augment,
     batch_iter,
+    epoch_order,
+    epoch_spectra,
     gen_rotated_domains,
     gen_textured_domains,
     mix_amplitude,
     train_test_split,
 )
 from fedgm.errors import ShapeError, UsageError
+from fedgm.rng import substream
 
 
 def test_rotated_equal_angles_identical_domains():
@@ -394,6 +399,71 @@ def test_augment_names_the_epoch_row_over_residual(row):
     X[row] *= 1e9
     with pytest.raises(ShapeError, match=rf"residual .* in row {row} exceeds 1e-9"):
         augment(X, AugmentationSpec.amplitude_mix(0.5), np.random.default_rng(2), 2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_amplitude_mix_refuses_a_row_whose_mixed_grid_is_not_finite(bad):
+    # a residual check written as "residual > 1e-9" let NaN through, so a
+    # finite row came back all NaN when its partner was not finite
+    X = np.random.default_rng(0).normal(0.0, 1.0, (4, 64))
+    X[1, 5] = bad
+    with pytest.raises(ShapeError, match=r"the mixed grid in row \d+ is not finite"):
+        augment(X, AugmentationSpec.amplitude_mix(0.5), substream(0, 1), 4)
+    grids = X.reshape(4, 8, 8)
+    with pytest.raises(ShapeError, match=r"the mixed grid in row 0 is not finite"):  # row 0 is finite, row 1 its partner
+        mix_amplitude(grids, grids[[1, 2, 3, 0]], np.full((4, 1, 1), 0.5))
+    with pytest.raises(ShapeError, match=r"the mixed grid is not finite"):
+        mix_amplitude(grids[0], grids[1], 0.0)  # a zero weight on a NaN amplitude is NaN
+
+
+def _shuffled_textures(n):
+    rng = np.random.default_rng(n)
+    return DomainDataset(2, rng.normal(0.0, 2.0, (n, 64)), np.arange(n) % 3)
+
+
+@pytest.mark.parametrize("n, batch", [(200, 16), (21, 8)])  # 12 x 16 + 8 rows; 8, 8 and 5 rows
+def test_augment_on_gathered_spectra_matches_raw_rows_and_one_mix_per_row(n, batch):
+    ds = _shuffled_textures(n)
+    spec = AugmentationSpec.amplitude_mix(0.8)
+    X, _ = next(batch_iter(ds, n, 5, 1))  # the epoch in batch order
+    assert X.tobytes() == ds.X[epoch_order(ds, 5, 1)].tobytes()
+    rng = substream(7)
+    out = augment(X, spec, rng, batch, functools.partial(epoch_spectra, ds, 5, 1))
+    assert out.tobytes() == augment(X, spec, substream(7), batch).tobytes()
+    ref_rng = substream(7)
+    ref = []
+    for start in range(0, n, batch):
+        rows = X[start : start + batch].reshape(-1, 8, 8)
+        for i in range(len(rows)):
+            j = int(ref_rng.integers(0, len(rows) - 1))
+            j += j >= i
+            ref.append(mix_amplitude(rows[i], rows[j], ref_rng.uniform(0.0, 0.8)).ravel())
+    assert out.tobytes() == np.stack(ref).tobytes()
+    assert rng.random() == ref_rng.random()  # the same draws were consumed
+
+
+def test_dataset_spectra_are_computed_once_on_first_use(monkeypatch):
+    calls = []
+    real = data.row_spectra
+
+    def spy(grids):
+        calls.append(grids.shape)
+        return real(grids)
+
+    monkeypatch.setattr(data, "row_spectra", spy)
+    ds = _shuffled_textures(21)
+    assert calls == []
+    first = epoch_spectra(ds, 5, 0)
+    assert epoch_spectra(ds, 5, 1).amplitude.shape == first.amplitude.shape == (21, 8, 8)
+    assert ds.spectra is ds.spectra and calls == [(21, 8, 8)]
+    with pytest.raises(UsageError, match="square grids"):
+        DomainDataset(0, np.ones((4, 2)), np.zeros(4, dtype=np.int64)).spectra
+
+
+def test_augment_refuses_spectra_of_other_rows():
+    ds = _shuffled_textures(21)
+    with pytest.raises(ShapeError, match="spectra of dims"):
+        augment(ds.X[:16], AugmentationSpec.amplitude_mix(0.5), substream(0), 8, lambda: ds.spectra)
 
 
 def test_augment_amplitude_mix_takes_one_forward_fft_per_call(monkeypatch):

@@ -1,8 +1,10 @@
+import copy
 import functools
 import hashlib
 import itertools
 import math
 import re
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -11,9 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedgm.cli import Config, DataSpec
-from fedgm import federation
+from fedgm import data, federation
 from fedgm import rng as streams
-from fedgm.data import AugmentationSpec, DomainDataset, batch_iter, gen_rotated_domains, train_test_split
+from fedgm.data import (
+    AugmentationSpec,
+    DomainDataset,
+    batch_iter,
+    gen_rotated_domains,
+    gen_textured_domains,
+    train_test_split,
+)
 from fedgm.errors import ContractError, DivergenceError, UsageError
 from fedgm.federation import (
     ClientUpdate,
@@ -530,6 +539,86 @@ def test_run_dg_amplitude_mix_one_row_batch_rejected_up_front():
         run_dg(_textured_amix_config(241, 16))
     with pytest.raises(UsageError, match=r"batch 1 .* domain 1"):
         run_dg(_textured_amix_config(60, 1))
+
+
+def test_local_train_mixes_gathered_spectra_with_the_bytes_of_raw_rows():
+    # each client-epoch's view from the dataset's spectra, gathered in the
+    # epoch's order, against augment on the raw rows from the same stream
+    calls = []
+    real_augment = federation.augment
+
+    def spy(X, spec, rng, batch=None, spectra=None):
+        twin = copy.deepcopy(rng)
+        out = real_augment(X, spec, rng, batch, spectra)
+        raw = real_augment(X, spec, twin, batch)
+        calls.append((X.shape, spectra is not None, out.tobytes() == raw.tobytes()))
+        assert rng.bit_generator.state == twin.bit_generator.state
+        return out
+
+    datasets = gen_textured_domains(3, 8, 200, seed=4, classes=3)
+    hp = HyperParams(batch=16, local_epochs=2, lr0=0.05, lr1=0.01, seed=4)
+    step_loss = _matching_loss([], hp, AugmentationSpec.amplitude_mix(0.6))
+    with mock.patch.object(federation, "augment", spy):
+        local_train(init_params([64, 8], 3, 0), datasets, step_loss, hp, 2)
+    assert calls == [((200, 64), True, True)] * 6  # 3 clients x 2 epochs
+
+
+def _swap_config(mode="dg", augmentation=AugmentationSpec.amplitude_mix(0.6)):
+    return Config(
+        experiment="unit",
+        mode=mode,
+        data=DataSpec(kind="textured", n_domains=4, side=8, n_per_domain=60, classes=3),
+        held_out=3,
+        arch=[64, 8],
+        augmentation=augmentation,
+        hp=HyperParams(rounds=3, batch=16, lr0=0.05, lr1=0.01, seed=3, tau=0.4, min_votes=1),
+        out_dir="unused",
+        seeds=[3],
+    )
+
+
+@pytest.mark.parametrize(
+    "mode, augmentation, computed",
+    [
+        ("dg", AugmentationSpec.amplitude_mix(0.6), 3),  # once per source client, not per round or epoch
+        ("da", AugmentationSpec.amplitude_mix(0.6), 3),  # none for the target's pseudo-labelled set
+        ("dg", AugmentationSpec.gaussian_noise(0.1), 0),
+    ],
+)
+def test_a_run_computes_each_source_splits_spectra_once(monkeypatch, mode, augmentation, computed):
+    shapes = []
+    real = data.row_spectra
+
+    def spy(grids):
+        shapes.append(grids.shape)
+        return real(grids)
+
+    monkeypatch.setattr(data, "row_spectra", spy)
+    table = (run_da if mode == "da" else run_dg)(_swap_config(mode, augmentation))
+    assert shapes == [(48, 8, 8)] * computed  # 48 training rows of 60
+    if mode == "da":
+        assert min(v for _, v in table.values("pseudo", "pl_coverage")) > 0  # the target trained every round
+
+
+def test_no_spectra_outlive_the_run(monkeypatch):
+    splits, spectra = [], []
+    real_split, real_spectra = federation.train_test_split, data.row_spectra
+
+    def split_spy(dataset, seed):
+        train, test = real_split(dataset, seed)
+        splits.append(weakref.ref(train))
+        return train, test
+
+    def spectra_spy(grids):
+        out = real_spectra(grids)
+        spectra.append(weakref.ref(out.phase))
+        return out
+
+    monkeypatch.setattr(federation, "train_test_split", split_spy)
+    monkeypatch.setattr(data, "row_spectra", spectra_spy)
+    run_dg(_swap_config())
+    assert len(splits) == 4 and len(spectra) == 3
+    assert [ref() for ref in splits + spectra] == [None] * 7
 
 
 def test_run_dg_trains_a_split_that_misses_a_class():

@@ -433,9 +433,9 @@ def test_feeds_are_built_once_per_client_and_epoch():
     calls = {"augment": [], "one_hot": []}
     real_augment, real_one_hot = federation.augment, federation.one_hot
 
-    def spy_augment(X, spec, rng, batch=None):
+    def spy_augment(X, spec, rng, batch=None, spectra=None):
         calls["augment"].append((len(X), batch))
-        return real_augment(X, spec, rng, batch)
+        return real_augment(X, spec, rng, batch, spectra)
 
     def spy_one_hot(y, classes):
         calls["one_hot"].append(len(y))
