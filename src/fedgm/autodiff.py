@@ -150,39 +150,22 @@ def _fw_flatten_concat(vals, const):
 # --- backward rules ---------------------------------------------------------
 # Signature: (adjoint, input values, output value, saved, needs) -> grads.
 # ``needs[k]`` is False when the k-th input cannot reach any parameter, so
-# the rule may return None there and skip the work.
+# the rule may return None there and skip the work. The four elementwise ops
+# share one rule, ``_bw_elementwise``, given each op's adjoints in ``_OPS``.
 
 
-def _bw_add(g, vals, out, saved, needs):
-    a, b = vals
-    return (
-        _unbroadcast(g, a.shape) if needs[0] else None,
-        _unbroadcast(g, b.shape) if needs[1] else None,
-    )
+def _bw_elementwise(da: Callable, db: Callable) -> Callable:
+    """The backward rule of a broadcasting binary operator whose adjoints are
+    ``da(g, a, b)`` and ``db(g, a, b)``, each unbroadcast to its input."""
 
+    def rule(g, vals, out, saved, needs):
+        a, b = vals
+        return (
+            _unbroadcast(da(g, a, b), a.shape) if needs[0] else None,
+            _unbroadcast(db(g, a, b), b.shape) if needs[1] else None,
+        )
 
-def _bw_sub(g, vals, out, saved, needs):
-    a, b = vals
-    return (
-        _unbroadcast(g, a.shape) if needs[0] else None,
-        _unbroadcast(-g, b.shape) if needs[1] else None,
-    )
-
-
-def _bw_mul(g, vals, out, saved, needs):
-    a, b = vals
-    return (
-        _unbroadcast(g * b, a.shape) if needs[0] else None,
-        _unbroadcast(g * a, b.shape) if needs[1] else None,
-    )
-
-
-def _bw_div(g, vals, out, saved, needs):
-    a, b = vals
-    return (
-        _unbroadcast(g / b, a.shape) if needs[0] else None,
-        _unbroadcast(-g * a / (b * b), b.shape) if needs[1] else None,
-    )
+    return rule
 
 
 def _bw_scale(g, vals, out, saved, needs):
@@ -272,14 +255,21 @@ class _Op(NamedTuple):
 # rule's axes, dot and l2-norm as (1, n) @ (n, 1).
 
 _OPS: dict[str, _Op] = {
-    "add": _Op(_fw_elementwise("add", operator.add), _bw_add, ["{o} = {a} + {b}"], ("{g}", "{g}")),
-    "sub": _Op(_fw_elementwise("sub", operator.sub), _bw_sub, ["{o} = {a} - {b}"], ("{g}", "(-{g})")),
+    "add": _Op(
+        _fw_elementwise("add", operator.add), _bw_elementwise(lambda g, a, b: g, lambda g, a, b: g),
+        ["{o} = {a} + {b}"], ("{g}", "{g}"),
+    ),
+    "sub": _Op(
+        _fw_elementwise("sub", operator.sub), _bw_elementwise(lambda g, a, b: g, lambda g, a, b: -g),
+        ["{o} = {a} - {b}"], ("{g}", "(-{g})"),
+    ),
     "elementwise-mul": _Op(
-        _fw_elementwise("elementwise-mul", operator.mul), _bw_mul,
+        _fw_elementwise("elementwise-mul", operator.mul), _bw_elementwise(lambda g, a, b: g * b, lambda g, a, b: g * a),
         ["{o} = {a} * {b}"], ("({g} * {b})", "({g} * {a})"),
     ),
     "div": _Op(
-        _fw_elementwise("div", operator.truediv), _bw_div,
+        _fw_elementwise("div", operator.truediv),
+        _bw_elementwise(lambda g, a, b: g / b, lambda g, a, b: -g * a / (b * b)),
         ["{o} = {a} / {b}"], ("({g} / {b})", "(-{g} * {a} / ({b} * {b}))"),
     ),
     "scale-by-constant": _Op(_fw_scale, _bw_scale, ["{o} = {a} * {c}"], ("{g} * {c}",)),

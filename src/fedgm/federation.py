@@ -58,17 +58,16 @@ log = logging.getLogger(__name__)
 
 
 class StepLoss(NamedTuple):
-    """A client's loss on one batch, in two parts so a recorded step can be compiled.
+    """A client's loss on one batch, as data: the augmentation of its view and its recorder.
 
     ``feeds(X, y, classes, batch=None, rng=None, spectra=None)`` returns the
-    per-step leaf values of the rows ``X`` and labels ``y``, which are
-    consecutive batches of ``batch`` rows (``None``: one batch), and draws
-    any augmentation randomness from ``rng``, the client's augmentation
-    stream, as one call per batch would. ``spectra``, if given, returns the
-    ``row_spectra`` of ``X``'s rows on demand, for ``augment``; a loss that
-    needs none never calls it, so nothing is transformed. Every value it
-    returns is per row, with the row axis first, so a batch's values are a
-    row slice of the values of its epoch; ``local_train`` calls it once per
+    per-step leaf values of the rows ``X`` and labels ``y``: ``X``, its
+    ``augment`` view unless ``aug`` is None, and the one-hot labels. The rows
+    are consecutive batches of ``batch`` rows (``None``: one batch); the view
+    draws from ``rng``, the client's augmentation stream, as one call per
+    batch would, and ``spectra``, if given, returns the ``row_spectra`` of
+    ``X``'s rows on demand. Without ``aug`` neither is read. A batch's values
+    are a row slice of its epoch's; ``local_train`` calls ``feeds`` once per
     client and epoch.
     ``record(tape, staged, *leaves)`` records the loss on one batch's
     values, staged as leaves in the same order, and returns the loss node
@@ -79,8 +78,12 @@ class StepLoss(NamedTuple):
     of those shapes.
     """
 
-    feeds: Callable[..., tuple[np.ndarray, ...]]
+    aug: AugmentationSpec | None
     record: Callable[..., tuple[int, dict[str, int]]]
+
+    def feeds(self, X, y, classes, batch=None, rng=None, spectra=None) -> tuple[np.ndarray, ...]:
+        views = () if self.aug is None else (augment(X, self.aug, rng, batch, spectra),)
+        return (X, *views, one_hot(y, classes))
 
 
 @dataclass
@@ -246,12 +249,13 @@ def local_train(
     zero every round because the client restarts from the broadcast global
     model.
 
-    A client's failure (a bad label, a non-finite loss) is its own, as the
-    clients' slices are independent: each client's first failure is recorded,
-    a client whose feeds failed runs on client 0's feeds with its result
-    thrown away, and the lowest-index failing client's first failure is raised
-    after the last step (client 0's at once), which is the error training the
-    clients one at a time, in list order, raises. An OracleError is an engine
+    A client's failure (a bad label, a non-finite loss, a non-finite
+    parameter after the last update) is its own, as the clients' slices are
+    independent: each client's first failure is recorded, a client whose
+    feeds failed runs on client 0's feeds with its result thrown away, and
+    the lowest-index failing client's first failure is raised after the last
+    step (client 0's bad label or loss at once), which is the error training
+    the clients one at a time, in list order, raises. An OracleError is an engine
     fault and is raised as it is. Since a client's feeds are built before its
     epoch's first step, a bad label anywhere in the epoch raises UsageError
     before a non-finite loss on an earlier batch of that epoch could raise
@@ -329,6 +333,8 @@ def local_train(
             for acc, out in zip(sums, outs):
                 acc += out
             steps += 1
+    for i in np.flatnonzero(~np.isfinite(flat).all(axis=1)):  # the last update is checked here
+        failed.setdefault(int(i), DivergenceError(f"non-finite parameters after round {round_t}, step {steps - 1}"))
     if failed:
         raise failed[min(failed)]
     return [
@@ -340,9 +346,6 @@ def local_train(
 def _matching_loss(snapshots: list[HeadSnapshot], hp: HyperParams, aug: AugmentationSpec) -> StepLoss:
     """A source client's step loss: local_loss on a batch and its ``aug`` view,
     matched against ``snapshots`` (none: no inter-domain term)."""
-
-    def feeds(X, y, classes, batch=None, rng=None, spectra=None):
-        return X, augment(X, aug, rng, batch, spectra), one_hot(y, classes)
 
     def record(tape, staged, x, x_aug, y_mat):
         return local_loss(
@@ -357,7 +360,7 @@ def _matching_loss(snapshots: list[HeadSnapshot], hp: HyperParams, aug: Augmenta
             gm_enabled=hp.gm_enabled,
         )
 
-    return StepLoss(feeds, record)
+    return StepLoss(aug, record)
 
 
 def _plain_ce_record(tape: Tape, staged: ParamNodes, x: int, y_mat: int) -> tuple[int, dict[str, int]]:
@@ -367,9 +370,7 @@ def _plain_ce_record(tape: Tape, staged: ParamNodes, x: int, y_mat: int) -> tupl
 
 
 # The target client's step loss: cross-entropy on the un-augmented batch.
-plain_ce_loss = StepLoss(
-    lambda X, y, classes, batch=None, rng=None, spectra=None: (X, one_hot(y, classes)), _plain_ce_record
-)
+plain_ce_loss = StepLoss(None, _plain_ce_record)
 
 
 def aggregate(updates: list[ClientUpdate]) -> ModelParams:

@@ -211,9 +211,15 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
     Floats are serialized at 17 significant digits so the decimal text
     round-trips every float64 exactly; a negative zero is written ``-0.0``,
-    since JSON reads ``-0`` as the integer 0.
+    since JSON reads ``-0`` as the integer 0. A non-finite value, which
+    JSON cannot hold, is a UsageError naming its index, raised before
+    anything is written.
     """
-    body = ", ".join(_float_text(v) for v in flatten(params))
+    flat = flatten(params)
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if bad.size:
+        raise UsageError(f"checkpoint {path}: parameter {bad[0]} is {flat[bad[0]]}, which JSON cannot hold")
+    body = ", ".join(_float_text(v) for v in flat)
     text = (
         '{"version": %d, "arch": %s, "classes": %d, "flat": [%s]}\n'
         % (CHECKPOINT_VERSION, json.dumps(list(params.arch)), params.classes, body)

@@ -583,6 +583,24 @@ def test_diverging_seed_keeps_finished_seeds(tmp_path, monkeypatch, capsys):
     assert "diverged" not in json.loads((out / "summary.json").read_text())
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_last_update_that_overflows_is_a_divergence(tmp_path, capsys):
+    # one step per round, on a finite loss, moves parameters past float64's range
+    out = tmp_path / "out"
+    payload = dict(
+        BASE,
+        data=dict(BASE["data"], n_per_domain=50, noise_sigma=100.0),
+        arch=[2, 4],
+        hp={"rounds": 1, "batch": 40, "lr0": 1e308, "lr1": 1e308},
+        out_dir=str(out),
+    )
+    assert main(["run-dg", "--config", str(_write(tmp_path, payload))]) == 2
+    assert "seed 0: diverged: non-finite parameters after round 1, step 0" in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert list(summary["diverged"]) == ["0"] and summary["final"]["per_seed"] == {}
+    assert not (out / "model_seed_0.json").exists()
+
+
 def _write_csv(tmp_path, path):
     MetricsTable([(1, "train", 0, "total", 0.5)] * 50).write_csv(path)
 

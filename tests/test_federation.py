@@ -27,6 +27,7 @@ from fedgm.errors import ContractError, DivergenceError, UsageError
 from fedgm.federation import (
     ClientUpdate,
     HyperParams,
+    StepLoss,
     aggregate,
     cosine_lr,
     evaluate,
@@ -38,6 +39,7 @@ from fedgm.federation import (
     run_dg,
 )
 from fedgm.model import HeadSnapshot, flatten, init_params, predict_proba, unflatten
+from fedgm.objective import one_hot
 
 
 def test_cosine_lr_endpoints_and_midpoint():
@@ -50,6 +52,31 @@ def test_cosine_lr_endpoints_and_midpoint():
 def test_cosine_lr_single_round():
     hp = HyperParams(lr0=5e-2, lr1=1e-3, rounds=1)
     assert cosine_lr(1, hp) == 5e-2
+
+
+@pytest.mark.parametrize(
+    "aug",
+    [None, AugmentationSpec.identity(), AugmentationSpec.gaussian_noise(0.3), AugmentationSpec.amplitude_mix(0.7)],
+    ids=["none", "identity", "gaussian_noise", "amplitude_mix"],
+)
+def test_step_loss_feeds_are_the_rows_their_view_and_the_one_hot_labels(aug):
+    assert StepLoss._fields == ("aug", "record")
+    X = np.random.default_rng(4).normal(0.0, 1.0, (10, 16))
+    y = np.arange(10) % 3
+    spectra_calls = []
+
+    def spectra():
+        spectra_calls.append(len(X))
+        return data.row_spectra(X.reshape(10, 4, 4))
+
+    rng, twin = np.random.default_rng(9), np.random.default_rng(9)
+    with mock.patch.object(federation, "augment", wraps=federation.augment) as spy:
+        got = StepLoss(aug, None).feeds(X, y, 3, 4, rng, spectra)  # batches of 4, 4 and 2 rows
+    views = [] if aug is None else [data.augment(X, aug, twin, 4)]
+    want = [X, *views, one_hot(y, 3)]
+    assert [(g.shape, g.tobytes()) for g in got] == [(w.shape, w.tobytes()) for w in want]
+    assert spy.call_count == len(views) and rng.random() == twin.random()
+    assert spectra_calls == ([10] if aug is not None and aug.kind == "amplitude_mix" else [])
 
 
 def _tiny_dataset(n=8, margin=2.0, seed=0):
@@ -227,6 +254,22 @@ def test_client_0_divergence_stops_the_call():
     with mock.patch.object(federation, "_sgd_step") as sgd_step:
         assert _divergence([_overflowing(0, hp, 2, 0), _overflowing(1, hp, 2, None)], hp).endswith("step 0")
     sgd_step.assert_not_called()  # raised at step 0, before its update
+
+
+def test_a_last_update_that_overflows_fails_its_client():
+    # one step on a finite loss each: the wild client's update leaves float64's range
+    hp = HyperParams(batch=12, lr0=1e308, lr1=1e308)
+    rng = np.random.default_rng(3)
+    calm = DomainDataset(0, rng.normal(0.0, 0.01, (12, 2)), np.arange(12) % 2)
+    wild = DomainDataset(0, rng.normal(0.0, 100.0, (12, 2)), np.arange(12) % 2)
+    (update,) = local_train(init_params([2, 4], 2, 0), [calm], _matching_loss([], hp, AugmentationSpec.identity()), hp, 2)
+    assert np.isfinite(flatten(update.params)).all()
+    overflow = "non-finite parameters after round 2, step 0"
+    assert _divergence([wild], hp) == _divergence([calm, wild], hp) == overflow
+    # client 1's non-finite loss is recorded first, and client 0's overflow is raised
+    assert _divergence([wild, _overflowing(1, hp, 2, 0)], hp) == overflow
+    assert _divergence([calm, _overflowing(1, hp, 2, 0)], hp) == "non-finite loss nan at round 2, step 0"
+
 
 def test_local_train_rejects_clients_of_unequal_size():
     hp = HyperParams(batch=4)

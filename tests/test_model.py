@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -166,6 +167,22 @@ def test_checkpoint_roundtrip_exact(tmp_path):
         q = load_checkpoint(path)
         assert q.arch == p.arch and q.classes == p.classes
         assert flatten(q).tobytes() == flatten(p).tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_checkpoint_refuses_a_value_json_cannot_hold_before_writing(tmp_path, bad):
+    # every checkpoint that is written reads back; a refused one leaves the last file whole
+    p = init_params([2, 3], 2, seed=0)
+    path = tmp_path / "model.json"
+    save_checkpoint(p, path)
+    diverged = init_params([2, 3], 2, seed=0)
+    diverged.head_w[1, 0] = bad  # flat index 12: after the 6 feature weights and 3 biases, and head row 0
+    with pytest.raises(UsageError, match=f"parameter 12 is {bad}"):
+        save_checkpoint(diverged, path)
+    with pytest.raises(UsageError):
+        save_checkpoint(diverged, tmp_path / "other.json")
+    assert not (tmp_path / "other.json").exists()
+    assert flatten(load_checkpoint(path)).tobytes() == flatten(p).tobytes()
 
 
 def test_checkpoint_truncated_file(tmp_path):
