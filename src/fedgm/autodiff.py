@@ -144,7 +144,8 @@ def _fw_l2_norm(vals, const):
 
 
 def _fw_flatten_concat(vals, const):
-    return np.concatenate([v.ravel() for v in vals]), [v.shape for v in vals]
+    a, b = vals
+    return np.concatenate([a.ravel(), b.ravel()]), None
 
 
 # --- backward rules ---------------------------------------------------------
@@ -223,20 +224,17 @@ def _bw_l2_norm(g, vals, out, saved, needs):
 
 
 def _bw_flatten_concat(g, vals, out, saved, needs):
-    grads = []
-    offset = 0
-    for k, shape in enumerate(saved):
-        size = math.prod(shape)
-        grads.append(g[offset : offset + size].reshape(shape) if needs[k] else None)
-        offset += size
-    return tuple(grads)
+    a, b = vals
+    return (
+        g[: a.size].reshape(a.shape) if needs[0] else None,
+        g[a.size :].reshape(b.shape) if needs[1] else None,
+    )
 
 
 class _Op(NamedTuple):
     """One op tag's entry: its eager rules, the reference, and their templates
     for ``compile_step``: ``fw_src`` the forward's source lines, ``bw_src`` one
-    adjoint expression per input, so the op takes ``len(bw_src)`` inputs
-    (flatten-concat takes one or more, and ``_grad_exprs`` builds its slices).
+    adjoint expression per input, so the op takes exactly ``len(bw_src)`` inputs.
     """
 
     forward: Callable  # (input values, const) -> (output value, saved)
@@ -249,7 +247,8 @@ class _Op(NamedTuple):
 # axis, a group of S lanes (see _declared) has (k, S). {a} and {b} name the inputs
 # shaped to broadcast as the rule's operands, {A}/{B} unshaped with leading
 # dims {ka}/{kb}; {o} is the output, {g} its adjoint, {n} the node, {lead} its
-# leading dims, {c} the constant, and {ra}/{rb} reshape a scalar to broadcast
+# leading dims, {c} the constant, {size} input a's per-client size, {shape_a}/{shape_b}
+# each input's full shape, and {ra}/{rb} reshape a scalar to broadcast
 # against {a}/{b}. Each kernel gives a slice the bytes the rule gives that
 # client alone: matmul and transposes per slice, reductions only over the
 # rule's axes, dot and l2-norm as (1, n) @ (n, 1).
@@ -309,7 +308,11 @@ _OPS: dict[str, _Op] = {
             "where({o}{ra} == 0.0, 0.0, {a} * ({g} / where({o} == 0.0, 1.0, {o})){ra}))",
         ),
     ),
-    "flatten-concat": _Op(_fw_flatten_concat, _bw_flatten_concat, ["{o} = concatenate([{rows}], axis=-1)"], ()),
+    "flatten-concat": _Op(
+        _fw_flatten_concat, _bw_flatten_concat,
+        ["{o} = concatenate([{A}.reshape({lead}, -1), {B}.reshape({lead}, -1)], axis=-1)"],
+        ("{g}[..., :{size}].reshape({shape_a})", "{g}[..., {size}:].reshape({shape_b})"),
+    ),
 }
 
 OP_TAGS = tuple(_OPS)
@@ -379,8 +382,8 @@ def op_apply(tape: Tape, kind: str, inputs, const: float | None = None) -> int:
     if op is None:
         raise UsageError(f"unknown op tag '{kind}'")
     ids = (inputs,) if isinstance(inputs, (int, np.integer)) else tuple(inputs)
-    if (len(ids) != len(op.bw_src)) if op.bw_src else not ids:
-        raise UsageError(f"{kind}: wrong number of inputs: expected {len(op.bw_src) or 'one or more'}, got {len(ids)}")
+    if len(ids) != len(op.bw_src):
+        raise UsageError(f"{kind}: wrong number of inputs: expected {len(op.bw_src)}, got {len(ids)}")
     for i in ids:  # a loop, not all(): this runs on every recorded op
         if not _is_node(tape, i):
             raise UsageError(f"{kind}: inputs must be node ids in [0, {len(tape.ops)}), got {ids}")
@@ -517,7 +520,6 @@ def _names(tape: Tape, nid: int, lead: tuple[int, ...], args: list[tuple[str, tu
         o=f"L{nid}" if lanes else f"v{nid}", g=f"G{nid}" if lanes else f"g{nid}",
         a=operand(a), b=operand(b), A=args[a][0], B=args[b][0], ka=dims(args[a][1]), kb=dims(args[b][1]),
         lead=dims(lead), c=repr(tape.saved[nid]) if tape.ops[nid] == "scale-by-constant" else None,
-        rows=", ".join(f"{var}.reshape({dims(lead)}, -1)" for var, _ in args),
         rest=tuple(range(len(lead), len(lead) + len(a_shape))), size=math.prod(a_shape),
         shape_a=repr(lead + a_shape), shape_b=repr(lead + b_shape),
         ra=f".reshape({lead + (1,) * len(a_shape)!r})", rb=f".reshape({lead + (1,) * len(b_shape)!r})",
@@ -525,21 +527,14 @@ def _names(tape: Tape, nid: int, lead: tuple[int, ...], args: list[tuple[str, tu
 
 
 def _grad_exprs(tape: Tape, nid: int, in_needs: tuple[bool, ...], names: dict) -> list[str | None]:
-    """Source of each input's adjoint contribution (None where not needed)."""
+    """Source of each input's adjoint contribution (None where not needed): the op's
+    ``bw_src`` templates, filled in and, for an elementwise op, unbroadcast."""
     kind = tape.ops[nid]
-    shapes = [tape.vals[i].shape for i in tape.inputs[nid]]
-    if kind == "flatten-concat":
-        exprs, offset = [], 0
-        for shape in shapes:
-            size = math.prod(shape)
-            exprs.append(f"{names['g']}[..., {offset}:{offset + size}].reshape({names['lead_shape'] + shape!r})")
-            offset += size
-    else:
-        exprs = [t.format(**names) for t in _OPS[kind].bw_src]
-        if kind in _ELEMENTWISE:
-            out_shape = tape.vals[nid].shape
-            lead = len(names["lead_shape"])
-            exprs = [_unbroadcast_src(e, out_shape, s, lead) for e, s in zip(exprs, shapes)]
+    exprs = [t.format(**names) for t in _OPS[kind].bw_src]
+    if kind in _ELEMENTWISE:
+        out_shape, lead = tape.vals[nid].shape, len(names["lead_shape"])
+        shapes = [tape.vals[i].shape for i in tape.inputs[nid]]
+        exprs = [_unbroadcast_src(e, out_shape, s, lead) for e, s in zip(exprs, shapes)]
     return [e if need else None for e, need in zip(exprs, in_needs)]
 
 

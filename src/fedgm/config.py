@@ -8,6 +8,7 @@ check, and the messages, of one read from a file.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -150,7 +151,7 @@ class Config:
         kind = self.augmentation.kind
         if kind == "input_rotation" and width != 2:
             raise UsageError(f"augmentation: input_rotation needs 2-d rows, got width {width}")
-        if kind == "amplitude_mix" and self.data.kind != "textured":
+        if kind == "amplitude_mix" and math.isqrt(width) ** 2 != width:
             raise UsageError(f"augmentation: amplitude_mix needs square grids, got width {width}")
         self.hp.validate()
         # amplitude_mix pairs rows within a batch, so no source's train split

@@ -60,12 +60,17 @@ def test_shape_error_names_op_and_dims():
         ("exp", lambda w, v: (w, v)),  # a second input its rules never read
         ("add", lambda w, v: (w,)),
         ("flatten-concat", lambda w, v: ()),
+        ("flatten-concat", lambda w, v: (w,)),
+        ("flatten-concat", lambda w, v: (w, v, w)),
         ("exp", lambda w, v: -1),
         ("exp", lambda w, v: (v + 1,)),  # past the end of the tape
         ("exp", lambda w, v: (True,)),
         ("exp", lambda w, v: (1.0,)),
     ],
-    ids=["exp-two-inputs", "add-one-input", "concat-no-input", "negative", "past-end", "bool", "float"],
+    ids=[
+        "exp-two-inputs", "add-one-input", "concat-no-input", "concat-one-input", "concat-three-inputs",
+        "negative", "past-end", "bool", "float",
+    ],
 )
 def test_op_apply_takes_the_node_ids_its_rules_read(kind, inputs):
     t = Tape()
@@ -74,6 +79,19 @@ def test_op_apply_takes_the_node_ids_its_rules_read(kind, inputs):
     with pytest.raises(UsageError, match=rf"^{kind}: "):
         op_apply(t, kind, inputs(w, v))
     assert len(t) == 2
+
+
+@pytest.mark.parametrize("kind", ad.OP_TAGS)
+def test_every_op_takes_exactly_one_input_per_adjoint_template(kind):
+    arity = len(ad._OPS[kind].bw_src)
+    assert arity >= 1
+    t = Tape()
+    w = t.leaf([1.0, 2.0], param=True)
+    for n in (arity - 1, arity + 1):
+        with pytest.raises(UsageError) as err:
+            op_apply(t, kind, (w,) * n, 2.0)
+        assert str(err.value) == f"{kind}: wrong number of inputs: expected {arity}, got {n}"
+    assert len(t) == 1
 
 
 def test_op_apply_takes_numpy_integer_ids():
@@ -270,7 +288,7 @@ def _graph_structure(t, a, b, vec):
     p = ad.exp(t, ls)
     flat = ad.flatten_concat(t, (p, vec))
     d = ad.dot(t, flat, flat)
-    n = ad.l2_norm(t, ad.flatten_concat(t, (m,)))
+    n = ad.l2_norm(t, m)
     ratio = ad.div(t, d, ad.add(t, n, t.constant(0.1)))
     return ad.add(t, ad.add(t, ad.reduce_mean(t, sq), ad.scale(t, ad.reduce_sum(t, ls), 0.25)), ratio)
 

@@ -805,13 +805,11 @@ def _template_fields(src):
 
 
 def test_the_value_free_ops_are_those_whose_adjoints_read_no_value():
-    # an adjoint template of these reads the incoming adjoint, the scale constant, sizes and
-    # reshapes; flatten-concat has no template, and its slices read the adjoint alone
-    free = {
-        tag for tag, op in ad._OPS.items()
-        if op.bw_src and all(_template_fields(src) <= {"g", "c", "size", "ra", "rb"} for src in op.bw_src)
-    }
-    assert ad._VALUE_FREE == free | {"flatten-concat"}
+    # an adjoint template of these reads the incoming adjoint, the scale constant, sizes,
+    # shapes and reshapes; dot's reads its inputs' values
+    fields = {"g", "c", "size", "shape_a", "shape_b", "ra", "rb"}
+    free = {tag for tag, op in ad._OPS.items() if all(_template_fields(src) <= fields for src in op.bw_src)}
+    assert ad._VALUE_FREE == free
 
 
 def _constant_gradient_tape(b_val, w_val, x_val):
