@@ -15,6 +15,7 @@ import hashlib
 import itertools
 import json
 import math
+import numbers
 import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -176,11 +177,20 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
     return out
 
 
+def _json_number(value):
+    """``json.dumps``'s hook for the numpy numbers a config may hold: an integral one as int, a real one as float."""
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    if isinstance(value, numbers.Real):
+        return float(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def config_hash(config: Config) -> str:
     """Stable digest of the resolved experiment (output directory excluded)."""
     payload = asdict(config)
     payload.pop("out_dir")
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
+    return hashlib.sha256(json.dumps(payload, sort_keys=True, default=_json_number).encode()).hexdigest()[:16]
 
 
 def resolved_config_dict(config: Config) -> dict:
@@ -235,7 +245,7 @@ def cmd_run(config: Config) -> int:
     }
     if diverged:
         summary["diverged"] = diverged
-    write_atomic(out_dir / "summary.json", [json.dumps(summary, indent=2, sort_keys=True), "\n"])
+    write_atomic(out_dir / "summary.json", [json.dumps(summary, indent=2, sort_keys=True, default=_json_number), "\n"])
     return 2 if diverged else 0
 
 
@@ -252,14 +262,15 @@ def cmd_grad_check(arch: list[int], trials: int, tolerance: float, seed: int) ->
     print(f"worst relative error (|g| > 1e-6): {worst_rel:.3e} at trial {worst_coord[0]}, coordinate {worst_coord[1]}")
     print(f"worst absolute error (|g| <= 1e-6): {worst_abs:.3e}")
     print(f"worst closed-form head-gradient deviation: {worst_head:.3e}")
-    if worst_rel > tolerance or worst_abs > 1e-7 or worst_head > 1e-10:
-        print(
-            f"tolerance violated: rel {worst_rel:.3e} > {tolerance:.3e} "
-            f"at trial {worst_coord[0]}, coordinate {worst_coord[1]}",
-            file=sys.stderr,
-        )
-        return 3
-    return 0
+    bounds = [
+        ("rel", worst_rel, tolerance, f" at trial {worst_coord[0]}, coordinate {worst_coord[1]}"),
+        ("abs", worst_abs, 1e-7, ""),
+        ("head", worst_head, 1e-10, ""),
+    ]
+    violated = [(name, worst, bound, where) for name, worst, bound, where in bounds if worst > bound]
+    for name, worst, bound, where in violated:
+        print(f"tolerance violated: {name} {worst:.3e} > {bound:.3e}{where}", file=sys.stderr)
+    return 3 if violated else 0
 
 
 def cmd_gen_data(config: Config, out: str) -> int:

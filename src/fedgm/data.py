@@ -24,11 +24,18 @@ from .rng import mix_draws, substream, substreams
 
 @dataclass
 class DomainDataset:
-    """Labeled samples of one domain."""
+    """Labeled samples of one domain: 2-d rows ``X`` and 1-d labels ``y``, one label per row."""
 
     domain_id: int
     X: np.ndarray
     y: np.ndarray
+
+    def __post_init__(self):
+        if np.ndim(self.X) != 2 or np.shape(self.y) != np.shape(self.X)[:1]:
+            raise ShapeError(
+                f"domain {self.domain_id}: rows of dims {np.shape(self.X)} and labels of dims {np.shape(self.y)} "
+                "are not 2-d rows with one label each"
+            )
 
     @property
     def N(self) -> int:

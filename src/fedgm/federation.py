@@ -52,7 +52,7 @@ from .model import (
     stage_params,
     unflatten,
 )
-from .objective import TRAIN_METRICS, cross_entropy, local_loss, one_hot
+from .objective import TRAIN_METRICS, averaged_ce, cross_entropy, local_loss, one_hot
 
 log = logging.getLogger(__name__)
 
@@ -344,23 +344,14 @@ def local_train(
 
 
 def _matching_loss(snapshots: list[HeadSnapshot], hp: HyperParams, aug: AugmentationSpec) -> StepLoss:
-    """A source client's step loss: local_loss on a batch and its ``aug`` view,
-    matched against ``snapshots`` (none: no inter-domain term)."""
+    """A source client's step loss on a batch and its ``aug`` view: local_loss
+    matched against ``snapshots`` (none: no inter-domain term), or with
+    ``hp.gm_enabled`` off the baseline's averaged_ce."""
 
     def record(tape, staged, x, x_aug, y_mat):
-        return local_loss(
-            tape,
-            staged,
-            snapshots,
-            x,
-            x_aug,
-            y_mat,
-            hp.lam,
-            inter_normalize=hp.inter_normalize,
-            gm_enabled=hp.gm_enabled,
-        )
+        return local_loss(tape, staged, snapshots, x, x_aug, y_mat, hp.lam, inter_normalize=hp.inter_normalize)
 
-    return StepLoss(aug, record)
+    return StepLoss(aug, record if hp.gm_enabled else averaged_ce)
 
 
 def _plain_ce_record(tape: Tape, staged: ParamNodes, x: int, y_mat: int) -> tuple[int, dict[str, int]]:

@@ -176,6 +176,25 @@ def _views(tape: Tape, record: Callable, *args) -> list:
     return outs
 
 
+def _ce_views(tape: Tape, params: ParamNodes, x: int, x_aug: int, y_mat: int):
+    """Features, log-probabilities and cross-entropy of the batch ``x`` and its view ``x_aug``, as lane pairs."""
+    if tape.value(x).shape != tape.value(x_aug).shape:
+        raise ShapeError(f"original batch {tape.value(x).shape} and augmented batch {tape.value(x_aug).shape} differ")
+    # the two views record one block each, step by step, as two lanes
+    (h_orig, z_orig), (h_aug, z_aug) = _views(tape, lambda v: forward(tape, params, v), (x, x_aug))
+    logp = _views(tape, lambda z: ad.log_softmax_rows(tape, z), (z_orig, z_aug))
+    return (h_orig, h_aug), logp, _views(tape, lambda lp: _ce_from_log_probs(tape, lp, y_mat), logp)
+
+
+def averaged_ce(tape: Tape, params: ParamNodes, x: int, x_aug: int, y_mat: int) -> tuple[int, dict[str, int]]:
+    """The federated-averaging baseline's objective 0.5 (ce_orig + ce_aug):
+    ``local_loss`` without its matching terms, whose stats read one zero constant."""
+    _, _, (ce_o, ce_a) = _ce_views(tape, params, x, x_aug, y_mat)
+    total = ad.scale(tape, ad.add(tape, ce_o, ce_a), 0.5)
+    zero = tape.constant(0.0)
+    return total, dict(zip(TRAIN_METRICS, (ce_o, ce_a, zero, zero, total)))
+
+
 def local_loss(
     tape: Tape,
     params: ParamNodes,
@@ -186,39 +205,29 @@ def local_loss(
     lam: float,
     *,
     inter_normalize: bool = False,
-    gm_enabled: bool = True,
 ) -> tuple[int, dict[str, int]]:
     """Combined local objective; returns the total node and the node of each
     of the TRAIN_METRICS (a skipped term's node is a zero constant).
 
     ``x``, ``x_aug`` and ``y_mat`` are the nodes of the batch, its view and
     its one-hot labels. With no snapshots (round 1) the inter term is
-    skipped. ``gm_enabled=False`` skips both matching terms, leaving the
-    plain averaged cross-entropy of the federated-averaging baseline.
+    skipped.
     """
     if not 0.0 <= lam <= 1.0:
         raise UsageError(f"lambda must lie in [0, 1], got {lam}")
-    if tape.value(x).shape != tape.value(x_aug).shape:
-        raise ShapeError(
-            f"original batch {tape.value(x).shape} and augmented batch {tape.value(x_aug).shape} differ"
-        )
-    # the two views record one block each, step by step, as two lanes
-    (h_orig, z_orig), (h_aug, z_aug) = _views(tape, lambda v: forward(tape, params, v), (x, x_aug))
-    logp_o, logp_a = _views(tape, lambda z: ad.log_softmax_rows(tape, z), (z_orig, z_aug))
-    ce_o, ce_a = _views(tape, lambda logp: _ce_from_log_probs(tape, logp, y_mat), (logp_o, logp_a))
+    (h_orig, h_aug), (logp_o, logp_a), (ce_o, ce_a) = _ce_views(tape, params, x, x_aug, y_mat)
     total = ad.scale(tape, ad.add(tape, ce_o, ce_a), 0.5)
-    # a skipped term reads a zero constant
-    intra = inter = None if gm_enabled and snapshots else tape.constant(0.0)
-    if gm_enabled:
-        # the live-head gradients reuse the forward log-probabilities
-        lab = _labels(tape, y_mat)
-        g, g_aug = _views(tape, lambda h, logp: _head_grad(tape, lab, h, logp), (h_orig, h_aug), (logp_o, logp_a))
-        anchor = _anchor(tape, g_aug)
-        intra = _mismatch(tape, anchor, g)
-        total = ad.add(tape, total, ad.scale(tape, intra, lam))
-        if snapshots:
-            inter = _inter(tape, lab, anchor, h_orig, snapshots, inter_normalize)
-            total = ad.add(tape, total, ad.scale(tape, inter, 1.0 - lam))
+    # a skipped inter term reads a zero constant
+    inter = None if snapshots else tape.constant(0.0)
+    # the live-head gradients reuse the forward log-probabilities
+    lab = _labels(tape, y_mat)
+    g, g_aug = _views(tape, lambda h, logp: _head_grad(tape, lab, h, logp), (h_orig, h_aug), (logp_o, logp_a))
+    anchor = _anchor(tape, g_aug)
+    intra = _mismatch(tape, anchor, g)
+    total = ad.add(tape, total, ad.scale(tape, intra, lam))
+    if snapshots:
+        inter = _inter(tape, lab, anchor, h_orig, snapshots, inter_normalize)
+        total = ad.add(tape, total, ad.scale(tape, inter, 1.0 - lam))
     return total, dict(zip(TRAIN_METRICS, (ce_o, ce_a, intra, inter, total)))
 
 
@@ -306,7 +315,7 @@ def finite_difference_errors(arch, trials: int, seed: int) -> tuple[float, tuple
 def head_gradient_deviation(trials: int, seed: int) -> float:
     """Worst deviation of the closed-form head gradient from the reverse-mode
     gradient of the cross-entropy over the head leaves, on ``trials`` random
-    instances drawn from ``seed + 1``."""
+    instances drawn from ``seed + 1``. A NaN entry counts as an infinite error."""
     worst = 0.0
     rng = substream(seed + 1)
     for _ in range(trials):
@@ -325,5 +334,7 @@ def head_gradient_deviation(trials: int, seed: int) -> float:
         grads = backward(tape, cross_entropy(tape, z, y_mat))
         auto = np.concatenate([grads[nid].ravel() for nid in staged.all_ids()])
         closed = tape.value(head_grad(tape, h, y_mat, w, b))
-        worst = max(worst, float(np.abs(closed - auto).max()))
+        errs = np.abs(closed - auto)
+        errs[np.isnan(errs)] = np.inf  # NaN compares false with every bound
+        worst = max(worst, float(errs.max()))
     return worst

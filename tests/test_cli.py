@@ -364,6 +364,18 @@ def test_config_hash_stable_and_sensitive():
     assert config_hash(d) == config_hash(e) == config_hash(a)
 
 
+def test_a_numpy_integer_config_hashes_and_runs_as_a_plain_one(tmp_path, capsys):
+    plain = parse_config_dict(dict(BASE, out_dir=str(tmp_path / "a")))
+    numpy_ints = replace(plain, seeds=[np.int64(0)], hp=replace(plain.hp, rounds=np.int64(2)), out_dir=str(tmp_path / "b"))
+    numpy_ints.validate()
+    assert config_hash(numpy_ints) == config_hash(plain)
+    assert cli.cmd_run(plain) == cli.cmd_run(numpy_ints) == 0
+    summaries = [json.loads((tmp_path / d / "summary.json").read_text()) for d in "ab"]
+    for summary in summaries:
+        summary["config"].pop("out_dir")
+    assert summaries[0] == summaries[1]
+
+
 def test_run_dg_writes_expected_files(tmp_path):
     payload = dict(BASE, seeds=[0, 1], out_dir=str(tmp_path / "out"))
     cfg_path = _write(tmp_path, payload)
@@ -473,6 +485,38 @@ def test_grad_check_fails_a_nan_gradient(monkeypatch, capsys):
     monkeypatch.setattr(objective, "total_loss_gradient", lambda *args: real(*args) * np.nan)
     assert main(["grad-check", "--trials", "2"]) == 3
     assert "worst relative error (|g| > 1e-6): inf" in capsys.readouterr().out
+
+
+def test_grad_check_fails_a_nan_head_gradient(monkeypatch, capsys):
+    real = objective.head_grad
+    monkeypatch.setattr(objective, "head_grad", lambda tape, *args: tape.constant(tape.value(real(tape, *args)) * np.nan))
+    assert main(["grad-check", "--trials", "3"]) == 3
+    out, err = capsys.readouterr()
+    assert "worst closed-form head-gradient deviation: inf" in out
+    assert err == "tolerance violated: head inf > 1.000e-10\n"
+
+
+@pytest.mark.parametrize(
+    "rel, abs_err, head, named",
+    [
+        (1e-9, 1e-6, 0.0, "tolerance violated: abs 1.000e-06 > 1.000e-07\n"),
+        (1e-9, 0.0, 1e-9, "tolerance violated: head 1.000e-09 > 1.000e-10\n"),
+        (
+            1e-3,
+            1e-6,
+            1e-9,
+            "tolerance violated: rel 1.000e-03 > 1.000e-05 at trial 1, coordinate 4\n"
+            "tolerance violated: abs 1.000e-06 > 1.000e-07\n"
+            "tolerance violated: head 1.000e-09 > 1.000e-10\n",
+        ),
+    ],
+    ids=["abs", "head", "all"],
+)
+def test_grad_check_names_each_violated_bound(monkeypatch, capsys, rel, abs_err, head, named):
+    monkeypatch.setattr(cli, "finite_difference_errors", lambda *args: (rel, (1, 4), abs_err))
+    monkeypatch.setattr(cli, "head_gradient_deviation", lambda *args: head)
+    assert cmd_grad_check([6, 8, 5], trials=1, tolerance=1e-5, seed=0) == 3
+    assert capsys.readouterr().err == named
 
 
 @pytest.mark.parametrize(

@@ -25,6 +25,21 @@ from fedgm.errors import ShapeError, UsageError
 from fedgm.rng import substream
 
 
+@pytest.mark.parametrize(
+    "X, y",
+    [
+        (np.zeros((10, 2)), np.zeros(12, dtype=np.int64)),
+        (np.zeros((10, 2)), np.zeros(9, dtype=np.int64)),
+        (np.zeros(10), np.zeros(10, dtype=np.int64)),
+        (np.zeros((10, 2)), np.zeros((10, 1), dtype=np.int64)),
+    ],
+    ids=["more-labels", "fewer-labels", "1-d-rows", "2-d-labels"],
+)
+def test_a_domain_takes_2d_rows_and_one_label_per_row(X, y):
+    with pytest.raises(ShapeError, match=re.escape(f"domain 4: rows of dims {X.shape} and labels of dims {y.shape}")):
+        DomainDataset(4, X, y)
+
+
 def test_rotated_equal_angles_identical_domains():
     a, b = gen_rotated_domains([0.0, 0.0], 60, 0.1, seed=5)
     assert a.X.tobytes() == b.X.tobytes()

@@ -39,7 +39,7 @@ from fedgm.federation import (
     run_dg,
 )
 from fedgm.model import HeadSnapshot, flatten, init_params, predict_proba, unflatten
-from fedgm.objective import one_hot
+from fedgm.objective import averaged_ce, one_hot
 
 
 def test_cosine_lr_endpoints_and_midpoint():
@@ -85,6 +85,14 @@ def _tiny_dataset(n=8, margin=2.0, seed=0):
     y = (np.arange(n) % 2).astype(np.int64)
     X[:, 0] += np.where(y == 0, -margin, margin)
     return DomainDataset(0, X, y)
+
+
+def test_the_gm_switch_picks_the_step_loss():
+    snaps = [HeadSnapshot(0, np.zeros((2, 4)), np.zeros(2))]
+    aug = AugmentationSpec.gaussian_noise(0.1)
+    fedavg = _matching_loss(snaps, HyperParams(gm_enabled=False), aug)
+    assert fedavg.record is averaged_ce and fedavg.aug is aug
+    assert _matching_loss(snaps, HyperParams(), aug).record is not averaged_ce
 
 
 def test_local_train_zero_epochs_forbidden():

@@ -11,6 +11,7 @@ from fedgm.autodiff import Tape, backward, finite_diff_grad
 from fedgm.errors import ContractError, ShapeError, UsageError
 from fedgm.model import HeadSnapshot, flatten, forward, init_params, stage_params, unflatten
 from fedgm.objective import (
+    averaged_ce,
     cosine_sim,
     cross_entropy,
     head_grad,
@@ -340,6 +341,32 @@ def test_local_loss_batch_shape_mismatch():
     params, snaps, X, X_aug, y = _instance(seed=9)
     with pytest.raises(ShapeError):
         _loss(Tape(), params, snaps, X, X_aug[:-1], y, 0.5)
+
+
+@pytest.mark.parametrize("n_snaps", [0, 2])
+def test_averaged_ce_is_local_loss_without_its_matching_terms(n_snaps):
+    # the baseline records the objective's ops up to its total, input for
+    # input and byte for byte, then one zero constant for both matching stats
+    params, snaps, X, X_aug, y = _instance(seed=11, n_snaps=n_snaps)
+
+    def matched(t, staged, x, x_aug, y_mat):
+        return local_loss(t, staged, snaps, x, x_aug, y_mat, 0.5)
+
+    recorded = []
+    for record in (matched, averaged_ce):
+        t = Tape()
+        staged = stage_params(t, params)
+        recorded.append((t, record(t, staged, t.constant(X), t.constant(X_aug), _y(t, y, params.classes))[1]))
+    (t_gm, gm), (t_avg, avg) = recorded
+    end = avg["total"] + 1
+    assert t_avg.ops[:end] == t_gm.ops[:end] and t_avg.inputs[:end] == t_gm.inputs[:end]
+    assert [v.tobytes() for v in t_avg.vals[:end]] == [v.tobytes() for v in t_gm.vals[:end]]
+    assert t_avg.lanes == [lane for lane in t_gm.lanes if lane[3] <= end]
+    assert [avg[m] for m in ("ce_orig", "ce_aug")] == [gm[m] for m in ("ce_orig", "ce_aug")]
+    assert len(t_avg) == end + 1 and avg["intra"] == avg["inter"] == end
+    assert t_avg.ops[end] == ad.LEAF and end not in t_avg.params and t_avg.value(end) == 0.0
+    if not snaps:  # round 1: local_loss records its zero inter constant at the same place
+        assert gm["inter"] == end and t_gm.vals[end].tobytes() == t_avg.vals[end].tobytes()
 
 
 @pytest.mark.parametrize("normalize", [False, True])
