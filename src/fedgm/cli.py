@@ -36,16 +36,6 @@ HP_KEYS = {
     ("lambda" if f.name == "lam" else f.name): f.name for f in fields(HyperParams) if f.name != "seed"
 }
 
-# kind -> (required, optional) keys of the data and augmentation objects
-DATA_KEYS = {
-    "rotated_moons": (("angles", "n_per_domain"), ("noise_sigma", "classes")),
-    "textured": (("n_domains", "side", "n_per_domain"), ("classes",)),
-}
-AUGMENTATION_KEYS = {
-    "identity": ((), ()), "gaussian_noise": (("sigma",), ()),
-    "input_rotation": (("max_degrees",), ()), "amplitude_mix": (("eta_max",), ()),
-}
-
 
 def _expect(obj, path, keys_required, keys_optional):
     if not isinstance(obj, dict):
@@ -59,12 +49,12 @@ def _expect(obj, path, keys_required, keys_optional):
             raise ParseError(f"{path}.{key}: missing required key")
 
 
-def _kind(raw: dict, path: str, keys_by_kind: dict, what: str) -> str:
-    """The object's kind, once its keys are those of that kind."""
+def _kind(raw: dict, path: str, spec: type, what: str) -> str:
+    """The object's kind, once its keys are those ``spec.KEYS`` gives that kind."""
     if "kind" not in raw:
         raise ParseError(f"{path}.kind: missing required key")
     kind = raw["kind"]
-    for name, (required, optional) in keys_by_kind.items():
+    for name, (required, optional) in spec.KEYS.items():
         if kind == name:
             _expect(raw, path, ("kind", *required), optional)
             return kind
@@ -82,7 +72,7 @@ def _widen(value, where: str):
 
 
 def _parse_data(raw: dict) -> DataSpec:
-    kind = _kind(raw, "data", DATA_KEYS, "generator")
+    kind = _kind(raw, "data", DataSpec, "generator")
     values = dict(raw)
     if kind == "rotated_moons":
         if not isinstance(raw["angles"], list):
@@ -93,7 +83,7 @@ def _parse_data(raw: dict) -> DataSpec:
 
 
 def _parse_augmentation(raw: dict) -> AugmentationSpec:
-    _kind(raw, "augmentation", AUGMENTATION_KEYS, "kind")
+    _kind(raw, "augmentation", AugmentationSpec, "kind")
     try:
         return AugmentationSpec(**{key: _widen(value, f"augmentation.{key}") for key, value in raw.items()})
     except UsageError as e:
@@ -127,7 +117,7 @@ def parse_config_dict(raw: dict) -> Config:
         data=data,
         held_out=raw["held_out"],
         arch=raw["arch"],
-        augmentation=_parse_augmentation(raw.get("augmentation", {"kind": "identity"})),
+        augmentation=_parse_augmentation(raw["augmentation"]) if "augmentation" in raw else AugmentationSpec.identity(),
         hp=_parse_hp(raw.get("hp", {}), min_votes=2 if isinstance(n_domains, int) and n_domains >= 4 else 1),
         out_dir=raw.get("out_dir", f"runs/{raw['experiment']}"),
         seeds=raw["seeds"],
@@ -333,6 +323,9 @@ def _load_run_config(args) -> Config:
     raw = _read_json(args.config)
     if args.override:
         raw = apply_overrides(raw, args.override)
+    for i, seed in enumerate(args.seed):
+        if seed in args.seed[:i]:  # named as the flag's repeat: the config may list it nowhere
+            raise ParseError(f"--seed: seed {seed} is listed more than once")
     if args.seed and isinstance(raw, dict) and isinstance(raw.get("seeds"), list):
         # the flag's seeds join the config's before the parse, so they pass the same checks
         raw = dict(raw, seeds=raw["seeds"] + [s for s in args.seed if s not in raw["seeds"]])

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .data import AugmentationSpec, _n_test, finite_number
 from .errors import UsageError
@@ -74,7 +74,11 @@ class HyperParams:
 class DataSpec:
     """Generator choice plus its parameters."""
 
-    KINDS = ("rotated_moons", "textured")
+    KEYS = {  # kind -> (required, optional) fields; a kind reads no other field
+        "rotated_moons": (("angles", "n_per_domain"), ("noise_sigma", "classes")),
+        "textured": (("n_domains", "side", "n_per_domain"), ("classes",)),
+    }
+    KINDS = tuple(KEYS)
 
     kind: str
     angles: list[float] = field(default_factory=list)
@@ -103,10 +107,10 @@ class Config:
 
     def validate(self) -> None:
         """Raise UsageError unless the data kind is known, every field has its
-        type, and the class count, domain size (a train split of at least one
-        row per class), grid side, noise level, domain count, held-out index,
-        input width, augmentation and hp fit, and in mode "da" enough sources
-        can vote."""
+        type, a data field the kind does not read (``DataSpec.KEYS``) holds its
+        default, the class count, domain size (a train split of at least one row
+        per class), grid side, noise level, domain count, held-out index, input
+        width, augmentation and hp fit, and in mode "da" enough sources can vote."""
         if self.data.kind not in DataSpec.KINDS:
             raise UsageError(f"data.kind: unknown generator '{self.data.kind}'")
         _require(self.mode in ("dg", "da"), "mode", "'dg' or 'da'", self.mode)
@@ -127,6 +131,10 @@ class Config:
         numbers_only = isinstance(angles, list) and all(map(finite_number, angles))
         _require(numbers_only, "data.angles", "a list of finite numbers", angles)
         _require(finite_number(noise), "data.noise_sigma", "a finite number", noise)
+        read, default = sum(DataSpec.KEYS[self.data.kind], ("kind",)), DataSpec(self.data.kind)
+        for name in (f.name for f in fields(DataSpec) if f.name not in read):
+            if getattr(self.data, name) != getattr(default, name):
+                raise UsageError(f"data.{name}: {self.data.kind} data takes no {name}")
         if self.data.classes < 2:
             raise UsageError(f"data.classes must be >= 2, got {self.data.classes}")
         # every domain's train split (all of one size) must be able to hold every class

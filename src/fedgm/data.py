@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, Iterator, NamedTuple
 
@@ -66,11 +66,19 @@ class AugmentationSpec:
     max_degrees: float = 0.0
     eta_max: float = 0.0
 
-    KINDS = ("identity", "gaussian_noise", "input_rotation", "amplitude_mix")
+    KEYS = {  # kind -> (required, optional) settings; a kind takes no other setting
+        "identity": ((), ()), "gaussian_noise": (("sigma",), ()),
+        "input_rotation": (("max_degrees",), ()), "amplitude_mix": (("eta_max",), ()),
+    }
+    KINDS = tuple(KEYS)
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise UsageError(f"unknown augmentation kind '{self.kind}'")
+        for f in fields(self)[1:]:
+            value = getattr(self, f.name)
+            if f.name not in sum(self.KEYS[self.kind], ()) and not (finite_number(value) and value == f.default):
+                raise UsageError(f"{self.kind} takes no {f.name}, got {value!r}")
         if not (finite_number(self.sigma) and self.sigma >= 0.0):
             raise UsageError(f"gaussian_noise sigma must be a finite number >= 0, got {self.sigma!r}")
         if not (finite_number(self.max_degrees) and 0.0 <= self.max_degrees <= 180.0):

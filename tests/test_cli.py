@@ -345,6 +345,40 @@ def test_validate_checks_the_type_of_every_field(prefix, owner, name, wrong):
         config.validate()
 
 
+# a field the data kind does not read was silently ignored in a config built
+# in Python, while the JSON reader refused the same key
+@pytest.mark.parametrize(
+    "build, name, value",
+    [
+        (lambda: experiments.swap_config(3, 0, "amplitude_mix"), "angles", [10.0]),
+        (lambda: experiments.swap_config(3, 0, "amplitude_mix"), "noise_sigma", 0.5),
+        (lambda: experiments.dg_config(3, 0, True), "n_domains", 4),
+        (lambda: experiments.dg_config(3, 0, True), "side", 8),
+    ],
+    ids=["textured-angles", "textured-noise_sigma", "moons-n_domains", "moons-side"],
+)
+def test_validate_refuses_a_data_field_its_kind_does_not_read(build, name, value):
+    config = build()
+    config.validate()  # the field's default passes
+    setattr(config.data, name, value)
+    with pytest.raises(UsageError) as refused:
+        config.validate()
+    assert str(refused.value) == f"data.{name}: {config.data.kind} data takes no {name}"
+    # the JSON reader refuses the key itself, as before
+    with pytest.raises(ParseError, match=rf"^data.{name}: unknown key$"):
+        parse_config_dict(dict(BASE, data={"kind": config.data.kind, name: value}))
+
+
+@pytest.mark.parametrize("kind", [["textured"], ["rotated_moons"]])
+def test_a_list_valued_data_kind_is_unknown(kind):
+    config = experiments.dg_config(3, 0, True)
+    config.data.kind = kind
+    with pytest.raises(UsageError, match=re.escape(f"data.kind: unknown generator '{kind}'")):
+        config.validate()
+    with pytest.raises(ParseError, match=re.escape(f"data.kind: unknown generator '{kind}'")):
+        parse_config_dict(dict(BASE, data=dict(BASE["data"], kind=kind)))
+
+
 def test_overrides_dotted_paths():
     raw = apply_overrides(BASE, ["hp.lambda=0.3", "experiment=other"])
     assert raw["hp"]["lambda"] == 0.3
@@ -419,6 +453,15 @@ def test_run_dg_seed_flag_appends(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
     assert main(["run-dg", "--config", str(cfg_path), "--seed", "7"]) == 0
     assert (tmp_path / "out" / "seed_7.csv").exists()
+
+
+def test_a_seed_flag_given_twice_is_named_as_the_flags_repeat(tmp_path, capsys):
+    # the config lists seeds 0-4, so the repeat is the flag's, not the config's
+    out = tmp_path / "out"
+    argv = ["run-dg", "--config", str(CONFIGS / "dg_moons.json"), "--out", str(out), "--seed", "7", "--seed", "7"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: --seed: seed 7 is listed more than once\n"
+    assert not out.exists()
 
 
 def test_run_bad_config_exit_code(tmp_path):

@@ -264,6 +264,40 @@ def test_augmentation_spec_validation():
         AugmentationSpec("cutout")
 
 
+# the setting each kind takes; before AugmentationSpec.KEYS, any other was silently ignored
+OWN_SETTING = {"identity": None, "gaussian_noise": "sigma", "input_rotation": "max_degrees", "amplitude_mix": "eta_max"}
+
+
+@pytest.mark.parametrize(
+    "kind, name",
+    [(kind, name) for kind, own in OWN_SETTING.items() for name in ("sigma", "max_degrees", "eta_max") if name != own],
+)
+def test_augmentation_spec_refuses_a_setting_its_kind_does_not_take(kind, name):
+    with pytest.raises(UsageError) as refused:
+        AugmentationSpec(kind, **{name: 0.3})
+    assert str(refused.value) == f"{kind} takes no {name}, got 0.3"
+    AugmentationSpec(kind, **{name: 0.0})  # the default is no setting
+
+
+@pytest.mark.parametrize(
+    "kind, name, value, message",
+    [
+        ("gaussian_noise", "sigma", -1.0, "gaussian_noise sigma must be a finite number >= 0, got -1.0"),
+        ("input_rotation", "max_degrees", 200.0, "input_rotation max_degrees must lie in [0, 180], got 200.0"),
+        ("amplitude_mix", "eta_max", 1.5, "amplitude_mix eta_max must lie in [0, 1], got 1.5"),
+    ],
+)
+def test_augmentation_spec_names_its_own_setting_out_of_range(kind, name, value, message):
+    with pytest.raises(UsageError) as refused:
+        AugmentationSpec(kind, **{name: value})
+    assert str(refused.value) == message
+
+
+def test_a_list_valued_augmentation_kind_is_unknown():
+    with pytest.raises(UsageError, match=re.escape("unknown augmentation kind '['identity']'")):
+        AugmentationSpec(["identity"])
+
+
 @pytest.mark.parametrize(
     "build, value",
     [

@@ -3,8 +3,11 @@ import functools
 import hashlib
 import itertools
 import math
+import multiprocessing
 import re
+import threading
 import weakref
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -13,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedgm.cli import Config, DataSpec
-from fedgm import data, federation
+from fedgm import data, experiments, federation
 from fedgm import rng as streams
 from fedgm.data import (
     AugmentationSpec,
@@ -738,3 +741,17 @@ def test_knowledge_vote_matches_per_sample_vote(n_models, classes, rows, tau, mi
     assert out.indices.tobytes() == indices.tobytes()
     assert out.labels.tobytes() == labels.tobytes()
     assert out.confidences.tobytes() == confidences.tobytes()
+
+
+def test_a_run_writes_nothing_to_stdout_and_starts_no_process_or_thread(capfd):
+    # a benchmark run's last stdout line is its result, so nothing may print
+    # after it, and nothing a run leaves behind may print at exit
+    threads = threading.active_count()
+    for config, run in (
+        (experiments.dg_config(3, 0, True), run_dg),
+        (experiments.da_config(experiments.DA_TARGET, 0), run_da),
+    ):
+        run(replace(config, hp=replace(config.hp, rounds=2)))
+    assert capfd.readouterr().out == ""
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
