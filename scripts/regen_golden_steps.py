@@ -11,6 +11,10 @@ configs' train-split sizes, with ``federation.compile_step`` spied, so the
 set depends on no run, no vote outcome and no BLAS kernel. A source an
 earlier file already holds gets no file of its own: da-moons's source
 clients run dg-moons-gm's steps, and FedAvg runs one step in every round.
+``every-op.k<clients>.txt`` holds, for 1 to 3 clients, the step compiled from
+``_every_op_tape`` in tests/test_replay.py, a loss that uses every op tag, so
+a change to an op's templates shows here even if no benchmark step uses the
+op; an adjoint folded into a constant shows only as the constant's name.
 
     python3 scripts/regen_golden_steps.py
 
@@ -20,6 +24,7 @@ files, so a change to generated code shows as a diff of these files.
 
 from __future__ import annotations
 
+import importlib.util
 import sys
 from pathlib import Path
 from unittest import mock
@@ -36,6 +41,10 @@ from fedgm.files import write_atomic
 from fedgm.model import HeadSnapshot, init_params
 
 GOLDEN = REPO / "tests" / "golden" / "steps"
+
+_spec = importlib.util.spec_from_file_location("test_replay", REPO / "tests" / "test_replay.py")
+replay = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(replay)
 
 # the benchmark workloads' configs, at fold 3 (dg) and the committed DA target
 CONFIGS = {
@@ -84,6 +93,9 @@ def golden_steps() -> dict[str, str]:
                 round_kind = f"{workload}.target"
                 pseudo = _dataset(config.held_out, TARGET_ROWS, width, classes)
                 federation.local_train(initial, [pseudo], federation.plain_ce_loss, hp, 1)
+    tape, loss = replay._every_op_tape(*replay._every_op_values(np.random.default_rng(11)))
+    for k in (1, 2, 3):
+        steps[f"every-op.k{k}.txt"] = compile_step(tape, k, loss, [loss]).source
     return steps
 
 

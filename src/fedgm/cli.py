@@ -31,7 +31,7 @@ from .model import save_checkpoint
 from .objective import finite_difference_errors, head_gradient_deviation
 
 # config key of the hp object -> HyperParams field, whose default it takes:
-# every field but seed, which config.seeds sets; "lambda" sets lam.
+# every field but seed, which is the first of config.seeds; "lambda" sets lam.
 HP_KEYS = {
     ("lambda" if f.name == "lam" else f.name): f.name for f in fields(HyperParams) if f.name != "seed"
 }
@@ -122,6 +122,8 @@ def parse_config_dict(raw: dict) -> Config:
         out_dir=raw.get("out_dir", f"runs/{raw['experiment']}"),
         seeds=raw["seeds"],
     )
+    if isinstance(config.seeds, list) and config.seeds:  # a bad seeds value fails validate
+        config.hp.seed = config.seeds[0]
     try:
         config.validate()
     except UsageError as e:
@@ -266,8 +268,7 @@ def cmd_grad_check(arch: list[int], trials: int, tolerance: float, seed: int) ->
 def cmd_gen_data(config: Config, out: str) -> int:
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cfg = replace(config, hp=replace(config.hp, seed=config.seeds[0]))
-    for ds in build_domains(cfg):
+    for ds in build_domains(config):
         path = out_dir / f"domain_{ds.domain_id}.csv"
         header = "domain_id,y," + ",".join(f"x{i}" for i in range(ds.X.shape[1])) + "\n"
         rows = (f"{ds.domain_id},{label}," + ",".join(repr(float(v)) for v in row) + "\n" for row, label in zip(ds.X, ds.y))

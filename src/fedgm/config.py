@@ -110,7 +110,8 @@ class Config:
         type, a data field the kind does not read (``DataSpec.KEYS``) holds its
         default, the class count, domain size (a train split of at least one row
         per class), grid side, noise level, domain count, held-out index, input
-        width, augmentation and hp fit, and in mode "da" enough sources can vote."""
+        width, augmentation and hp fit, hp.seed is one of seeds, and in mode "da"
+        enough sources can vote."""
         if self.data.kind not in DataSpec.KINDS:
             raise UsageError(f"data.kind: unknown generator '{self.data.kind}'")
         _require(self.mode in ("dg", "da"), "mode", "'dg' or 'da'", self.mode)
@@ -162,6 +163,8 @@ class Config:
         if kind == "amplitude_mix" and math.isqrt(width) ** 2 != width:
             raise UsageError(f"augmentation: amplitude_mix needs square grids, got width {width}")
         self.hp.validate()
+        if self.hp.seed not in self.seeds:
+            raise UsageError(f"hp.seed {self.hp.seed} is not one of seeds {self.seeds}")
         # amplitude_mix pairs rows within a batch, so no source's train split
         # may leave a one-row batch
         batch = self.hp.batch

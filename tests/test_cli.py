@@ -609,6 +609,41 @@ def test_gen_data_bad_config(tmp_path):
     assert main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "d")]) == 1
 
 
+def _moons_seed_3(tmp_path) -> dict:
+    raw = json.loads((CONFIGS / "dg_moons.json").read_text())
+    return dict(raw, seeds=[3], hp=dict(raw["hp"], rounds=2), out_dir=str(tmp_path / "out"))
+
+
+def test_a_config_read_from_a_file_runs_its_first_listed_seed(tmp_path):
+    # the reader used to keep hp.seed at 0, so run_dg on the parsed config ran
+    # seed 0 while run-dg ran seed 3 and recorded hp.seed 0 in its summary
+    raw = _moons_seed_3(tmp_path)
+    config = parse_config_dict(raw)
+    assert config.hp.seed == 3
+    acc = run_dg(config).final_value("eval_unseen", "accuracy", config.held_out)
+    assert main(["run-dg", "--config", str(_write(tmp_path, raw))]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["final"]["per_seed"] == {"3": acc}
+    assert summary["config"]["hp"]["seed"] == 3
+
+
+def test_validate_refuses_an_hp_seed_the_config_does_not_list():
+    config = replace(parse_config_dict(BASE), seeds=[3], hp=HyperParams())
+    with pytest.raises(UsageError) as refused:
+        run_dg(config)
+    assert str(refused.value) == "hp.seed 0 is not one of seeds [3]"
+
+
+def test_gen_data_writes_the_domains_of_the_first_listed_seed(tmp_path):
+    path = _write(tmp_path, _moons_seed_3(tmp_path))
+    assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "data")]) == 0
+    seed_0 = federation.build_domains(replace(parse_config(path), seeds=[0], hp=HyperParams(seed=0)))
+    for ds, other in zip(federation.build_domains(parse_config(path)), seed_0):
+        csv = (tmp_path / "data" / f"domain_{ds.domain_id}.csv").read_text().splitlines()[1:]
+        X = np.array([[float(v) for v in line.split(",")[2:]] for line in csv])
+        assert X.tobytes() == ds.X.tobytes() != other.X.tobytes()
+
+
 @pytest.mark.parametrize("command", ["run-dg", "gen-data"])
 def test_config_that_is_not_utf8_exits_1(tmp_path, capsys, command):
     bad = tmp_path / "bad.json"

@@ -38,3 +38,9 @@ def test_every_benchmark_step_kind_has_a_golden_file():
             assert {f"{workload}.round{round_t}.k3.b16.txt", f"{workload}.round{round_t}.k3.b{short}.txt"} <= names
     assert {"dg-moons-fedavg.round1.k3.b16.txt", "dg-moons-fedavg.round1.k3.b4.txt"} <= names
     assert {"da-moons.target.k1.b16.txt", "da-moons.target.k1.b4.txt"} <= names
+
+
+def test_every_op_steps_have_golden_files():
+    # _every_op_tape's steps hold the templates of the ops no benchmark step uses
+    names = {p.name for p in regen.GOLDEN.glob("*.txt")}
+    assert {"every-op.k1.txt", "every-op.k2.txt", "every-op.k3.txt"} <= names
