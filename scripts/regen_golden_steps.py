@@ -2,19 +2,23 @@
 for the four benchmark configs.
 
 Each file holds one compiled step's source as ``compile_step`` returns it,
-named ``<workload>.<round kind>.k<clients>.b<batch rows>.txt``. The round
+then, as comment lines, each constant it folded (``K…``) with its dims and
+the sha256 of its bytes, so an edit to an adjoint template that a step
+folds shows too. A file is named
+``<workload>.<round kind>.k<clients>.b<batch rows>.txt``. The round
 kinds are ``round1`` (the source clients with no head snapshots, so no
 inter-domain term), ``round2`` (one snapshot per source) and ``target`` (the
 adaptation target's plain cross-entropy on its pseudo-labelled rows). The
 steps come from ``local_train`` calls on seeded random datasets of the
-configs' train-split sizes, with ``federation.compile_step`` spied, so the
-set depends on no run, no vote outcome and no BLAS kernel. A source an
+configs' train-split sizes, with ``federation.compile_step`` spied and
+local_train's recorded steps emptied first, so every structure is compiled
+here; the set depends on no run, no vote outcome and no BLAS kernel. A source an
 earlier file already holds gets no file of its own: da-moons's source
 clients run dg-moons-gm's steps, and FedAvg runs one step in every round.
 ``every-op.k<clients>.txt`` holds, for 1 to 3 clients, the step compiled from
 ``_every_op_tape`` in tests/test_replay.py, a loss that uses every op tag, so
 a change to an op's templates shows here even if no benchmark step uses the
-op; an adjoint folded into a constant shows only as the constant's name.
+op.
 
     python3 scripts/regen_golden_steps.py
 
@@ -24,6 +28,7 @@ files, so a change to generated code shows as a diff of these files.
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -66,18 +71,26 @@ def _head(domain_id: int, arch: list[int], classes: int) -> HeadSnapshot:
     return HeadSnapshot(domain_id, params.head_w, params.head_b)
 
 
+def golden_text(step) -> str:
+    """``step``'s source, then a comment line per folded constant: its name, dims and the sha256 of its bytes."""
+    consts = [(name, value) for name, value in step.__globals__.items() if name.startswith("K")]
+    lines = [f"# {name} {value.shape} {hashlib.sha256(value.tobytes()).hexdigest()}\n" for name, value in consts]
+    return step.source + "# folded constants: name, dims, sha256 of the bytes\n" + "".join(lines)
+
+
 def golden_steps() -> dict[str, str]:
-    """Each distinct compiled source by its file name, in the order the steps were built."""
+    """Each distinct compiled step's text by its file name, in the order the steps were built."""
     steps: dict[str, str] = {}
     round_kind = ""
 
     def spy(tape, k, loss, outs, fed=()):
         step = compile_step(tape, k, loss, outs, fed)
-        if step.source not in steps.values():
-            steps[f"{round_kind}.k{k}.b{tape.vals[fed[-1]].shape[0]}.txt"] = step.source
+        text = golden_text(step)
+        if text not in steps.values():
+            steps[f"{round_kind}.k{k}.b{tape.vals[fed[-1]].shape[0]}.txt"] = text
         return step
 
-    with mock.patch.object(federation, "compile_step", spy):
+    with mock.patch.object(federation, "compile_step", spy), mock.patch.object(federation, "_RECORDED", {}):
         for workload, config in CONFIGS.items():
             width, classes, hp = config.arch[0], config.data.classes, config.hp
             n_train = config.data.n_per_domain - _n_test(config.data.n_per_domain)
@@ -95,7 +108,7 @@ def golden_steps() -> dict[str, str]:
                 federation.local_train(initial, [pseudo], federation.plain_ce_loss, hp, 1)
     tape, loss = replay._every_op_tape(*replay._every_op_values(np.random.default_rng(11)))
     for k in (1, 2, 3):
-        steps[f"every-op.k{k}.txt"] = compile_step(tape, k, loss, [loss]).source
+        steps[f"every-op.k{k}.txt"] = golden_text(compile_step(tape, k, loss, [loss]))
     return steps
 
 

@@ -21,7 +21,10 @@ one block that the recorder declares as lanes (``Tape.lane``: the two views'
 forward and head-gradient chains, the inter term's per-snapshot ops) run as
 one kernel per op. Every batch of the recorded shapes, the recorded one
 included, calls that function, and tapes with the same structure share one
-compiled function; ``backward`` on the recorded tape checks it.
+compiled function; ``backward`` on the recorded tape checks it. A tape can
+be kept and ``replay``ed: new leaf values, and every op re-evaluated with
+its eager forward rule, give the tape a fresh recording would give, so a
+structure is recorded once and checked again on every later call's values.
 
 Tensors are plain ``numpy.ndarray`` values in float64. Every leaf is stored
 row-major, so a transposed layout only comes from a ``transpose`` op, whose
@@ -395,8 +398,34 @@ def op_apply(tape: Tape, kind: str, inputs, const: float | None = None) -> int:
     return len(tape.ops) - 1
 
 
+def replay(tape: Tape, values: dict[int, Array]) -> None:
+    """Give each leaf that ``values`` names its new value, stored as ``Tape.leaf``
+    stores it, and every op the output and saved entry its eager forward rule
+    gives on the new values, in tape order.
+
+    The tape then holds what recording its code afresh on those leaf values
+    would give, as long as that code recorded nothing else that depends on
+    the values (a recorder's own constants may depend on shapes only). Ops,
+    inputs, params and lanes stay. A new value of another shape than the
+    recorded one is a ShapeError, raised before any value changes.
+    """
+    vals, saved = tape.vals, tape.saved
+    new = {nid: np.asarray(v, dtype=np.float64, order="C") for nid, v in values.items()}
+    for nid, v in new.items():
+        if not _is_node(tape, nid) or tape.ops[nid] != LEAF:
+            raise UsageError(f"replay: node {nid} is not a leaf of the tape")
+        if v.shape != vals[nid].shape:
+            raise ShapeError(f"replay: leaf {nid} was recorded with dims {vals[nid].shape}, got {v.shape}")
+    for nid, v in new.items():
+        vals[nid] = v
+    for nid, (kind, ids) in enumerate(zip(tape.ops, tape.inputs)):
+        if kind != LEAF:  # a scale op's saved entry is its constant
+            const = saved[nid] if kind == "scale-by-constant" else None
+            vals[nid], saved[nid] = _OPS[kind].forward([vals[i] for i in ids], const)
+
+
 _SWEEP_CACHE: dict[tuple, tuple] = {}
-_STEP_CACHE_SIZE = 32  # the entries _SWEEP_CACHE and _STEP_CACHE each keep
+_STEP_CACHE_SIZE = 32  # the entries _SWEEP_CACHE, _STEP_CACHE and federation's recorded steps each keep
 
 
 def _remember(cache: dict, key: tuple, value) -> None:

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import rng as streams
-from .autodiff import Tape, backward, compile_step
+from .autodiff import Tape, _remember, backward, compile_step, replay
 from .config import Config, HyperParams
 from .data import (
     AugmentationSpec,
@@ -49,6 +49,7 @@ from .model import (
     param_views,
     predict_logits,
     predict_proba,
+    stage_heads,
     stage_params,
     unflatten,
 )
@@ -58,7 +59,8 @@ log = logging.getLogger(__name__)
 
 
 class StepLoss(NamedTuple):
-    """A client's loss on one batch, as data: the augmentation of its view and its recorder.
+    """A client's loss on one batch, as data: the augmentation of its view, its
+    recorder, the recorder's settings and the frozen heads it matches against.
 
     ``feeds(X, y, classes, batch=None, rng=None, spectra=None)`` returns the
     per-step leaf values of the rows ``X`` and labels ``y``: ``X``, its
@@ -69,21 +71,42 @@ class StepLoss(NamedTuple):
     ``X``'s rows on demand. Without ``aug`` neither is read. A batch's values
     are a row slice of its epoch's; ``local_train`` calls ``feeds`` once per
     client and epoch.
-    ``record(tape, staged, *leaves)`` records the loss on one batch's
-    values, staged as leaves in the same order, and returns the loss node
-    and the node of each reported stat, "total" among them. Everything else
-    it records may depend only on the leaves' shapes and on the loss's own
-    settings, which every client of one ``local_train`` call shares: one
-    recording, client 0's, runs compiled for every client and every batch
-    of those shapes.
+    ``record(tape, staged, heads, *leaves, **settings)`` records the loss on
+    one batch's values, staged as leaves in the same order, matched against
+    the staged ``heads`` (``stage_heads``), with ``settings`` as keywords, and
+    returns the loss node and the node of each reported stat, "total" among
+    them. Everything else it records may depend only on the leaves' shapes
+    and on ``settings``: a recording is then fixed by the recorder, its
+    settings and the shapes of its leaves, which every round's step loss of
+    one run shares, so ``local_train`` records each such structure once,
+    on client 0's values, and ``replay`` gives it the values of any later
+    call. ``recording`` stages and records one batch.
     """
 
     aug: AugmentationSpec | None
     record: Callable[..., tuple[int, dict[str, int]]]
+    settings: tuple[tuple[str, object], ...] = ()
+    heads: tuple[HeadSnapshot, ...] = ()
 
     def feeds(self, X, y, classes, batch=None, rng=None, spectra=None) -> tuple[np.ndarray, ...]:
         views = () if self.aug is None else (augment(X, self.aug, rng, batch, spectra),)
         return (X, *views, one_hot(y, classes))
+
+    def leaf_values(self, params: ModelParams, feeds) -> list[np.ndarray]:
+        """The values ``recording`` stages, in its order: the parameters, the
+        batch's ``feeds``, then each head's weight and bias."""
+        return [*params.arrays(), *feeds, *(a for head in self.heads for a in (head.weight, head.bias))]
+
+    def recording(self, params: ModelParams, *feeds) -> tuple[Tape, list[int], int, dict[str, int]]:
+        """This loss recorded on a fresh tape: ``params`` staged as leaves, then
+        one batch's ``feeds`` and the heads as constants. Returns the tape, its
+        staged leaves (the ids of ``leaf_values``), the loss node and the stat nodes."""
+        tape = Tape()
+        staged = stage_params(tape, params)
+        leaves = [tape.constant(v) for v in feeds]
+        heads = stage_heads(tape, self.heads)
+        loss, stat_nodes = self.record(tape, staged, heads, *leaves, **dict(self.settings))
+        return tape, [*tape.params, *leaves, *(nid for head in heads for nid in head)], loss, stat_nodes
 
 
 @dataclass
@@ -161,19 +184,25 @@ def _stacked(lanes: list[list[np.ndarray]]) -> np.ndarray:
     return per_leaf[0] if len(per_leaf) == 1 else np.stack(per_leaf, axis=1)
 
 
-class _Recorded:
-    """Client 0's recording of one feed shape, compiled into one step for k clients.
+# local_train's recorded steps, by recorder, settings, k and leaf shapes: at most
+# _STEP_CACHE_SIZE, the oldest dropped first
+_RECORDED: dict[tuple, "_Recorded"] = {}
 
-    The recording gives the step its structure and its recorded constants
-    (the snapshot heads), which every client shares and which are stacked k
-    times once. The call's (k, *shape) ``params``, which training moves in
-    place, are bound once; ``run`` feeds the ``fed`` leaves of one batch,
-    and ``check`` holds a run's slice 0 against ``backward`` on the recording.
+
+class _Recorded:
+    """Client 0's recording of one step structure, compiled into one step for k clients.
+
+    The tape gives the step its structure. Its ``leaves`` are the staged
+    leaves (the parameters, one batch's feeds ``fed``, the snapshot heads),
+    which a later call of the same structure gives its own client 0 values by
+    ``replay``. Between calls the entry holds only those values, copied, and
+    the heads: ``bind`` gives one call its arguments, ``run`` feeds the
+    ``fed`` leaves of one batch into them, and ``check`` holds a run's slice 0
+    against ``backward`` on the tape.
     """
 
-    def __init__(self, tape: Tape, params: list[np.ndarray], fed: list[int], loss: int, stat_nodes: dict[str, int]):
-        self.tape, self.loss, self.stat_nodes = tape, loss, stat_nodes
-        k = len(params[0])
+    def __init__(self, tape: Tape, leaves: list[int], fed: list[int], loss: int, stat_nodes: dict[str, int], k: int):
+        self.tape, self.leaves, self.fed, self.loss, self.stat_nodes = tape, leaves, fed, loss, stat_nodes
         self.step = compile_step(tape, k, loss, list(stat_nodes.values()), [*tape.params, *fed])
         # each fed argument's slot, the positions of its leaves among the fed
         # leaves, and the index of its leading axes: the clients' and any lanes'
@@ -181,30 +210,38 @@ class _Recorded:
             (slot, tuple(map(fed.index, ids)), (slice(None),) * (1 + (len(ids) > 1)))
             for slot, ids in enumerate(self.step.leaves) if ids[0] in fed
         ]
-        given = dict(zip(tape.params, params)) | dict.fromkeys(fed)  # fed slots: filled by run
-        self.args = [
-            given[ids[0]] if ids[0] in given else _stacked([[tape.vals[nid]] * k for nid in ids])
+
+    def bind(self, params: list[np.ndarray]) -> list:
+        """One call's step arguments: its (k, *shape) ``params``, which training
+        moves in place, and every other leaf but the fed ones (the snapshot
+        heads, the recorder's constants) stacked k times from the tape, which
+        holds this call's client 0 values; ``run`` fills the fed slots."""
+        k = len(params[0])
+        given = dict(zip(self.tape.params, params)) | dict.fromkeys(self.fed)
+        return [
+            given[ids[0]] if ids[0] in given else _stacked([[self.tape.vals[nid]] * k for nid in ids])
             for ids in self.step.leaves
         ]
 
-    def run(self, per_client: list, rows: slice, stacks: dict):
+    def run(self, args: list, per_client: list, rows: slice, stacks: dict):
         """The compiled step on ``rows`` of each client's epoch values of the
-        fed leaves, ``per_client``. ``stacks`` holds the epoch's stack of each
-        fed argument by its leaves' positions, stacked by the first run on it.
+        fed leaves, ``per_client``, with the other arguments ``args`` (``bind``).
+        ``stacks`` holds the epoch's stack of each fed argument by its leaves'
+        positions, stacked by the first run on it.
         """
         # a row slice of a stack is row-major in each client's slice, as the step needs
         for slot, pos, lead in self.feeds:
             if pos not in stacks:
                 stacks[pos] = _stacked([[feeds[q] for feeds in per_client] for q in pos])
-            self.args[slot] = stacks[pos][(*lead, rows)]
-        return self.step(*self.args)
+            args[slot] = stacks[pos][(*lead, rows)]
+        return self.step(*args)
 
     def check(self, outs, grads) -> None:
         """Raise OracleError unless slice 0 of the run that gave ``outs`` and
         ``grads`` holds the bytes of client 0's recording and its ``backward``.
 
-        The run must be on the recorded values, before any update moves the
-        parameters the recording holds.
+        The run must be on the values the tape holds, before any update moves
+        client 0's parameters away from them.
         """
         by_id = backward(self.tape, self.loss)
         eager = [(f"stat {m}", self.tape.value(nid)) for m, nid in self.stat_nodes.items()]
@@ -237,17 +274,23 @@ def local_train(
     ``spectra``, which the dataset computes on the first such call and keeps
     as long as it lives. Each argument of the step the feeds give (the batch
     and its view are one) is stacked from the clients' epoch feeds once per
-    epoch, and a batch takes a row slice of it. The first batch of each feed shape records ``step_loss`` once, on
-    client 0's parameters and feeds, which gives the step its structure and
-    the recorded constants all clients share, and compiles that tape into
-    one step for all k clients, their parameters bound to it once; every
-    batch of that shape, the first included, runs all clients at once
-    through it, which gives every client the bytes of its own eager step.
-    On that first batch ``backward`` differentiates the tape and an
-    OracleError is raised unless the compiled slice 0 matches it bit for
-    bit. The stats are averaged over the steps. Momentum buffers start at
-    zero every round because the client restarts from the broadcast global
-    model.
+    epoch, and a batch takes a row slice of it.
+
+    Each structure (``step_loss``'s recorder and settings, k and the shapes
+    of the parameters, the heads and one batch's feeds) is recorded once
+    and kept, with its step compiled for k clients, in ``_RECORDED``: at
+    the first batch of each feed shape, the first call of a structure
+    records ``step_loss`` on copies of client 0's parameters and feeds and
+    the heads, and every later call ``replay``s that tape on its own
+    copies. Either way the tape then holds this batch's client 0 step, the
+    call binds its parameters and stacks the heads once, and every batch of
+    that shape, the first included, runs all clients at once through the
+    compiled step, which gives every client the bytes of its own eager
+    step. On that first batch of every call ``backward`` differentiates the
+    tape and an OracleError is raised unless the compiled slice 0 matches
+    it bit for bit. The stats are averaged over the steps. Momentum buffers
+    start at zero every round because the client restarts from the
+    broadcast global model.
 
     A client's failure (a bad label, a non-finite loss, a non-finite
     parameter after the last update) is its own, as the clients' slices are
@@ -285,7 +328,10 @@ def local_train(
     lr = cosine_lr(round_t, hp)
     batch_seed = streams.subseed(hp.seed, streams.CLIENT)
     aug_rngs = [streams.substream(hp.seed, streams.AUG, ds.domain_id, round_t) for ds in datasets]
-    records: dict[tuple, _Recorded] = {}  # by feed shapes
+    bound: dict[tuple, tuple[_Recorded, list]] = {}  # this call's step and its arguments, by feed shapes
+    # what a recording depends on besides the feed shapes; settings by repr, so 0.0 and -0.0 differ
+    head_shapes = tuple((head.weight.shape, head.bias.shape) for head in step_loss.heads)
+    structure = (step_loss.record, repr(step_loss.settings), k, tuple(a.shape for a in initial.arrays()), head_shapes)
     failed: dict[int, UsageError | DivergenceError] = {}  # each failing client's first failure
     sums = None
     steps = 0
@@ -309,15 +355,22 @@ def local_train(
         for start in range(0, n, hp.batch):
             rows = slice(start, start + hp.batch)
             shapes = tuple(f[rows].shape for f in per_client[0])
-            rec = records.get(shapes)
-            fresh = rec is None
-            if fresh:  # client 0's recording gives the step its structure and recorded constants
-                tape = Tape()
-                staged = stage_params(tape, clients[0])
-                feeds = [tape.constant(f[rows]) for f in per_client[0]]
-                loss, stat_nodes = step_loss.record(tape, staged, *feeds)
-                rec = records[shapes] = _Recorded(tape, stacked, feeds, loss, stat_nodes)
-            outs, grads = rec.run(per_client, rows, stacks)
+            fresh = shapes not in bound
+            if fresh:  # client 0's values, copied: the kept tape holds none of this call's arrays
+                params0 = clients[0].copy()
+                feeds0 = [f[rows].copy() for f in per_client[0]]
+                key = (*structure, shapes)
+                rec = _RECORDED.get(key)
+                if rec is None:  # the structure's first call records it
+                    tape, leaves, loss, stat_nodes = step_loss.recording(params0, *feeds0)
+                    fed = leaves[len(tape.params) : len(tape.params) + len(feeds0)]
+                    rec = _Recorded(tape, leaves, fed, loss, stat_nodes, k)
+                    _remember(_RECORDED, key, rec)
+                else:
+                    replay(rec.tape, dict(zip(rec.leaves, step_loss.leaf_values(params0, feeds0))))
+                bound[shapes] = rec, rec.bind(stacked)
+            rec, args = bound[shapes]
+            outs, grads = rec.run(args, per_client, rows, stacks)
             total = outs[list(rec.stat_nodes).index("total")]
             if not np.isfinite(total).all():
                 for i in np.flatnonzero(~np.isfinite(total)):
@@ -345,16 +398,16 @@ def local_train(
 
 def _matching_loss(snapshots: list[HeadSnapshot], hp: HyperParams, aug: AugmentationSpec) -> StepLoss:
     """A source client's step loss on a batch and its ``aug`` view: local_loss
-    matched against ``snapshots`` (none: no inter-domain term), or with
+    matched against ``snapshots`` (none: no inter-domain term), with
+    ``hp.lam`` and ``hp.inter_normalize`` as its settings, or with
     ``hp.gm_enabled`` off the baseline's averaged_ce."""
+    if not hp.gm_enabled:
+        return StepLoss(aug, averaged_ce)
+    settings = (("lam", hp.lam), ("inter_normalize", hp.inter_normalize))
+    return StepLoss(aug, local_loss, settings, tuple(snapshots))
 
-    def record(tape, staged, x, x_aug, y_mat):
-        return local_loss(tape, staged, snapshots, x, x_aug, y_mat, hp.lam, inter_normalize=hp.inter_normalize)
 
-    return StepLoss(aug, record if hp.gm_enabled else averaged_ce)
-
-
-def _plain_ce_record(tape: Tape, staged: ParamNodes, x: int, y_mat: int) -> tuple[int, dict[str, int]]:
+def _plain_ce_record(tape: Tape, staged: ParamNodes, heads, x: int, y_mat: int) -> tuple[int, dict[str, int]]:
     _, z = forward(tape, staged, x)
     loss = cross_entropy(tape, z, y_mat)
     return loss, {"ce_orig": loss, "total": loss}

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,6 +97,13 @@ class ParamNodes:
         return _ordered(self.feature, self.head_w, self.head_b)
 
 
+class HeadNodes(NamedTuple):
+    """Tape leaf ids of one staged HeadSnapshot: its weight, row-major as stored, and its bias."""
+
+    weight: int
+    bias: int
+
+
 def init_params(arch: list[int], classes: int, seed: int) -> ModelParams:
     """He-initialized weights (std sqrt(2/fan_in)), zero biases."""
     if not arch:
@@ -129,6 +137,12 @@ def stage_params(tape: Tape, params: ModelParams) -> ParamNodes:
         feature_wt=[ad.transpose(tape, w) for w, _ in feature],
         head_wt=ad.transpose(tape, head_w),
     )
+
+
+def stage_heads(tape: Tape, snapshots) -> list[HeadNodes]:
+    """Register each snapshot's weight and bias as constant tape leaves, in
+    snapshot order: recorded code reads a frozen head only through these nodes."""
+    return [HeadNodes(tape.constant(s.weight), tape.constant(s.bias)) for s in snapshots]
 
 
 def forward(tape: Tape, params: ParamNodes, x: int) -> tuple[int, int]:

@@ -18,9 +18,10 @@ batch under the live head, and ``inter`` sums 1 - cosine between the
 augmented-batch gradient and the gradient computed under each frozen head
 snapshot from the previous round.
 
-Every recording function takes nodes: staged parameters, batches, and one-hot
-labels (``one_hot``). The gradient oracles at the end check the objective
-against central differences and the closed form against reverse mode.
+Every recording function takes nodes: staged parameters, staged snapshot
+heads (``stage_heads``), batches, and one-hot labels (``one_hot``). The
+gradient oracles at the end check the objective against central differences
+and the closed form against reverse mode.
 """
 
 from __future__ import annotations
@@ -32,7 +33,18 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, backward, finite_diff_grad
 from .errors import ContractError, ShapeError, UsageError
-from .model import HeadSnapshot, ModelParams, ParamNodes, flatten, forward, init_params, stage_params, unflatten
+from .model import (
+    HeadNodes,
+    HeadSnapshot,
+    ModelParams,
+    ParamNodes,
+    flatten,
+    forward,
+    init_params,
+    stage_heads,
+    stage_params,
+    unflatten,
+)
 from .rng import substream
 
 COSINE_EPS = 1e-12
@@ -94,9 +106,9 @@ def _head_grad(tape: Tape, lab: _Labels, h: int, logp: int) -> int:
     return ad.flatten_concat(tape, (gw, gb))
 
 
-def _frozen_head_grad(tape: Tape, lab: _Labels, h: int, weight: np.ndarray, bias: np.ndarray) -> int:
+def _frozen_head_grad(tape: Tape, lab: _Labels, h: int, head: HeadNodes) -> int:
     """``_head_grad`` under a head staged as constants, transposed by an op as the live one: no adjoint reaches it."""
-    z = ad.add(tape, ad.matmul(tape, h, ad.transpose(tape, tape.constant(weight))), tape.constant(bias))
+    z = ad.add(tape, ad.matmul(tape, h, ad.transpose(tape, head.weight)), head.bias)
     return _head_grad(tape, lab, h, ad.log_softmax_rows(tape, z))
 
 
@@ -105,7 +117,8 @@ def head_grad(tape: Tape, h: int, y_mat: int, head_w, head_b) -> int:
     and ``y_mat`` under a frozen head: ``head_w``/``head_b`` are arrays staged
     as constants (``head_w`` as it is, then a ``transpose`` op), so adjoints
     reach the features ``h`` but never the head."""
-    return _frozen_head_grad(tape, _labels(tape, y_mat), h, head_w, head_b)
+    head = HeadNodes(tape.constant(head_w), tape.constant(head_b))
+    return _frozen_head_grad(tape, _labels(tape, y_mat), h, head)
 
 
 class _Anchor(NamedTuple):
@@ -132,15 +145,15 @@ def _mismatch(tape: Tape, a: _Anchor, v: int) -> int:
     return ad.sub(tape, a.one, _cosine(tape, a, v))
 
 
-def _inter(tape: Tape, lab: _Labels, a: _Anchor, h_orig: int, snapshots, normalize: bool) -> int:
-    """``inter_gm_loss`` on the nodes its batch shares; snapshot j's block is lane j of the heads group."""
+def _inter(tape: Tape, lab: _Labels, a: _Anchor, h_orig: int, heads: Sequence[HeadNodes], normalize: bool) -> int:
+    """``inter_gm_loss`` on the nodes its batch shares; head j's block is lane j of the heads group."""
     total = None
-    for j, snap in enumerate(snapshots):
+    for j, head in enumerate(heads):
         with tape.lane("heads", j):
-            term = _mismatch(tape, a, _frozen_head_grad(tape, lab, h_orig, snap.weight, snap.bias))
+            term = _mismatch(tape, a, _frozen_head_grad(tape, lab, h_orig, head))
         total = term if total is None else ad.add(tape, total, term)
     if normalize:
-        total = ad.scale(tape, total, 1.0 / len(snapshots))
+        total = ad.scale(tape, total, 1.0 / len(heads))
     return total
 
 
@@ -155,15 +168,16 @@ def intra_gm_loss(tape: Tape, g: int, g_aug: int) -> int:
 
 
 def inter_gm_loss(
-    tape: Tape, g_aug: int, snapshots: Sequence[HeadSnapshot], h_orig: int, y_mat: int, *, normalize: bool = False
+    tape: Tape, g_aug: int, heads: Sequence[HeadNodes], h_orig: int, y_mat: int, *, normalize: bool = False
 ) -> int:
-    """Sum over snapshots of 1 - cosine(g_aug, snapshot-head gradient), divided
-    by the snapshot count if ``normalize``. Snapshot gradients are taken on
-    nodes ``h_orig`` and ``y_mat`` under each frozen head: adjoints reach the
-    features and g_aug but never the snapshots."""
-    if not snapshots:
+    """Sum over the staged snapshot heads ``heads`` (``stage_heads``) of
+    1 - cosine(g_aug, that head's gradient), divided by their count if
+    ``normalize``. Each head's gradient is taken on nodes ``h_orig`` and
+    ``y_mat`` under that frozen head: adjoints reach the features and g_aug
+    but never the heads."""
+    if not heads:
         raise ContractError("inter_gm_loss: empty snapshot list (skip the term instead)")
-    return _inter(tape, _labels(tape, y_mat), _anchor(tape, g_aug), h_orig, snapshots, normalize)
+    return _inter(tape, _labels(tape, y_mat), _anchor(tape, g_aug), h_orig, heads, normalize)
 
 
 def _views(tape: Tape, record: Callable, *args) -> list:
@@ -186,9 +200,12 @@ def _ce_views(tape: Tape, params: ParamNodes, x: int, x_aug: int, y_mat: int):
     return (h_orig, h_aug), logp, _views(tape, lambda lp: _ce_from_log_probs(tape, lp, y_mat), logp)
 
 
-def averaged_ce(tape: Tape, params: ParamNodes, x: int, x_aug: int, y_mat: int) -> tuple[int, dict[str, int]]:
+def averaged_ce(
+    tape: Tape, params: ParamNodes, heads: Sequence[HeadNodes], x: int, x_aug: int, y_mat: int
+) -> tuple[int, dict[str, int]]:
     """The federated-averaging baseline's objective 0.5 (ce_orig + ce_aug):
-    ``local_loss`` without its matching terms, whose stats read one zero constant."""
+    ``local_loss`` without its matching terms, whose stats read one zero
+    constant. It takes ``local_loss``'s nodes and reads none of the ``heads``."""
     _, _, (ce_o, ce_a) = _ce_views(tape, params, x, x_aug, y_mat)
     total = ad.scale(tape, ad.add(tape, ce_o, ce_a), 0.5)
     zero = tape.constant(0.0)
@@ -198,7 +215,7 @@ def averaged_ce(tape: Tape, params: ParamNodes, x: int, x_aug: int, y_mat: int) 
 def local_loss(
     tape: Tape,
     params: ParamNodes,
-    snapshots: Sequence[HeadSnapshot],
+    heads: Sequence[HeadNodes],
     x: int,
     x_aug: int,
     y_mat: int,
@@ -209,35 +226,35 @@ def local_loss(
     """Combined local objective; returns the total node and the node of each
     of the TRAIN_METRICS (a skipped term's node is a zero constant).
 
-    ``x``, ``x_aug`` and ``y_mat`` are the nodes of the batch, its view and
-    its one-hot labels. With no snapshots (round 1) the inter term is
-    skipped.
+    ``heads`` are the staged snapshot heads (``stage_heads``), and ``x``,
+    ``x_aug`` and ``y_mat`` the nodes of the batch, its view and its one-hot
+    labels. With no heads (round 1) the inter term is skipped.
     """
     if not 0.0 <= lam <= 1.0:
         raise UsageError(f"lambda must lie in [0, 1], got {lam}")
     (h_orig, h_aug), (logp_o, logp_a), (ce_o, ce_a) = _ce_views(tape, params, x, x_aug, y_mat)
     total = ad.scale(tape, ad.add(tape, ce_o, ce_a), 0.5)
     # a skipped inter term reads a zero constant
-    inter = None if snapshots else tape.constant(0.0)
+    inter = None if heads else tape.constant(0.0)
     # the live-head gradients reuse the forward log-probabilities
     lab = _labels(tape, y_mat)
     g, g_aug = _views(tape, lambda h, logp: _head_grad(tape, lab, h, logp), (h_orig, h_aug), (logp_o, logp_a))
     anchor = _anchor(tape, g_aug)
     intra = _mismatch(tape, anchor, g)
     total = ad.add(tape, total, ad.scale(tape, intra, lam))
-    if snapshots:
-        inter = _inter(tape, lab, anchor, h_orig, snapshots, inter_normalize)
+    if heads:
+        inter = _inter(tape, lab, anchor, h_orig, heads, inter_normalize)
         total = ad.add(tape, total, ad.scale(tape, inter, 1.0 - lam))
     return total, dict(zip(TRAIN_METRICS, (ce_o, ce_a, intra, inter, total)))
 
 
 def _recorded_loss(params: ModelParams, snapshots, X, X_aug, y, lam) -> tuple[Tape, ParamNodes, int]:
     """``local_loss`` of one instance on a fresh tape, its parameters staged as
-    leaves and its batches and one-hot labels as constants."""
+    leaves and its batches, one-hot labels and snapshot heads as constants."""
     tape = Tape()
     staged = stage_params(tape, params)
     x, x_aug, y_mat = (tape.constant(a) for a in (X, X_aug, one_hot(y, params.classes)))
-    return tape, staged, local_loss(tape, staged, snapshots, x, x_aug, y_mat, lam)[0]
+    return tape, staged, local_loss(tape, staged, stage_heads(tape, snapshots), x, x_aug, y_mat, lam)[0]
 
 
 def _flat_loss_fn(params: ModelParams, snapshots, X, X_aug, y, lam) -> Callable:

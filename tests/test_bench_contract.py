@@ -20,7 +20,7 @@ from fedgm import autodiff, federation
 from fedgm.autodiff import OP_TAGS, Tape, backward
 from fedgm.data import AugmentationSpec
 from fedgm.federation import HyperParams, _matching_loss
-from fedgm.model import HeadSnapshot, init_params, stage_params
+from fedgm.model import HeadSnapshot, init_params
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -71,9 +71,7 @@ def test_tape_layout_and_floor_step():
     params = init_params([2, 6], 2, 0)
     snaps = [HeadSnapshot(1, rng.normal(size=(2, 6)), rng.normal(size=2))]
     step = _matching_loss(snaps, HyperParams(), AugmentationSpec.gaussian_noise(0.1))
-    staged = stage_params(tape, params)
-    feeds = [tape.constant(v) for v in step.feeds(rng.normal(size=(5, 2)), np.arange(5) % 2, 2, rng=rng)]
-    loss, _ = step.record(tape, staged, *feeds)
+    tape, _, loss, _ = step.recording(params, *step.feeds(rng.normal(size=(5, 2)), np.arange(5) % 2, 2, rng=rng))
     grads = backward(tape, loss)
     tracing, floor = _load("tracing"), _load("floor")
     frozen = tracing._frozen_copy(tape)

@@ -63,7 +63,7 @@ def test_cosine_lr_single_round():
     ids=["none", "identity", "gaussian_noise", "amplitude_mix"],
 )
 def test_step_loss_feeds_are_the_rows_their_view_and_the_one_hot_labels(aug):
-    assert StepLoss._fields == ("aug", "record")
+    assert StepLoss._fields == ("aug", "record", "settings", "heads")
     X = np.random.default_rng(4).normal(0.0, 1.0, (10, 16))
     y = np.arange(10) % 3
     spectra_calls = []

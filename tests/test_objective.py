@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import fedgm.autodiff as ad
 from fedgm.autodiff import Tape, backward, finite_diff_grad
 from fedgm.errors import ContractError, ShapeError, UsageError
-from fedgm.model import HeadSnapshot, flatten, forward, init_params, stage_params, unflatten
+from fedgm.model import HeadSnapshot, flatten, forward, init_params, stage_heads, stage_params, unflatten
 from fedgm.objective import (
     averaged_ce,
     cosine_sim,
@@ -194,7 +194,7 @@ def test_inter_loss_identical_snapshot_identity_augmentation():
     h, y_mat = t.constant(H), _y(t, y, 3)
     g_aug = head_grad(t, h, y_mat, w, b)  # identity augmentation: same batch
     snap = HeadSnapshot(0, w.copy(), b.copy())
-    val = float(t.value(inter_gm_loss(t, g_aug, [snap], h, y_mat)))
+    val = float(t.value(inter_gm_loss(t, g_aug, stage_heads(t, [snap]), h, y_mat)))
     assert val <= 1e-9
 
 
@@ -214,7 +214,7 @@ def test_inter_loss_orthogonal_snapshots_sum_to_two():
         HeadSnapshot(0, np.array([[0.3, 0.0], [-0.1, 0.2]]), np.zeros(2)),
         HeadSnapshot(1, np.array([[-0.6, 0.4], [0.2, 0.1]]), np.array([0.1, 0.0])),
     ]
-    val = float(t.value(inter_gm_loss(t, g_aug, snaps, h_orig, y_mat)))
+    val = float(t.value(inter_gm_loss(t, g_aug, stage_heads(t, snaps), h_orig, y_mat)))
     assert abs(val - 2.0) <= 1e-12
 
 
@@ -232,7 +232,7 @@ def test_inter_loss_matches_independent_recomputation():
     t = Tape()
     h_o, y_mat = t.constant(H_orig), _y(t, y, 3)
     g_aug = head_grad(t, t.constant(H_aug), y_mat, w, b)
-    combined = float(t.value(inter_gm_loss(t, g_aug, snaps, h_o, y_mat)))
+    combined = float(t.value(inter_gm_loss(t, g_aug, stage_heads(t, snaps), h_o, y_mat)))
     # oracle: each term on its own tape
     total = 0.0
     g_aug_val = t.value(g_aug)
@@ -255,8 +255,9 @@ def test_inter_loss_normalize_divides_by_count():
     t = Tape()
     h, y_mat = t.constant(H), _y(t, y, 2)
     g_aug = head_grad(t, h, y_mat, w, np.zeros(2))
-    plain = float(t.value(inter_gm_loss(t, g_aug, snaps, h, y_mat)))
-    normed = float(t.value(inter_gm_loss(t, g_aug, snaps, h, y_mat, normalize=True)))
+    heads = stage_heads(t, snaps)
+    plain = float(t.value(inter_gm_loss(t, g_aug, heads, h, y_mat)))
+    normed = float(t.value(inter_gm_loss(t, g_aug, heads, h, y_mat, normalize=True)))
     assert abs(normed - plain / 4.0) <= 1e-12
 
 
@@ -281,10 +282,11 @@ def _instance(seed=0, batch=4, arch=(3, 5, 4), classes=3, n_snaps=2, x_scale=1.5
 
 
 def _loss(t, params, snaps, X, X_aug, y, lam, **kwargs):
-    """local_loss with ``params`` staged as leaves, the batches and the
-    one-hot labels as constants."""
+    """local_loss with ``params`` staged as leaves, the batches, the one-hot
+    labels and the snapshot heads as constants."""
     staged = stage_params(t, params)
-    return local_loss(t, staged, snaps, t.constant(X), t.constant(X_aug), _y(t, y, params.classes), lam, **kwargs)
+    x, x_aug, y_mat = t.constant(X), t.constant(X_aug), _y(t, y, params.classes)
+    return local_loss(t, staged, stage_heads(t, snaps), x, x_aug, y_mat, lam, **kwargs)
 
 
 def _terms(tape, nodes):
@@ -349,14 +351,15 @@ def test_averaged_ce_is_local_loss_without_its_matching_terms(n_snaps):
     # input and byte for byte, then one zero constant for both matching stats
     params, snaps, X, X_aug, y = _instance(seed=11, n_snaps=n_snaps)
 
-    def matched(t, staged, x, x_aug, y_mat):
-        return local_loss(t, staged, snaps, x, x_aug, y_mat, 0.5)
+    def matched(t, staged, heads, x, x_aug, y_mat):
+        return local_loss(t, staged, heads, x, x_aug, y_mat, 0.5)
 
     recorded = []
     for record in (matched, averaged_ce):
         t = Tape()
         staged = stage_params(t, params)
-        recorded.append((t, record(t, staged, t.constant(X), t.constant(X_aug), _y(t, y, params.classes))[1]))
+        x, x_aug, y_mat = t.constant(X), t.constant(X_aug), _y(t, y, params.classes)
+        recorded.append((t, record(t, staged, stage_heads(t, snaps), x, x_aug, y_mat)[1]))
     (t_gm, gm), (t_avg, avg) = recorded
     end = avg["total"] + 1
     assert t_avg.ops[:end] == t_gm.ops[:end] and t_avg.inputs[:end] == t_gm.inputs[:end]
@@ -391,7 +394,7 @@ def test_standalone_terms_give_local_loss_bits(normalize):
         assert s.value(nid).shape == want.shape and s.value(nid).tobytes() == want.tobytes()
     terms = {
         "intra": intra_gm_loss(s, g, g_aug),
-        "inter": inter_gm_loss(s, g_aug, snaps, h_orig, y_mat, normalize=normalize),
+        "inter": inter_gm_loss(s, g_aug, stage_heads(s, snaps), h_orig, y_mat, normalize=normalize),
     }
     for m, nid in terms.items():
         assert s.value(nid).tobytes() == t.value(nodes[m]).tobytes()
@@ -424,10 +427,9 @@ def test_head_grad_equals_autodiff_cross_entropy_gradient():
 
 def _total_gradient(params, snaps, X, X_aug, y, lam):
     t = Tape()
-    staged = stage_params(t, params)
-    loss, _ = local_loss(t, staged, snaps, t.constant(X), t.constant(X_aug), _y(t, y, params.classes), lam)
+    loss, _ = _loss(t, params, snaps, X, X_aug, y, lam)
     grads = backward(t, loss)
-    return np.concatenate([grads[nid].ravel() for nid in staged.all_ids()])
+    return np.concatenate([grads[nid].ravel() for nid in t.params])
 
 
 def test_local_loss_gradient_matches_finite_differences():
@@ -474,7 +476,8 @@ def _recording_inputs():
     w, b = params.head_w, params.head_b
     g_aug = head_grad(t, h, y_mat, w, b)
     return SimpleNamespace(
-        t=t, params=params, staged=staged, snaps=snaps, X=X, x=x, x_aug=x_aug, y=list(y), y_mat=y_mat,
+        t=t, params=params, staged=staged, snaps=stage_heads(t, snaps), arrays=snaps, X=X, x=x, x_aug=x_aug,
+        y=list(y), y_mat=y_mat,
         h=h, H=t.value(h).copy(), z=z, Z=t.value(z).copy(), w=w, b=b, g_aug=g_aug,
     )
 
@@ -499,6 +502,11 @@ def _recording_inputs():
         pytest.param(lambda n: head_grad(n.t, n.h, n.y, n.w, n.b), id="head_grad-label-list"),
         pytest.param(lambda n: inter_gm_loss(n.t, n.g_aug, n.snaps, n.H, n.y_mat), id="inter_gm_loss-feature-array"),
         pytest.param(lambda n: inter_gm_loss(n.t, n.g_aug, n.snaps, n.h, n.y), id="inter_gm_loss-label-list"),
+        # the snapshot heads are staged by the caller, never read as arrays
+        pytest.param(lambda n: inter_gm_loss(n.t, n.g_aug, n.arrays, n.h, n.y_mat), id="inter_gm_loss-head-arrays"),
+        pytest.param(
+            lambda n: local_loss(n.t, n.staged, n.arrays, n.x, n.x_aug, n.y_mat, 0.5), id="local_loss-head-arrays"
+        ),
     ],
 )
 def test_recording_functions_take_nodes_only(call):

@@ -1,10 +1,11 @@
 """Compiled steps against fresh recordings.
 
-``local_train`` trains its clients in lockstep: it records the first batch
-of each feed shape eagerly, once, for client 0, compiles that tape into one
-step for all the clients (``autodiff.compile_step``), which calls of the
-same structure share, and runs every batch of that shape, the first
-included, for every client at once through it. On the first batch it
+``local_train`` trains its clients in lockstep: the first call of a step
+structure records its first batch of each feed shape eagerly, for client 0,
+and compiles that tape into one step for all the clients
+(``autodiff.compile_step``); later calls replay the kept tape on their own
+client 0 values. Every batch of that shape, the first included, runs for
+every client at once through the step. On the first batch of every call it
 differentiates the tape with ``backward`` and raises OracleError unless the
 compiled slice 0 matches.
 Each client's slice of a compiled step must give the loss, stats and
@@ -30,34 +31,37 @@ from fedgm.autodiff import Tape, backward, compile_step
 from fedgm.data import AugmentationSpec, DomainDataset, batch_iter
 from fedgm.errors import ContractError, DivergenceError, OracleError, ShapeError, UsageError
 from fedgm.federation import HyperParams, _matching_loss, _Recorded, cosine_lr, local_train, plain_ce_loss
-from fedgm.model import HeadSnapshot, ModelParams, flatten, init_params, stage_params
+from fedgm.model import HeadSnapshot, ModelParams, flatten, init_params
 
 
 def _record(step, params, values):
-    tape = Tape()
-    staged = stage_params(tape, params)
-    leaves = [tape.constant(v) for v in values]
-    loss, stat_nodes = step.record(tape, staged, *leaves)
-    return tape, staged, leaves, loss, stat_nodes
+    """``step`` recorded on ``params`` and one batch's ``values`` as local_train
+    records it: the tape, its staged leaves, the fed ones, the loss and the stat nodes."""
+    tape, leaves, loss, stat_nodes = step.recording(params, *values)
+    fed = leaves[len(tape.params) : len(tape.params) + len(values)]
+    return tape, leaves, fed, loss, stat_nodes
 
 
 def _fresh(step, params, values):
     """Stats and gradients of the step recorded afresh, as bytes."""
-    tape, staged, _, loss, stat_nodes = _record(step, params, values)
+    tape, _, _, loss, stat_nodes = _record(step, params, values)
     assert stat_nodes["total"] == loss
     grads = backward(tape, loss)
     return (
         np.array([float(tape.value(n)) for n in stat_nodes.values()]).tobytes(),
-        [grads[nid].tobytes() for nid in staged.all_ids()],
+        [grads[nid].tobytes() for nid in tape.params],
     )
+
+
+def _stacked_params(params, k):
+    return [np.stack([a] * k) for a in params.arrays()]
 
 
 def _compiled(rec, params, clients):
     """Each client's stats and gradients of the recorded step ``rec`` run
     compiled on ``params`` and the clients' values ``clients``, as bytes."""
-    for nid, arr in zip(rec.tape.params, params.arrays()):  # move the bound parameters in place, as SGD does
-        rec.args[rec.step.leaves.index((nid,))][:] = arr
-    outs, grads = rec.run(clients, slice(None), {})
+    args = rec.bind(_stacked_params(params, len(clients)))
+    outs, grads = rec.run(args, clients, slice(None), {})
     return [
         (np.array([float(v[i]) for v in outs]).tobytes(), [np.asarray(g[i]).tobytes() for g in grads])
         for i in range(len(clients))
@@ -67,8 +71,8 @@ def _compiled(rec, params, clients):
 def _recorded(step, params, clients):
     """The recording of the first client values in ``clients``, compiled for
     all of them, as local_train keeps it."""
-    tape, _, leaves, loss, stat_nodes = _record(step, params, clients[0])
-    return _Recorded(tape, [np.stack([a] * len(clients)) for a in params.arrays()], leaves, loss, stat_nodes)
+    tape, leaves, fed, loss, stat_nodes = _record(step, params, clients[0])
+    return _Recorded(tape, leaves, fed, loss, stat_nodes, len(clients))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -107,9 +111,9 @@ def test_replayed_steps_match_fresh_recordings(widths, classes, batch, n_snaps, 
             else:
                 records[shapes] = _recorded(step, params, [values])
             # move the parameters in place, as SGD does, so each step differs
-            tape, staged, _, loss, _ = _record(step, params, values)
+            tape, _, _, loss, _ = _record(step, params, values)
             grads = backward(tape, loss)
-            for nid, arr in zip(staged.all_ids(), params.arrays()):
+            for nid, arr in zip(tape.params, params.arrays()):
                 arr -= 0.1 * grads[nid]
     assert compiled >= 4  # both batch shapes ran compiled at least once
 
@@ -209,6 +213,7 @@ def test_calls_share_one_compiled_step_with_their_own_snapshot_heads():
 
 def test_local_train_calls_share_compiled_steps(monkeypatch):
     monkeypatch.setattr(ad, "_STEP_CACHE", {})
+    monkeypatch.setattr(federation, "_RECORDED", {})
     rng = np.random.default_rng(3)
     ds = DomainDataset(0, rng.normal(0.0, 1.0, (20, 2)), np.arange(20) % 2)
     hp = HyperParams(batch=4, lr0=0.05, lr1=0.01)
@@ -310,23 +315,24 @@ def test_backward_runs_once_per_feed_shape_on_client_0(k):
         recordings.append(tape)
         return real_loss(tape, *args, **kwargs)
 
-    initial, datasets, step_loss, hp, round_t = _lockstep_call(k)
     with mock.patch.object(federation, "backward", spy), mock.patch.object(federation, "local_loss", spy_loss):
-        for call in range(2):
+        initial, datasets, step_loss, hp, _ = _lockstep_call(k)  # a step loss that records through the spy
+        for call, round_t in enumerate((2, 3)):
             local_train(initial, datasets, step_loss, hp, round_t)
-            # two feed shapes (batches of 4 and 2 rows), each recorded and
-            # checked once, whatever the number of clients
-            assert len(calls) == len(recordings) == 2 * (call + 1)
-    assert calls == recordings  # backward differentiates the one recording
-    epoch = (round_t - 1) * hp.local_epochs
-    X0 = next(batch_iter(datasets[0], hp.batch, streams.subseed(hp.seed, streams.CLIENT), epoch))[0]
-    # the first check differentiates client 0's recording of its first batch
-    assert any(np.array_equal(v, X0) for v in calls[0].vals)
+            # two feed shapes (batches of 4 and 2 rows), each checked once per
+            # call and recorded once, by the first call, whatever the number of clients
+            assert len(calls) == 2 * (call + 1) and len(recordings) == 2
+            epoch = (round_t - 1) * hp.local_epochs
+            X0 = next(batch_iter(datasets[0], hp.batch, streams.subseed(hp.seed, streams.CLIENT), epoch))[0]
+            # each call's first check differentiates client 0's values of that call's first batch
+            assert any(np.array_equal(v, X0) for v in calls[-2].vals)
+    assert calls == recordings * 2  # backward differentiates the one recording of each structure
 
 
 @pytest.mark.parametrize("what", ["total", "gradient"])
-def test_compiled_slice_0_off_by_one_ulp_is_an_oracle_error(what):
+def test_compiled_slice_0_off_by_one_ulp_is_an_oracle_error(what, monkeypatch):
     compiles = []
+    bump = [True]
     real = federation.compile_step
 
     def off_by_one_ulp(*args):
@@ -335,18 +341,28 @@ def test_compiled_slice_0_off_by_one_ulp_is_an_oracle_error(what):
 
         def bumped(*values):
             outs, grads = map(list, step(*values))
-            arrays, j = (outs, list(args[3]).index(args[2])) if what == "total" else (grads, -1)
-            arrays[j] = arrays[j].copy()
-            arrays[j][0] = np.nextafter(arrays[j][0], np.inf)
+            if bump[0]:
+                arrays, j = (outs, list(args[3]).index(args[2])) if what == "total" else (grads, -1)
+                arrays[j] = arrays[j].copy()
+                arrays[j][0] = np.nextafter(arrays[j][0], np.inf)
             return outs, grads
 
         bumped.leaves = step.leaves
         return bumped
 
+    monkeypatch.setattr(federation, "_RECORDED", {})
     with mock.patch.object(federation, "compile_step", off_by_one_ulp):
         with pytest.raises(OracleError, match="client 0's"):
             local_train(*_lockstep_call(3))
-    assert compiles == [3]  # an engine fault, raised from the one step of the call
+        assert compiles == [3]  # an engine fault, raised from the one step of the call
+        # a call that replays a recorded structure compiles nothing and still checks slice 0
+        monkeypatch.setattr(federation, "_RECORDED", {})
+        bump[0] = False
+        local_train(*_lockstep_call(3))
+        bump[0] = True
+        with pytest.raises(OracleError, match="client 0's"):
+            local_train(*_lockstep_call(3))
+    assert compiles == [3, 3, 3]
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -392,9 +408,17 @@ def test_lockstep_clients_match_separate_eager_steps(k, widths, classes, batch, 
         compiles.append(args[1])
         return compile_fn(*args)
 
-    with mock.patch.object(federation, "_sgd_step", spy_sgd), mock.patch.object(federation, "compile_step", spy_compile):
+    with mock.patch.object(federation, "_sgd_step", spy_sgd), mock.patch.object(
+        federation, "compile_step", spy_compile
+    ), mock.patch.object(federation, "_RECORDED", {}):
         updates = local_train(initial, datasets, step, hp, round_t)
-    assert compiles == [k, k]  # the full and the short batch each compiled once, when first recorded
+        first_steps = len(steps)
+        again = local_train(initial, datasets, step, hp, round_t)  # both structures replayed
+    # the full and the short batch each compiled once, when their structure was first recorded
+    assert compiles == [k, k]
+    assert [flatten(u.params).tobytes() for u in again] == [flatten(u.params).tobytes() for u in updates]
+    assert [u.train_stats for u in again] == [u.train_stats for u in updates]
+    del steps[first_steps:]
     velocity_end = steps[-1][1]
     # the oracle: each client alone, every step recorded afresh
     for i, ds in enumerate(datasets):
@@ -404,9 +428,9 @@ def test_lockstep_clients_match_separate_eager_steps(k, widths, classes, batch, 
         sums, count = {}, 0
         for epoch in (2, 3):
             for X, y in batch_iter(ds, batch, streams.subseed(hp.seed, streams.CLIENT), epoch):
-                tape, staged, _, loss, stat_nodes = _record(step, params, step.feeds(X, y, classes, rng=aug_rng))
+                tape, _, _, loss, stat_nodes = _record(step, params, step.feeds(X, y, classes, rng=aug_rng))
                 by_id = backward(tape, loss)
-                grads = [by_id[nid] for nid in staged.all_ids()]
+                grads = [by_id[nid] for nid in tape.params]
                 assert [g.tobytes() for g in grads] == per_param(steps[count][0], i)
                 for name, nid in stat_nodes.items():
                     sums[name] = sums.get(name, 0.0) + float(tape.value(nid))
@@ -424,6 +448,7 @@ def test_lockstep_clients_match_separate_eager_steps(k, widths, classes, batch, 
 
 def test_three_clients_share_one_compiled_step_per_batch_shape(monkeypatch):
     monkeypatch.setattr(ad, "_STEP_CACHE", {})
+    monkeypatch.setattr(federation, "_RECORDED", {})
     local_train(*_lockstep_call(3))
     # batches of 4, 4 and 2 rows: one function for each shape, each for all 3 clients
     assert sorted(key[0] for key in ad._STEP_CACHE) == [3, 3]
@@ -508,7 +533,7 @@ def test_stacked_constants_keep_their_memory_order():
     tape = rec.tape
     constants = [nid for nid, kind in enumerate(tape.ops) if kind == ad.LEAF and nid not in tape.params]
     ids = tuple(nid for nid in constants if tape.value(nid).shape == (3, 8))
-    heads = rec.args[rec.step.leaves.index(ids)]
+    heads = rec.bind(_stacked_params(params, 2))[rec.step.leaves.index(ids)]
     assert [heads[i, j].strides for i in range(2) for j in range(2)] == [(64, 8)] * 4
     assert [heads[0, j].tobytes() for j in range(2)] == [tape.value(nid).tobytes() for nid in ids]
 
@@ -517,7 +542,9 @@ def _every_op_tape(w_val, s_val, x_val, r_val, c_val):
     """A scalar loss that uses every op tag, with a matrix-plus-scalar and a
     matrix-minus-row broadcast, on a (3, 4) weight, a scalar and a (5, 4) batch;
     and add, sub, elementwise-mul and div each broadcasting a (1, 3) row ``r``
-    or a (5, 1) column ``c`` parameter, whose adjoints sum over that axis."""
+    or a (5, 1) column ``c`` parameter, whose adjoints sum over that axis. The
+    mean is scaled by 0.9, so its folded adjoint 0.9 / 15 is a constant that
+    ``0.9 * (1 / 15)`` would round otherwise."""
     tape = Tape()
     w, s = tape.leaf(w_val, param=True), tape.leaf(s_val, param=True)
     x = tape.constant(x_val)
@@ -527,7 +554,7 @@ def _every_op_tape(w_val, s_val, x_val, r_val, c_val):
     e = ad.exp(tape, ad.log_softmax_rows(tape, z))
     f = ad.flatten_concat(tape, (e, w))
     q = ad.div(tape, ad.dot(tape, f, f), ad.add(tape, ad.l2_norm(tape, f), s))
-    m = ad.reduce_mean(tape, ad.mul(tape, e, h))
+    m = ad.scale(tape, ad.reduce_mean(tape, ad.mul(tape, e, h)), 0.9)
     rc = ad.div(tape, ad.mul(tape, ad.sub(tape, c, ad.add(tape, r, e)), r), c)
     loss = ad.add(tape, ad.add(tape, q, m), ad.reduce_sum(tape, ad.mul(tape, z, z)))
     return tape, ad.add(tape, loss, ad.reduce_sum(tape, rc))
@@ -575,6 +602,24 @@ def test_every_op_gradients_match_finite_differences():
 
     g_fd = ad.finite_diff_grad(f, np.concatenate([w.ravel(), [s], r.ravel(), c.ravel()]), 1e-5)
     np.testing.assert_allclose(g_ad, g_fd, rtol=1e-5, atol=1e-7)
+
+
+def test_replay_gives_every_op_the_values_a_fresh_recording_gives():
+    rng = np.random.default_rng(13)
+    tape, loss = _every_op_tape(*_every_op_values(rng))
+    fresh, _ = _every_op_tape(*_every_op_values(rng))
+    leaves = [nid for nid, kind in enumerate(tape.ops) if kind == ad.LEAF]
+    ad.replay(tape, {nid: fresh.vals[nid] for nid in leaves})
+    held = lambda x: (x.shape, x.strides, x.tobytes()) if isinstance(x, np.ndarray) else repr(x)  # noqa: E731
+    assert [held(v) for v in tape.vals] == [held(v) for v in fresh.vals]
+    assert [held(v) for v in tape.saved] == [held(v) for v in fresh.saved]
+    assert [g.tobytes() for g in backward(tape, loss).values()] == [g.tobytes() for g in backward(fresh, loss).values()]
+    before = [v.tobytes() for v in tape.vals]
+    with pytest.raises(ShapeError, match=r"replay: leaf 2 was recorded with dims \(5, 4\), got \(4, 4\)"):
+        ad.replay(tape, {0: np.zeros((3, 4)), 2: np.zeros((4, 4))})
+    with pytest.raises(UsageError, match="replay: node 5 is not a leaf"):
+        ad.replay(tape, {5: np.zeros(3)})
+    assert [v.tobytes() for v in tape.vals] == before  # a refused replay changes nothing
 
 
 def _forward_lines(source):
@@ -672,6 +717,7 @@ def test_recorded_steps_hold_only_row_major_leaves(monkeypatch):
     initial, datasets, step_loss, hp, round_t = _lockstep_call(3)  # round 2, three snapshot heads
     fedavg = _matching_loss([], HyperParams(batch=4, gm_enabled=False), AugmentationSpec.gaussian_noise(0.1))
     monkeypatch.setattr(federation, "compile_step", spy)
+    monkeypatch.setattr(federation, "_RECORDED", {})
     for loss in (step_loss, fedavg):
         local_train(initial, datasets, loss, hp, round_t)
     assert len(tapes) == 4  # a full and a short batch of each step
@@ -720,10 +766,9 @@ def _views_step(snaps, gm_enabled=True):
     step = _matching_loss(snaps, HyperParams(lam=0.5, gm_enabled=gm_enabled), AugmentationSpec.gaussian_noise(0.2))
     params = init_params([3, 6], 2, 1)
     clients = [step.feeds(rng.normal(0.0, 1.0, (5, 3)), rng.integers(0, 2, 5), 2, rng=rng) for _ in range(3)]
-    tape, _, leaves, loss, stat_nodes = _record(step, params, clients[0])
-    rec = _Recorded(tape, [np.stack([a] * len(clients)) for a in params.arrays()], leaves, loss, stat_nodes)
+    rec = _recorded(step, params, clients)
     assert _compiled(rec, params, clients) == [_fresh(step, params, values) for values in clients]
-    return rec, leaves
+    return rec, rec.fed
 
 
 def test_fedavg_step_runs_both_views_as_one_group_of_lanes(monkeypatch):
@@ -865,11 +910,12 @@ def test_a_bias_add_on_two_fed_leaves_matches_backward(k, rows, monkeypatch):
         for _ in range(k)
     ]
     tape, loss, fed = _bias_chain(*clients[0])
-    rec = _Recorded(tape, [np.stack(col) for col in list(zip(*clients))[:2]], fed[2:], loss, {"total": loss})
+    rec = _Recorded(tape, fed, fed[2:], loss, {"total": loss}, k)
     assert (fed[2], fed[3]) in rec.step.leaves
     # one add of the bias for both batches
     assert sum(f"v{fed[1]}.reshape" in ln for ln in _forward_lines(rec.step.source)) == 1
-    (total,), grads = rec.run([values[2:] for values in clients], slice(None), {})
+    args = rec.bind([np.stack(col) for col in list(zip(*clients))[:2]])
+    (total,), grads = rec.run(args, [values[2:] for values in clients], slice(None), {})
     for i, values in enumerate(clients):
         tape_i, loss_i, _ = _bias_chain(*values)
         by_id = backward(tape_i, loss_i)
